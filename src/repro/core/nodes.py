@@ -23,7 +23,7 @@ operator: a sparse matrix mapping global DOF vectors to contiguous
 per-element local node vectors, with hanging slots expanded into the
 coarse-donor Lagrange weights.  ``gather`` and its transpose are the
 algebraic content of the top-down and bottom-up traversals of §3.5; the
-faithful traversal implementation lives in :mod:`repro.core.matvec`.
+traversal MATVEC itself lives in :mod:`repro.core.matvec`.
 """
 
 from __future__ import annotations

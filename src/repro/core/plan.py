@@ -16,9 +16,11 @@ by every discretization in the stack:
   plans are never reused.
 * :class:`TraversalPlan` holds the flattened CSR-style traversal slot
   table (``slot_ptr`` / ``slot_idx`` / ``slot_gid`` / ``slot_w`` arrays
-  instead of per-element Python lists) plus the SFC key/level arrays the
-  §3.5 traversal walks, and the ``identity_elem`` mask that lets the
-  leaf phase batch non-hanging elements into one matmul.
+  instead of per-element Python lists), the ``identity_elem`` mask of
+  non-hanging elements, the SFC key/level arrays, and — compiled on
+  first use, once per plan — the per-level batches and hanging-element
+  block one §3.5 traversal MATVEC executes
+  (:meth:`TraversalPlan.apply_tables`).
 
 Consumers (:class:`repro.core.matvec.MapBasedMatVec`,
 :func:`repro.core.matvec.traversal_matvec`,
@@ -174,6 +176,68 @@ def diff_leaves(
     return PlanDelta(n_old=n1, n_new=n2, prefix=prefix, suffix=suffix)
 
 
+@dataclass(frozen=True)
+class LevelBatch:
+    """Identity (non-hanging) elements of one refinement level.
+
+    Their gather is the pure index read ``u[gid]`` and, the level being
+    uniform, their ``h**pw`` scale is one number — kept as a length-1
+    array so it broadcasts through ``elem_apply``'s per-element scale.
+    """
+
+    elems: np.ndarray  #: (n,) element ids, ascending
+    gid: np.ndarray  #: (n, npe) global node id of every slot
+    h: np.ndarray  #: (1,) element side length
+
+    def gather(self, u: np.ndarray) -> np.ndarray:
+        """Element-local values ``(n, npe)`` of the nodal vector ``u``."""
+        return u[self.gid]
+
+    def scatter(self, w_loc: np.ndarray, n_nodes: int) -> np.ndarray:
+        """Element-local values accumulated onto the global nodes."""
+        return np.bincount(
+            self.gid.ravel(), weights=w_loc.ravel(), minlength=n_nodes
+        )
+
+    def restrict(self, e_lo: int, e_hi: int) -> LevelBatch:
+        a, b = np.searchsorted(self.elems, (e_lo, e_hi))
+        return LevelBatch(self.elems[a:b], self.gid[a:b], self.h)
+
+
+@dataclass(frozen=True)
+class HangingBlock:
+    """All elements with hanging slots, as one CSR block of
+    (local slot, global donor, weight) triples; same interface as
+    :class:`LevelBatch`, with the donor interpolation in both legs."""
+
+    elems: np.ndarray  #: (m,) element ids, ascending
+    loc: np.ndarray  #: ``row * npe + slot`` of every triple, ascending
+    gid: np.ndarray  #: global donor node id of every triple
+    w: np.ndarray  #: interpolation weight of every triple
+    h: np.ndarray  #: (m,) element side lengths
+    npe: int
+
+    def gather(self, u: np.ndarray) -> np.ndarray:
+        m = len(self.elems)
+        return np.bincount(
+            self.loc, weights=self.w * u[self.gid], minlength=m * self.npe
+        ).reshape(m, self.npe)
+
+    def scatter(self, w_loc: np.ndarray, n_nodes: int) -> np.ndarray:
+        return np.bincount(
+            self.gid, weights=self.w * w_loc.ravel()[self.loc],
+            minlength=n_nodes,
+        )
+
+    def restrict(self, e_lo: int, e_hi: int) -> HangingBlock:
+        a, b = np.searchsorted(self.elems, (e_lo, e_hi))
+        s, t = np.searchsorted(self.loc, (a * self.npe, b * self.npe))
+        return HangingBlock(
+            self.elems[a:b], self.loc[s:t] - a * self.npe,
+            self.gid[s:t], self.w[s:t], self.h[a:b], self.npe,
+        )
+
+
 class TraversalPlan:
     """Flattened slot tables for the traversal MATVEC / assembly (§3.5–3.6).
 
@@ -189,12 +253,20 @@ class TraversalPlan:
         flat local-slot index, global node id, interpolation weight.
     ``identity_elem``
         ``(n_elem,)`` bool; True where the element's rows are the pure
-        identity (no hanging slots) — these batch into one matmul in the
-        traversal leaf phase.
+        identity (no hanging slots).
+
+    :meth:`apply_tables` compiles these, once per plan, into the index
+    tables one traversal apply executes: a :class:`LevelBatch` per
+    refinement level plus, where there are any, one :class:`HangingBlock`.  The plan belongs
+    to the :class:`OperatorContext` that built it, so the tables are
+    dropped and rebuilt exactly when the context is.
     """
 
     def __init__(self, mesh: IncompleteMesh, ctx: OperatorContext | None = None):
         self.mesh = mesh
+        #: the mesh's reference element, so an apply on an explicit
+        #: plan needs no operator-context lookup (and no re-hash)
+        self.ref = reference_element(mesh.p, mesh.dim)
         g = ctx.gather if ctx is not None else mesh.nodes.gather.tocsr()
         npe = mesh.npe
         n_elem = mesh.n_elem
@@ -211,10 +283,6 @@ class TraversalPlan:
         wdev = np.abs(self.slot_w - 1.0)
         dev_per_elem = np.add.reduceat(wdev, self.slot_ptr[:-1])
         self.identity_elem = simple_rows & (dev_per_elem == 0.0)
-        # prefix sums make "is the block [a, b) all-identity?" O(1)
-        self._ident_cum = np.concatenate(
-            [[0], np.cumsum(self.identity_elem, dtype=np.int64)]
-        )
         oracle = get_curve(mesh.curve)
         self.keys = oracle.keys(mesh.leaves)
         self.ends = block_ends(self.keys, mesh.leaves.levels, mesh.dim)
@@ -222,25 +290,64 @@ class TraversalPlan:
         self.levels = mesh.leaves.levels.astype(np.int64)
         self.h = ctx.h if ctx is not None else mesh.element_sizes()
         self.oracle = oracle
+        self._tables: list[LevelBatch | HangingBlock] | None = None
 
     def rows(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(slot, gid, weight) triples of element ``e``."""
         lo, hi = self.slot_ptr[e], self.slot_ptr[e + 1]
         return self.slot_idx[lo:hi], self.slot_gid[lo:hi], self.slot_w[lo:hi]
 
-    def all_identity(self, a: int, b: int) -> bool:
-        """True when every element in ``[a, b)`` has identity slot rows."""
-        return bool(self._ident_cum[b] - self._ident_cum[a] == b - a)
+    def kernel(self, kind: str) -> tuple[np.ndarray, int]:
+        """Reference elemental matrix and ``h`` exponent of a scalar
+        term (``"stiffness"`` or ``"mass"``)."""
+        if kind == "stiffness":
+            return self.ref.K_ref, self.mesh.dim - 2
+        if kind == "mass":
+            return self.ref.M_ref, self.mesh.dim
+        raise ValueError(f"unknown kind {kind!r}")
 
-    def identity_gids(self, a: int, b: int) -> np.ndarray:
-        """Global node ids of the identity block ``[a, b)``, ``(b-a, npe)``.
+    def apply_tables(
+        self, e_lo: int = 0, e_hi: int | None = None
+    ) -> list[LevelBatch | HangingBlock]:
+        """Compiled index tables of the elements ``[e_lo, e_hi)``.
 
-        Valid only when :meth:`all_identity` holds for the block (each
-        element then owns exactly ``npe`` slot triples in slot order).
+        Built on first use and kept for the life of the plan; a proper
+        sub-range (the distributed-memory ``owned_range``) restricts
+        every table to its elements in range, empty ones dropped.
         """
-        return self.slot_gid[self.slot_ptr[a] : self.slot_ptr[b]].reshape(
-            b - a, self.mesh.npe
-        )
+        if self._tables is None:
+            self._tables = self._compile()
+        if e_lo <= 0 and (e_hi is None or e_hi >= self.mesh.n_elem):
+            return self._tables
+        tables = [t.restrict(e_lo, e_hi) for t in self._tables]
+        return [t for t in tables if len(t.elems)]
+
+    def _compile(self) -> list[LevelBatch | HangingBlock]:
+        npe = self.mesh.npe
+        slots = np.arange(npe, dtype=np.int64)
+        ident = np.flatnonzero(self.identity_elem)
+        lv = self.levels[ident]
+        tables: list[LevelBatch | HangingBlock] = []
+        for level in np.unique(lv):
+            elems = ident[lv == level]
+            tables.append(LevelBatch(
+                elems,
+                self.slot_gid[self.slot_ptr[elems][:, None] + slots],
+                self.h[elems[:1]],
+            ))
+        hanging = ~self.identity_elem
+        if hanging.any():
+            elem_of = np.repeat(  # owning element of every slot triple
+                np.arange(len(hanging), dtype=np.int64), np.diff(self.slot_ptr)
+            )
+            flat = np.flatnonzero(hanging[elem_of])
+            row = np.cumsum(hanging)[elem_of[flat]] - 1
+            elems = np.flatnonzero(hanging)
+            tables.append(HangingBlock(
+                elems, row * npe + self.slot_idx[flat],
+                self.slot_gid[flat], self.slot_w[flat], self.h[elems], npe,
+            ))
+        return tables
 
 
 class OperatorContext:

@@ -50,10 +50,15 @@ def mesh_catalog(pool: int = 6, *, base_level: int = 2,
     disk; later ranks vary the radius/centre (distinct operator-plan
     fingerprints), alternate the PDE kind, and include one channel
     transport workload.  All templates are shallow (small meshes) so
-    fleet tests and benches stay fast.
+    fleet tests and benches stay fast.  The disk radius
+    ``0.3 - 0.015 * rank`` reaches 0 at rank 20, so ``pool`` is capped
+    at 20 templates.
     """
-    if pool < 1:
-        raise ValueError("pool must be >= 1")
+    if not 1 <= pool <= 20:
+        raise ValueError(
+            f"pool must be in 1..20, got {pool} "
+            "(the rank-20 disk would have radius 0)"
+        )
     channel = {"shape": "box", "lo": (0.0, 0.0), "hi": (4.0, 1.0),
                "domain_hi": (4.0, 4.0), "scale": 4.0}
     out: list[dict] = []

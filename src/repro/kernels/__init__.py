@@ -5,8 +5,9 @@ applies, the traversal MATVEC, assembly, Krylov axpy/dot) execute
 through the :mod:`~repro.kernels.api` facade, dispatching to a
 registered backend:
 
-* ``numpy`` (default) — bit-identical to the historical inline paths;
-* ``einsum`` — level-batched identity-block applies + flat traversal;
+* ``numpy`` (default) — map-based ops bit-identical to the historical
+  inline paths, plus the flat plan-compiled traversal every backend runs;
+* ``einsum`` — einsum elemental applies/dots, vectorized assembly;
 * ``numba`` — jitted slot/CSR loops, gracefully unavailable when
   numba is not installed.
 

@@ -41,22 +41,65 @@ __all__ = [
 ]
 
 
-def _publish(kernel: str, backend: str, flops: float, nbytes: float,
-             seconds: float) -> None:
-    REGISTRY.add("kernels.calls", 1, kernel=kernel, backend=backend)
-    REGISTRY.add("kernels.flops", float(flops), kernel=kernel, backend=backend)
-    REGISTRY.add("kernels.bytes", float(nbytes), kernel=kernel, backend=backend)
-    REGISTRY.add("kernels.seconds", float(seconds), kernel=kernel,
-                 backend=backend)
+def _timed(be, kernel: str, fn, cost, *args):
+    """The tracing-on half of every facade call: time ``fn(*args)`` and
+    publish the ``kernels.*`` counters, work and traffic modelled by
+    ``cost(out, *args) -> (flops, bytes)``."""
+    t0 = perf_counter()
+    out = fn(*args)
+    dt = perf_counter() - t0
+    flops, nbytes = cost(out, *args)
+    labels = {"kernel": kernel, "backend": be.name}
+    REGISTRY.add("kernels.calls", 1, **labels)
+    REGISTRY.add("kernels.flops", float(flops), **labels)
+    REGISTRY.add("kernels.bytes", float(nbytes), **labels)
+    REGISTRY.add("kernels.seconds", float(dt), **labels)
+    return out
 
 
-def _csr_traffic(A: sp.csr_matrix, x: np.ndarray, out_rows: int) -> float:
-    """Bytes touched by one CSR product: matrix arrays + both vectors."""
+def _csr_cost(out, A: sp.csr_matrix, x: np.ndarray):
+    """One CSR product: 2 flops per stored weight and column; bytes of
+    the matrix arrays plus both vectors."""
     ncols = x.shape[1] if getattr(x, "ndim", 1) == 2 else 1
-    return (
+    return 2.0 * A.nnz * ncols, (
         A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
         + getattr(x, "nbytes", 8 * A.shape[1] * ncols)
-        + 8.0 * out_rows * ncols
+        + 8.0 * A.shape[0] * ncols
+    )
+
+
+def _elem_apply_cost(out, u_loc, M, scale):
+    ne, npe_in = u_loc.shape
+    npe_out = M.shape[0]
+    return (
+        2.0 * ne * npe_out * npe_in + ne * npe_out,
+        u_loc.nbytes + scale.nbytes + 8.0 * ne * npe_out,
+    )
+
+
+def _dot_cost(out, x, y):
+    return 2.0 * len(x), 16.0 * len(x)
+
+
+def _axpy_cost(out, alpha, x, y):
+    return 2.0 * len(x), 24.0 * len(x)
+
+
+def _traversal_cost(out, plan, u, ker, pw, e_lo, e_hi):
+    npe = ker.shape[0]
+    n_el = e_hi - e_lo
+    nnz = float(plan.slot_ptr[e_hi] - plan.slot_ptr[e_lo])
+    return (
+        n_el * (2.0 * npe * npe + npe) + 4.0 * nnz,
+        32.0 * nnz + 16.0 * n_el * npe + 16.0 * len(u),
+    )
+
+
+def _assemble_cost(A, ctx, blocks):
+    ne, npe, _ = blocks.shape
+    g = ctx.gather
+    return 2.0 * ne * npe * npe, (
+        blocks.nbytes + g.data.nbytes + g.indices.nbytes + 12.0 * A.nnz
     )
 
 
@@ -65,13 +108,7 @@ def gather(G: sp.csr_matrix, u: np.ndarray, backend: str | None = None):
     be = get_backend(backend)
     if not TRACER.enabled:
         return be.gather(G, u)
-    t0 = perf_counter()
-    out = be.gather(G, u)
-    dt = perf_counter() - t0
-    ncols = u.shape[1] if getattr(u, "ndim", 1) == 2 else 1
-    _publish("gather", be.name, 2.0 * G.nnz * ncols,
-             _csr_traffic(G, u, G.shape[0]), dt)
-    return out
+    return _timed(be, "gather", be.gather, _csr_cost, G, u)
 
 
 def scatter(S: sp.csr_matrix, w: np.ndarray, backend: str | None = None):
@@ -79,13 +116,7 @@ def scatter(S: sp.csr_matrix, w: np.ndarray, backend: str | None = None):
     be = get_backend(backend)
     if not TRACER.enabled:
         return be.scatter(S, w)
-    t0 = perf_counter()
-    out = be.scatter(S, w)
-    dt = perf_counter() - t0
-    ncols = w.shape[1] if getattr(w, "ndim", 1) == 2 else 1
-    _publish("scatter", be.name, 2.0 * S.nnz * ncols,
-             _csr_traffic(S, w, S.shape[0]), dt)
-    return out
+    return _timed(be, "scatter", be.scatter, _csr_cost, S, w)
 
 
 def elem_apply(u_loc: np.ndarray, M: np.ndarray, scale: np.ndarray,
@@ -94,17 +125,8 @@ def elem_apply(u_loc: np.ndarray, M: np.ndarray, scale: np.ndarray,
     be = get_backend(backend)
     if not TRACER.enabled:
         return be.elem_apply(u_loc, M, scale)
-    t0 = perf_counter()
-    out = be.elem_apply(u_loc, M, scale)
-    dt = perf_counter() - t0
-    ne, npe_in = u_loc.shape
-    npe_out = M.shape[0]
-    _publish(
-        "elem_apply", be.name,
-        2.0 * ne * npe_out * npe_in + ne * npe_out,
-        u_loc.nbytes + scale.nbytes + 8.0 * ne * npe_out, dt,
-    )
-    return out
+    return _timed(be, "elem_apply", be.elem_apply, _elem_apply_cost,
+                  u_loc, M, scale)
 
 
 def dot(x: np.ndarray, y: np.ndarray, backend: str | None = None) -> float:
@@ -112,11 +134,7 @@ def dot(x: np.ndarray, y: np.ndarray, backend: str | None = None) -> float:
     be = get_backend(backend)
     if not TRACER.enabled:
         return be.dot(x, y)
-    t0 = perf_counter()
-    out = be.dot(x, y)
-    dt = perf_counter() - t0
-    _publish("dot", be.name, 2.0 * len(x), 16.0 * len(x), dt)
-    return out
+    return _timed(be, "dot", be.dot, _dot_cost, x, y)
 
 
 def axpy(alpha: float, x: np.ndarray, y: np.ndarray,
@@ -125,39 +143,22 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray,
     be = get_backend(backend)
     if not TRACER.enabled:
         return be.axpy(alpha, x, y)
-    t0 = perf_counter()
-    out = be.axpy(alpha, x, y)
-    dt = perf_counter() - t0
-    _publish("axpy", be.name, 2.0 * len(x), 24.0 * len(x), dt)
-    return out
+    return _timed(be, "axpy", be.axpy, _axpy_cost, alpha, x, y)
 
 
 def traversal_apply(plan, u: np.ndarray, ker: np.ndarray, pw: int,
                     e_lo: int, e_hi: int,
-                    backend: str | None = None) -> np.ndarray | None:
-    """Flat traversal MATVEC, or ``None`` when the active backend has
-    no flat path (the caller then runs the recursive reference walk,
-    keeping the default backend bit-identical to the historical code).
-    """
+                    backend: str | None = None) -> np.ndarray:
+    """Flat traversal MATVEC over elements ``[e_lo, e_hi)`` of ``plan``;
+    when tracing, under a ``matvec.traversal`` span that holds the
+    backend's phase spans."""
     be = get_backend(backend)
-    if not be.flat_traversal:
-        return None
     if not TRACER.enabled:
         return be.traversal_matvec(plan, u, ker, pw, e_lo, e_hi)
     with span("matvec.traversal", backend=be.name) as osp:
-        t0 = perf_counter()
-        out = be.traversal_matvec(plan, u, ker, pw, e_lo, e_hi)
-        dt = perf_counter() - t0
         osp.add("elements", e_hi - e_lo)
-    npe = ker.shape[0]
-    n_el = e_hi - e_lo
-    nnz = float(plan.slot_ptr[e_hi] - plan.slot_ptr[e_lo])
-    _publish(
-        "traversal", be.name,
-        n_el * (2.0 * npe * npe + npe) + 4.0 * nnz,
-        32.0 * nnz + 16.0 * n_el * npe + 16.0 * len(u), dt,
-    )
-    return out
+        return _timed(be, "traversal", be.traversal_matvec, _traversal_cost,
+                      plan, u, ker, pw, e_lo, e_hi)
 
 
 def assemble(ctx, blocks: np.ndarray,
@@ -166,13 +167,4 @@ def assemble(ctx, blocks: np.ndarray,
     be = get_backend(backend)
     if not TRACER.enabled:
         return be.assemble(ctx, blocks)
-    t0 = perf_counter()
-    A = be.assemble(ctx, blocks)
-    dt = perf_counter() - t0
-    ne, npe, _ = blocks.shape
-    g = ctx.gather
-    _publish(
-        "assemble", be.name, 2.0 * ne * npe * npe,
-        blocks.nbytes + g.data.nbytes + g.indices.nbytes + 12.0 * A.nnz, dt,
-    )
-    return A
+    return _timed(be, "assemble", be.assemble, _assemble_cost, ctx, blocks)

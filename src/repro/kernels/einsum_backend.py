@@ -1,26 +1,15 @@
-"""Einsum backend — level-batched block applies and a flat traversal.
+"""Einsum backend — einsum elemental applies and vectorized assembly.
 
-Two structural facts of the operator plan make this backend fast
-without any compiled code:
+It differs from the numpy backend in three ops: the batched elemental
+apply and the Krylov dot go through ``np.einsum`` (BLAS-dispatched via
+``optimize=True``), and assembly emits the dense blocks of all identity
+elements (no hanging nodes — ``TraversalPlan.identity_elem``) in one
+broadcast.  The traversal MATVEC is the inherited flat pass over the
+plan's compiled tables; only its dense part, ``elem_apply``, is this
+backend's own.
 
-* Most elements have **identity slot rows** (no hanging nodes —
-  ``TraversalPlan.identity_elem``), so their gather is a pure index
-  read, their elemental apply is one batched einsum (BLAS-dispatched
-  via ``optimize=True``), and their scatter is a ``bincount``
-  accumulation.  Grouping the identity elements by refinement level
-  keeps the ``h^pw`` scale uniform per batch, mirroring
-  ``OperatorContext.level_batches``.
-
-* Every ``slot_gid`` in the plan references a **global node id whose
-  value the traversal's top-down pass copies unchanged** from the root
-  frame (hanging slots combine coarse donors by weight).  The recursive
-  bucket walk is therefore semantically a flat expression over the CSR
-  slot table — which is what :meth:`EinsumKernels.traversal_matvec`
-  evaluates, skipping the tree recursion entirely.
-
-Results agree with the numpy backend to floating-point reassociation
-(different summation order in ``bincount`` vs CSR scatter), asserted
-within 1e-10 by the cross-backend property tests.
+Results agree with the numpy backend to floating-point reassociation,
+asserted within 1e-10 by the cross-backend property tests.
 """
 
 from __future__ import annotations
@@ -28,27 +17,15 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ..obs import span
 from .numpy_backend import NumpyKernels
 
 __all__ = ["EinsumKernels"]
 
 
-def _flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + c)`` for each (start, count)."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + offsets
-
-
 class EinsumKernels(NumpyKernels):
-    """Batched-einsum backend over the flat operator-plan arrays."""
+    """Batched-einsum elemental applies; vectorized triplet assembly."""
 
     name = "einsum"
-    flat_traversal = True
 
     def elem_apply(
         self, u_loc: np.ndarray, M: np.ndarray, scale: np.ndarray
@@ -59,59 +36,6 @@ class EinsumKernels(NumpyKernels):
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(np.einsum("i,i->", x, y, optimize=True))
-
-    def traversal_matvec(self, plan, u, ker, pw, e_lo, e_hi):
-        """Flat traversal MATVEC over elements ``[e_lo, e_hi)``.
-
-        Identity elements go through per-level batched einsum applies;
-        hanging elements expand their CSR slot rows vectorially
-        (``bincount`` both for the weighted gather and the scatter).
-        """
-        npe = ker.shape[0]
-        n_nodes = len(u)
-        h, levels = plan.h, plan.levels
-        out = np.zeros(n_nodes)
-        els = np.arange(e_lo, e_hi, dtype=np.int64)
-        ident = plan.identity_elem[e_lo:e_hi]
-        id_els = els[ident]
-        hang_els = els[~ident]
-
-        for lv in np.unique(levels[id_els]) if len(id_els) else ():
-            with span("matvec.leaf", merge=True) as lsp:
-                sel = id_els[levels[id_els] == lv]
-                gid = plan.slot_gid[
-                    plan.slot_ptr[sel][:, None] + np.arange(npe, dtype=np.int64)
-                ]
-                w_loc = np.einsum("ej,ij->ei", u[gid], ker, optimize=True)
-                w_loc *= float(h[sel[0]]) ** pw
-                out += np.bincount(
-                    gid.ravel(), weights=w_loc.ravel(), minlength=n_nodes
-                )
-                lsp.add("elements", len(sel))
-
-        if len(hang_els):
-            with span("matvec.leaf", merge=True) as lsp:
-                starts = plan.slot_ptr[hang_els]
-                counts = plan.slot_ptr[hang_els + 1] - starts
-                flat = _flat_ranges(starts, counts)
-                row = np.repeat(
-                    np.arange(len(hang_els), dtype=np.int64), counts
-                )
-                sidx = plan.slot_idx[flat]
-                gid = plan.slot_gid[flat]
-                w = plan.slot_w[flat]
-                u_loc = np.bincount(
-                    row * npe + sidx,
-                    weights=w * u[gid],
-                    minlength=len(hang_els) * npe,
-                ).reshape(len(hang_els), npe)
-                w_loc = np.einsum("ej,ij->ei", u_loc, ker, optimize=True)
-                w_loc *= (h[hang_els] ** pw)[:, None]
-                out += np.bincount(
-                    gid, weights=w * w_loc[row, sidx], minlength=n_nodes
-                )
-                lsp.add("elements", len(hang_els))
-        return out
 
     def assemble(self, ctx, blocks: np.ndarray) -> sp.csr_matrix:
         """Vectorized §3.6 triplet assembly.

@@ -11,7 +11,8 @@ ImportError.  The undecorated pure-Python functions remain importable
 The jitted traversal walks the flat slot table directly (one pass over
 ``slot_ptr``/``slot_idx``/``slot_gid``/``slot_w``), handling identity
 and hanging elements uniformly — per-element locality instead of the
-einsum backend's batched temporaries.
+batched temporaries of the inherited numpy traversal it replaces (one
+fused loop, so it publishes no per-phase spans).
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class NumbaKernels(NumpyKernels):
     name = "numba"
     available = NUMBA_AVAILABLE
     unavailable_reason = _NUMBA_REASON
-    flat_traversal = True
 
     def gather(self, G: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
         # block inputs and non-CSR formats (e.g. the exchange plan's

@@ -1,24 +1,27 @@
-"""Reference numpy backend — bit-identical to the historical hot paths.
+"""Default numpy backend, and the contract every backend implements.
 
-Every op here is the exact expression the call sites inlined before the
-kernel layer existed, so routing through this backend changes no bits:
-CSR gather/scatter are ``scipy.sparse`` products, the batched elemental
-apply is one dense matmul plus a column scale, dot/axpy are the plain
-BLAS-backed numpy expressions, and assembly is the BSR triple product.
+The map-based ops are the exact expressions the call sites inlined
+before the kernel layer existed, so routing through this backend
+changes no bits there: CSR gather/scatter are ``scipy.sparse``
+products, the batched elemental apply is one dense matmul plus a column
+scale, dot/axpy are the plain BLAS-backed numpy expressions, and
+assembly is the BSR triple product.
 
-``traversal_matvec`` returns ``None``: this backend has no flat
-traversal, which tells :func:`repro.core.matvec.traversal_matvec` to
-run its recursive reference implementation (keeping trace spans and
-results bit-identical to the pre-kernel-layer code).
+``traversal_matvec`` is the one production traversal MATVEC: a flat
+pass over the index tables the plan compiled once, its dense part going
+through :meth:`NumpyKernels.elem_apply`.
 
 Other backends subclass this and override only the ops they speed up,
-so every backend is complete by construction.
+so every backend is complete by construction and runs the same
+traversal unless it replaces it outright.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+from ..obs import span
 
 __all__ = ["NumpyKernels"]
 
@@ -29,10 +32,6 @@ class NumpyKernels:
     name = "numpy"
     available = True
     unavailable_reason = ""
-    #: True when :meth:`traversal_matvec` implements the flat
-    #: (non-recursive) traversal; False routes the caller to the
-    #: recursive reference path.
-    flat_traversal = False
 
     # -- sparse gather / scatter ----------------------------------------
 
@@ -65,8 +64,28 @@ class NumpyKernels:
     # -- traversal MATVEC -------------------------------------------------
 
     def traversal_matvec(self, plan, u, ker, pw, e_lo, e_hi):
-        """No flat traversal: defer to the recursive reference path."""
-        return None
+        """Flat traversal MATVEC over elements ``[e_lo, e_hi)``.
+
+        One pass over the plan's compiled tables (a batch per level of
+        identity elements, then the hanging-element block), each in the
+        paper's three phases: slot gather and hanging interpolation
+        (``matvec.top_down``), dense elemental apply through
+        :meth:`elem_apply` (``matvec.leaf``), and accumulation of the
+        duplicated node instances (``matvec.bottom_up``).
+        """
+        n = len(u)
+        out = np.zeros(n)
+        for t in plan.apply_tables(e_lo, e_hi):
+            with span("matvec.top_down", merge=True) as tsp:
+                u_loc = t.gather(u)
+                tsp.add("bucketed_nodes", t.gid.size)
+            with span("matvec.leaf", merge=True) as lsp:
+                w_loc = self.elem_apply(u_loc, ker, t.h**pw)
+                lsp.add("elements", len(t.elems))
+            with span("matvec.bottom_up", merge=True) as bsp:
+                out += t.scatter(w_loc, n)
+                bsp.add("merged_nodes", t.gid.size)
+        return out
 
     # -- global assembly ---------------------------------------------------
 

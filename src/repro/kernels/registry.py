@@ -6,10 +6,12 @@ axpy/dot) is reachable through the :mod:`repro.kernels.api` facade,
 which dispatches to one of the *backends* registered here:
 
 ``numpy``
-    the default; bit-identical to the historical inline code paths.
+    the default; map-based ops bit-identical to the historical inline
+    code paths, and the flat, plan-compiled traversal MATVEC that every
+    backend runs.
 ``einsum``
-    level-batched identity-block applies through ``np.einsum`` and a
-    fully flat (non-recursive) traversal MATVEC.
+    elemental applies and dots through ``np.einsum``, vectorized
+    triplet assembly; the traversal is the inherited one.
 ``numba``
     jitted CSR/slot loops; registered as *unavailable* when numba is
     not installed, so selecting it raises a typed error instead of an

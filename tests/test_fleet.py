@@ -159,6 +159,26 @@ def test_workload_deterministic_and_skewed():
     assert min(gaps) < 100 < max(gaps)
 
 
+def test_mesh_catalog_rejects_pools_past_the_last_positive_radius():
+    """Rank 20 would be a disk of radius 0: the largest pool is 20,
+    every template of it validates, and a larger one is refused by
+    ``mesh_catalog`` itself instead of deep inside the geometry."""
+    full = mesh_catalog(20)
+    assert len(full) == 20
+    for template in full:
+        req = SolveRequest(**template)
+        req.validate()
+        assert req.mesh_digest
+    # smaller pools are prefixes: ranks below 20 kept their radii
+    assert mesh_catalog(6) == full[:6]
+    assert full[19]["geometry"]["radius"] == 0.015
+    for pool in (0, 21, 40):
+        with pytest.raises(ValueError, match="pool must be in 1..20"):
+            mesh_catalog(pool)
+    with pytest.raises(ValueError, match="pool must be in 1..20"):
+        synthetic_workload(5, seed=0, pool=21)
+
+
 # -- fleet determinism (shuffle invariance) ------------------------------
 
 

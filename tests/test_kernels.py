@@ -17,6 +17,7 @@ from repro import Domain, build_mesh, build_uniform_mesh, obs
 from repro.analysis import measured_kernel_points
 from repro.core.assembly import assemble, assemble_traversal
 from repro.core.matvec import MapBasedMatVec, TraversalPlan, traversal_matvec
+from repro.core.traversal_reference import recursive_traversal_matvec
 from repro.fem import TransportProblem
 from repro.fem.poisson import PoissonProblem
 from repro.geometry import BoxRetain, SphereCarve
@@ -221,7 +222,7 @@ def test_einsum_traversal_property(seed, sphere_mesh):
     mesh = sphere_mesh
     u = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
     plan = TraversalPlan(mesh)
-    y_ref = traversal_matvec(mesh, u, plan=plan)
+    y_ref = recursive_traversal_matvec(mesh, u, plan=plan)
     with use_backend("einsum"):
         y_alt = traversal_matvec(mesh, u, plan=plan)
     assert np.allclose(y_alt, y_ref, atol=1e-10)

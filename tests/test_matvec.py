@@ -10,7 +10,11 @@ from repro.core.domain import Domain
 from repro import obs
 from repro.core.matvec import MapBasedMatVec, TraversalPlan, traversal_matvec
 from repro.core.mesh import build_mesh
+from repro.core.traversal_reference import recursive_traversal_matvec
 from repro.geometry.primitives import SphereCarve
+from repro.kernels import available_backends, use_backend
+
+BACKENDS = [name for name, ok in available_backends().items() if ok]
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +56,41 @@ def test_traversal_matches_map_3d_p2(carved_mesh_3d_p2):
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["stiffness", "mass"])
+@pytest.mark.parametrize(
+    "dim,p,levels", [(2, 1, (2, 4)), (3, 2, (2, 3))], ids=["2d-p1", "3d-p2"]
+)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_flat_traversal_matches_recursive_oracle(
+    backend, kind, dim, p, levels, data
+):
+    """The production (flat, plan-compiled) traversal against the
+    recursive walk it was derived from, on generated carve geometries:
+    the full apply, and an ``owned_range`` split whose parts each match
+    the oracle's and sum to the full apply."""
+    centre = data.draw(st.lists(st.floats(0.3, 0.7), min_size=dim, max_size=dim))
+    radius = data.draw(st.floats(0.1, 0.3))
+    mesh = build_mesh(Domain(SphereCarve(centre, radius)), *levels, p=p)
+    mid = data.draw(st.integers(0, mesh.n_elem))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    u = np.random.default_rng(seed).standard_normal(mesh.n_nodes)
+    ranges = [None, (0, mid), (mid, mesh.n_elem)]
+    with use_backend(backend):
+        full, lo, hi = (
+            traversal_matvec(mesh, u, kind=kind, owned_range=r) for r in ranges
+        )
+    for got, r in zip((full, lo, hi), ranges):
+        want = recursive_traversal_matvec(mesh, u, kind=kind, owned_range=r)
+        assert np.abs(got - want).max() <= 1e-12, r
+    assert np.abs(lo + hi - full).max() <= 1e-12
+
+
 def test_traversal_phase_spans_accumulate(carved_mesh_2d):
-    """The obs spans that replaced the old TraversalTimers struct record
-    every traversal phase with positive accumulated durations."""
+    """The production traversal publishes the paper's phase breakdown:
+    every phase span is present under ``matvec.traversal`` with a
+    positive accumulated duration, merged over the plan's batches."""
     mesh = carved_mesh_2d
     obs.reset()
     obs.enable()
@@ -79,6 +115,26 @@ def test_traversal_plan_reuse(carved_mesh_2d):
     y1 = traversal_matvec(mesh, u, plan=plan)
     y2 = traversal_matvec(mesh, u)
     assert np.allclose(y1, y2)
+
+
+def test_explicit_plan_apply_rehashes_nothing(carved_mesh_2d, monkeypatch):
+    """``plan=`` is trusted as is: no fingerprint (a sha1 over all SFC
+    keys) is computed; without it the staleness check still runs."""
+    from repro.core import plan as plan_mod
+
+    mesh = carved_mesh_2d
+    plan = plan_mod.operator_context(mesh).traversal
+    u = np.linspace(0, 1, mesh.n_nodes)
+    calls = []
+    real = plan_mod.mesh_fingerprint
+    monkeypatch.setattr(
+        plan_mod, "mesh_fingerprint", lambda m: calls.append(m) or real(m)
+    )
+    y_plan = traversal_matvec(mesh, u, plan=plan)
+    assert calls == []
+    y_ctx = traversal_matvec(mesh, u)
+    assert calls == [mesh]
+    assert y_plan.tobytes() == y_ctx.tobytes()
 
 
 def test_traversal_owned_range_partitions_sum(carved_mesh_2d):

@@ -116,6 +116,43 @@ def test_stale_context_detected_on_nodes_swap_same_fingerprint():
     assert np.allclose(MapBasedMatVec(mesh)(u), assemble(mesh) @ u, atol=1e-12)
 
 
+@pytest.mark.parametrize("change", ["refine", "coarsen", "nodes_swap"])
+def test_compiled_traversal_tables_rebuilt_with_the_context(change):
+    """The traversal's compiled index tables live on the plan the
+    context owns: compiled once, and gone with the context whenever the
+    mesh content (or its nodes object) is swapped in place."""
+    dom = Domain(SphereCarve([0.5, 0.5], 0.3))
+    mesh = build_mesh(dom, 2, 4, p=1)
+    if change == "coarsen":  # start from the refined mesh, coarsen it back
+        marks = np.ones(mesh.n_elem, bool)
+        mesh = mesh_from_leaves(dom, refine_leaves(dom, mesh.leaves, marks), p=1)
+    traversal_matvec(mesh, np.ones(mesh.n_nodes))  # compiles the tables
+    plan0 = operator_context(mesh).traversal
+    tables0 = plan0.apply_tables()
+    assert plan0.apply_tables() is tables0  # compiled once per plan
+    n_elem0 = mesh.n_elem
+
+    marks = np.ones(mesh.n_elem, bool)
+    if change == "refine":
+        new = mesh_from_leaves(dom, refine_leaves(dom, mesh.leaves, marks), p=1)
+    elif change == "coarsen":
+        new = mesh_from_leaves(dom, coarsen_leaves(dom, mesh.leaves, marks), p=1)
+    else:
+        new = mesh_from_leaves(dom, mesh.leaves, p=1, balance=False)
+    if change != "nodes_swap":
+        mesh.leaves, mesh.labels = new.leaves, new.labels
+    mesh.nodes = new.nodes
+
+    u = np.random.default_rng(0).standard_normal(mesh.n_nodes)
+    y = traversal_matvec(mesh, u)
+    plan1 = operator_context(mesh).traversal
+    tables1 = plan1.apply_tables()
+    assert plan1 is not plan0 and tables1 is not tables0
+    assert sum(len(t.elems) for t in tables1) == mesh.n_elem
+    assert (mesh.n_elem != n_elem0) == (change != "nodes_swap")
+    assert np.abs(y - MapBasedMatVec(mesh)(u)).max() <= 1e-12
+
+
 # -- operator equivalence through the context ---------------------------
 
 
