@@ -96,13 +96,16 @@ def amr_solve(
     check_equivalence: bool = True,
     churn_limit: float = 0.5,
     exact: Callable | None = None,
+    mesh: IncompleteMesh | None = None,
 ) -> AMRResult:
     """Run the adaptive loop; see the module docstring for the cycle.
 
     Stops after ``max_cycles`` refinements or once ``target_dofs`` is
     exceeded.  ``exact`` (optional reference solution) adds an
     ``error_l2`` column to the history — used by the convergence
-    benchmarks.
+    benchmarks.  A caller that has already built the level-0 mesh of
+    ``domain`` hands it in as ``mesh`` (it is not modified); ``p``,
+    ``base_level`` and ``boundary_level`` are then the mesh's own.
     """
     try:
         mark_fn = _MARKERS[marking]
@@ -111,10 +114,11 @@ def amr_solve(
             f"unknown marking {marking!r}; options: {sorted(_MARKERS)}"
         )
     with span("amr.solve") as outer:
-        leaves = construct_adaptive(
-            domain, base_level, boundary_level or base_level
-        )
-        mesh = mesh_from_leaves(domain, leaves, p=p)
+        if mesh is None:
+            leaves = construct_adaptive(
+                domain, base_level, boundary_level or base_level
+            )
+            mesh = mesh_from_leaves(domain, leaves, p=p)
         u_prev: np.ndarray | None = None
         history: list[dict] = []
         for cycle in range(max_cycles + 1):
@@ -170,7 +174,7 @@ def amr_solve(
                         ref = mesh_from_leaves(
                             domain,
                             new_leaves,
-                            p=p,
+                            p=mesh.p,
                             curve=mesh.curve,
                             balance=False,
                         )

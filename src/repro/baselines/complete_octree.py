@@ -32,7 +32,7 @@ import numpy as np
 from ..core.construct import construct_adaptive
 from ..core.domain import Domain
 from ..core.octant import OctantSet, children, max_level
-from ..core.sfc import get_curve
+from ..core.sfc import cached_keys, get_curve
 from ..geometry.predicate import RegionLabel
 
 __all__ = ["CompleteTreeReport", "dendro_style_pipeline"]
@@ -108,7 +108,7 @@ def dendro_style_pipeline(
             # a full 2^dim-ary tree with L leaves has (L·2^dim − 1)/(2^dim − 1) nodes
             nch = 1 << dim
             visited_complete += int(((nleaves * nch - 1) // (nch - 1)).sum())
-            pruned_keys.append(oracle.keys(sub))
+            pruned_keys.append(cached_keys(sub, oracle))
             pruned_counts.append(nleaves)
         keep = np.flatnonzero(~carved)
         frontier = frontier[keep]
@@ -124,7 +124,7 @@ def dendro_style_pipeline(
     from ..core.treesort import tree_sort
 
     active = tree_sort(OctantSet.concatenate(leaves), oracle)[0]
-    akeys = oracle.keys(active)
+    akeys = cached_keys(active, oracle)
     n_active = len(active)
 
     if pruned_keys:

@@ -7,7 +7,7 @@ from .distributed import dist_tree_sort, distributed_construct_constrained
 from .domain import Domain
 from .faces import extract_boundary_faces
 from .mesh import IncompleteMesh, build_mesh, build_uniform_mesh
-from .nodes import MeshNodes, build_nodes
+from .nodes import EmptyMeshError, MeshNodes, build_nodes
 from .octant import OctantSet, max_level
 from .plan import (
     OperatorContext,
@@ -36,6 +36,7 @@ __all__ = [
     "is_balanced",
     "Domain",
     "build_nodes",
+    "EmptyMeshError",
     "MeshNodes",
     "IncompleteMesh",
     "build_mesh",

@@ -181,7 +181,7 @@ def coarsen_leaves(
     if len(cand) == 0:
         return tree_sort(leaves, curve)[0]
     pars = parent(leaves[cand])
-    pkeys = oracle.keys(pars)
+    pkeys = cached_keys(pars, oracle)
     plev = pars.levels
     # group candidate children by (parent key, parent level)
     order = np.lexsort((plev, pkeys))
@@ -193,7 +193,7 @@ def coarsen_leaves(
     # marked): a parent group is mergeable only if every retained child
     # in the mesh is a marked candidate
     all_pars = parent(leaves)
-    apk = oracle.keys(all_pars)
+    apk = cached_keys(all_pars, oracle)
     apl = all_pars.levels
     merge_parents = []
     drop = np.zeros(len(leaves), bool)
@@ -258,7 +258,7 @@ def construct_from_points(
         frontier = frontier[retained]
         if not len(frontier):
             break
-        keys = oracle.keys(frontier)
+        keys = cached_keys(frontier, oracle)
         ends = block_ends(keys, frontier.levels, dim)
         counts = np.searchsorted(pkeys, ends) - np.searchsorted(pkeys, keys)
         split = (counts > max_points) & (frontier.levels < min(cap, m))

@@ -2,7 +2,9 @@
 
 Bottom-up local block balancing in the style of Sundar et al.: seed
 octants are processed finest level first; for every seed the neighbours
-of its *parent* are added as next-coarser seeds.  Crucially (per §3.3)
+of its *parent* are added as next-coarser seeds (siblings share a
+parent, so a tier's parents are made distinct first and each emits its
+``3^dim - 1`` candidates once).  Crucially (per §3.3)
 carved-region octants generated this way are **not** discarded — two
 leaves of ≥4:1 size ratio could otherwise meet across a carved region.
 The final constrained construction (Algorithm 2) then rebuilds a linear
@@ -18,8 +20,8 @@ from ..obs import span
 from .domain import Domain
 from .construct import construct_constrained
 from .octant import OctantSet, neighbors, parent
-from .sfc import SFCOracle, get_curve
-from .treesort import block_ends, remove_duplicates
+from .sfc import SFCOracle, cached_keys
+from .treesort import block_ends, tree_sort
 
 __all__ = [
     "bottom_up_constrain_neighbors",
@@ -29,30 +31,37 @@ __all__ = [
 ]
 
 
+def _unique_tier(tier: OctantSet) -> OctantSet:
+    """Distinct octants of a single-level set, in key order (at one
+    level the key *is* the octant)."""
+    _, first = np.unique(cached_keys(tier), return_index=True)
+    return tier[first]
+
+
 def bottom_up_constrain_neighbors(seeds: OctantSet) -> OctantSet:
     """Algorithm 5: propagate balance constraints coarse-ward.
 
     Returns the union of the input seeds and all generated auxiliary
-    seeds (duplicates removed).  No subdomain predicate is applied.
+    seeds (duplicates removed), SFC-sorted.  No subdomain predicate is
+    applied.
     """
-    dim = seeds.dim
     if len(seeds) == 0:
         return seeds
     levels = seeds.levels.astype(np.int64)
     by_level: dict[int, list[OctantSet]] = {}
     for lv in np.unique(levels):
         by_level[int(lv)] = [seeds[np.flatnonzero(levels == lv)]]
-    finest = int(levels.max())
-    for lv in range(finest, 0, -1):
+    tiers = []
+    for lv in range(int(levels.max()), -1, -1):
         if lv not in by_level:
             continue
-        tier = remove_duplicates(OctantSet.concatenate(by_level[lv]))
-        by_level[lv] = [tier]
-        nbrs = neighbors(parent(tier))  # level lv-1, clipped to the domain
+        tier = _unique_tier(OctantSet.concatenate(by_level[lv]))
+        tiers.append(tier)
+        # level lv-1, clipped to the domain (the root has no neighbours)
+        nbrs = neighbors(_unique_tier(parent(tier)))
         if len(nbrs):
             by_level.setdefault(lv - 1, []).append(nbrs)
-    parts = [remove_duplicates(OctantSet.concatenate(v)) for v in by_level.values()]
-    return remove_duplicates(OctantSet.concatenate(parts))
+    return tree_sort(OctantSet.concatenate(tiers))[0]
 
 
 def balance_2to1(
@@ -83,18 +92,14 @@ def find_balance_violations(
     anchor; if that containing leaf is coarser by more than one level,
     the pair violates 2:1 balance.
     """
-    oracle = get_curve(curve)
     dim = leaves.dim
     n = len(leaves)
     if n == 0:
         return np.zeros(0, np.int64)
-    keys = oracle.keys(leaves)
+    keys = cached_keys(leaves, curve)
     ends = block_ends(keys, leaves.levels, dim)
-    nbrs = neighbors(leaves)
-    # neighbors() drops out-of-domain candidates; rebuild source indices
-    counts = _neighbor_counts(leaves)
-    src = np.repeat(np.arange(n), counts)
-    nkeys = oracle.keys(nbrs)
+    nbrs, src = neighbors(leaves, return_source=True)
+    nkeys = cached_keys(nbrs, curve)
     pos = np.searchsorted(keys, nkeys, side="right") - 1
     valid = pos >= 0
     pos_c = np.clip(pos, 0, n - 1)
@@ -109,20 +114,3 @@ def find_balance_violations(
 def is_balanced(leaves: OctantSet, curve: "str | SFCOracle" = "morton") -> bool:
     """True if the linear octree satisfies the 2:1 constraint."""
     return len(find_balance_violations(leaves, curve)) == 0
-
-
-def _neighbor_counts(oset: OctantSet) -> np.ndarray:
-    """How many in-domain same-level neighbours each octant has."""
-    from .octant import _neighbor_offsets, max_level
-
-    dim = oset.dim
-    m = max_level(dim)
-    offs = _neighbor_offsets(dim)
-    sizes = oset.sizes.astype(np.int64)
-    cand = (
-        oset.anchors.astype(np.int64)[:, None, :]
-        + offs[None, :, :] * sizes[:, None, None]
-    )
-    extent = np.int64(1) << m
-    ok = np.all((cand >= 0) & (cand < extent), axis=2)
-    return ok.sum(axis=1)

@@ -27,7 +27,7 @@ from ..geometry.predicate import RegionLabel
 from ..obs import span
 from .domain import Domain
 from .octant import OctantSet, children, max_level
-from .sfc import SFCOracle, get_curve
+from .sfc import SFCOracle, cached_keys, get_curve
 from .treesort import tree_sort
 
 __all__ = [
@@ -112,11 +112,11 @@ def construct_constrained(
     if len(seeds) == 0:
         return construct_uniform(domain, 0, curve)
     seeds_sorted, _ = tree_sort(seeds, oracle)
-    skeys = oracle.keys(seeds_sorted)
+    skeys = cached_keys(seeds_sorted, oracle)
     slevels = seeds_sorted.levels.astype(np.int64)
 
     def rule(frontier, labels):
-        fkeys = oracle.keys(frontier)
+        fkeys = cached_keys(frontier, oracle)
         fends = fkeys + _block_span(frontier, dim)
         starts = np.searchsorted(skeys, fkeys, side="left")
         ends = np.searchsorted(skeys, fends, side="left")
@@ -181,13 +181,13 @@ def construct_constrained_recursive(
             out.append(region)
             return
         kids = children(region)
-        kid_keys = oracle.keys(kids)
+        kid_keys = cached_keys(kids, oracle)
         sfc_order = np.argsort(kid_keys)  # regional SFC ordering of children
         # bucket seeds to children by key range
-        bkeys = oracle.keys(bucket)
+        bkeys = cached_keys(bucket, oracle)
         for c in sfc_order:
             kid = kids[int(c)]
-            k0 = oracle.keys(kid)[0]
+            k0 = cached_keys(kid, oracle)[0]
             k1 = k0 + _block_span(kid, dim)[0]
             sel = np.flatnonzero((bkeys >= k0) & (bkeys < k1))
             recurse(kid, bucket[sel])

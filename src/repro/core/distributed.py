@@ -17,7 +17,7 @@ from ..parallel.simmpi import SimComm
 from .construct import construct_constrained
 from .domain import Domain
 from .octant import OctantSet
-from .sfc import get_curve
+from .sfc import cached_keys, get_curve
 from .treesort import block_ends, linearize, remove_duplicates, tree_sort
 
 __all__ = [
@@ -62,7 +62,7 @@ def dist_tree_sort(
     parts = [tree_sort(p, oracle)[0] for p in parts]
     # splitter selection: allgather per-rank key ranges + counts, then
     # every rank computes identical global splitters
-    keys_per_rank = [oracle.keys(p) for p in parts]
+    keys_per_rank = [cached_keys(p, oracle) for p in parts]
     counts = comm.allgather([np.int64(len(p)) for p in parts])[0]
     all_keys = np.concatenate(keys_per_rank) if sum(counts) else np.zeros(0, np.uint64)
     all_levels = np.concatenate([p.levels for p in parts])
@@ -119,7 +119,7 @@ def distributed_construct_constrained(
     # first key contains octants there -> drop it (finer wins). Exchange
     # the first key of each rank to its predecessor.
     firsts = [
-        oracle.keys(t)[0] if len(t) else np.uint64(0xFFFFFFFFFFFFFFFF)
+        cached_keys(t, oracle)[0] if len(t) else np.uint64(0xFFFFFFFFFFFFFFFF)
         for t in local
     ]
     gathered = comm.allgather([np.uint64(f) for f in firsts])[0]
@@ -130,7 +130,7 @@ def distributed_construct_constrained(
             out.append(t)
             continue
         nxt = np.uint64(min(int(g) for g in gathered[r + 1 :]))
-        ends = block_ends(oracle.keys(t), t.levels, dim)
+        ends = block_ends(cached_keys(t, oracle), t.levels, dim)
         keep = ends <= nxt
         out.append(t[np.flatnonzero(keep)])
     return out

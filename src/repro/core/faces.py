@@ -20,7 +20,7 @@ import numpy as np
 
 from .mesh import IncompleteMesh
 from .octant import max_level
-from .sfc import get_curve
+from .sfc import cached_keys, get_curve
 from .treesort import block_ends
 
 __all__ = ["BoundaryFaces", "extract_boundary_faces"]
@@ -56,7 +56,7 @@ def extract_boundary_faces(
     dim = mesh.dim
     m = max_level(dim)
     oracle = get_curve(mesh.curve)
-    keys = oracle.keys(leaves)
+    keys = cached_keys(leaves, oracle)
     ends = block_ends(keys, leaves.levels, dim)
     n = len(leaves)
     a = leaves.anchors.astype(np.int64)

@@ -4,9 +4,11 @@ Supports the workflow the paper's fast re-meshing enables: when the
 geometry moves or the refinement changes, rebuild the mesh (cheap, by
 design) and *transfer* the solution — each target point is located in a
 source leaf (corner-perturbed SFC point location, the same machinery as
-the hanging-node donor search) and evaluated through the source
-element's shape functions composed with its hanging interpolation, so
-the transferred field is exactly the conforming FE function.
+the hanging-node donor search; a point stops being probed at its first
+hit) and evaluated through the source element's shape functions
+composed with its hanging interpolation, so the transferred field is
+exactly the conforming FE function.  Both steps are vectorised over the
+points; the per-point reference loop lives in ``tests/test_cold_path.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from ..fem.basis import LagrangeBasis, local_node_offsets
 from .mesh import IncompleteMesh
 from .octant import max_level
 from .plan import operator_context
+from .plan_delta import _ranges
 
 __all__ = ["locate_points", "evaluation_matrix", "evaluate_field", "transfer_field"]
 
@@ -26,19 +29,27 @@ def locate_points(mesh: IncompleteMesh, pts: np.ndarray) -> np.ndarray:
     """Containing leaf index per physical point (−1 outside the mesh).
 
     Points on cell boundaries resolve to any containing leaf; field
-    evaluation is continuous there so the choice is immaterial.
+    evaluation is continuous there so the choice is immaterial.  The
+    ``2^dim`` corner probes run over a shrinking to-do list: a point
+    leaves it at its first hit, so interior points are probed once.
     """
     dim = mesh.dim
     m = max_level(dim)
     plan = operator_context(mesh).traversal
     oracle, keys, ends = plan.oracle, plan.keys, plan.ends
+    anchors = mesh.leaves.anchors.astype(np.int64)
+    sizes = mesh.leaves.sizes.astype(np.int64)
     # scale to fractional anchor units, probe the 2^dim surrounding cells
     frac = np.asarray(pts, float) / mesh.domain.scale * (1 << m)
     dirs = 2 * local_node_offsets(1, dim) - 1
     eps = 0.25
     out = np.full(len(frac), -1, np.int64)
+    todo = np.arange(len(frac))
     for d in dirs:
-        cand = np.floor(frac + eps * d).astype(np.int64)
+        if not len(todo):
+            break
+        f = frac[todo]
+        cand = np.floor(f + eps * d).astype(np.int64)
         ok_dom = np.all((cand >= 0) & (cand < (1 << m)), axis=1)
         cand = np.clip(cand, 0, (1 << m) - 1)
         ck = oracle.keys_from_coords(cand.astype(np.uint32), dim)
@@ -46,11 +57,11 @@ def locate_points(mesh: IncompleteMesh, pts: np.ndarray) -> np.ndarray:
         idxc = np.clip(idx, 0, len(keys) - 1)
         hit = ok_dom & (idx >= 0) & (ck >= keys[idxc]) & (ck < ends[idxc])
         # the candidate cell must actually contain the point (closed)
-        lo = mesh.leaves.anchors.astype(np.int64)[idxc]
-        hi = lo + mesh.leaves.sizes.astype(np.int64)[idxc][:, None]
-        inside = np.all((frac >= lo - 1e-9) & (frac <= hi + 1e-9), axis=1)
-        hit &= inside
-        out = np.where((out < 0) & hit, idxc, out)
+        lo = anchors[idxc]
+        hi = lo + sizes[idxc][:, None]
+        hit &= np.all((f >= lo - 1e-9) & (f <= hi + 1e-9), axis=1)
+        out[todo[hit]] = idxc[hit]
+        todo = todo[~hit]
     return out
 
 
@@ -61,6 +72,8 @@ def evaluation_matrix(
 
     Returns ``(E, found)``; rows of points outside the mesh are zero
     (and flagged False in ``found``).  ``strict=True`` raises instead.
+    Row i is the shape-function row of point i composed with its leaf's
+    block of the gather operator, built for all points in one pass.
     """
     dim, p = mesh.dim, mesh.p
     basis = LagrangeBasis(p, dim)
@@ -77,28 +90,19 @@ def evaluation_matrix(
     s = mesh.leaves.sizes.astype(np.int64)[safe]
     xi = np.clip((frac - a) / s[:, None], 0.0, 1.0)
     N = basis.eval(xi)
-    g = operator_context(mesh).gather
-    npe = mesh.npe
-    rows, cols, vals = [], [], []
-    indptr, indices, data = g.indptr, g.indices, g.data
-    for i in np.flatnonzero(found):
-        e = int(leaf[i])
-        r0, r1 = indptr[e * npe], indptr[(e + 1) * npe]
-        slot = np.repeat(
-            np.arange(npe), np.diff(indptr[e * npe : (e + 1) * npe + 1])
-        )
-        w = N[i, slot] * data[r0:r1]
-        nz = w != 0.0
-        rows.append(np.full(int(nz.sum()), i, np.int64))
-        cols.append(indices[r0:r1][nz])
-        vals.append(w[nz])
-    if rows:
-        E = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(pts), mesh.n_nodes),
-        )
-    else:
-        E = sp.csr_matrix((len(pts), mesh.n_nodes))
+    ctx = operator_context(mesh)
+    g, plan = ctx.gather, ctx.traversal
+    # gather entries of each found point's leaf, point-major in CSR order
+    pt = np.flatnonzero(found)
+    start = plan.slot_ptr[leaf[pt]]
+    cnt = plan.slot_ptr[leaf[pt] + 1] - start
+    entry = _ranges(start, cnt)
+    pt = np.repeat(pt, cnt)
+    w = N[pt, plan.slot_idx[entry]] * g.data[entry]
+    nz = w != 0.0
+    E = sp.csr_matrix(
+        (w[nz], (pt[nz], g.indices[entry][nz])), shape=(len(pts), mesh.n_nodes)
+    )
     E.sum_duplicates()
     return E, found
 

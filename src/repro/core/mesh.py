@@ -102,7 +102,10 @@ def mesh_from_leaves(
     balance: bool = True,
     check: bool = False,
 ) -> IncompleteMesh:
-    """Wrap an existing leaf set (balancing it first unless told not to)."""
+    """Wrap an existing leaf set (balancing it first unless told not to).
+
+    Raises :class:`repro.core.nodes.EmptyMeshError` when no leaf is left.
+    """
     if balance:
         leaves = balance_2to1(domain, leaves, curve)
     if check and not is_balanced(leaves, curve):

@@ -1,7 +1,8 @@
 """Nodal enumeration on incomplete 2:1-balanced octrees (§3.4).
 
 For a given order p there are ``(p+1)^dim`` nodes per element.  Shared
-nodes are deduplicated by sorting integer node coordinates; *hanging*
+nodes are deduplicated by sorting integer node coordinates (one packed
+word per node wherever the mesh's depth lets a row fit 63 bits); *hanging*
 nodes (incident on a coarser neighbour's face/edge) are detected with
 the paper's **cancellation node** device: every element also emits
 temporary cancellation nodes at the positions where nodes of a
@@ -41,7 +42,11 @@ from .octant import OctantSet, max_level
 from .sfc import cached_keys, get_curve
 from .treesort import block_ends
 
-__all__ = ["MeshNodes", "build_nodes", "cancellation_offsets"]
+__all__ = ["EmptyMeshError", "MeshNodes", "build_nodes", "cancellation_offsets"]
+
+
+class EmptyMeshError(ValueError):
+    """The leaf set is empty: the carve removed every element."""
 
 
 @lru_cache(maxsize=None)
@@ -137,23 +142,38 @@ def _element_node_coords(
     return 2 * p * a[:, None, :] + offsets[None, :, :] * s[:, None, None]
 
 
-def _group_coords(all_coords: np.ndarray):
+def _group_coords(all_coords: np.ndarray, unit: int):
     """Group identical coordinate rows.
 
     Returns ``(grp, n_groups, first_of_group)`` where ``grp[i]`` is the
-    group id of row i (ids ordered by sorted coordinate order) and
-    ``first_of_group[g]`` indexes a representative row.
+    group id of row i (ids ordered by sorted coordinate order, last
+    column most significant) and ``first_of_group[g]`` indexes a
+    representative row.  Every coordinate is a non-negative multiple of
+    the power of two ``unit`` (the finest leaf side), so when the
+    quotients of one row fit a 63-bit word the rows are sorted as packed
+    words — same order, one key — and the multi-column lexsort is left
+    to rows too wide to pack (leaves near ``max_level``).
     """
-    order = np.lexsort(all_coords.T)
-    sc = all_coords[order]
-    new = np.ones(len(sc), bool)
-    if len(sc) > 1:
+    n, dim = all_coords.shape
+    shift = int(unit).bit_length() - 1
+    bits = (int(all_coords.max()) >> shift).bit_length() if n else 0
+    new = np.ones(n, bool)
+    if dim * bits <= 63:
+        word = all_coords[:, 0] >> shift
+        for j in range(1, dim):
+            word |= (all_coords[:, j] >> shift) << (j * bits)
+        order = np.argsort(word, kind="stable")
+        sw = word[order]
+        new[1:] = sw[1:] != sw[:-1]
+    else:
+        order = np.lexsort(all_coords.T)
+        sc = all_coords[order]
         new[1:] = np.any(sc[1:] != sc[:-1], axis=1)
     gid_sorted = np.cumsum(new) - 1
-    grp = np.empty(len(all_coords), np.int64)
+    grp = np.empty(n, np.int64)
     grp[order] = gid_sorted
     first = order[new]
-    return grp, int(gid_sorted[-1]) + 1 if len(sc) else 0, first
+    return grp, int(gid_sorted[-1]) + 1 if n else 0, first
 
 
 def build_nodes(
@@ -186,7 +206,7 @@ def _build_nodes(
     npe = (p + 1) ** dim
     n_elem = len(leaves)
     if n_elem == 0:
-        raise ValueError("cannot build nodes on an empty mesh")
+        raise EmptyMeshError("cannot build nodes on an empty mesh")
     basis = LagrangeBasis(p, dim)
     ord_off = local_node_offsets(p, dim)  # (npe, dim), entries 0..p
 
@@ -201,7 +221,7 @@ def _build_nodes(
     is_canc = np.zeros(len(all_coords), bool)
     is_canc[n_ord:] = True
 
-    grp, n_grp, first = _group_coords(all_coords)
+    grp, n_grp, first = _group_coords(all_coords, int(leaves.sizes.min()))
     grp_has_canc = np.zeros(n_grp, bool)
     np.logical_or.at(grp_has_canc, grp[is_canc], True)
     grp_has_ord = np.zeros(n_grp, bool)

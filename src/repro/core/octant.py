@@ -63,11 +63,23 @@ class OctantSet:
         ``(N, dim)`` uint32 integer anchor coordinates.
     levels:
         ``(N,)`` uint8 tree levels.
+
+    A set is **immutable** once built: every operation returns a new
+    set and nothing writes into ``anchors`` / ``levels`` afterwards.
+    That is what lets the SFC keys computed for a set
+    (:func:`repro.core.sfc.cached_keys`) travel with its octants: an
+    index or a concatenation hands the result the matching entries of
+    every cached key array, so a sort → dedup → linearize pipeline
+    interleaves once.  A set built from new arrays starts without keys.
     """
 
     anchors: np.ndarray
     levels: np.ndarray
     dim: int = field(default=-1)
+    #: read-only uint64 keys per curve name, filled by ``cached_keys``
+    _sfc_keys: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.anchors = np.ascontiguousarray(self.anchors, dtype=np.uint32)
@@ -89,7 +101,10 @@ class OctantSet:
     def __getitem__(self, idx) -> "OctantSet":
         if np.isscalar(idx) or isinstance(idx, (int, np.integer)):
             idx = [idx]
-        return OctantSet(self.anchors[idx], self.levels[idx], self.dim)
+        out = OctantSet(self.anchors[idx], self.levels[idx], self.dim)
+        for name, keys in self._sfc_keys.items():
+            out._sfc_keys[name] = _readonly(keys[idx])
+        return out
 
     @classmethod
     def root(cls, dim: int) -> "OctantSet":
@@ -104,11 +119,17 @@ class OctantSet:
         if not sets:
             raise ValueError("need at least one OctantSet")
         dim = sets[0].dim
-        return cls(
+        out = cls(
             np.concatenate([s.anchors for s in sets]),
             np.concatenate([s.levels for s in sets]),
             dim,
         )
+        for name in sets[0]._sfc_keys:
+            if all(name in s._sfc_keys for s in sets):
+                out._sfc_keys[name] = _readonly(
+                    np.concatenate([s._sfc_keys[name] for s in sets])
+                )
+        return out
 
     @property
     def sizes(self) -> np.ndarray:
@@ -131,6 +152,11 @@ class OctantSet:
         h = np.asarray(domain_scale, dtype=np.float64) / (1 << m)
         lo, hi = self.bounds()
         return lo * h, hi * h
+
+
+def _readonly(keys: np.ndarray) -> np.ndarray:
+    keys.flags.writeable = False
+    return keys
 
 
 # -- vectorised octant algebra ----------------------------------------
@@ -193,12 +219,16 @@ def _neighbor_offsets(dim: int) -> np.ndarray:
     return _NEIGHBOR_OFFSETS_CACHE[dim]
 
 
-def neighbors(oset: OctantSet, include_self: bool = False) -> OctantSet:
+def neighbors(
+    oset: OctantSet, include_self: bool = False, return_source: bool = False
+):
     """Same-level face/edge/corner neighbours of every octant.
 
     Neighbours falling outside the root domain are dropped.  Output is
     concatenated over inputs (duplicates across inputs are *not* removed;
-    callers dedup via SFC keys).
+    callers dedup via SFC keys).  With ``return_source`` the result is
+    ``(neighbours, src)``, ``src[k]`` the input index neighbour ``k``
+    was generated from.
     """
     dim = oset.dim
     m = max_level(dim)
@@ -211,7 +241,10 @@ def neighbors(oset: OctantSet, include_self: bool = False) -> OctantSet:
     cand = cand.reshape(-1, dim)
     extent = np.int64(1) << m
     ok = np.all((cand >= 0) & (cand < extent), axis=1)
-    return OctantSet(cand[ok].astype(np.uint32), levels[ok], dim)
+    out = OctantSet(cand[ok].astype(np.uint32), levels[ok], dim)
+    if return_source:
+        return out, np.repeat(np.arange(len(oset)), len(offs))[ok]
+    return out
 
 
 def ancestor_at_level(oset: OctantSet, level: int) -> OctantSet:

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from ..fem.elemental import ReferenceElement, reference_element
 from ..obs import span
 from .octant import OctantSet
-from .sfc import get_curve
+from .sfc import cached_keys, get_curve
 from .treesort import block_ends
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,8 +67,7 @@ def mesh_fingerprint(mesh: IncompleteMesh) -> str:
     the curve) changes the fingerprint; relabelling or re-wrapping the
     same leaves does not.
     """
-    oracle = get_curve(mesh.curve)
-    keys = oracle.keys(mesh.leaves)
+    keys = cached_keys(mesh.leaves, mesh.curve)
     h = hashlib.sha1()
     h.update(np.ascontiguousarray(keys).tobytes())
     h.update(np.ascontiguousarray(mesh.leaves.levels).tobytes())
@@ -284,7 +283,7 @@ class TraversalPlan:
         dev_per_elem = np.add.reduceat(wdev, self.slot_ptr[:-1])
         self.identity_elem = simple_rows & (dev_per_elem == 0.0)
         oracle = get_curve(mesh.curve)
-        self.keys = oracle.keys(mesh.leaves)
+        self.keys = cached_keys(mesh.leaves, oracle)
         self.ends = block_ends(self.keys, mesh.leaves.levels, mesh.dim)
         self.coords = mesh.nodes.coords  # 2p-scaled units
         self.levels = mesh.leaves.levels.astype(np.int64)

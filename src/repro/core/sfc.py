@@ -11,6 +11,13 @@ cleared.
 Morton keys are plain bit interleaves.  Hilbert keys use Skilling's
 transpose algorithm ("Programming the Hilbert curve", AIP CP 707, 2004),
 vectorised over numpy arrays.
+
+Everything outside this module asks for the keys of an octant set
+through :func:`cached_keys`: they are interleaved once per (set, curve)
+and then travel with the octants through indexing and concatenation, so
+no later stage re-derives them.  The oracles' ``keys`` /
+``keys_from_coords`` stay the way to key bare coordinates (probe cells,
+point clouds).
 """
 
 from __future__ import annotations
@@ -19,7 +26,14 @@ import numpy as np
 
 from .octant import OctantSet, max_level
 
-__all__ = ["SFCOracle", "MortonOrder", "HilbertOrder", "sfc_sort_order", "get_curve"]
+__all__ = [
+    "SFCOracle",
+    "MortonOrder",
+    "HilbertOrder",
+    "sfc_sort_order",
+    "get_curve",
+    "cached_keys",
+]
 
 
 def _interleave(coords: np.ndarray, nbits: int, reverse_axes: bool) -> np.ndarray:
@@ -157,30 +171,25 @@ def get_curve(curve: "str | SFCOracle") -> SFCOracle:
 
 
 def cached_keys(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> np.ndarray:
-    """Block-aligned keys of ``oset``, memoized on the octant set.
+    """Block-aligned keys of ``oset`` — the one way the repo obtains them.
 
-    Octant sets are treated as immutable throughout the repo (every
-    operation returns a new set), so the keys are computed once per
-    (set, curve) and reused — the incremental plan path
-    (:mod:`repro.core.plan_delta`) queries the same leaf arrays several
-    times per AMR step.  The returned array is marked read-only.
+    Octant sets are immutable (every operation returns a new set), so
+    the keys are interleaved once per (set, curve), kept on the set and
+    handed on to every set indexed or concatenated out of it (see
+    :class:`repro.core.octant.OctantSet`): sort, dedup, linearize,
+    constrained construction, the mesh fingerprint and the traversal
+    plan all read the same array.  It is marked read-only.
     """
     oracle = get_curve(curve)
-    cache = getattr(oset, "_sfc_keys", None)
-    if cache is None:
-        cache = {}
-        oset._sfc_keys = cache
-    keys = cache.get(oracle.name)
+    keys = oset._sfc_keys.get(oracle.name)
     if keys is None:
         keys = oracle.keys(oset)
         keys.flags.writeable = False
-        cache[oracle.name] = keys
+        oset._sfc_keys[oracle.name] = keys
     return keys
 
 
 def sfc_sort_order(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> np.ndarray:
     """Permutation putting octants in SFC order (ancestors before
     descendants that start the same block; ties broken coarse-first)."""
-    oracle = get_curve(curve)
-    keys = oracle.keys(oset)
-    return np.lexsort((oset.levels, keys))
+    return np.lexsort((oset.levels, cached_keys(oset, curve)))

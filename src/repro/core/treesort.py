@@ -1,11 +1,14 @@
 """TreeSort: comparison-free SFC sorting and linear-octree utilities.
 
-The production sort computes 64-bit SFC keys in one vectorised pass and
-argsorts them — the numpy analogue of a most-significant-digit radix
-sort.  A faithful recursive MSD bucketing implementation
-(:func:`tree_sort_msd`) is kept as the reference (and as an ablation
-benchmark target): it buckets octants level by level, permuting buckets
-into the regional SFC order exactly as TreeSort in the paper does.
+The production sort argsorts the set's 64-bit SFC keys — the numpy
+analogue of a most-significant-digit radix sort.  The keys come from
+:func:`repro.core.sfc.cached_keys` and travel with the octants, so
+``tree_sort`` → ``remove_duplicates`` → ``linearize`` interleave once
+per input set, not once per stage.  A faithful recursive MSD bucketing
+implementation (:func:`tree_sort_msd`) is kept as the reference (and as
+an ablation benchmark target): it buckets octants level by level,
+permuting buckets into the regional SFC order exactly as TreeSort in
+the paper does.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from ..obs import span
 from .octant import OctantSet, max_level
-from .sfc import SFCOracle, get_curve
+from .sfc import SFCOracle, cached_keys
 
 __all__ = [
     "tree_sort",
@@ -38,9 +41,7 @@ def tree_sort(
 ) -> tuple[OctantSet, np.ndarray]:
     """Sort octants into SFC order. Returns (sorted set, permutation)."""
     with span("treesort", merge=True) as sp:
-        oracle = get_curve(curve)
-        keys = oracle.keys(oset)
-        order = np.lexsort((oset.levels, keys))
+        order = np.lexsort((oset.levels, cached_keys(oset, curve)))
         sp.add("octants", len(oset))
     return oset[order], order
 
@@ -52,10 +53,9 @@ def tree_sort_msd(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> Octan
     kept for fidelity to the paper's Algorithm and for the sort ablation
     benchmark.
     """
-    oracle = get_curve(curve)
     dim = oset.dim
     m = max_level(dim)
-    keys = oracle.keys(oset)
+    keys = cached_keys(oset, curve)
     out_idx: list[np.ndarray] = []
 
     def recurse(idx: np.ndarray, level: int) -> None:
@@ -91,10 +91,9 @@ def remove_duplicates(
     oset: OctantSet, curve: "str | SFCOracle" = "morton", assume_sorted: bool = False
 ) -> OctantSet:
     """Remove exact duplicate octants (same anchor and level)."""
-    oracle = get_curve(curve)
     if not assume_sorted:
-        oset, _ = tree_sort(oset, oracle)
-    keys = oracle.keys(oset)
+        oset, _ = tree_sort(oset, curve)
+    keys = cached_keys(oset, curve)
     if len(oset) == 0:
         return oset
     keep = np.ones(len(oset), bool)
@@ -116,13 +115,12 @@ def linearize(
     """
     if prefer not in ("finer", "coarser"):
         raise ValueError("prefer must be 'finer' or 'coarser'")
-    oracle = get_curve(curve)
-    oset, _ = tree_sort(oset, oracle)
-    oset = remove_duplicates(oset, oracle, assume_sorted=True)
+    oset, _ = tree_sort(oset, curve)
+    oset = remove_duplicates(oset, curve, assume_sorted=True)
     n = len(oset)
     if n <= 1:
         return oset
-    keys = oracle.keys(oset)
+    keys = cached_keys(oset, curve)
     ends = block_ends(keys, oset.levels, oset.dim)
     if prefer == "finer":
         # In (key, level) order an octant's first strict descendant, if
@@ -141,8 +139,7 @@ def linearize(
 
 def is_sorted_linear(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> bool:
     """True if the set is SFC-sorted, duplicate-free and overlap-free."""
-    oracle = get_curve(curve)
-    keys = oracle.keys(oset)
+    keys = cached_keys(oset, curve)
     if len(oset) <= 1:
         return True
     if not np.all(keys[:-1] <= keys[1:]):

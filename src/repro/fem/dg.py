@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from ..core.faces import extract_boundary_faces
 from ..core.mesh import IncompleteMesh
 from ..core.octant import max_level
-from ..core.sfc import get_curve
+from ..core.sfc import cached_keys, get_curve
 from ..fem.basis import LagrangeBasis
 from ..fem.elemental import reference_element
 from ..fem.sbm import face_quadrature
@@ -42,7 +42,7 @@ def interior_faces(mesh: IncompleteMesh):
     once with the normal along +axis from minus to plus."""
     dim = mesh.dim
     oracle = get_curve(mesh.curve)
-    keys = oracle.keys(mesh.leaves)
+    keys = cached_keys(mesh.leaves, oracle)
     a = mesh.leaves.anchors.astype(np.int64)
     s = mesh.leaves.sizes.astype(np.int64)
     m = max_level(dim)

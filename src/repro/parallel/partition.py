@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.mesh import IncompleteMesh
 from ..core.octant import max_level
-from ..core.sfc import get_curve
+from ..core.sfc import cached_keys
 
 __all__ = [
     "partition_weights",
@@ -93,7 +93,7 @@ def partition_mesh(
     mesh: IncompleteMesh, nparts: int, load_tol: float = 0.0
 ) -> np.ndarray:
     """Partition a mesh's elements (unit weights) into rank ranges."""
-    keys = get_curve(mesh.curve).keys(mesh.leaves)
+    keys = cached_keys(mesh.leaves, mesh.curve)
     return partition_weights(
         np.ones(mesh.n_elem), nparts, load_tol, keys=keys, dim=mesh.dim
     )
@@ -130,6 +130,6 @@ def shrink_splits(splits: np.ndarray, failed_ranks) -> np.ndarray:
 def splitter_block_levels(mesh: IncompleteMesh, splits: np.ndarray) -> np.ndarray:
     """Diagnostic: the block-alignment level at each interior splitter
     (coarser alignment = fewer split subtrees)."""
-    keys = get_curve(mesh.curve).keys(mesh.leaves)
+    keys = cached_keys(mesh.leaves, mesh.curve)
     align = _boundary_alignment(keys, mesh.dim)
     return align[splits[1:-1]]

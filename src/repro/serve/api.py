@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -88,8 +90,7 @@ def canonical_geometry(spec: dict) -> dict:
             raise ValueError("sphere center must be 2-D or 3-D")
         out["center"] = center
         out["radius"] = float(spec["radius"])
-        if out["radius"] <= 0:
-            raise ValueError("sphere radius must be positive")
+        numbers = (out["scale"], out["radius"], *center)
     else:  # box
         lo = [float(c) for c in spec["lo"]]
         hi = [float(c) for c in spec["hi"]]
@@ -98,7 +99,23 @@ def canonical_geometry(spec: dict) -> dict:
         out["lo"], out["hi"] = lo, hi
         if "domain_hi" in spec:
             out["domain_hi"] = [float(c) for c in spec["domain_hi"]]
+        numbers = (out["scale"], *lo, *hi, *out.get("domain_hi", ()))
+    # digests call this on every request, so the check is one C-level
+    # pass; naming the offending field is the failure path's job
+    if not all(map(math.isfinite, numbers)):
+        _raise_non_finite(out)
+    if shape == "sphere" and out["radius"] <= 0:
+        raise ValueError("sphere radius must be positive")
+    if shape == "box" and any(map(operator.ge, lo, hi)):
+        raise ValueError("box lo must be below hi on every axis")
     return out
+
+
+def _raise_non_finite(geo: dict) -> None:
+    for name, value in geo.items():
+        values = value if isinstance(value, list) else [value]
+        if name != "shape" and not all(map(math.isfinite, values)):
+            raise ValueError(f"geometry {name} must be finite, got {value!r}")
 
 
 def build_domain(geometry: dict):

@@ -243,22 +243,20 @@ class _AmrFactor:
     and the estimator scales by f² under RHS scaling, so every request
     in the batch follows the identical trajectory — the final adapted
     mesh is shared and each request's solution is ``f · u_unit`` by
-    linearity (g = 0 is enforced at validation).
+    linearity (g = 0 is enforced at validation).  The loop starts
+    from the entry's mesh: the geometry is meshed once per request.
     """
 
     kind = "amr"
 
-    def __init__(self, request: SolveRequest):
+    def __init__(self, mesh, request: SolveRequest):
         from ..amr import amr_solve
-        from .api import build_domain
 
         result = amr_solve(
-            build_domain(request.geometry),
+            mesh.domain,
             f=1.0,
             dirichlet=0.0,
-            p=request.p,
-            base_level=request.base_level,
-            boundary_level=request.boundary_level,
+            mesh=mesh,
             max_cycles=request.amr_cycles,
             theta=request.amr_theta,
             rtol=request.tol,
@@ -300,7 +298,7 @@ def ensure_factor(entry: CacheEntry, request: SolveRequest):
         elif request.pde == "transport":
             factor = _TransportFactor(entry.mesh, request)
         elif request.pde == "amr":
-            factor = _AmrFactor(request)
+            factor = _AmrFactor(entry.mesh, request)
         else:  # pragma: no cover - validated at submit
             raise ValueError(f"unknown pde {request.pde!r}")
         osp.add("bytes", factor.nbytes)

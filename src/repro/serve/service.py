@@ -26,6 +26,7 @@ import hashlib
 
 import numpy as np
 
+from ..core.nodes import EmptyMeshError
 from ..kernels import use_backend
 from ..obs import Histogram
 from ..obs import add as obs_add
@@ -305,9 +306,13 @@ class SolverService:
                         )
             if degraded:
                 obs_add("serve.degraded", len(batch))
-            with use_backend(req0.backend):
-                entry, hit = self._resolve_entry(req0, bid)
-                factor, built = ensure_factor(entry, req0)
+            try:
+                with use_backend(req0.backend):
+                    entry, hit = self._resolve_entry(req0, bid)
+                    factor, built = ensure_factor(entry, req0)
+            except EmptyMeshError:
+                bsp.event("empty_mesh")
+                return self._fail_batch(batch, "empty_mesh", bid)
             if built:
                 ticks = cost_factor(entry.mesh.n_nodes)
                 self.clock.advance(ticks)
@@ -371,6 +376,22 @@ class SolverService:
                 out.append(self._finalize(resp, bid=bid))
         return out
 
+    def _fail_batch(self, batch: list[PendingItem], reason: str,
+                    bid: str = "") -> list[SolveResponse]:
+        """One typed ``failed`` response per batch member."""
+        out = []
+        for it in batch:
+            if (self.completion_guard is not None
+                    and not self.completion_guard(it, "failed")):
+                continue
+            out.append(self._finalize(SolveResponse(
+                request_digest=it.digest, status="failed",
+                pde=it.request.pde, reason=reason,
+                t_submit=it.t_submit, t_start=self.clock.now,
+                t_done=self.clock.now, retries=it.retries,
+            ), bid=bid))
+        return out
+
     def _handle_breakdown(self, batch: list[PendingItem]
                           ) -> list[SolveResponse]:
         """Retry-with-backoff on SolverBreakdown, typed failure when
@@ -378,15 +399,7 @@ class SolverService:
         out = []
         for it in batch:
             if it.retries >= self.scheduler.max_retries:
-                if (self.completion_guard is not None
-                        and not self.completion_guard(it, "failed")):
-                    continue
-                out.append(self._finalize(SolveResponse(
-                    request_digest=it.digest, status="failed",
-                    pde=it.request.pde, reason="retries_exhausted",
-                    t_submit=it.t_submit, t_start=self.clock.now,
-                    t_done=self.clock.now, retries=it.retries,
-                )))
+                out.extend(self._fail_batch([it], "retries_exhausted"))
             else:
                 if (self.completion_guard is not None
                         and not self.completion_guard(it, "retry")):

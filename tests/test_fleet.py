@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.fleet import (
+    Arrival,
     FleetService,
     HashRing,
     ShardLog,
@@ -134,6 +135,29 @@ def test_fleet_builds_each_mesh_once():
     # L2 stores by post-build fingerprint: distinct mesh digests can
     # alias to one carved discretization, so entries <= digests
     assert 1 <= fleet.l2.stats()["entries"] <= distinct
+
+
+def test_empty_mesh_requests_get_exactly_one_response_each():
+    """A carve that removes every element fails typed on whichever
+    shard it lands; co-scheduled and later requests are not lost."""
+    carved = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 2.0}
+    wl = _busy_workload(12, seed=5)
+    empties = [
+        Arrival(wl[k].tick, SolveRequest(geometry=carved, pde=pde, f=1.0 + k))
+        for k, pde in ((1, "poisson"), (4, "poisson"), (7, "sbm"), (9, "amr"))
+    ]
+    fleet = _fleet(2)
+    responses = fleet.run(wl + empties)
+    by_rid = {}
+    for r in responses:
+        by_rid.setdefault(r.request_digest, []).append(r)
+    assert all(len(v) == 1 for v in by_rid.values())
+    assert set(by_rid) == {a.request.digest for a in wl + empties}
+    for a in empties:
+        (r,) = by_rid[a.request.digest]
+        assert (r.status, r.reason) == ("failed", "empty_mesh")
+    assert all(by_rid[a.request.digest][0].status == "ok" for a in wl)
+    assert all(sh.scheduler.depth == 0 for sh in fleet.shards.values())
 
 
 # -- synthetic workload --------------------------------------------------

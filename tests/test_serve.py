@@ -64,6 +64,76 @@ def test_request_validation():
     _req().validate()  # the default request is valid
 
 
+BOX = {"shape": "box", "lo": (0.0, 0.25), "hi": (1.0, 0.75)}
+_DIGEST_DISK = "9bfed230a4c35672f7513b84ae0bec24be12b199b8d523c593599392fc36831d"
+_DIGEST_BOX = "91bb6d8bb4dda62d5aefaeb7032b1e506c653c930f1d30366f2fba1f765ceeca"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field, make", [
+    ("radius", lambda v: {**DISK, "radius": v}),
+    ("center", lambda v: {**DISK, "center": (0.5, v)}),
+    ("scale", lambda v: {**DISK, "scale": v}),
+    ("scale", lambda v: {**BOX, "scale": v}),
+    ("lo", lambda v: {**BOX, "lo": (v, 0.25)}),
+    ("hi", lambda v: {**BOX, "hi": (1.0, v)}),
+    ("domain_hi", lambda v: {**BOX, "domain_hi": (v, 1.0)}),
+])
+def test_non_finite_geometry_rejected_by_field(field, make, bad):
+    with pytest.raises(ValueError, match=f"geometry {field} must be finite"):
+        _req(geometry=make(bad)).validate()
+    with pytest.raises(ValueError, match=field):
+        _req(geometry=make(bad)).digest
+    with pytest.raises(ValueError, match=field):
+        SolverClient(SolverService()).solve(_req(geometry=make(bad)))
+
+
+def test_box_needs_lo_below_hi_and_valid_digests_stand():
+    with pytest.raises(ValueError, match="lo must be below hi"):
+        _req(geometry={**BOX, "lo": (0.0, 0.75)}).validate()
+    with pytest.raises(ValueError, match="lo must be below hi"):
+        _req(geometry={**BOX, "lo": (1.5, 0.25)}).validate()
+    # pinned at the commit before the finite checks went in
+    assert _req().digest == _DIGEST_DISK
+    assert _req(geometry=BOX, pde="transport").digest == _DIGEST_BOX
+
+
+# -- a carve that leaves no element ---------------------------------------
+
+ALL_CARVED = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 2.0}
+
+
+def test_empty_mesh_is_a_typed_failure_not_a_lost_request():
+    from repro.core import EmptyMeshError, build_mesh
+    from repro.obs.events import EventLog
+    from repro.serve.api import build_domain
+
+    with pytest.raises(EmptyMeshError, match="empty mesh"):
+        build_mesh(build_domain(ALL_CARVED), 2, 3)
+    assert issubclass(EmptyMeshError, ValueError)
+
+    log = EventLog()
+    svc = SolverService(max_batch=4, recorder=log)
+    reqs = [_req(geometry=ALL_CARVED, f=f) for f in (1.0, 2.0, 3.0)]
+    for r in reqs:  # one batch: same batch key, three right-hand sides
+        assert svc.submit(r) is None
+    before = svc.stream_digest
+    done = svc.step()
+    assert svc.scheduler.depth == 0
+    assert sorted(r.request_digest for r in done) == sorted(
+        r.digest for r in reqs)
+    assert {(r.status, r.reason) for r in done} == {("failed", "empty_mesh")}
+    assert svc.stream_digest != before and len(svc.responses) == 3
+    completes = [e for e in log.events if e.kind == "complete"]
+    assert [e.attrs["reason"] for e in completes] == ["empty_mesh"] * 3
+    # the service is usable afterwards, and amr requests fail the same way
+    client = SolverClient(svc)
+    assert client.solve(_req()).status == "ok"
+    amr = client.solve(_req(geometry=ALL_CARVED, pde="amr", amr_cycles=1))
+    assert (amr.status, amr.reason) == ("failed", "empty_mesh")
+    assert svc.stats()["status"] == {"failed": 4, "ok": 1}
+
+
 # -- admission control and deadlines -----------------------------------
 
 
