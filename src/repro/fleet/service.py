@@ -458,6 +458,7 @@ class FleetService:
         loop never delivers an arrival while any shard has strictly
         earlier executable work."""
         req = arrival.request
+        req.validate()  # a refused request leaves no log or registry entry
         owner = self.ring.route(req.mesh_digest)
         sid = owner
         if self.breakers:

@@ -25,10 +25,19 @@ Three digests matter, at three scopes:
     tolerance, transport coefficients).  Requests sharing a batch key
     share the cached factorization and are solved as one multi-RHS
     block by :mod:`repro.serve.batcher`.
+
+All three — and the canonical geometry every one of them hashes — are
+**computed once per request instance**: a :class:`SolveRequest` is an
+immutable value (it snapshots its ``geometry`` and ``velocity`` at
+construction), so the scheduler, the services and the fleet read its
+identity as often as they like and pay for it once.  This is the
+serving layer's counterpart of an octant's cached SFC key
+(:class:`repro.core.octant.OctantSet`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -63,10 +72,13 @@ PDE_KINDS = ("poisson", "sbm", "transport", "amr")
 _SHAPES = ("sphere", "box")
 
 
+#: what ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` runs,
+#: minus building a new encoder object per call
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _sha256(doc: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    return hashlib.sha256(_canonical_json(doc).encode()).hexdigest()
 
 
 def canonical_geometry(spec: dict) -> dict:
@@ -118,12 +130,29 @@ def _raise_non_finite(geo: dict) -> None:
             raise ValueError(f"geometry {name} must be finite, got {value!r}")
 
 
+def _copy_geometry(geo: dict) -> dict:
+    """A geometry dict nobody else holds: the mapping and the lists
+    (or arrays) in it are new, the immutable values are shared."""
+    return {k: list(v) if isinstance(v, (list, np.ndarray)) else v
+            for k, v in geo.items()}
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def build_domain(geometry: dict):
     """Instantiate the :class:`repro.core.domain.Domain` of a spec."""
+    return _canonical_domain(canonical_geometry(geometry))
+
+
+def _canonical_domain(geo: dict):
     from ..core.domain import Domain
     from ..geometry import BoxRetain, SphereCarve
 
-    geo = canonical_geometry(geometry)
     if geo["shape"] == "sphere":
         pred = SphereCarve(geo["center"], geo["radius"])
     else:
@@ -131,6 +160,27 @@ def build_domain(geometry: dict):
         dom_hi = geo.get("domain_hi", [geo["scale"]] * dim)
         pred = BoxRetain(geo["lo"], geo["hi"], domain=([0.0] * dim, dom_hi))
     return Domain(pred, scale=geo["scale"])
+
+
+def _once(fn):
+    """Method decorator: compute on the first call, afterwards return the
+    value stored in the instance ``__dict__`` (written there directly,
+    which a frozen dataclass allows and ``dataclasses.replace`` does not
+    carry over).  Not ``functools.cached_property``: the digests stay
+    plain ``property`` objects, so a caller that rebinds a property's
+    ``fget`` — the e2e benchmark's span shims do — keeps working.
+    """
+    slot = "_once_" + fn.__name__
+
+    @functools.wraps(fn)
+    def get(self):
+        try:
+            return self.__dict__[slot]
+        except KeyError:
+            value = self.__dict__[slot] = fn(self)
+            return value
+
+    return get
 
 
 @dataclass(frozen=True)
@@ -142,6 +192,17 @@ class SolveRequest:
     ticks is rejected with ``deadline_exceeded``; lower ``priority``
     values dispatch first (ties broken by request digest, so the
     schedule is independent of arrival interleaving).
+
+    **Immutable value.**  Construction copies ``geometry`` (the dict and
+    the lists in it) and freezes ``velocity`` into a tuple, so nothing
+    the caller does to its own objects afterwards reaches the request,
+    and :meth:`to_doc`, :meth:`mesh_doc` and :meth:`solver_doc` build a
+    new document per call that shares no container with it.  That is
+    what lets the canonical geometry and the three digests be computed
+    at most once per instance.  A changed request is a new instance
+    (``dataclasses.replace``, :meth:`from_doc`) with its own identity.
+    Constructing an invalid request succeeds; :meth:`validate` is what
+    rejects it.
     """
 
     geometry: dict = field(
@@ -170,18 +231,42 @@ class SolveRequest:
     #: kernel backend override (repro.kernels); None = server default
     backend: str | None = None
 
+    def __post_init__(self):
+        if isinstance(self.geometry, dict):
+            object.__setattr__(self, "geometry",
+                               _copy_geometry(self.geometry))
+        if not isinstance(self.velocity, tuple):
+            try:
+                object.__setattr__(self, "velocity", tuple(self.velocity))
+            except TypeError:
+                pass  # not a sequence: validate() names it
+
     def validate(self) -> None:
         if self.pde not in PDE_KINDS:
             raise ValueError(f"pde must be one of {PDE_KINDS}, got {self.pde!r}")
-        canonical_geometry(self.geometry)
+        self._canonical_geometry()
         if not (0 < self.base_level <= self.boundary_level):
             raise ValueError("need 0 < base_level <= boundary_level")
         if self.p not in (1, 2):
             raise ValueError("element order p must be 1 or 2")
+        try:
+            finite = all(map(math.isfinite, (
+                self.f, self.g, self.tol, self.kappa, self.dt,
+                *self.velocity)))
+        except TypeError:
+            finite = False
+        if not finite:
+            self._raise_non_finite_parameter()
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.deadline is not None and self.deadline < 0:
-            raise ValueError("deadline must be non-negative")
+        if self.deadline is not None:
+            if not isinstance(self.deadline, int):
+                raise ValueError(
+                    "deadline must be an integer number of ticks, "
+                    f"got {self.deadline!r}"
+                )
+            if self.deadline < 0:
+                raise ValueError("deadline must be non-negative")
         if self.pde == "transport" and self.steps < 1:
             raise ValueError("transport needs steps >= 1")
         if self.pde == "amr":
@@ -195,6 +280,7 @@ class SolveRequest:
             if not (0.0 < self.amr_theta <= 1.0):
                 raise ValueError("amr_theta must be in (0, 1]")
         if self.backend is not None:
+            # depends on the server, not on the request: never memoised
             from ..kernels import available_backends
 
             avail = available_backends()
@@ -209,25 +295,39 @@ class SolveRequest:
                     "on this server"
                 )
 
+    def _raise_non_finite_parameter(self) -> None:
+        for name in ("f", "g", "tol", "kappa", "dt"):
+            if not _is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
+        raise ValueError("velocity must be a sequence of finite numbers, "
+                         f"got {self.velocity!r}")
+
     # -- canonical documents and digests --------------------------------
+
+    @_once
+    def _canonical_geometry(self) -> dict:
+        """Private: every document below carries its own copy."""
+        return canonical_geometry(self.geometry)
 
     def to_doc(self) -> dict:
         doc = {"schema": REQ_SCHEMA_ID}
-        for fld in fields(self):
-            v = getattr(self, fld.name)
-            if fld.name == "backend" and v is None:
+        for name in _REQUEST_FIELDS:
+            v = getattr(self, name)
+            if name == "backend" and v is None:
                 # omitted so pre-backend request digests are unchanged
                 continue
-            if fld.name == "geometry":
-                v = canonical_geometry(v)
-            elif fld.name == "velocity":
+            if name == "geometry":
+                v = _copy_geometry(self._canonical_geometry())
+            elif name == "velocity":
                 v = [float(c) for c in v]
             elif isinstance(v, float):
                 v = float(v)
-            doc[fld.name] = v
+            doc[name] = v
         return doc
 
     @property
+    @_once
     def digest(self) -> str:
         """Canonical sha256 identity of the full request."""
         return _sha256(self.to_doc())
@@ -240,11 +340,10 @@ class SolveRequest:
         r.digest``) — the fleet's fail-over checkpoints persist queued
         requests as documents and rehydrate them on a survivor.
         """
-        names = {f.name for f in fields(cls)}
-        unknown = set(doc) - names - {"schema"}
+        unknown = set(doc) - set(_REQUEST_FIELDS) - {"schema"}
         if unknown:
             raise ValueError(f"unknown request fields: {sorted(unknown)}")
-        kw = {k: v for k, v in doc.items() if k in names}
+        kw = {k: v for k, v in doc.items() if k != "schema"}
         if "velocity" in kw:
             kw["velocity"] = tuple(float(c) for c in kw["velocity"])
         req = cls(**kw)
@@ -254,7 +353,7 @@ class SolveRequest:
     def mesh_doc(self) -> dict:
         """The discretization-determining subset of the request."""
         return {
-            "geometry": canonical_geometry(self.geometry),
+            "geometry": _copy_geometry(self._canonical_geometry()),
             "base_level": self.base_level,
             "boundary_level": self.boundary_level,
             "p": self.p,
@@ -262,6 +361,7 @@ class SolveRequest:
         }
 
     @property
+    @_once
     def mesh_digest(self) -> str:
         """Cache lookup key before the mesh (and its operator-plan
         fingerprint) exists."""
@@ -285,6 +385,7 @@ class SolveRequest:
         return doc
 
     @property
+    @_once
     def batch_key(self) -> str:
         """Requests with equal batch keys share one cached factor and
         solve as one multi-RHS block."""
@@ -296,9 +397,12 @@ class SolveRequest:
         from ..core.mesh import build_mesh
 
         return build_mesh(
-            build_domain(self.geometry), self.base_level,
+            _canonical_domain(self._canonical_geometry()), self.base_level,
             self.boundary_level, p=self.p, curve="morton",
         )
+
+
+_REQUEST_FIELDS = tuple(f.name for f in fields(SolveRequest))
 
 
 def solution_digest(u: np.ndarray) -> str:
@@ -340,8 +444,8 @@ class SolveResponse:
 
     def to_doc(self) -> dict:
         doc = {"schema": RESP_SCHEMA_ID}
-        for fld in fields(self):
-            doc[fld.name] = getattr(self, fld.name)
+        for name in _RESPONSE_FIELDS:
+            doc[name] = getattr(self, name)
         return doc
 
     @property
@@ -357,6 +461,9 @@ class SolveResponse:
     def latency(self) -> int:
         """Virtual ticks between submission and completion."""
         return self.t_done - self.t_submit
+
+
+_RESPONSE_FIELDS = tuple(f.name for f in fields(SolveResponse))
 
 
 class Rejected(SolveResponse):
