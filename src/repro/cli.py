@@ -47,6 +47,24 @@ def _emit(lines: list[str], out: str | None) -> None:
             fh.write(text + "\n")
 
 
+def _latency_line(st: dict) -> str:
+    return "latency (virtual ticks): " + " ".join(
+        f"{k}={st['latency_ticks'][k]:.0f}"
+        for k in ("min", "p50", "p95", "p99", "max")
+    )
+
+
+def _event_lines(recorder, path: str | None, name: str) -> list[str]:
+    """``--events PATH``: write the recorded stream; the report lines."""
+    if not path:
+        return []
+    from .obs.events import save_events
+
+    save_events(path, recorder, name=name)
+    return [f"events: {len(recorder)} written to {path}",
+            f"event digest: {recorder.digest}"]
+
+
 def _mvc_common(domain, base, boundary, order, ranks, label):
     from .core.mesh import build_mesh
     from .kernels import resolve_backend_name
@@ -323,13 +341,10 @@ def cmd_serve_demo(args) -> None:
     """Push a deterministic mixed workload through the serving layer."""
     import json
 
+    from .obs.events import EventLog
     from .serve import SolverService, demo_workload
 
-    recorder = None
-    if args.events:
-        from .obs.events import EventLog
-
-        recorder = EventLog()
+    recorder = EventLog(enabled=bool(args.events))
     svc = SolverService(
         cache_bytes=args.cache_mb << 20,
         max_pending=args.max_pending,
@@ -353,19 +368,10 @@ def cmd_serve_demo(args) -> None:
         f"evictions={st['cache']['evictions']} "
         f"bytes={st['cache']['bytes']} / {st['cache']['byte_budget']}",
         f"virtual clock: {st['clock_ticks']} ticks",
-        "latency (virtual ticks): "
-        + " ".join(
-            f"{k}={st['latency_ticks'][k]:.0f}"
-            for k in ("min", "p50", "p95", "p99", "max")
-        ),
+        _latency_line(st),
         f"stream digest: {st['stream_digest']}",
     ]
-    if recorder is not None:
-        from .obs.events import save_events
-
-        save_events(args.events, recorder, name="serve-demo")
-        lines.append(f"events: {len(recorder)} written to {args.events}")
-        lines.append(f"event digest: {recorder.digest}")
+    lines += _event_lines(recorder, args.events, "serve-demo")
     if args.json:
         doc = {
             "schema": "repro.serve/demo.v1",
@@ -465,11 +471,7 @@ def cmd_serve_stats(args) -> None:
         f"batches: {st['batches']}  mean batch size: {st['mean_batch_size']}",
         f"cache: hits={st['cache']['hits']} misses={st['cache']['misses']} "
         f"evictions={st['cache']['evictions']}",
-        "latency (virtual ticks): "
-        + " ".join(
-            f"{k}={st['latency_ticks'][k]:.0f}"
-            for k in ("min", "p50", "p95", "p99", "max")
-        ),
+        _latency_line(st),
         f"stream digest: {st['stream_digest']}",
     ]
     by_pde: dict[str, int] = {}
@@ -486,18 +488,18 @@ def cmd_fleet_demo(args) -> None:
     import json
 
     from .fleet import FleetService, synthetic_workload
+    from .obs.events import EventLog
 
     kill = None
     if args.kill:
         tick, _, sid = args.kill.partition(":")
+        try:
+            kill = (int(tick), sid)
+        except ValueError:
+            sid = ""  # a non-integer tick gets the same usage message
         if not sid:
             raise SystemExit("--kill wants TICK:SHARD_ID, e.g. 2000:shard1")
-        kill = (int(tick), sid)
-    recorder = None
-    if args.events:
-        from .obs.events import EventLog
-
-        recorder = EventLog()
+    recorder = EventLog(enabled=bool(args.events))
     fleet = FleetService(
         args.shards, cache_bytes=args.cache_mb << 20,
         max_batch=args.max_batch, max_pending=args.max_pending,
@@ -522,11 +524,7 @@ def cmd_fleet_demo(args) -> None:
         + " ".join(f"{k}={v}" for k, v in sorted(st["routed"].items())),
         f"steals: {st['steals']} ({st['stolen_items']} items)  "
         f"makespan: {st['makespan_ticks']} virtual ticks",
-        "latency (virtual ticks): "
-        + " ".join(
-            f"{k}={st['latency_ticks'][k]:.0f}"
-            for k in ("min", "p50", "p95", "p99", "max")
-        ),
+        _latency_line(st),
         f"l2: hits={st['l2']['hits']} misses={st['l2']['misses']} "
         f"entries={st['l2']['entries']} promoted={st['l2']['promotions']}",
     ]
@@ -536,12 +534,7 @@ def cmd_fleet_demo(args) -> None:
         f"stream digest: {st['stream_digest']}",
         f"fleet digest:  {st['fleet_digest']}",
     ]
-    if recorder is not None:
-        from .obs.events import save_events
-
-        save_events(args.events, recorder, name="fleet-demo")
-        lines.append(f"events: {len(recorder)} written to {args.events}")
-        lines.append(f"event digest: {recorder.digest}")
+    lines += _event_lines(recorder, args.events, "fleet-demo")
     if args.json:
         doc = {
             "schema": "repro.fleet/demo.v1",
@@ -583,7 +576,7 @@ def cmd_chaos_demo(args) -> None:
             raise SystemExit(1)
         return
 
-    from .chaos import ChaosSchedule
+    from .chaos import CHAOS_KINDS, ChaosSchedule
     from .fleet import FleetService, synthetic_workload
     from .fleet.defense import BreakerPolicy, HedgePolicy
     from .obs.events import EventLog
@@ -622,23 +615,15 @@ def cmd_chaos_demo(args) -> None:
         f"hedge_wins={d.get('hedge_wins', 0)} "
         f"breaker_opens={d.get('breaker_opens', 0)}"
     )
-    from .chaos import CHAOS_KINDS
-
-    kinds: dict[str, int] = {}
-    for ev in recorder.events:
-        if ev.kind in CHAOS_KINDS:
-            kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
     lines.append(
         "chaos events: "
-        + (" ".join(f"{k}={v}" for k, v in sorted(kinds.items())) or "none")
+        + (" ".join(f"{k}={v}" for k, v in recorder.kinds().items()
+                    if k in CHAOS_KINDS) or "none")
     )
     for line in st["failovers"]:
         lines.append(f"failover: {line}")
-    if recorder is not None and args.events:
-        from .obs.events import save_events
-
-        save_events(args.events, recorder, name="chaos-demo")
-        lines.append(f"events: {len(recorder)} written to {args.events}")
+    # the digest line is printed below, with or without --events
+    lines += _event_lines(recorder, args.events, "chaos-demo")[:1]
     lines += [
         f"event digest:  {recorder.digest}",
         f"stream digest: {st['stream_digest']}",
@@ -666,11 +651,7 @@ def cmd_fleet_stats(args) -> None:
         + (f" kill={cfg['kill']}" if cfg.get("kill") else ""),
         f"responses: {st['responses']}  makespan: {st['makespan_ticks']} "
         f"ticks  steals: {st['steals']} ({st['stolen_items']} items)",
-        "latency (virtual ticks): "
-        + " ".join(
-            f"{k}={st['latency_ticks'][k]:.0f}"
-            for k in ("min", "p50", "p95", "p99", "max")
-        ),
+        _latency_line(st),
         f"{'shard':>8} {'routed':>7} {'resp':>6} {'batches':>8} "
         f"{'l2 fetch':>9} {'cache bytes':>12} {'cache ent':>10} "
         f"{'hit rate':>9}",

@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs import EventLog
+
 __all__ = ["HedgePolicy", "BreakerPolicy", "CircuitBreaker"]
 
 
@@ -82,15 +84,14 @@ class CircuitBreaker:
     The owning fleet calls :meth:`allow` at every routing decision
     (arrival delivery and hedge-target selection) and :meth:`record`
     with every solve outcome attributed to the shard.  State
-    transitions emit typed flight-recorder events when a recorder is
-    attached.
+    transitions emit typed flight-recorder events.
     """
 
     def __init__(self, shard_id: str, policy: BreakerPolicy | None = None,
                  recorder=None):
         self.shard_id = shard_id
         self.policy = policy or BreakerPolicy()
-        self.recorder = recorder
+        self.recorder = EventLog.of(recorder)
         #: "closed" | "open" | "half_open"
         self.state = "closed"
         self._window: list[bool] = []
@@ -100,8 +101,7 @@ class CircuitBreaker:
         self.opens = 0
 
     def _emit(self, kind: str, tick: int, **attrs) -> None:
-        if self.recorder is not None:
-            self.recorder.emit(kind, tick=tick, shard=self.shard_id, **attrs)
+        self.recorder.emit(kind, tick=tick, shard=self.shard_id, **attrs)
 
     def allow(self, tick: int) -> bool:
         """May the router send work to this shard at ``tick``?

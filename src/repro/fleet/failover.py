@@ -198,20 +198,13 @@ class ShardCheckpointer:
         self._since = 0
 
 
-def rebuild_queue(ckpt_state: dict | None, log: ShardLog, *,
-                  recorder=None, tick: int = 0,
-                  shard: str | None = None) -> list[dict]:
+def rebuild_queue(ckpt_state: dict | None, log: ShardLog) -> list[dict]:
     """Reconstruct a dead shard's kill-time queue as item documents.
 
     Multiset semantics: each digest in the stolen/completed log tails
     cancels exactly one matching queued document (duplicate requests
     differ at most in ``t_submit``, which is timing metadata — the
     canonical fleet digest never sees it).
-
-    With a flight recorder attached, each recovered document is logged
-    as a ``failover_replay`` event carrying the request's causal id —
-    the hop that explains why a surviving request's timeline continues
-    on a replacement shard.
     """
     if ckpt_state is None:
         pending = []
@@ -240,10 +233,4 @@ def rebuild_queue(ckpt_state: dict | None, log: ShardLog, *,
             f"shard log inconsistency: {sum(leftover.values())} "
             f"completions/steals with no matching queued item"
         )
-    if recorder is not None:
-        for doc in out:
-            recorder.emit(
-                "failover_replay", doc["digest"], tick=tick, shard=shard,
-                t_submit=doc["t_submit"], retries=doc["retries"],
-            )
     return out

@@ -67,24 +67,15 @@ class HashRing:
         self._ids.remove(shard_id)
         self._points = [(p, s) for p, s in self._points if s != shard_id]
 
-    def route(self, key: str, *, recorder=None, tick: int = 0,
-              rid: str = "") -> str:
-        """The shard owning ``key`` (first point clockwise of its hash).
-
-        When a flight recorder is passed, the routing decision is
-        logged as a ``route`` event carrying the causal request id —
-        the first hop of every request's timeline."""
+    def route(self, key: str) -> str:
+        """The shard owning ``key`` (first point clockwise of its hash)."""
         if not self._points:
             raise RuntimeError("cannot route on an empty ring")
         h = _point(key)
         i = bisect.bisect_right(self._points, (h, ""))
         if i == len(self._points):
             i = 0
-        owner = self._points[i][1]
-        if recorder is not None:
-            recorder.emit("route", rid or key, tick=tick, shard=owner,
-                          key=key)
-        return owner
+        return self._points[i][1]
 
     def successors(self, key: str) -> list[str]:
         """Every live shard in ring order starting at ``key``'s owner.

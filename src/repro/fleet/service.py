@@ -74,12 +74,15 @@ from __future__ import annotations
 import hashlib
 import json
 
-from ..obs import Histogram
+from ..obs import EventLog, Histogram
 from ..obs import add as obs_add
 from ..resilience.faults import ArtifactCorruption, corrupt_in_place
 from ..serve.api import SolveRequest, SolveResponse
-from ..serve.batcher import build_entry
-from ..serve.scheduler import BrownoutPolicy, cost_build
+# unused here since the shard stopped building on its own; kept because
+# benchmarks/e2e/test_harness.py (not editable from a program change)
+# asserts its shims follow this binding
+from ..serve.batcher import build_entry  # noqa: F401
+from ..serve.scheduler import BrownoutPolicy
 from ..serve.service import SolverService
 from .defense import BreakerPolicy, CircuitBreaker, HedgePolicy
 from .failover import FailoverEvent, ShardCheckpointer, ShardLog, rebuild_queue
@@ -120,7 +123,7 @@ class FleetShard(SolverService):
     """One fleet shard: a :class:`SolverService` wired into the shared
     second tier.
 
-    The override point is :meth:`_resolve_entry` — between the private
+    The override point is :meth:`_cold_entry` — between the private
     L1 miss and a cold build, the shard consults the fleet's
     :class:`TierCache`, paying the (much cheaper) transfer cost when
     another shard already built the mesh.  Cold builds write through
@@ -153,61 +156,31 @@ class FleetShard(SolverService):
                     corrupt_in_place(
                         victim.ctx.h, (self.chaos.seed, self._lookups)
                     )
-        entry = self._lookup_verified(request, bid)
-        if entry is not None:
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "cache_hit", request.digest, tick=self.clock.now,
-                    shard=self.name, tier="l1", bid=bid, ticks=0,
-                )
-            return entry, True
-        if self.recorder is not None:
-            self.recorder.emit(
-                "cache_miss", request.digest, tick=self.clock.now,
-                shard=self.name, tier="l1", bid=bid,
-            )
+        return super()._resolve_entry(request, bid)
+
+    def _cold_entry(self, request: SolveRequest, bid: str):
         fetched = self.l2.fetch(request.mesh_digest)
         if fetched is not None:
             try:
                 fetched.verify(tier="l2")
             except ArtifactCorruption as exc:
                 self.l2.quarantine(fetched)
-                if self.recorder is not None:
-                    self.recorder.emit(
-                        "corrupt_detect", request.digest,
-                        tick=self.clock.now, shard=self.name, bid=bid,
-                        tier=exc.tier, key=exc.key,
-                    )
-                    self.recorder.emit(
-                        "quarantine", request.digest, tick=self.clock.now,
-                        shard=self.name, bid=bid, key=exc.key,
-                    )
+                self._record_quarantine(request, bid, exc)
                 fetched = None
         if fetched is not None:
             ticks = self.l2.fetch_cost(fetched)
             self.clock.advance(ticks)
             self.l2_fetches += 1
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "cache_hit", request.digest, tick=self.clock.now,
-                    shard=self.name, tier="l2", bid=bid, ticks=ticks,
-                )
+            self.recorder.emit(
+                "cache_hit", request.digest, tick=self.clock.now,
+                shard=self.name, tier="l2", bid=bid, ticks=ticks,
+            )
             return self.cache.insert(request.mesh_digest, fetched), True
-        if self.recorder is not None:
-            self.recorder.emit(
-                "cache_miss", request.digest, tick=self.clock.now,
-                shard=self.name, tier="l2", bid=bid,
-            )
-        entry = build_entry(request)
-        ticks = cost_build(entry.mesh.n_elem)
-        self.clock.advance(ticks)
-        if self.recorder is not None:
-            self.recorder.emit(
-                "build", request.digest, tick=self.clock.now,
-                shard=self.name, bid=bid, ticks=ticks,
-                n_elem=entry.mesh.n_elem,
-            )
-        entry = self.cache.insert(request.mesh_digest, entry)
+        self.recorder.emit(
+            "cache_miss", request.digest, tick=self.clock.now,
+            shard=self.name, tier="l2", bid=bid,
+        )
+        entry, _ = super()._cold_entry(request, bid)
         self.l2.publish(request.mesh_digest, entry)
         return entry, False
 
@@ -239,25 +212,29 @@ class FleetService:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.shard_ids = [f"shard{i}" for i in range(int(n_shards))]
+        if chaos is not None:
+            # a fault on a shard that does not exist would never fire
+            self._require_shards(chaos.affected_shards(), "chaos fault names")
         self.l2 = TierCache(l2_bytes, promote_after=l2_promote_after,
                             window=l2_window)
         self.ring = HashRing(self.shard_ids)
-        #: optional flight recorder shared by the fleet loop and every
-        #: shard — one :class:`repro.obs.EventLog` receives the entire
-        #: causal history of the run (route → shard → batch → response)
-        self.recorder = recorder
+        #: flight recorder shared by the fleet loop, every shard and
+        #: every breaker — one :class:`repro.obs.EventLog` receives the
+        #: entire causal history of the run (route → shard → batch →
+        #: response); ``recorder=None`` is a disabled log
+        self.recorder = EventLog.of(recorder)
         #: defense-layer policies (all optional; None disables)
         self.hedge = hedge
         self.breaker_policy = breaker
         self.chaos = chaos
         self.breakers: dict[str, CircuitBreaker] = (
-            {sid: CircuitBreaker(sid, breaker, recorder)
+            {sid: CircuitBreaker(sid, breaker, self.recorder)
              for sid in self.shard_ids}
             if breaker is not None else {}
         )
         self._shard_kwargs = dict(
             cache_bytes=cache_bytes, max_pending=max_pending,
-            max_batch=max_batch, recorder=recorder, brownout=brownout,
+            max_batch=max_batch, recorder=self.recorder, brownout=brownout,
         )
         self.steal_threshold = int(steal_threshold)
         self.steal_latency = int(steal_latency)
@@ -296,6 +273,14 @@ class FleetService:
         self.hedge_wins = 0
 
     # -- shard lifecycle --------------------------------------------------
+
+    def _require_shards(self, sids, what: str) -> None:
+        unknown = sorted(set(sids) - set(self.shard_ids))
+        if unknown:
+            raise ValueError(
+                f"{what} unknown shard {unknown[0]!r} "
+                f"(fleet has {self.shard_ids[0]}..{self.shard_ids[-1]})"
+            )
 
     def _make_shard(self, sid: str) -> FleetShard:
         kwargs = dict(self._shard_kwargs)
@@ -338,12 +323,11 @@ class FleetService:
             cancelled = self._cancel_copies(iid)
             if rec["hedges"] > 0 and kind in ("solve", "failed"):
                 self.hedge_wins += 1
-                if self.recorder is not None:
-                    self.recorder.emit(
-                        "hedge_win", item.digest,
-                        tick=self.shards[sid].clock.now, shard=sid,
-                        cancelled=cancelled,
-                    )
+                self.recorder.emit(
+                    "hedge_win", item.digest,
+                    tick=self.shards[sid].clock.now, shard=sid,
+                    cancelled=cancelled,
+                )
             return True
         return guard
 
@@ -400,16 +384,18 @@ class FleetService:
         the checkpoint and logs.  Event ties resolve kill < arrival <
         hedge < exec, and arrivals are canonically re-sorted, so the
         simulation is a pure function of (config, workload multiset,
-        kill, chaos schedule).
+        kill, chaos schedule).  A kill naming an unknown shard raises
+        ``ValueError`` before anything is delivered.
         """
-        queue = sorted(arrivals, key=lambda a: (a.tick, a.request.digest))
-        i = 0
         kills: list[tuple[int, str]] = []
         if kill is not None:
             kills.append((int(kill[0]), kill[1]))
         if self.chaos is not None:
             kills.extend(self.chaos.crashes())
         kills.sort()
+        self._require_shards((sid for _, sid in kills), "cannot kill")
+        queue = sorted(arrivals, key=lambda a: (a.tick, a.request.digest))
+        i = 0
         while True:
             self._update_pressure()
             next_arrival = queue[i].tick if i < len(queue) else None
@@ -468,14 +454,14 @@ class FleetService:
                     break
             else:
                 sid = owner  # every breaker open: the owner it is
-        if self.recorder is not None:
-            attrs = {"key": req.mesh_digest}
-            if sid != owner:
-                attrs["rerouted_from"] = owner
-            self.recorder.emit("route", req.digest, tick=arrival.tick,
-                               shard=sid, **attrs)
+        attrs = {"key": req.mesh_digest}
+        if sid != owner:
+            attrs["rerouted_from"] = owner
+        rid = req.digest
+        self.recorder.emit("route", rid, tick=arrival.tick, shard=sid,
+                           **attrs)
         iid = len(self._instances)
-        rec = {"request": req, "digest": req.digest,
+        rec = {"request": req, "digest": rid,
                "t_submit": int(arrival.tick), "completed": False,
                "hedges": 0}
         self._instances.append(rec)
@@ -562,11 +548,10 @@ class FleetService:
             src_item.t_submit, src_item.request, src_item.retries,
             instance=iid, hedge=True,
         )
-        if self.recorder is not None:
-            self.recorder.emit(
-                "hedge", src_item.digest, tick=t, shard=dst, src=src,
-                not_before=not_before,
-            )
+        self.recorder.emit(
+            "hedge", src_item.digest, tick=t, shard=dst, src=src,
+            not_before=not_before,
+        )
         self.hedges_fired += 1
         obs_add("fleet.hedges", 1)
 
@@ -583,10 +568,14 @@ class FleetService:
         exclude = ({sid for sid, b in self.breakers.items()
                     if b.state != "closed"}
                    if self.breakers else None)
-        for plan in plan_steals(depths, threshold=self.steal_threshold,
-                                capacity=capacity, max_items=self.steal_max,
-                                exclude=exclude,
-                                recorder=self.recorder, tick=self.now):
+        plans = plan_steals(depths, threshold=self.steal_threshold,
+                            capacity=capacity, max_items=self.steal_max,
+                            exclude=exclude)
+        # every pairing is logged before the first item moves
+        for plan in plans:
+            self.recorder.emit("steal_plan", tick=self.now, shard=plan.src,
+                               dst=plan.dst, n=plan.n)
+        for plan in plans:
             src, dst = self.shards[plan.src], self.shards[plan.dst]
             items = src.scheduler.steal_items(plan.n, src.clock.now)
             if not items:
@@ -606,12 +595,11 @@ class FleetService:
                         it.not_before, self.now + 2 * self.steal_latency
                     )
                     src.scheduler.pending.append(it)
-                    if self.recorder is not None:
-                        self.recorder.emit(
-                            "steal", it.digest, tick=self.now,
-                            shard=plan.src, src=plan.src,
-                            not_before=it.not_before, fault="drop",
-                        )
+                    self.recorder.emit(
+                        "steal", it.digest, tick=self.now,
+                        shard=plan.src, src=plan.src,
+                        not_before=it.not_before, fault="drop",
+                    )
                     continue
                 adopted = dst.scheduler.adopt(
                     it.request, dst.clock, t_submit=it.t_submit,
@@ -633,13 +621,12 @@ class FleetService:
                     it.t_submit, it.request, it.retries,
                     instance=it.instance, hedge=it.hedge,
                 )
-                if self.recorder is not None:
-                    attrs = {"src": plan.src,
-                             "not_before": self.now + self.steal_latency}
-                    if mode == "dup":
-                        attrs["fault"] = "dup"
-                    self.recorder.emit("steal", it.digest, tick=self.now,
-                                       shard=plan.dst, **attrs)
+                attrs = {"src": plan.src,
+                         "not_before": self.now + self.steal_latency}
+                if mode == "dup":
+                    attrs["fault"] = "dup"
+                self.recorder.emit("steal", it.digest, tick=self.now,
+                                   shard=plan.dst, **attrs)
                 digests.append(it.digest)
             self.steal_events.append(StealEvent(
                 tick=self.now, src=plan.src, dst=plan.dst,
@@ -663,18 +650,18 @@ class FleetService:
         arbitration; the shard's breaker resets to closed (the
         replacement's health is its own).
         """
-        if sid not in self.shards:
-            raise ValueError(f"cannot kill unknown shard {sid!r}")
         ckpt = self.checkpointers[sid]
         state = ckpt.latest_state()
-        if self.recorder is not None:
+        self.recorder.emit(
+            "failover", tick=self.now, shard=sid,
+            ckpt_step=ckpt.step if state is not None else None,
+        )
+        replay = rebuild_queue(state, self.logs[sid])
+        for doc in replay:
             self.recorder.emit(
-                "failover", tick=self.now, shard=sid,
-                ckpt_step=ckpt.step if state is not None else None,
+                "failover_replay", doc["digest"], tick=self.now, shard=sid,
+                t_submit=doc["t_submit"], retries=doc["retries"],
             )
-        replay = rebuild_queue(state, self.logs[sid],
-                               recorder=self.recorder, tick=self.now,
-                               shard=sid)
         replacement = self._make_shard(sid)
         replacement.clock.jump_to(self.now)
         if state is not None:

@@ -56,8 +56,8 @@ class StealEvent:
 
 def plan_steals(depths: dict[str, int], *, threshold: int,
                 capacity: dict[str, int] | None = None,
-                max_items: int | None = None, exclude=None,
-                recorder=None, tick: int = 0) -> list[StealPlan]:
+                max_items: int | None = None,
+                exclude=None) -> list[StealPlan]:
     """Plan migrations for the current fleet queue depths.
 
     ``depths`` maps shard id → pending count for *alive* shards.
@@ -70,10 +70,6 @@ def plan_steals(depths: dict[str, int], *, threshold: int,
     its open-circuit-breaker set, so an unhealthy shard that happens to
     have an empty queue (because nothing routes to it) never receives
     migrated work.
-
-    With a flight recorder attached, each victim/thief pairing is
-    logged as a ``steal_plan`` event (the per-item migrations become
-    ``steal`` events at execution time in the fleet loop).
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -96,8 +92,6 @@ def plan_steals(depths: dict[str, int], *, threshold: int,
         if n < 1:
             continue
         plans.append(StealPlan(src=src, dst=dst, n=n))
-        if recorder is not None:
-            recorder.emit("steal_plan", tick=tick, shard=src, dst=dst, n=n)
         work[src] -= n
         work[dst] += n
         if free is not None:

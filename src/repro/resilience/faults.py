@@ -227,21 +227,15 @@ class FaultSchedule:
 
 
 def corrupt_buffer(buf: np.ndarray, key: tuple[int, ...]) -> np.ndarray:
-    """Deterministically flip one bit of ``buf`` (a copy is returned).
+    """Deterministically flip one bit of a C-ordered copy of ``buf``.
 
-    The flipped (byte, bit) position is drawn from an RNG seeded by
-    ``key`` — typically (schedule seed, op index, src, dst) — so the
-    same schedule corrupts the same bit every run.
+    The flipped (byte, bit) position is :func:`corrupt_in_place`'s draw
+    for ``key`` — typically (schedule seed, op index, src, dst) — so
+    the same schedule corrupts the same bit every run.
     """
-    arr = np.asarray(buf)
-    if arr.nbytes == 0:
-        return arr
-    rng = np.random.default_rng(list(key))
-    raw = bytearray(arr.tobytes())
-    byte = int(rng.integers(0, len(raw)))
-    bit = int(rng.integers(0, 8))
-    raw[byte] ^= 1 << bit
-    return np.frombuffer(bytes(raw), dtype=arr.dtype).reshape(arr.shape)
+    out = np.array(buf, order="C")
+    corrupt_in_place(out.reshape(-1), key)  # a view; 1-d even for 0-d input
+    return out
 
 
 def corrupt_in_place(buf: np.ndarray, key: tuple[int, ...]) -> tuple[int, int]:

@@ -307,18 +307,13 @@ def ensure_factor(entry: CacheEntry, request: SolveRequest):
 
 
 def solve_batch(factor, requests: list[SolveRequest],
-                emit=None, tol_scale: float = 1.0) -> BatchOutcome:
+                tol_scale: float = 1.0) -> BatchOutcome:
     """Solve one batch through its cached factor (one multi-RHS block).
 
-    ``emit`` is the flight-recorder hook: when the owning service
-    records events, it passes a callback that turns the batch execution
-    into one ``solve_exec`` event (columns, matvecs, pde).
     ``tol_scale > 1`` is the brownout degrade path: iterative members
     stop at a loosened tolerance (direct factors are unaffected)."""
     with span("serve.solve", pde=factor.kind) as osp:
         out = factor.solve(requests, tol_scale=tol_scale)
         osp.add("columns", len(requests))
         osp.add("matvecs", out.matvecs)
-    if emit is not None:
-        emit(columns=len(requests), matvecs=out.matvecs, pde=factor.kind)
     return out

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..obs import EventLog
 from .api import SolveRequest
 
 __all__ = [
@@ -176,12 +177,10 @@ class Scheduler:
         self.backoff = int(backoff)
         self.pending: list[PendingItem] = []
         self._seq = 0
-        #: optional flight recorder (:class:`repro.obs.EventLog`) and
-        #: the shard name stamped onto emitted events; wired by the
-        #: owning service.  Every emission site below is guarded by a
-        #: single ``is not None`` check, so the disabled path costs one
-        #: comparison.
-        self.recorder = None
+        #: flight recorder (:class:`repro.obs.EventLog`, disabled until
+        #: the owning service wires its own in) and the shard name
+        #: stamped onto emitted events
+        self.recorder = EventLog(enabled=False)
         self.shard: str | None = None
 
     @property
@@ -208,12 +207,11 @@ class Scheduler:
             instance=int(instance), hedge=bool(hedge),
         )
         self.pending.append(item)
-        if self.recorder is not None:
-            self.recorder.emit(
-                "enqueue", item.digest, tick=clock.now, shard=self.shard,
-                t_submit=item.t_submit, retries=item.retries,
-                depth=len(self.pending),
-            )
+        self.recorder.emit(
+            "enqueue", item.digest, tick=clock.now, shard=self.shard,
+            t_submit=item.t_submit, retries=item.retries,
+            depth=len(self.pending),
+        )
         return item
 
     def adopt(self, request: SolveRequest, clock: VirtualClock, *,
@@ -313,11 +311,10 @@ class Scheduler:
         item.retries += 1
         item.not_before = clock.now + self.backoff * 2 ** (item.retries - 1)
         self.pending.append(item)
-        if self.recorder is not None:
-            self.recorder.emit(
-                "retry", item.digest, tick=clock.now, shard=self.shard,
-                retries=item.retries, not_before=item.not_before,
-            )
+        self.recorder.emit(
+            "retry", item.digest, tick=clock.now, shard=self.shard,
+            retries=item.retries, not_before=item.not_before,
+        )
 
     def next_batch(self, clock: VirtualClock
                    ) -> tuple[list[PendingItem], list[PendingItem]]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.nodes import EmptyMeshError
 from ..kernels import use_backend
-from ..obs import Histogram
+from ..obs import EventLog, Histogram
 from ..obs import add as obs_add
 from ..obs import observe as obs_observe
 from ..obs import set_gauge, span
@@ -82,10 +82,10 @@ class SolverService:
         self.batched_requests = 0
         self._status_counts: dict[str, int] = {}
         self._stream = hashlib.sha256()
-        #: optional flight recorder (:class:`repro.obs.EventLog`); every
-        #: emission site costs one ``is not None`` check when absent
-        self.recorder = recorder
-        self.scheduler.recorder = recorder
+        #: flight recorder (:class:`repro.obs.EventLog`), shared with the
+        #: scheduler; ``recorder=None`` is a disabled log
+        self.recorder = EventLog.of(recorder)
+        self.scheduler.recorder = self.recorder
         self.scheduler.shard = name
         #: monotonic batch counter — unlike ``self.batches`` it also
         #: counts batches that died in a breakdown, so every dispatched
@@ -93,7 +93,7 @@ class SolverService:
         self._batch_seq = 0
         #: observer called with every finalized response — the fleet
         #: layer hangs its durable completion log and digests here
-        self.on_response = None
+        self.on_response = lambda resp: None
         #: deadline-aware brownout policy (None = never shed/degrade)
         self.brownout = brownout
         #: external overload signal (the fleet raises it while circuit
@@ -105,7 +105,7 @@ class SolverService:
         #: — peek only).  Returning False suppresses the response
         #: silently: the item's delivery instance already completed on
         #: another shard (hedge race, duplicated handoff).
-        self.completion_guard = None
+        self.completion_guard = lambda item, kind: True
 
     # -- submission ------------------------------------------------------
 
@@ -129,33 +129,31 @@ class SolverService:
         on backpressure.
         """
         request.validate()
+        rid = request.digest
         arrival = self.clock.now if t_submit is None else int(t_submit)
-        if self.recorder is not None:
-            self.recorder.emit(
-                "submit", request.digest, tick=arrival, shard=self.name,
-                pde=request.pde, priority=request.priority,
-                deadline=request.deadline,
-            )
+        self.recorder.emit(
+            "submit", rid, tick=arrival, shard=self.name,
+            pde=request.pde, priority=request.priority,
+            deadline=request.deadline,
+        )
         item = self.scheduler.submit(request, self.clock,
                                      t_submit=t_submit, instance=instance)
         if item is None:
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "reject", request.digest, tick=self.clock.now,
-                    shard=self.name, reason="queue_full",
-                    depth=self.scheduler.depth,
-                )
+            self.recorder.emit(
+                "reject", rid, tick=self.clock.now,
+                shard=self.name, reason="queue_full",
+                depth=self.scheduler.depth,
+            )
             rej = Rejected(
-                request.digest, "queue_full", pde=request.pde,
+                rid, "queue_full", pde=request.pde,
                 t_submit=arrival, t_done=self.clock.now,
             )
             self._finalize(rej)
             return None, rej
-        if self.recorder is not None:
-            self.recorder.emit(
-                "admit", request.digest, tick=self.clock.now,
-                shard=self.name, depth=self.scheduler.depth,
-            )
+        self.recorder.emit(
+            "admit", rid, tick=self.clock.now,
+            shard=self.name, depth=self.scheduler.depth,
+        )
         set_gauge("serve.queue_depth", self.scheduler.depth)
         return item, None
 
@@ -175,30 +173,26 @@ class SolverService:
             )
         batch, expired = self.scheduler.next_batch(self.clock)
         for it in expired:
-            if (self.completion_guard is not None
-                    and not self.completion_guard(it, "expire")):
+            if not self.completion_guard(it, "expire"):
                 continue
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "reject", it.digest, tick=self.clock.now,
-                    shard=self.name, reason="deadline_exceeded",
-                    retries=it.retries,
-                )
+            self.recorder.emit(
+                "reject", it.digest, tick=self.clock.now,
+                shard=self.name, reason="deadline_exceeded",
+                retries=it.retries,
+            )
             done.append(self._finalize(Rejected(
                 it.digest, "deadline_exceeded", pde=it.request.pde,
                 t_submit=it.t_submit, t_done=self.clock.now,
                 retries=it.retries,
             )))
         for it in shed:
-            if (self.completion_guard is not None
-                    and not self.completion_guard(it, "shed")):
+            if not self.completion_guard(it, "shed"):
                 continue
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "shed", it.digest, tick=self.clock.now,
-                    shard=self.name, depth=self.scheduler.depth,
-                    priority=it.request.priority,
-                )
+            self.recorder.emit(
+                "shed", it.digest, tick=self.clock.now,
+                shard=self.name, depth=self.scheduler.depth,
+                priority=it.request.priority,
+            )
             obs_add("serve.shed", 1)
             done.append(self._finalize(Rejected(
                 it.digest, "shed", pde=it.request.pde,
@@ -224,61 +218,63 @@ class SolverService:
         return self.scheduler.ready_time(self.clock)
 
     def _resolve_entry(self, request: SolveRequest, bid: str = ""):
-        """Resolve the request's cache entry; the shard adapter hook.
+        """Resolve the request's cache entry: L1 lookup, else
+        :meth:`_cold_entry`.
 
-        Returns ``(entry, hit)``.  The base service knows one tier: L1
-        miss → build (advancing the clock by the build cost).  The
-        fleet's shard override consults the shared second tier between
-        the miss and the build.  ``bid`` is the dispatching batch's id;
-        cache/build events are batch-scoped and join every member's
+        Returns ``(entry, hit)``.  ``bid`` is the dispatching batch's
+        id; cache/build events are batch-scoped and join every member's
         timeline through it."""
-        entry = self._lookup_verified(request, bid)
+        try:
+            entry = self.cache.lookup(request.mesh_digest)
+        except ArtifactCorruption as exc:
+            # the cache already evicted + quarantined the entry: record
+            # the detection and take the miss path, so corruption costs
+            # one rebuild, never a wrong solution
+            self._record_quarantine(request, bid, exc)
+            entry = None
         if entry is not None:
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "cache_hit", request.digest, tick=self.clock.now,
-                    shard=self.name, tier="l1", bid=bid, ticks=0,
-                )
-            return entry, True
-        if self.recorder is not None:
             self.recorder.emit(
-                "cache_miss", request.digest, tick=self.clock.now,
-                shard=self.name, tier="l1", bid=bid,
+                "cache_hit", request.digest, tick=self.clock.now,
+                shard=self.name, tier="l1", bid=bid, ticks=0,
             )
+            return entry, True
+        self.recorder.emit(
+            "cache_miss", request.digest, tick=self.clock.now,
+            shard=self.name, tier="l1", bid=bid,
+        )
+        return self._cold_entry(request, bid)
+
+    def _cold_entry(self, request: SolveRequest, bid: str):
+        """The step after an L1 miss; the shard adapter hook.
+
+        Returns ``(entry inserted into L1, hit)``.  The base service
+        knows one tier: build, advancing the clock by the build cost.
+        The fleet's shard override consults the shared second tier
+        first."""
         entry = build_entry(request)
         ticks = cost_build(entry.mesh.n_elem)
         self.clock.advance(ticks)
-        if self.recorder is not None:
-            self.recorder.emit(
-                "build", request.digest, tick=self.clock.now,
-                shard=self.name, bid=bid, ticks=ticks,
-                n_elem=entry.mesh.n_elem,
-            )
+        self.recorder.emit(
+            "build", request.digest, tick=self.clock.now,
+            shard=self.name, bid=bid, ticks=ticks,
+            n_elem=entry.mesh.n_elem,
+        )
         return self.cache.insert(request.mesh_digest, entry), False
 
-    def _lookup_verified(self, request: SolveRequest, bid: str = ""):
-        """L1 lookup that degrades a digest-verification failure into a
-        miss: the corrupted entry is already evicted + quarantined by
-        the cache; we record the detection and fall through to a
-        rebuild, so corruption costs one rebuild, never a wrong
-        solution."""
-        try:
-            return self.cache.lookup(request.mesh_digest)
-        except ArtifactCorruption as exc:
-            if self.recorder is not None:
-                self.recorder.emit(
-                    "corrupt_detect", request.digest, tick=self.clock.now,
-                    shard=self.name, bid=bid, tier=exc.tier,
-                    key=exc.key,
-                )
-                self.recorder.emit(
-                    "quarantine", request.digest, tick=self.clock.now,
-                    shard=self.name, bid=bid, key=exc.key,
-                )
-            return None
+    def _record_quarantine(self, request: SolveRequest, bid: str,
+                           exc: ArtifactCorruption) -> None:
+        """The event pair of one failed digest re-verification."""
+        self.recorder.emit(
+            "corrupt_detect", request.digest, tick=self.clock.now,
+            shard=self.name, bid=bid, tier=exc.tier, key=exc.key,
+        )
+        self.recorder.emit(
+            "quarantine", request.digest, tick=self.clock.now,
+            shard=self.name, bid=bid, key=exc.key,
+        )
 
     def _run_batch(self, batch: list[PendingItem]) -> list[SolveResponse]:
-        req0 = batch[0].request
+        req0, rid0 = batch[0].request, batch[0].digest
         out: list[SolveResponse] = []
         self._batch_seq += 1
         bid = f"{self.name or 'serve'}#b{self._batch_seq}"
@@ -292,19 +288,17 @@ class SolverService:
             tol_scale = self.brownout.degrade_tol_factor
         with span("serve.batch", pde=req0.pde) as bsp:
             t_start = self.clock.now
-            if self.recorder is not None:
+            for it in batch:
+                self.recorder.emit(
+                    "batch_form", it.digest, tick=t_start,
+                    shard=self.name, bid=bid, size=len(batch),
+                )
+            if degraded:
                 for it in batch:
                     self.recorder.emit(
-                        "batch_form", it.digest, tick=t_start,
-                        shard=self.name, bid=bid, size=len(batch),
+                        "degrade", it.digest, tick=t_start,
+                        shard=self.name, bid=bid, tol_scale=tol_scale,
                     )
-                if degraded:
-                    for it in batch:
-                        self.recorder.emit(
-                            "degrade", it.digest, tick=t_start,
-                            shard=self.name, bid=bid, tol_scale=tol_scale,
-                        )
-            if degraded:
                 obs_add("serve.degraded", len(batch))
             try:
                 with use_backend(req0.backend):
@@ -317,31 +311,22 @@ class SolverService:
                 ticks = cost_factor(entry.mesh.n_nodes)
                 self.clock.advance(ticks)
                 self.cache.enforce_budget(protect=entry.fingerprint)
-                if self.recorder is not None:
-                    self.recorder.emit(
-                        "factor", req0.digest, tick=self.clock.now,
-                        shard=self.name, bid=bid, ticks=ticks,
-                    )
-            emit = None
-            if self.recorder is not None:
-                def emit(**kw):
-                    self.recorder.emit(
-                        "solve_exec", req0.digest, tick=self.clock.now,
-                        shard=self.name, bid=bid, **kw,
-                    )
+                self.recorder.emit(
+                    "factor", rid0, tick=self.clock.now,
+                    shard=self.name, bid=bid, ticks=ticks,
+                )
             try:
                 if self.fault_injector is not None:
                     for it in batch:
                         self.fault_injector(it.request, it.retries)
-                if self.recorder is not None:
-                    for it in batch:
-                        self.recorder.emit(
-                            "solve_start", it.digest, tick=self.clock.now,
-                            shard=self.name, bid=bid,
-                        )
+                for it in batch:
+                    self.recorder.emit(
+                        "solve_start", it.digest, tick=self.clock.now,
+                        shard=self.name, bid=bid,
+                    )
                 with use_backend(req0.backend):
                     outcome = solve_batch(
-                        factor, [it.request for it in batch], emit=emit,
+                        factor, [it.request for it in batch],
                         tol_scale=tol_scale,
                     )
             except SolverBreakdown as exc:
@@ -349,6 +334,11 @@ class SolverService:
                           reason=getattr(exc, "reason", "breakdown"))
                 obs_add("serve.breakdowns", 1)
                 return self._handle_breakdown(batch)
+            self.recorder.emit(
+                "solve_exec", rid0, tick=self.clock.now,
+                shard=self.name, bid=bid, columns=len(batch),
+                matvecs=outcome.matvecs, pde=factor.kind,
+            )
             self.clock.advance(cost_solve(
                 entry.mesh.n_nodes, outcome.matvecs, len(batch)
             ))
@@ -357,8 +347,7 @@ class SolverService:
             self.batches += 1
             self.batched_requests += len(batch)
             for j, it in enumerate(batch):
-                if (self.completion_guard is not None
-                        and not self.completion_guard(it, "solve")):
+                if not self.completion_guard(it, "solve"):
                     continue  # a copy already won the hedge race
                 reason = outcome.reasons[j]
                 status = "ok" if reason in ("converged", "direct") else "failed"
@@ -381,8 +370,7 @@ class SolverService:
         """One typed ``failed`` response per batch member."""
         out = []
         for it in batch:
-            if (self.completion_guard is not None
-                    and not self.completion_guard(it, "failed")):
+            if not self.completion_guard(it, "failed"):
                 continue
             out.append(self._finalize(SolveResponse(
                 request_digest=it.digest, status="failed",
@@ -401,8 +389,7 @@ class SolverService:
             if it.retries >= self.scheduler.max_retries:
                 out.extend(self._fail_batch([it], "retries_exhausted"))
             else:
-                if (self.completion_guard is not None
-                        and not self.completion_guard(it, "retry")):
+                if not self.completion_guard(it, "retry"):
                     continue  # instance already completed elsewhere
                 self.scheduler.requeue(it, self.clock)
                 obs_add("serve.retries", 1)
@@ -413,14 +400,13 @@ class SolverService:
 
     def _finalize(self, resp: SolveResponse,
                   bid: str = "") -> SolveResponse:
-        if self.recorder is not None:
-            self.recorder.emit(
-                "complete", resp.request_digest, tick=resp.t_done,
-                shard=self.name, status=resp.status, reason=resp.reason,
-                t_submit=resp.t_submit, retries=resp.retries,
-                pde=resp.pde, batch_size=resp.batch_size, bid=bid,
-                degraded=resp.degraded,
-            )
+        self.recorder.emit(
+            "complete", resp.request_digest, tick=resp.t_done,
+            shard=self.name, status=resp.status, reason=resp.reason,
+            t_submit=resp.t_submit, retries=resp.retries,
+            pde=resp.pde, batch_size=resp.batch_size, bid=bid,
+            degraded=resp.degraded,
+        )
         self.responses.append(resp)
         self._stream.update(resp.digest.encode())
         self._status_counts[resp.status] = (
@@ -432,8 +418,7 @@ class SolverService:
             rsp.add("latency_ticks", resp.latency)
         obs_add("serve.requests", 1, status=resp.status)
         obs_observe("serve.latency_ticks", resp.latency)
-        if self.on_response is not None:
-            self.on_response(resp)
+        self.on_response(resp)
         return resp
 
     @property

@@ -72,6 +72,23 @@ def test_affected_shards_and_describe():
     assert len(s.describe()) == 5
 
 
+def test_fault_naming_an_unknown_shard_is_refused():
+    # at construction: a slow/stall/corruption on a shard the fleet does
+    # not have would be accepted and silently never fire
+    for sched in (ChaosSchedule().slow("shard9", 0, 10),
+                  ChaosSchedule().stall("shard0", 0, 10).corrupt_cache("nope", 1),
+                  ChaosSchedule().crash(5, "shard2")):
+        with pytest.raises(ValueError, match="unknown shard '(shard9|nope|shard2)'"):
+            FleetService(2, chaos=sched)
+    # at run(): a crash added to the schedule after construction
+    sched = ChaosSchedule()
+    fleet = FleetService(2, chaos=sched)
+    sched.crash(5, "shard7")
+    with pytest.raises(ValueError, match="'shard7'"):
+        fleet.run(synthetic_workload(6, seed=1))
+    assert fleet.responses == [] and fleet._instances == []
+
+
 # -- invariants ----------------------------------------------------------
 
 

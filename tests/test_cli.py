@@ -194,3 +194,10 @@ def test_fleet_health_cli_outputs_and_strict(capsys, tmp_path):
 
     with pytest.raises(SystemExit, match="STAGE=TICKS"):
         main(["fleet-health", str(ev), "--stage-p95", "solve"])
+
+
+def test_fleet_demo_kill_wants_an_integer_tick():
+    for bad in ("abc:shard0", "2000", ":shard0"):
+        with pytest.raises(SystemExit, match="--kill wants TICK:SHARD_ID"):
+            main(["fleet-demo", "--shards", "2", "--requests", "4",
+                  "--kill", bad])

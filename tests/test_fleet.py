@@ -16,6 +16,7 @@ from repro.fleet import (
     rebuild_queue,
     synthetic_workload,
 )
+from repro.obs import EventLog
 from repro.resilience.checkpoint import (
     CheckpointCorruption,
     load_state_checkpoint,
@@ -263,6 +264,17 @@ def test_stealing_fires_and_improves_makespan():
 
 
 # -- fail-over -----------------------------------------------------------
+
+
+def test_kill_naming_an_unknown_shard_is_refused_before_any_delivery():
+    log = EventLog()
+    fleet = _fleet(2, recorder=log)
+    with pytest.raises(ValueError, match="'shard9'"):
+        fleet.run(_busy_workload(8), kill=(1500, "shard9"))
+    assert fleet.responses == [] and len(log) == 0
+    assert fleet._instances == []
+    assert all(not lg.arrivals for lg in fleet.logs.values())
+    assert all(sh.scheduler.depth == 0 for sh in fleet.shards.values())
 
 
 def test_post_arrival_kill_recovers_bit_identically(tmp_path):

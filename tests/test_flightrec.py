@@ -398,3 +398,169 @@ def test_events_to_chrome_one_track_per_shard():
         assert x["dur"] == sum(x["args"]["stages"].values())
     # pids are densely numbered in first-seen order
     assert {e["pid"] for e in meta} == set(range(1, len(meta) + 1))
+
+
+# -- the specification, pinned ------------------------------------------
+#
+# (len(log), event digest, stream digest, fleet digest) of five recorded
+# runs, computed at PR 14 and committed as literals: between them the
+# streams reach every emission site in serve/ and fleet/, so an event
+# that moves, disappears or changes an attribute changes a literal.
+
+
+def _pin_serve():
+    svc, rec = _served(30)
+    return rec, svc.stream_digest, None
+
+
+def _pin_fleet_kill():
+    rec = EventLog()
+    fleet = demo_fleet(4, seed=0, n_requests=40, kill=(2500, "shard0"),
+                       recorder=rec)
+    return rec, fleet.stream_digest, fleet.fleet_digest
+
+
+def _pin_chaos_demo():
+    """The ``chaos-demo --seed 0`` configuration."""
+    from repro.chaos import ChaosSchedule
+    from repro.fleet.defense import BreakerPolicy, HedgePolicy
+    from repro.serve.scheduler import BrownoutPolicy
+
+    rec = EventLog()
+    sched = ChaosSchedule.random(
+        0, [f"shard{i}" for i in range(4)], 8000, n_slow=1, n_stall=1,
+        n_crash=1, n_corrupt=1, n_handoff=2, slow_factor=10,
+    )
+    fleet = FleetService(
+        4, cache_bytes=8 << 20, steal_threshold=4, steal_latency=100,
+        recorder=rec, chaos=sched, hedge=HedgePolicy(),
+        breaker=BreakerPolicy(), brownout=BrownoutPolicy(),
+    )
+    fleet.run(synthetic_workload(40, seed=0))
+    return rec, fleet.stream_digest, fleet.fleet_digest
+
+
+def _pin_defended():
+    """A straggler shard, a flood, four carved-away meshes and a late
+    calm tail: hedges race, brownout sheds and degrades, one breaker
+    opens, half-opens and closes."""
+    from repro.chaos import ChaosSchedule
+    from repro.fleet import Arrival
+    from repro.fleet.defense import BreakerPolicy, HedgePolicy
+    from repro.serve.scheduler import BrownoutPolicy
+
+    carved = {"shape": "sphere", "center": (0.5, 0.5), "radius": 2.0}
+    work = synthetic_workload(48, seed=9, mean_gap=2, burst_gap=1)
+    work += [Arrival(k, SolveRequest(geometry=carved, f=1.0 + k))
+             for k in range(4)]
+    work += [Arrival(60_000 + a.tick, a.request)
+             for a in synthetic_workload(12, seed=4)]
+    rec = EventLog()
+    fleet = FleetService(
+        4, cache_bytes=8 << 20, stealing=False, recorder=rec,
+        chaos=ChaosSchedule().slow("shard0", 0, 10_000_000, 50),
+        hedge=HedgePolicy(initial_delay=3000, min_delay=1000,
+                          min_samples=10**9, transfer_latency=100),
+        breaker=BreakerPolicy(window=8, failure_threshold=0.5,
+                              min_samples=4, cooldown=1000),
+        brownout=BrownoutPolicy(shed_depth=6, pressure_depth=3,
+                                degrade_depth=4),
+    )
+    fleet.run(work)
+    return rec, fleet.stream_digest, fleet.fleet_digest
+
+
+def _pin_faulty_serve():
+    """One request breaks down once and recovers, one until its retry
+    budget is spent, one misses its deadline, one finds the queue full."""
+    from repro.resilience.faults import SolverBreakdown
+
+    def injector(request, retries):
+        if request.f == 2.0 or retries == 0:
+            raise SolverBreakdown("injected", "breakdown", "pinned fault")
+
+    rec = EventLog()
+    svc = SolverService(fault_injector=injector, backoff=500, max_pending=3,
+                        max_batch=1, recorder=rec)
+    for req in (_req(f=1.0), _req(f=2.0),
+                _req(f=3.0, priority=5, deadline=10), _req(f=4.0)):
+        svc.submit(req)
+    svc.drain()
+    assert sorted((r.status, r.reason) for r in svc.responses) == [
+        ("failed", "retries_exhausted"), ("ok", "converged"),
+        ("rejected", "deadline_exceeded"), ("rejected", "queue_full"),
+    ]
+    return rec, svc.stream_digest, None
+
+
+PINNED_STREAMS = {
+    _pin_serve: (
+        199,
+        "f48bd681c6199c4f7d6bbf8e3868cf36c68bfb5a0f1b47b914690c0cd5f1c51a",
+        "cd570087cdd343cc216c930033cab707313ea125459f85081002ce462cec2999",
+        None,
+    ),
+    _pin_fleet_kill: (
+        369,
+        "a60522973186708885f530e3b4b7fbf6e1e475aa8c8d3bf23bdb11830f21080a",
+        "e35c387b539595aa2ebdcbc58e4fdfe03094e9bab3b2a6589271edaca5922dd1",
+        "90af7e203e8c5ce07e00996a546fb04178480c970708fb913e5ce81bb420d7d7",
+    ),
+    _pin_chaos_demo: (
+        391,
+        "002b193d66361e746e1db603e75d6e0af5be011a6e303b96320e8520bc8481b9",
+        "1b91c709eb75c7b617a19353d194b3bb8d1db8e04b6ac98e4ab6a5f8e17b8154",
+        "33e3cbc7feee734b69392faf8f2d25086ef623224a5412d880c8ecd11fdfbf82",
+    ),
+    _pin_defended: (
+        626,
+        "7f56df26f5207c03b49126b184e3020c4999847a3e9bb837aaba63047132d0a1",
+        "ff5fe9acd5f2cab748cc2753599efe848905d3bb7eb6745f5eff90b7d2747e1a",
+        "72959e88bf040f7e2e99e57aa8711df08c764bf2f20cb04065750dac53407fa8",
+    ),
+    _pin_faulty_serve: (
+        33,
+        "a988b2e9cac9c8566c8f9f90692344e496c6b9be1cf6b0d501a693de07ea5601",
+        "90f9e7d942de1bfa4b6d450d243d496fcf1dba3efa14bb254c23c26ce375a6ad",
+        None,
+    ),
+}
+
+
+def test_event_streams_match_the_pinned_specification():
+    seen = set()
+    for run, pinned in PINNED_STREAMS.items():
+        rec, stream_digest, fleet_digest = run()
+        got = (len(rec), rec.digest, stream_digest, fleet_digest)
+        assert got == pinned, run.__name__
+        seen.update(rec.kinds())
+    # no kind is exempt: every emission site is under a pinned digest
+    assert seen == set(EVENT_KINDS)
+
+
+def test_recorder_default_is_a_disabled_log_and_a_fresh_log_records():
+    # a fresh EventLog has len 0 and is therefore falsy: it must still
+    # be taken as the recorder, not mistaken for "no recorder"
+    fresh = EventLog()
+    assert not fresh
+    svc = SolverService(recorder=fresh)
+    assert svc.recorder is fresh and svc.scheduler.recorder is fresh
+    svc.submit(_req())
+    svc.drain()
+    assert len(fresh) > 0
+    fleet_log = EventLog()
+    fleet = FleetService(2, recorder=fleet_log)
+    assert all(sh.recorder is fleet_log for sh in fleet.shards.values())
+    # recorder=None is a disabled log: emission is unconditional, and
+    # nothing is ever recorded
+    bare = SolverService()
+    assert isinstance(bare.recorder, EventLog) and not bare.recorder.enabled
+    assert bare.scheduler.recorder is bare.recorder
+    bare.submit(_req())
+    bare.drain()
+    assert len(bare.recorder) == 0
+    bare_fleet = FleetService(2)
+    bare_fleet.run(synthetic_workload(6, seed=1))
+    assert len(bare_fleet.recorder) == 0
+    assert all(sh.recorder is bare_fleet.recorder
+               for sh in bare_fleet.shards.values())

@@ -94,6 +94,31 @@ def test_corrupt_buffer_deterministic_single_bit_flip():
     assert not np.array_equal(a, other)
 
 
+def test_corrupt_buffer_is_a_copy_then_the_in_place_flip():
+    from repro.resilience.faults import corrupt_in_place
+
+    # values pinned at PR 14, when the two helpers each had the draw
+    f64 = np.arange(8, dtype=np.float64)
+    out = corrupt_buffer(f64, (0, 1, 2, 3))
+    assert out.tolist() == [0.0, 1.0, 2.0, 3.0, 4.015625, 5.0, 6.0, 7.0]
+    assert f64.tolist() == list(range(8))  # the input is untouched
+    twin = f64.copy()
+    assert corrupt_in_place(twin, (0, 1, 2, 3)) == (37, 4)
+    assert twin.tobytes() == out.tobytes()
+
+    i32 = np.arange(12, dtype=np.int32).reshape(3, 4)
+    out = corrupt_buffer(i32, (7, 5))
+    assert out.shape == (3, 4) and out.dtype == np.int32
+    assert out.ravel().tolist() == [0, 1, 2, 3, 4, 5, 65542, 7, 8, 9, 10, 11]
+    assert i32.ravel().tolist() == list(range(12))
+    assert corrupt_in_place(i32.copy(), (7, 5)) == (26, 0)
+
+    assert corrupt_buffer(np.float64(3.0), (1, 2)) == 3.00390625  # 0-d
+    empty = np.zeros(0)
+    assert corrupt_buffer(empty, (1,)).shape == (0,)
+    assert corrupt_in_place(empty, (1,)) == (0, 0)
+
+
 def test_crash_fires_at_exact_op_and_poisons_comm():
     comm = SimComm(3)
     comm.install_faults(FaultSchedule(seed=0).crash_rank(1, at_op=1))
