@@ -68,13 +68,16 @@ def test_fig12_roofline(benchmark):
           f"peak = {ceil['peak_flops'] / 1e9:.0f} GFLOP/s, "
           f"ridge AI = {ceil['ridge_ai']:.2f}")
     t.row(f"{'mesh':>8} {'p':>3} {'AI (model)':>11} {'bw-bound GF/s':>14} "
-          f"{'paper-model GF/s':>17} {'our numpy GF/s':>15}")
+          f"{'paper-model GF/s':>17} {'our numpy GF/s':>15} "
+          f"{'compiled GF/s':>14} {'AI map|compiled':>16}")
     by_p = {1: [], 2: []}
     for name, pt in points:
         t.row(f"{name:>8} {pt.p:>3} {pt.arithmetic_intensity:>11.3f} "
               f"{pt.bandwidth_bound_gflops / 1e9:>14.2f} "
               f"{pt.model_gflops / 1e9:>17.1f} "
-              f"{pt.measured_gflops / 1e9:>15.2f}")
+              f"{pt.measured_gflops / 1e9:>15.2f} "
+              f"{pt.compiled_gflops / 1e9:>14.2f} "
+              f"{pt.map_executed_ai:>8.3f}|{pt.compiled_executed_ai:<7.3f}")
         by_p[pt.p].append(pt)
     t.row("paper: AI 0.072 (linear) / 0.121 (quadratic); achieved "
           "~4 / ~7 GFLOP/s — memory bound")

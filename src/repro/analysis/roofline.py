@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.matvec import MapBasedMatVec
+from ..core.matvec import MapBasedMatVec, TraversalMatVec
 from ..core.mesh import IncompleteMesh
 from ..parallel.perfmodel import FRONTERA, MachineModel
 
@@ -46,9 +46,12 @@ class RooflinePoint:
     p: int
     arithmetic_intensity: float   # FLOP / byte (tensorised model)
     dense_ai: float               # FLOP / byte of our numpy kernel
-    measured_gflops: float        # our achieved rate
+    measured_gflops: float        # achieved rate of the map-based ablation
     model_gflops: float           # paper-calibrated machine-model rate
     bandwidth_bound_gflops: float  # AI × model bandwidth ceiling
+    compiled_gflops: float        # achieved rate of the compiled operator
+    map_executed_ai: float        # flops() / traffic_bytes(), map-based
+    compiled_executed_ai: float   # flops() / traffic_bytes(), compiled
 
 
 def _model_bytes_per_element(
@@ -90,13 +93,16 @@ def analyze_kernel(
 
     p, dim = mesh.p, mesh.dim
     mv = MapBasedMatVec(mesh)
+    compiled = TraversalMatVec(mesh)
     u = np.linspace(0.0, 1.0, mesh.n_nodes)
+    seconds = {}
     with use_backend(backend):
-        mv(u)  # warm up
-        t0 = time.perf_counter()
-        for _ in range(repeats):
-            mv(u)
-        dt = (time.perf_counter() - t0) / repeats
+        for name, op in (("map", mv), ("compiled", compiled)):
+            op(u)  # warm up
+            t0 = time.perf_counter()
+            for _ in range(repeats):
+                op(u)
+            seconds[name] = (time.perf_counter() - t0) / repeats
     dense_flops = mv.flops()
     tens_flops = tensorised_apply_flops(p, dim) * mesh.n_elem
     depth = float(mesh.leaves.levels.mean())
@@ -108,9 +114,12 @@ def analyze_kernel(
         p=p,
         arithmetic_intensity=float(ai),
         dense_ai=float(dense_ai),
-        measured_gflops=dense_flops / dt,
+        measured_gflops=dense_flops / seconds["map"],
         model_gflops=machine.kernel_rate(p),
         bandwidth_bound_gflops=float(ai * machine.mem_bw),
+        compiled_gflops=compiled.flops() / seconds["compiled"],
+        map_executed_ai=mv.flops() / mv.traffic_bytes(),
+        compiled_executed_ai=compiled.flops() / compiled.traffic_bytes(),
     )
 
 

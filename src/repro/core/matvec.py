@@ -1,34 +1,22 @@
 """Matrix-free MATVEC on incomplete octrees (§3.5).
 
-Two implementations, verified against each other:
+* :func:`traversal_matvec` / :class:`TraversalMatVec` — the paper's
+  traversal as one compiled program per plan
+  (:class:`repro.core.plan.ApplyProgram`, which documents the layout),
+  the operator every single-process matrix-free solve applies.  With
+  tracing on (see :mod:`repro.obs`) the merge spans ``matvec.top_down``
+  / ``matvec.leaf`` / ``matvec.bottom_up`` hold the phase breakdown of
+  the scaling figures.
+* :class:`MapBasedMatVec` — the element-to-node-map approach the paper
+  argues against (sparse gather of every slot, batched kernel, scale
+  pass, sparse scatter): the ablation column of
+  ``benchmarks/bench_ablation_matvec.py`` and a test reference; no
+  solver path constructs it.
+* the literal recursive walk is the test oracle in
+  :mod:`repro.core.traversal_reference`.
 
-* :class:`MapBasedMatVec` — the conventional element-to-node-map
-  approach the paper argues against: gather local vectors through the
-  (sparse) element-to-node interpolation map, apply batched elemental
-  kernels, scatter-add back.  It is the operator the solvers use.
-
-* :func:`traversal_matvec` — the paper's traversal-based algorithm:
-  a top-down pass delivers nodal values to the leaves (duplicating
-  nodes incident on several of them) until each leaf holds its
-  elemental nodes contiguously, hanging slots interpolated from their
-  coarser-level donors; after the elemental apply, a bottom-up pass
-  accumulates duplicated node instances back to a single value.  Every
-  value the top-down pass hands down is an unchanged copy of a global
-  nodal value, so the tree walk is a flat expression over the plan's
-  slot table, and that is what runs, in every backend: one index
-  gather, one dense apply and one accumulation per refinement level
-  over tables compiled once per plan
-  (:meth:`repro.core.plan.TraversalPlan.apply_tables`), plus one block
-  for the elements with hanging slots.  When tracing is on (see
-  :mod:`repro.obs`), merge spans ``matvec.top_down`` / ``matvec.leaf``
-  / ``matvec.bottom_up`` accumulate the phase breakdown used in the
-  scaling figures.  The literal recursive walk is kept as the test
-  oracle in :mod:`repro.core.traversal_reference`.
-
-Both obtain their per-mesh artifacts — gather/scatter CSR, element
-sizes, the flattened traversal slot table — from the shared
-:class:`repro.core.plan.OperatorContext`, so repeated operator
-construction on the same mesh re-derives nothing.
+All take their per-mesh artifacts from the shared
+:class:`repro.core.plan.OperatorContext`.
 """
 
 from __future__ import annotations
@@ -40,7 +28,7 @@ from ..obs import span
 from .mesh import IncompleteMesh
 from .plan import OperatorContext, TraversalPlan, operator_context
 
-__all__ = ["MapBasedMatVec", "traversal_matvec", "TraversalPlan"]
+__all__ = ["MapBasedMatVec", "TraversalMatVec", "traversal_matvec", "TraversalPlan"]
 
 
 class MapBasedMatVec:
@@ -65,17 +53,13 @@ class MapBasedMatVec:
         if callable(kind):
             self._apply_loc = kind
         elif kind == "stiffness":
-            self._apply_loc = lambda u, h: self.ref.apply_stiffness(u, h)
+            self._apply_loc = self.ref.apply_stiffness
         elif kind == "mass":
-            self._apply_loc = lambda u, h: self.ref.apply_mass(u, h)
+            self._apply_loc = self.ref.apply_mass
         else:
             raise ValueError(f"unknown kind {kind!r}")
         self._gather = self.ctx.gather
         self._scatter = self.ctx.scatter
-        # FLOPs of the path as executed: CSR gather (2·nnz) + batched
-        # dense elemental apply + CSR scatter (2·nnz) — not the
-        # historical per-element-only count, so roofline attribution
-        # matches the identity-block batched code that actually runs
         self._flops = (
             4 * self._gather.nnz
             + mesh.n_elem * self.ref.matvec_flops_per_element()
@@ -97,10 +81,6 @@ class MapBasedMatVec:
     def shape(self):
         n = self.mesh.n_nodes
         return (n, n)
-
-    @property
-    def dtype(self):
-        return np.float64
 
     def flops(self) -> int:
         """Double-precision FLOPs of one full MATVEC as executed:
@@ -150,3 +130,50 @@ def traversal_matvec(
     return kernels.traversal_apply(
         plan, np.asarray(u, float), ker, pw, e_lo, e_hi
     )
+
+
+class TraversalMatVec:
+    """The compiled traversal MATVEC as a linear operator.
+
+    ``free`` (a boolean node mask) makes it the Dirichlet-constrained
+    operator of a nodal solve: identity rows and columns on the other
+    nodes, so a Krylov method iterates on the full vector while the
+    constrained entries stay put.
+    """
+
+    def __init__(
+        self,
+        mesh: IncompleteMesh,
+        kind: str = "stiffness",
+        plan: TraversalPlan | None = None,
+        free: np.ndarray | None = None,
+    ):
+        self.mesh = mesh
+        self.kind = kind
+        self.plan = plan if plan is not None else operator_context(mesh).traversal
+        self.pw = self.plan.kernel(kind)[1]  # an unknown kind fails here
+        self.free = free
+        self._fixed = None if free is None else np.flatnonzero(~free)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if self._fixed is None:
+            return traversal_matvec(self.mesh, u, self.kind, plan=self.plan)
+        v = np.array(u, float)
+        v[self._fixed] = 0.0
+        w = traversal_matvec(self.mesh, v, self.kind, plan=self.plan)
+        w[self._fixed] = u[self._fixed]
+        return w
+
+    def _cost(self) -> tuple[int, int]:
+        return kernels.traversal_cost(
+            self.plan.apply_tables(), self.pw, self.mesh.n_nodes
+        )
+
+    def flops(self) -> int:
+        """FLOPs of one unconstrained apply as executed
+        (:func:`repro.kernels.api.traversal_cost`: no scale pass)."""
+        return self._cost()[0]
+
+    def traffic_bytes(self) -> int:
+        """Modelled bytes moved by one unconstrained apply as executed."""
+        return self._cost()[1]

@@ -3,7 +3,7 @@
 The paper's carved incomplete octrees make the *operator* cheap enough
 to rebuild and apply at scale — but only if the per-mesh artifacts the
 operator needs (gather/scatter CSR, element sizes, reference-element
-handles, traversal slot tables, level-grouped element batches) are
+handles, traversal slot tables, the compiled apply program) are
 derived **once** per mesh rather than once per consumer or, worse, once
 per apply.  This module is the single mesh ↔ operator contract shared
 by every discretization in the stack:
@@ -18,9 +18,8 @@ by every discretization in the stack:
   table (``slot_ptr`` / ``slot_idx`` / ``slot_gid`` / ``slot_w`` arrays
   instead of per-element Python lists), the ``identity_elem`` mask of
   non-hanging elements, the SFC key/level arrays, and — compiled on
-  first use, once per plan — the per-level batches and hanging-element
-  block one §3.5 traversal MATVEC executes
-  (:meth:`TraversalPlan.apply_tables`).
+  first use, once per plan — the one :class:`ApplyProgram` every §3.5
+  traversal MATVEC executes (:meth:`TraversalPlan.apply_tables`).
 
 Consumers (:class:`repro.core.matvec.MapBasedMatVec`,
 :func:`repro.core.matvec.traversal_matvec`,
@@ -130,21 +129,6 @@ class PlanDelta:
         )
         return out
 
-    def new_to_old(self, idx: np.ndarray) -> np.ndarray:
-        """Map new element indices to old ones (``-1`` for changed)."""
-        idx = np.asarray(idx, np.int64)
-        shift = self.n_new - self.n_old
-        out = np.where(idx < self.prefix, idx, idx - shift)
-        out = np.where(
-            (idx >= self.prefix) & (idx < self.n_new - self.suffix), -1, out
-        )
-        return out
-
-    def unchanged_new_mask(self) -> np.ndarray:
-        mask = np.ones(self.n_new, bool)
-        mask[self.prefix : self.n_new - self.suffix] = False
-        return mask
-
 
 def diff_leaves(
     old_leaves: OctantSet, new_leaves: OctantSet, curve: str = "morton"
@@ -176,65 +160,69 @@ def diff_leaves(
 
 
 @dataclass(frozen=True)
-class LevelBatch:
-    """Identity (non-hanging) elements of one refinement level.
-
-    Their gather is the pure index read ``u[gid]`` and, the level being
-    uniform, their ``h**pw`` scale is one number — kept as a length-1
-    array so it broadcasts through ``elem_apply``'s per-element scale.
-    """
+class IdentityBlock:
+    """The non-hanging elements, every refinement level at once: their
+    top-down pass is the pure index read ``u[gid]``."""
 
     elems: np.ndarray  #: (n,) element ids, ascending
     gid: np.ndarray  #: (n, npe) global node id of every slot
-    h: np.ndarray  #: (1,) element side length
 
     def gather(self, u: np.ndarray) -> np.ndarray:
         """Element-local values ``(n, npe)`` of the nodal vector ``u``."""
         return u[self.gid]
 
-    def scatter(self, w_loc: np.ndarray, n_nodes: int) -> np.ndarray:
-        """Element-local values accumulated onto the global nodes."""
-        return np.bincount(
-            self.gid.ravel(), weights=w_loc.ravel(), minlength=n_nodes
-        )
-
-    def restrict(self, e_lo: int, e_hi: int) -> LevelBatch:
-        a, b = np.searchsorted(self.elems, (e_lo, e_hi))
-        return LevelBatch(self.elems[a:b], self.gid[a:b], self.h)
-
 
 @dataclass(frozen=True)
 class HangingBlock:
-    """All elements with hanging slots, as one CSR block of
-    (local slot, global donor, weight) triples; same interface as
-    :class:`LevelBatch`, with the donor interpolation in both legs."""
+    """The elements with hanging slots: their top-down pass is one CSR
+    product interpolating every slot row from its donors."""
 
     elems: np.ndarray  #: (m,) element ids, ascending
-    loc: np.ndarray  #: ``row * npe + slot`` of every triple, ascending
-    gid: np.ndarray  #: global donor node id of every triple
-    w: np.ndarray  #: interpolation weight of every triple
-    h: np.ndarray  #: (m,) element side lengths
-    npe: int
+    interp: sp.csr_matrix  #: (m * npe, n_nodes) slot rows, donors weighted
 
     def gather(self, u: np.ndarray) -> np.ndarray:
-        m = len(self.elems)
-        return np.bincount(
-            self.loc, weights=self.w * u[self.gid], minlength=m * self.npe
-        ).reshape(m, self.npe)
+        return (self.interp @ u).reshape(len(self.elems), -1)
 
-    def scatter(self, w_loc: np.ndarray, n_nodes: int) -> np.ndarray:
-        return np.bincount(
-            self.gid, weights=self.w * w_loc.ravel()[self.loc],
-            minlength=n_nodes,
-        )
 
-    def restrict(self, e_lo: int, e_hi: int) -> HangingBlock:
-        a, b = np.searchsorted(self.elems, (e_lo, e_hi))
-        s, t = np.searchsorted(self.loc, (a * self.npe, b * self.npe))
-        return HangingBlock(
-            self.elems[a:b], self.loc[s:t] - a * self.npe,
-            self.gid[s:t], self.w[s:t], self.h[a:b], self.npe,
+class ApplyProgram:
+    """One compiled §3.5 apply over the elements ``[e_lo, e_hi)`` of a plan.
+
+    Leaf rows are in *program order* — identity elements, then hanging
+    ones; iterating yields the non-empty blocks in that order.  Top-down
+    is one index read plus one CSR product over the hanging rows only;
+    bottom-up is **one** CSR product (:meth:`scatter`) whose weights
+    already carry ``h**pw`` — exact for the power-of-two sizes of an
+    octree, within 1 ulp otherwise — so no apply pays a scale pass.
+    """
+
+    def __init__(self, plan: TraversalPlan, e_lo: int, e_hi: int):
+        self.npe = npe = plan.mesh.npe
+        elems = np.arange(e_lo, e_hi)
+        ident = plan.identity_elem[elems]
+        id_el, hg_el = elems[ident], elems[~ident]
+        order = np.concatenate([id_el, hg_el])
+        self.n_elem = len(order)  #: leaf rows
+        slots = np.arange(npe)
+        # the element-to-node interpolation, slot rows in program order
+        self._gather = plan.gather[(order[:, None] * npe + slots).ravel()]
+        self._h = plan.h[order]
+        self._scatter: dict[int, sp.csr_matrix] = {}
+        self.identity = IdentityBlock(
+            id_el, plan.slot_gid[plan.slot_ptr[id_el][:, None] + slots]
         )
+        self.hanging = HangingBlock(hg_el, self._gather[len(id_el) * npe :])
+
+    def __iter__(self):
+        return (b for b in (self.identity, self.hanging) if len(b.elems))
+
+    def scatter(self, pw: int) -> sp.csr_matrix:
+        """``(n_nodes, n_elem * npe)`` bottom-up accumulation, column
+        ``c`` = slot ``c % npe`` of leaf row ``c // npe``, ``h**pw``
+        folded into the weights; built once per exponent."""
+        if pw not in self._scatter:
+            scale = sp.diags(np.repeat(self._h**pw, self.npe))
+            self._scatter[pw] = (scale @ self._gather).T.tocsr()
+        return self._scatter[pw]
 
 
 class TraversalPlan:
@@ -254,11 +242,10 @@ class TraversalPlan:
         ``(n_elem,)`` bool; True where the element's rows are the pure
         identity (no hanging slots).
 
-    :meth:`apply_tables` compiles these, once per plan, into the index
-    tables one traversal apply executes: a :class:`LevelBatch` per
-    refinement level plus, where there are any, one :class:`HangingBlock`.  The plan belongs
-    to the :class:`OperatorContext` that built it, so the tables are
-    dropped and rebuilt exactly when the context is.
+    :meth:`apply_tables` compiles these, once per plan, into the
+    :class:`ApplyProgram` every traversal apply executes.  The plan
+    belongs to the :class:`OperatorContext` that built it, so the
+    program is dropped and rebuilt exactly when the context is.
     """
 
     def __init__(self, mesh: IncompleteMesh, ctx: OperatorContext | None = None):
@@ -266,7 +253,8 @@ class TraversalPlan:
         #: the mesh's reference element, so an apply on an explicit
         #: plan needs no operator-context lookup (and no re-hash)
         self.ref = reference_element(mesh.p, mesh.dim)
-        g = ctx.gather if ctx is not None else mesh.nodes.gather.tocsr()
+        #: element-to-node interpolation, CSR
+        self.gather = g = ctx.gather if ctx is not None else mesh.nodes.gather.tocsr()
         npe = mesh.npe
         n_elem = mesh.n_elem
         indptr, indices, data = g.indptr, g.indices, g.data
@@ -289,7 +277,13 @@ class TraversalPlan:
         self.levels = mesh.leaves.levels.astype(np.int64)
         self.h = ctx.h if ctx is not None else mesh.element_sizes()
         self.oracle = oracle
-        self._tables: list[LevelBatch | HangingBlock] | None = None
+        # Fortran order: the leaf apply multiplies by the transpose, and
+        # a contiguous right operand is 2.5x faster through matmul
+        self._kernels = {
+            "stiffness": (np.asfortranarray(self.ref.K_ref), mesh.dim - 2),
+            "mass": (np.asfortranarray(self.ref.M_ref), mesh.dim),
+        }
+        self._program: ApplyProgram | None = None
 
     def rows(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(slot, gid, weight) triples of element ``e``."""
@@ -299,54 +293,25 @@ class TraversalPlan:
     def kernel(self, kind: str) -> tuple[np.ndarray, int]:
         """Reference elemental matrix and ``h`` exponent of a scalar
         term (``"stiffness"`` or ``"mass"``)."""
-        if kind == "stiffness":
-            return self.ref.K_ref, self.mesh.dim - 2
-        if kind == "mass":
-            return self.ref.M_ref, self.mesh.dim
-        raise ValueError(f"unknown kind {kind!r}")
+        try:
+            return self._kernels[kind]
+        except KeyError:
+            raise ValueError(f"unknown kind {kind!r}") from None
 
-    def apply_tables(
-        self, e_lo: int = 0, e_hi: int | None = None
-    ) -> list[LevelBatch | HangingBlock]:
-        """Compiled index tables of the elements ``[e_lo, e_hi)``.
+    def apply_tables(self, e_lo: int = 0, e_hi: int | None = None) -> ApplyProgram:
+        """The compiled apply program of the elements ``[e_lo, e_hi)``.
 
-        Built on first use and kept for the life of the plan; a proper
-        sub-range (the distributed-memory ``owned_range``) restricts
-        every table to its elements in range, empty ones dropped.
+        The whole-mesh program is built on first use and kept for the
+        life of the plan; a proper sub-range (the distributed-memory
+        ``owned_range``) compiles its own program per call.
         """
-        if self._tables is None:
-            self._tables = self._compile()
-        if e_lo <= 0 and (e_hi is None or e_hi >= self.mesh.n_elem):
-            return self._tables
-        tables = [t.restrict(e_lo, e_hi) for t in self._tables]
-        return [t for t in tables if len(t.elems)]
-
-    def _compile(self) -> list[LevelBatch | HangingBlock]:
-        npe = self.mesh.npe
-        slots = np.arange(npe, dtype=np.int64)
-        ident = np.flatnonzero(self.identity_elem)
-        lv = self.levels[ident]
-        tables: list[LevelBatch | HangingBlock] = []
-        for level in np.unique(lv):
-            elems = ident[lv == level]
-            tables.append(LevelBatch(
-                elems,
-                self.slot_gid[self.slot_ptr[elems][:, None] + slots],
-                self.h[elems[:1]],
-            ))
-        hanging = ~self.identity_elem
-        if hanging.any():
-            elem_of = np.repeat(  # owning element of every slot triple
-                np.arange(len(hanging), dtype=np.int64), np.diff(self.slot_ptr)
-            )
-            flat = np.flatnonzero(hanging[elem_of])
-            row = np.cumsum(hanging)[elem_of[flat]] - 1
-            elems = np.flatnonzero(hanging)
-            tables.append(HangingBlock(
-                elems, row * npe + self.slot_idx[flat],
-                self.slot_gid[flat], self.slot_w[flat], self.h[elems], npe,
-            ))
-        return tables
+        n_elem = self.mesh.n_elem
+        e_lo, e_hi = max(e_lo, 0), n_elem if e_hi is None else min(e_hi, n_elem)
+        if e_lo > 0 or e_hi < n_elem:
+            return ApplyProgram(self, e_lo, e_hi)
+        if self._program is None:
+            self._program = ApplyProgram(self, 0, n_elem)
+        return self._program
 
 
 class OperatorContext:
@@ -354,8 +319,9 @@ class OperatorContext:
 
     Eagerly holds the cheap, universally needed pieces (gather CSR,
     element sizes, levels); derives the rest lazily on first use
-    (scatter CSR, traversal plan, level batches, multi-field gathers)
-    and keeps them for the lifetime of the mesh.
+    (scatter CSR, traversal plan, multi-field gathers, the solve
+    tables: unit load, Jacobi diagonal) and keeps them for the lifetime
+    of the mesh.
     """
 
     def __init__(self, mesh: IncompleteMesh, fingerprint: str | None = None):
@@ -376,8 +342,8 @@ class OperatorContext:
         self.levels: np.ndarray = mesh.leaves.levels.astype(np.int64)
         self._scatter: sp.csr_matrix | None = None
         self._traversal: TraversalPlan | None = None
-        self._level_batches: list[tuple[int, np.ndarray]] | None = None
         self._big_gathers: dict[int, sp.csr_matrix] = {}
+        self._solve_tables: dict[tuple, np.ndarray] = {}
 
     # -- quadrature / reference-element handles -------------------------
 
@@ -403,22 +369,40 @@ class OperatorContext:
                 sp_.add("elements", self.mesh.n_elem)
         return self._traversal
 
-    @property
-    def level_batches(self) -> list[tuple[int, np.ndarray]]:
-        """Element index batches grouped by refinement level.
+    # -- per-mesh solve tables (shared between callers, hence read-only) --
 
-        Returns ``[(level, indices), ...]`` sorted by level; the union
-        of the index arrays is ``arange(n_elem)``.  Uniform-kernel
-        consumers use these to apply per-level scalings without
-        per-element broadcasting.
-        """
-        if self._level_batches is None:
-            lv = self.levels
-            self._level_batches = [
-                (int(level), np.flatnonzero(lv == level))
-                for level in np.unique(lv)
-            ]
-        return self._level_batches
+    def _solve_table(self, key: tuple, build) -> np.ndarray:
+        table = self._solve_tables.get(key)
+        if table is None:
+            table = self._solve_tables[key] = build()
+            table.flags.writeable = False
+        return table
+
+    def unit_load(self, nquad: int | None = None) -> np.ndarray:
+        """Consistent load vector of the unit source, ``∫ φ_i`` over
+        the retained domain; a constant source ``f`` loads ``f`` times
+        this."""
+
+        def build():
+            ref = self.ref(nquad)
+            w = ref.qwts[None, :] * (self.h**self.mesh.dim)[:, None]
+            b_loc = np.einsum("eq,qi,eq->ei", np.full(w.shape, 1.0), ref.N, w)
+            return self.scatter @ b_loc.reshape(-1)
+
+        return self._solve_table(("unit_load", nquad), build)
+
+    def jacobi_diagonal(self, kind: str = "stiffness") -> np.ndarray:
+        """``diag(A)`` of a scalar term without assembly: the elemental
+        diagonals through the squared interpolation weights,
+        ``Σ w_ig² K_ii`` per node."""
+
+        def build():
+            ker, pw = self.traversal.kernel(kind)
+            dloc = (np.diag(ker)[None, :] * (self.h**pw)[:, None]).reshape(-1)
+            g = self.gather
+            return np.asarray(g.T.multiply(g.T) @ dloc).ravel()
+
+        return self._solve_table(("jacobi_diagonal", kind), build)
 
     def big_gather(self, nfields: int) -> sp.csr_matrix:
         """Multi-field gather: global ``[f0 | f1 | ...]`` vectors to

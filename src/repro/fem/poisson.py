@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.assembly import assemble
-from ..core.matvec import MapBasedMatVec
+from ..core.matvec import TraversalMatVec, traversal_matvec
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..solvers.krylov import cg
@@ -40,11 +40,12 @@ def quad_points(mesh: IncompleteMesh, nquad: int | None = None):
 
 
 def load_vector(mesh: IncompleteMesh, f: Callable | float, nquad=None) -> np.ndarray:
-    """Consistent load vector b_i = ∫ f φ_i over the retained domain."""
+    """Consistent load vector b_i = ∫ f φ_i over the retained domain
+    (a constant ``f`` scales the mesh context's unit load)."""
+    if np.isscalar(f):
+        return float(f) * operator_context(mesh).unit_load(nquad)
     x, w, ref = quad_points(mesh, nquad)
-    fv = np.full(x.shape[:2], float(f)) if np.isscalar(f) else f(
-        x.reshape(-1, mesh.dim)
-    ).reshape(x.shape[:2])
+    fv = f(x.reshape(-1, mesh.dim)).reshape(w.shape)
     b_loc = np.einsum("eq,qi,eq->ei", fv, ref.N, w)
     return operator_context(mesh).scatter @ b_loc.reshape(-1)
 
@@ -118,17 +119,20 @@ class PoissonProblem:
         ``solver``: ``"auto"`` (direct for SBM, CG otherwise),
         ``"direct"``, ``"cg"`` (assembled + Jacobi-CG), or
         ``"matrix-free"`` — never assembles the global matrix: the
-        operator action is the gather → elemental kernel → scatter
-        MATVEC with boundary rows folded in, exactly the workflow the
-        paper's traversal MATVEC enables.
+        operator action is the compiled traversal MATVEC with the
+        boundary rows folded in (:meth:`matrix_free_system`).
 
         ``x0`` (length ``n_nodes``) warm-starts the CG iteration — the
         AMR loop passes the previous mesh's solution transferred to the
         current mesh, cutting iteration counts on later cycles.  Ignored
         by the direct solver.
         """
+        if solver not in ("auto", "direct", "cg", "matrix-free"):
+            raise ValueError(
+                f"unknown solver {solver!r}: expected auto, direct, cg or matrix-free"
+            )
         if solver == "matrix-free":
-            return self._solve_matrix_free(rtol)
+            return self._solve_matrix_free(rtol, x0)
         A, b, fixed = self.system()
         n = self.mesh.n_nodes
         u = np.zeros(n)
@@ -160,42 +164,39 @@ class PoissonProblem:
             u[free] = res.x
         return u
 
-    def _solve_matrix_free(self, rtol: float) -> np.ndarray:
-        """Matrix-free CG: no global matrix is ever formed."""
+    def matrix_free_system(self):
+        """The nodal-Dirichlet system without a matrix, ``(op, b, diag,
+        u_fix)``: the constrained :class:`TraversalMatVec` (``op.free``
+        marks the unknowns), the lifted load (zero where constrained),
+        the Jacobi diagonal (1 where constrained), the boundary data."""
         if self.method != "nodal":
             raise ValueError("matrix-free solve supports the nodal method")
         mesh = self.mesh
-        fixed = mesh.dirichlet_mask
-        free = ~fixed
-        mv = MapBasedMatVec(mesh, kind="stiffness")
-        u_fix = np.where(fixed, self._g_at(mesh.node_coords()), 0.0)
-        b = load_vector(mesh, self.f) - mv(u_fix)
-        b = np.where(free, b, 0.0)
-
-        def op(v):
-            w = mv(np.where(free, v, 0.0))
-            return np.where(free, w, v)
-
-        # Jacobi preconditioner from the elemental diagonal, gathered
-        # without assembly: diag(A) = gatherT diag(blocks) over slots
         ctx = operator_context(mesh)
-        ref = ctx.ref()
-        h = ctx.h
-        dloc = (
-            np.diag(ref.K_ref)[None, :] * (h ** (mesh.dim - 2))[:, None]
-        ).reshape(-1)
-        g = ctx.gather
-        diag = g.T.multiply(g.T) @ dloc  # sum of w_ig^2 * K_ii per node
-        diag = np.asarray(diag).ravel()
+        free = ~mesh.dirichlet_mask
+        u_fix = np.where(free, 0.0, self._g_at(mesh.node_coords()))
+        b = load_vector(mesh, self.f)
+        if u_fix.any():  # homogeneous data lifts to nothing
+            b -= traversal_matvec(mesh, u_fix, plan=ctx.traversal)
+        diag = ctx.jacobi_diagonal()
         diag = np.where(free & (diag > 0), diag, 1.0)
-        M = lambda r: r / diag
-        res = cg(op, b, M=M, rtol=rtol, maxiter=20 * mesh.n_nodes)
+        op = TraversalMatVec(mesh, plan=ctx.traversal, free=free)
+        return op, np.where(free, b, 0.0), diag, u_fix
+
+    def _solve_matrix_free(self, rtol: float, x0: np.ndarray | None) -> np.ndarray:
+        """Matrix-free Jacobi-CG: no global matrix is ever formed."""
+        op, b, diag, u_fix = self.matrix_free_system()
+        start = None if x0 is None else np.where(op.free, x0, 0.0)
+        res = cg(
+            op, b, x0=start, M=lambda r: r / diag, rtol=rtol,
+            maxiter=20 * self.mesh.n_nodes,
+        )
         if not res.converged:
             raise RuntimeError(
                 f"matrix-free CG failed: residual {res.residual:.3e}"
             )
-        return np.where(free, res.x, u_fix)
+        return np.where(op.free, res.x, u_fix)
 
-    def matrix_free_operator(self) -> MapBasedMatVec:
+    def matrix_free_operator(self) -> TraversalMatVec:
         """The unconstrained stiffness action (for scaling studies)."""
-        return MapBasedMatVec(self.mesh, kind="stiffness")
+        return TraversalMatVec(self.mesh, kind="stiffness")

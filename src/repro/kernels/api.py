@@ -37,6 +37,7 @@ __all__ = [
     "dot",
     "axpy",
     "traversal_apply",
+    "traversal_cost",
     "assemble",
 ]
 
@@ -85,14 +86,26 @@ def _axpy_cost(out, alpha, x, y):
     return 2.0 * len(x), 24.0 * len(x)
 
 
-def _traversal_cost(out, plan, u, ker, pw, e_lo, e_hi):
-    npe = ker.shape[0]
-    n_el = e_hi - e_lo
-    nnz = float(plan.slot_ptr[e_hi] - plan.slot_ptr[e_lo])
-    return (
-        n_el * (2.0 * npe * npe + npe) + 4.0 * nnz,
-        32.0 * nnz + 16.0 * n_el * npe + 16.0 * len(u),
+def traversal_cost(prog, pw: int, n_nodes: int) -> tuple[int, int]:
+    """``(flops, bytes)`` of one run of a compiled apply program
+    (:class:`repro.core.plan.ApplyProgram`) as executed.  Work: 2 flops
+    per stored weight of the hanging interpolation and of the
+    accumulation, ``2·npe²`` per element; there is no scale pass.
+    Traffic: the identity index table and the two CSRs read once each,
+    the global in/out vectors, the two element-local temporaries."""
+    csrs = (prog.hanging.interp, prog.scatter(pw))
+    n_loc = prog.n_elem * prog.npe
+    tables = prog.identity.gid.nbytes + sum(
+        m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in csrs
     )
+    return (
+        2 * sum(m.nnz for m in csrs) + 2 * n_loc * prog.npe,
+        tables + 8 * (2 * n_nodes + 2 * n_loc),
+    )
+
+
+def _traversal_cost(out, plan, u, ker, pw, e_lo, e_hi):
+    return traversal_cost(plan.apply_tables(e_lo, e_hi), pw, len(u))
 
 
 def _assemble_cost(A, ctx, blocks):

@@ -4,8 +4,8 @@ It differs from the numpy backend in three ops: the batched elemental
 apply and the Krylov dot go through ``np.einsum`` (BLAS-dispatched via
 ``optimize=True``), and assembly emits the dense blocks of all identity
 elements (no hanging nodes — ``TraversalPlan.identity_elem``) in one
-broadcast.  The traversal MATVEC is the inherited flat pass over the
-plan's compiled tables; only its dense part, ``elem_apply``, is this
+broadcast.  The traversal MATVEC is the inherited run of the plan's
+compiled apply program; only its dense part, ``elem_apply``, is this
 backend's own.
 
 Results agree with the numpy backend to floating-point reassociation,
@@ -27,11 +27,10 @@ class EinsumKernels(NumpyKernels):
 
     name = "einsum"
 
-    def elem_apply(
-        self, u_loc: np.ndarray, M: np.ndarray, scale: np.ndarray
-    ) -> np.ndarray:
-        out = np.einsum("ej,ij->ei", u_loc, M, optimize=True)
-        out *= scale[:, None]
+    def elem_apply(self, u_loc, M, scale, out=None) -> np.ndarray:
+        out = np.einsum("ej,ij->ei", u_loc, M, optimize=True, out=out)
+        if scale is not None:
+            out *= scale[:, None]
         return out
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:

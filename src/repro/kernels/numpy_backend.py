@@ -7,9 +7,10 @@ products, the batched elemental apply is one dense matmul plus a column
 scale, dot/axpy are the plain BLAS-backed numpy expressions, and
 assembly is the BSR triple product.
 
-``traversal_matvec`` is the one production traversal MATVEC: a flat
-pass over the index tables the plan compiled once, its dense part going
-through :meth:`NumpyKernels.elem_apply`.
+``traversal_matvec`` is the one production matrix-free apply: it runs
+the :class:`~repro.core.plan.ApplyProgram` the plan compiled once — one
+index read and one hanging-rows CSR product down, the dense part through
+:meth:`NumpyKernels.elem_apply`, one scale-folded CSR product up.
 
 Other backends subclass this and override only the ops they speed up,
 so every backend is complete by construction and runs the same
@@ -46,10 +47,19 @@ class NumpyKernels:
     # -- batched elemental apply ----------------------------------------
 
     def elem_apply(
-        self, u_loc: np.ndarray, M: np.ndarray, scale: np.ndarray
+        self,
+        u_loc: np.ndarray,
+        M: np.ndarray,
+        scale: np.ndarray | None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """``(u_loc @ M.T) * scale[:, None]`` for all elements at once."""
-        return (u_loc @ M.T) * scale[:, None]
+        """``(u_loc @ M.T) * scale[:, None]`` for all elements at once,
+        into ``out`` when given; ``scale=None`` when the caller folds
+        the scale elsewhere."""
+        w = np.matmul(u_loc, M.T, out=out)
+        if scale is not None:
+            w *= scale[:, None]
+        return w
 
     # -- Krylov vector ops ------------------------------------------------
 
@@ -64,27 +74,37 @@ class NumpyKernels:
     # -- traversal MATVEC -------------------------------------------------
 
     def traversal_matvec(self, plan, u, ker, pw, e_lo, e_hi):
-        """Flat traversal MATVEC over elements ``[e_lo, e_hi)``.
+        """Traversal MATVEC over elements ``[e_lo, e_hi)``: one run of
+        the plan's compiled :class:`~repro.core.plan.ApplyProgram`.
 
-        One pass over the plan's compiled tables (a batch per level of
-        identity elements, then the hanging-element block), each in the
-        paper's three phases: slot gather and hanging interpolation
-        (``matvec.top_down``), dense elemental apply through
-        :meth:`elem_apply` (``matvec.leaf``), and accumulation of the
-        duplicated node instances (``matvec.bottom_up``).
+        The paper's three phases, each a merge span: slot gather of the
+        identity block, then hanging interpolation of the hanging block
+        (``matvec.top_down``); the dense elemental apply of either
+        through :meth:`elem_apply` into one leaf array
+        (``matvec.leaf``); one accumulation of the duplicated node
+        instances, ``h**pw`` already in its weights
+        (``matvec.bottom_up``).
         """
-        n = len(u)
-        out = np.zeros(n)
-        for t in plan.apply_tables(e_lo, e_hi):
+        prog = plan.apply_tables(e_lo, e_hi)
+        w_loc = np.empty((prog.n_elem, prog.npe))
+        row = 0
+        for block in prog:
             with span("matvec.top_down", merge=True) as tsp:
-                u_loc = t.gather(u)
-                tsp.add("bucketed_nodes", t.gid.size)
+                u_loc = block.gather(u)
+                tsp.add("bucketed_nodes", u_loc.size)
             with span("matvec.leaf", merge=True) as lsp:
-                w_loc = self.elem_apply(u_loc, ker, t.h**pw)
-                lsp.add("elements", len(t.elems))
-            with span("matvec.bottom_up", merge=True) as bsp:
-                out += t.scatter(w_loc, n)
-                bsp.add("merged_nodes", t.gid.size)
+                self.elem_apply(
+                    u_loc, ker, None, out=w_loc[row : row + len(u_loc)]
+                )
+                lsp.add("elements", len(u_loc))
+            row += len(u_loc)
+        # compiled on the first apply per exponent: that cost is this
+        # phase's too
+        with span("matvec.bottom_up", merge=True):
+            scatter = prog.scatter(pw)
+        with span("matvec.bottom_up", merge=True) as bsp:
+            out = scatter @ w_loc.ravel()
+            bsp.add("merged_nodes", scatter.nnz)
         return out
 
     # -- global assembly ---------------------------------------------------

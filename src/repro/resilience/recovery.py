@@ -152,35 +152,18 @@ def resilient_poisson_solve(
     """Matrix-free distributed Jacobi-CG with checkpoint/restart.
 
     Semantically identical to ``PoissonProblem.solve(solver="matrix-free")``
-    — same operator masking, same Jacobi diagonal — but the operator is
+    — the same :meth:`~repro.fem.poisson.PoissonProblem.matrix_free_system`
+    right-hand side, masking and Jacobi diagonal — but the operator is
     applied through the simulated communicator, the Krylov state
     ``(x, r, p, rz)`` is checkpointed every ``ckpt_interval``
     iterations, and injected rank crashes are survived automatically
     (up to ``max_recoveries`` times).
     """
-    from ..core.matvec import MapBasedMatVec
-    from ..fem.poisson import load_vector
-
     mesh = problem.mesh
-    if problem.method != "nodal":
-        raise ValueError("resilient solve supports the nodal method")
     n = mesh.n_nodes
-    fixed = mesh.dirichlet_mask
-    free = ~fixed
-    mv = MapBasedMatVec(mesh, kind="stiffness")
-    u_fix = np.where(fixed, problem._g_at(mesh.node_coords()), 0.0)
-    b = np.where(free, load_vector(mesh, problem.f) - mv(u_fix), 0.0)
-
-    # Jacobi diagonal from the elemental blocks (partition-independent)
     ctx = operator_context(mesh)
-    ref = ctx.ref()
-    h = ctx.h
-    dloc = (
-        np.diag(ref.K_ref)[None, :] * (h ** (mesh.dim - 2))[:, None]
-    ).reshape(-1)
-    g = ctx.gather
-    diag = np.asarray(g.T.multiply(g.T) @ dloc).ravel()
-    diag = np.where(free & (diag > 0), diag, 1.0)
+    op, b, diag, u_fix = problem.matrix_free_system()
+    free = op.free
 
     ckpt_dir = Path(ckpt_dir)
     splits = partition_mesh(mesh, ranks, load_tol=0.1)

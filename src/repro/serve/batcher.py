@@ -20,7 +20,8 @@ multi-RHS solve:
   solution by its amplitude ``f``.
 
 Per-request RHS columns are assembled from cached *unit* vectors
-(``b_unit`` for f=1, ``bs_unit``/``lift`` for g=1), so the per-request
+(``b_unit`` for f=1 — the mesh context's one shared, read-only
+``unit_load()`` — and ``bs_unit``/``lift`` for g=1), so the per-request
 marginal cost on the hot path is axpy-scale.
 
 A Krylov ``breakdown``/``nonfinite`` column surfaces as a typed
@@ -37,7 +38,6 @@ import scipy.sparse.linalg as spla
 
 from ..core.assembly import assemble
 from ..core.plan import operator_context
-from ..fem.poisson import load_vector
 from ..obs import span
 from ..resilience.faults import SolverBreakdown
 from ..solvers.krylov import cg
@@ -89,7 +89,7 @@ class _PoissonFactor:
         fixed_idx = np.flatnonzero(self.fixed)
         self.Aff = A[np.ix_(self.free, self.free)].tocsr()
         self.M = jacobi(self.Aff)
-        self.b_unit = load_vector(mesh, 1.0)
+        self.b_unit = operator_context(mesh).unit_load()
         self.lift = np.asarray(
             A[np.ix_(self.free, fixed_idx)] @ np.ones(len(fixed_idx))
         ).ravel()
@@ -149,7 +149,7 @@ class _SbmFactor:
         fixed_idx = np.flatnonzero(self.fixed)
         self.Aff = A[np.ix_(self.free, self.free)].tocsr()
         self.lu = spla.splu(self.Aff.tocsc())
-        self.b_unit = load_vector(mesh, 1.0)
+        self.b_unit = operator_context(mesh).unit_load()
         self.bs_unit = bs_unit
         self.lift = np.asarray(
             A[np.ix_(self.free, fixed_idx)] @ np.ones(len(fixed_idx))
@@ -209,7 +209,7 @@ class _TransportFactor:
             dirichlet_value=0.0,
         )
         self.steps = request.steps
-        self.b_unit = load_vector(mesh, 1.0)
+        self.b_unit = operator_context(mesh).unit_load()
         self.n_nodes = mesh.n_nodes
         A = self.problem.A
         self.nbytes = (

@@ -15,7 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..kernels import api as kernels
+from ..kernels.registry import get_backend
 from ..obs import span
+from ..obs.trace import TRACER
 
 __all__ = ["KrylovResult", "cg", "bicgstab"]
 
@@ -57,6 +59,16 @@ def _as_op(A) -> Operator:
     if sp.issparse(A) or isinstance(A, np.ndarray):
         return lambda v: A @ v
     raise TypeError(f"cannot interpret {type(A)} as a linear operator")
+
+
+def _vector_ops():
+    """``(dot, axpy)`` for one solve: the active backend's own methods,
+    resolved once at entry rather than per call; with tracing on, the
+    instrumented facade, so every call still publishes its counters."""
+    if TRACER.enabled:
+        return kernels.dot, kernels.axpy
+    be = get_backend()
+    return be.dot, be.axpy
 
 
 def _apply_columns(M: Operator, R: np.ndarray) -> np.ndarray:
@@ -207,6 +219,7 @@ def cg(
         return _cg_block(A, b, x0, M, rtol, atol, maxiter, callback)
     with span("solver.cg") as osp:
         op = _as_op(A)
+        dot, axpy = _vector_ops()
         n = len(b)
         maxiter = maxiter or 10 * n
         x = np.zeros(n) if x0 is None else x0.astype(float).copy()
@@ -214,7 +227,7 @@ def cg(
         nmv = 1
         z = M(r) if M else r
         p = z.copy()
-        rz = kernels.dot(r, z)
+        rz = dot(r, z)
         bnorm = float(np.linalg.norm(b)) or 1.0
         tol = max(rtol * bnorm, atol)
         rnorm = float(np.linalg.norm(r))
@@ -225,7 +238,7 @@ def cg(
             with span("solver.iteration", merge=True) as isp:
                 Ap = op(p)
                 nmv += 1
-                pAp = kernels.dot(p, Ap)
+                pAp = dot(p, Ap)
                 if not np.isfinite(pAp):
                     fail = "nonfinite"
                     break
@@ -233,8 +246,8 @@ def cg(
                     fail = "breakdown"
                     break
                 alpha = rz / pAp
-                kernels.axpy(alpha, p, x)
-                kernels.axpy(-alpha, Ap, r)
+                axpy(alpha, p, x)
+                axpy(-alpha, Ap, r)
                 rnorm = float(np.linalg.norm(r))
                 isp.add("matvecs", 1)
             it += 1
@@ -247,8 +260,9 @@ def cg(
             if rnorm <= tol:
                 break
             z = M(r) if M else r
-            rz_new = kernels.dot(r, z)
-            p = z + (rz_new / rz) * p
+            rz_new = dot(r, z)
+            p *= rz_new / rz  # p = z + beta p, in place
+            p += z
             rz = rz_new
         reason = fail or ("converged" if rnorm <= tol else "maxiter")
         osp.add("iterations", it)
@@ -276,6 +290,7 @@ def bicgstab(
     """
     with span("solver.bicgstab") as osp:
         op = _as_op(A)
+        dot, _ = _vector_ops()
         n = len(b)
         maxiter = maxiter or 10 * n
         x = np.zeros(n) if x0 is None else x0.astype(float).copy()
@@ -293,7 +308,7 @@ def bicgstab(
         fail: str | None = None if np.isfinite(rnorm) else "nonfinite"
         while fail is None and rnorm > tol and it < maxiter:
             with span("solver.iteration", merge=True) as isp:
-                rho_new = kernels.dot(r_hat, r)
+                rho_new = dot(r_hat, r)
                 if not np.isfinite(rho_new):
                     fail = "nonfinite"
                     break
@@ -309,7 +324,7 @@ def bicgstab(
                 v = op(phat)
                 nmv += 1
                 isp.add("matvecs", 1)
-                denom = kernels.dot(r_hat, v)
+                denom = dot(r_hat, v)
                 if not np.isfinite(denom):
                     fail = "nonfinite"
                     break
@@ -331,8 +346,8 @@ def bicgstab(
                 t = op(shat)
                 nmv += 1
                 isp.add("matvecs", 1)
-                tt = kernels.dot(t, t)
-                omega = kernels.dot(t, s) / tt if tt > 0 else 0.0
+                tt = dot(t, t)
+                omega = dot(t, s) / tt if tt > 0 else 0.0
                 x += alpha * phat + omega * shat
                 r = s - omega * t
                 rho = rho_new

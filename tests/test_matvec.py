@@ -2,17 +2,27 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assembly import assemble, assemble_traversal
 from repro.core.domain import Domain
 from repro import obs
-from repro.core.matvec import MapBasedMatVec, TraversalPlan, traversal_matvec
-from repro.core.mesh import build_mesh
+from repro.core.matvec import (
+    MapBasedMatVec,
+    TraversalMatVec,
+    TraversalPlan,
+    traversal_matvec,
+)
+from repro.core.mesh import build_mesh, build_uniform_mesh
+from repro.core.plan import operator_context
 from repro.core.traversal_reference import recursive_traversal_matvec
 from repro.geometry.primitives import SphereCarve
+from repro.fem.poisson import load_vector
 from repro.kernels import available_backends, use_backend
+
+from .test_pipeline_properties import _random_domain
 
 BACKENDS = [name for name, ok in available_backends().items() if ok]
 
@@ -228,3 +238,127 @@ def test_matvec_linearity_property(seed, carved_mesh_2d):
     a, b = rng.standard_normal(2)
     mv = MapBasedMatVec(mesh)
     assert np.allclose(mv(a * u + b * v), a * mv(u) + b * mv(v), atol=1e-10)
+
+
+# -- the compiled apply: cross-path equivalence and closure ----------------
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["stiffness", "mass"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim,levels", [(2, (2, 4)), (3, (2, 3))], ids=["2d", "3d"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), parts=st.integers(2, 5))
+def test_compiled_apply_cross_path_grid(dim, levels, p, kind, seed, parts):
+    """Compiled apply vs the map-based ablation vs the recursive oracle
+    on generated carve unions, and the ``owned_range`` parts of a k-way
+    split summing to the full apply — all within 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(_random_domain(rng, dim), *levels, p=p)
+    u = rng.standard_normal(mesh.n_nodes)
+    compiled = TraversalMatVec(mesh, kind=kind)(u)
+    assert _rel_err(compiled, MapBasedMatVec(mesh, kind=kind)(u)) <= 1e-12
+    assert _rel_err(compiled, recursive_traversal_matvec(mesh, u, kind=kind)) <= 1e-12
+    cuts = np.linspace(0, mesh.n_elem, parts + 1).astype(int)
+    split = sum(
+        traversal_matvec(mesh, u, kind=kind, owned_range=(int(a), int(b)))
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
+    assert _rel_err(split, compiled) <= 1e-12
+
+
+def test_compiled_apply_single_block_programs(carved_mesh_2d):
+    """A program may lack either block.  A uniform mesh has no hanging
+    element; no whole mesh lacks identity elements (an element of the
+    coarsest level has no coarser neighbour to hang on), so the
+    hanging-only program is an ``owned_range`` over a run of them."""
+    uniform = build_uniform_mesh(Domain(dim=2), 3, p=1)
+    prog = operator_context(uniform).traversal.apply_tables()
+    assert [type(b).__name__ for b in prog] == ["IdentityBlock"]
+    u = np.random.default_rng(5).standard_normal(uniform.n_nodes)
+    assert _rel_err(traversal_matvec(uniform, u), MapBasedMatVec(uniform)(u)) <= 1e-12
+
+    mesh = carved_mesh_2d
+    plan = operator_context(mesh).traversal
+    hanging = np.flatnonzero(~plan.identity_elem)
+    runs = np.split(hanging, np.flatnonzero(np.diff(hanging) > 1) + 1)
+    run = max(runs, key=len)
+    lo, hi = int(run[0]), int(run[-1]) + 1
+    assert hi - lo >= 2
+    prog = plan.apply_tables(lo, hi)
+    assert [type(b).__name__ for b in prog] == ["HangingBlock"]
+    u = np.random.default_rng(6).standard_normal(mesh.n_nodes)
+    got = traversal_matvec(mesh, u, owned_range=(lo, hi))
+    want = recursive_traversal_matvec(mesh, u, owned_range=(lo, hi))
+    assert _rel_err(got, want) <= 1e-12
+    # and an empty range applies to zero
+    assert not traversal_matvec(mesh, u, owned_range=(lo, lo)).any()
+
+
+@pytest.mark.parametrize("fixture", ["carved_mesh_2d", "carved_mesh_3d_p2"])
+def test_hanging_rows_close_over_real_nodes(fixture, request):
+    """Hanging-node constraint closure on the compiled tables: every
+    interpolated slot's weights sum to 1 and every donor is a real
+    (non-hanging) node, i.e. some element holds it as a plain slot."""
+    mesh = request.getfixturevalue(fixture)
+    prog = operator_context(mesh).traversal.apply_tables()
+    interp = prog.hanging.interp
+    assert interp.nnz > 0
+    assert np.abs(np.asarray(interp.sum(axis=1)).ravel() - 1.0).max() <= 1e-14
+    g = operator_context(mesh).gather
+    plain = (np.diff(g.indptr) == 1) & (g.data[g.indptr[:-1]] == 1.0)
+    real = np.zeros(mesh.n_nodes, bool)
+    real[g.indices[g.indptr[:-1]][plain]] = True
+    assert real.all()  # every global node is some element's plain slot
+    rows = np.diff(interp.indptr) > 1  # the interpolated slots
+    donors = interp.indices[np.repeat(rows, np.diff(interp.indptr))]
+    assert len(donors) and real[donors].all()
+    # the scale fold carries exactly h**pw on every weight
+    pw = mesh.dim  # mass
+    S, T = prog.scatter(pw), prog.scatter(0)
+    h = mesh.element_sizes()[np.concatenate([b.elems for b in prog])]
+    assert np.array_equal(S.data, T.data * np.repeat(h**pw, mesh.npe)[T.indices])
+
+
+def test_constrained_operator_masks_in_place_of_two_copies(carved_mesh_2d):
+    mesh = carved_mesh_2d
+    free = ~mesh.dirichlet_mask
+    u = np.random.default_rng(7).standard_normal(mesh.n_nodes)
+    op = TraversalMatVec(mesh, free=free)
+    want = np.where(free, traversal_matvec(mesh, np.where(free, u, 0.0)), u)
+    assert np.array_equal(op(u), want)
+    assert 0 < op.flops() < MapBasedMatVec(mesh).flops()
+    assert 0 < op.traffic_bytes() < MapBasedMatVec(mesh).traffic_bytes()
+
+
+def test_unit_load_and_assembly_keep_their_bits(carved_mesh_2d, carved_mesh_3d_p2):
+    """``load_vector(mesh, 1.0)`` (now the context's cached unit load)
+    and ``assemble(mesh)`` against the expressions they were before the
+    solve tables moved onto the context, written out literally."""
+    for mesh in (carved_mesh_2d, carved_mesh_3d_p2):
+        ctx = operator_context(mesh)
+        ref, h = ctx.ref(None), ctx.h
+        w = ref.qwts[None, :] * (h**mesh.dim)[:, None]
+        fv = np.full(w.shape, float(1.0))
+        b_loc = np.einsum("eq,qi,eq->ei", fv, ref.N, w)
+        want = ctx.scatter @ b_loc.reshape(-1)
+        assert load_vector(mesh, 1.0).tobytes() == want.tobytes()
+        assert ctx.unit_load() is ctx.unit_load()  # derived once
+        assert not ctx.unit_load().flags.writeable
+        assert np.allclose(load_vector(mesh, 2.5), 2.5 * want, rtol=1e-15)
+
+        blocks = h[:, None, None] ** (mesh.dim - 2) * ref.K_ref[None]
+        B = sp.bsr_matrix(
+            (blocks, np.arange(mesh.n_elem), np.arange(mesh.n_elem + 1)),
+            shape=(mesh.n_elem * mesh.npe, mesh.n_elem * mesh.npe),
+        )
+        g = ctx.gather
+        A_want = (g.T @ (B @ g)).tocsr()
+        A_want.sum_duplicates()
+        A = assemble(mesh)
+        assert A.data.tobytes() == A_want.data.tobytes()
+        assert A.indices.tobytes() == A_want.indices.tobytes()
+        assert A.indptr.tobytes() == A_want.indptr.tobytes()

@@ -202,17 +202,6 @@ def test_identity_elements_match_gather(sphere_mesh):
     assert not plan.identity_elem.all()
 
 
-def test_level_batches_partition_elements(sphere_mesh):
-    ctx = operator_context(sphere_mesh)
-    batches = ctx.level_batches
-    seen = np.concatenate([idx for _, idx in batches])
-    assert np.array_equal(np.sort(seen), np.arange(sphere_mesh.n_elem))
-    for level, idx in batches:
-        assert np.all(ctx.levels[idx] == level)
-    levels = [lv for lv, _ in batches]
-    assert levels == sorted(levels)
-
-
 # -- persistent exchange plans ------------------------------------------
 
 

@@ -155,3 +155,48 @@ def test_matrix_free_rejects_sbm():
     mesh = build_uniform_mesh(dom, 4, p=1)
     with pytest.raises(ValueError):
         PoissonProblem(mesh, f=1.0, method="sbm").solve(solver="matrix-free")
+
+
+@pytest.mark.parametrize(
+    "g", [0.75, lambda pts: 1.0 + pts[:, 0] - 2.0 * pts[:, 1]], ids=["const", "callable"]
+)
+def test_matrix_free_lifts_boundary_data(g):
+    """Non-zero boundary data is lifted by one compiled apply; constant
+    or callable, the solve must match the assembled one."""
+    mesh = build_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3, 4, p=1)
+    prob = PoissonProblem(mesh, f=2.5, dirichlet=g)
+    u_mf = prob.solve(solver="matrix-free", rtol=1e-12)
+    u_cg = prob.solve(solver="cg", rtol=1e-12)
+    assert np.abs(u_mf - u_cg).max() < 1e-9
+    fixed = mesh.dirichlet_mask
+    assert np.array_equal(u_mf[fixed], prob._g_at(mesh.node_coords())[fixed])
+
+
+def test_matrix_free_solve_honours_x0(monkeypatch):
+    """``x0`` warm-starts the matrix-free CG as the docstring says
+    (it used to be dropped): restarting from the solution costs no more
+    than one iteration, and junk on the Dirichlet nodes is masked."""
+    from repro.fem import poisson as poisson_mod
+
+    mesh = build_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3, 4, p=1)
+    prob = PoissonProblem(mesh, f=1.0, dirichlet=0.5)
+    results = []
+    real_cg = poisson_mod.cg
+
+    def recording_cg(*args, **kwargs):
+        results.append(real_cg(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(poisson_mod, "cg", recording_cg)
+    u = prob.solve(solver="matrix-free", rtol=1e-10)
+    start = u + 7.0 * mesh.dirichlet_mask  # wrong on the boundary nodes
+    u_warm = prob.solve(solver="matrix-free", rtol=1e-8, x0=start)
+    cold, warm = results
+    assert cold.iterations > 5 and warm.iterations <= 1
+    assert np.abs(u_warm - u).max() < 1e-8
+
+
+def test_unknown_solver_is_rejected():
+    mesh = build_uniform_mesh(Domain(dim=2), 2, p=1)
+    with pytest.raises(ValueError, match="matrix-free"):
+        PoissonProblem(mesh, f=1.0).solve(solver="matrixfree")

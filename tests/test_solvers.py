@@ -226,3 +226,43 @@ def test_cg_block_zero_column_and_scalar_path_unchanged():
     single = cg(A, B[:, 1], rtol=1e-10)
     assert single.x.ndim == 1
     assert single.col_iterations is None and single.col_reasons is None
+
+
+def test_cg_iterates_keep_their_bits_and_resolve_the_backend_once(monkeypatch):
+    """The in-place direction update and the per-solve backend lookup
+    change no bit: the solution equals the textbook recurrence written
+    out with fresh arrays, and a whole solve asks the registry once."""
+    from repro.solvers import krylov
+
+    A = sp.csr_matrix(_spd(60, 3))
+    b = np.random.default_rng(4).standard_normal(60)
+    d = A.diagonal()
+    lookups = []
+    real = krylov.get_backend
+    monkeypatch.setattr(
+        krylov, "get_backend", lambda *a: lookups.append(a) or real(*a)
+    )
+    res = cg(A, b, M=lambda r: r / d, rtol=1e-12)
+    assert res.converged and res.iterations > 3
+    assert len(lookups) == 1
+
+    x = np.zeros(60)
+    r = b - A @ x
+    z = r / d
+    p = z.copy()
+    rz = float(r @ z)
+    for _ in range(res.iterations):
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r += -alpha * Ap
+        z = r / d
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    assert res.x.tobytes() == x.tobytes()
+
+    lookups.clear()
+    nonsym = A + sp.diags(np.linspace(0.0, 1.0, 59), 1)
+    assert bicgstab(nonsym.tocsr(), b, rtol=1e-10).converged
+    assert len(lookups) == 1
