@@ -23,7 +23,7 @@ A replacement shard hosted on a survivor adopts that queue with the
 original submission ticks and retry counts.  Because the scheduler's
 dispatch order and batch grouping are keyed by (priority, digest) —
 never by arrival interleaving or the clock — the replacement forms the
-*same batches* the dead shard would have, and the block solves are
+*same batches* the dead shard would have, and the unit solves are
 bit-deterministic, so every replayed response carries the identical
 solution digest: the fleet's canonical digest over a killed run equals
 the failure-free run's, which is what the recovery tests and the

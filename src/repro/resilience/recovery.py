@@ -172,7 +172,8 @@ def resilient_poisson_solve(
     comm = SimComm(ranks)
     comm.install_faults(fault_schedule)
 
-    maxiter = maxiter or 20 * n
+    if maxiter is None:
+        maxiter = 20 * n
     bnorm = float(np.linalg.norm(b)) or 1.0
     tol = max(rtol * bnorm, atol)
 

@@ -3,7 +3,8 @@
 Turns the repo's one-shot pipeline (carve → refine → assemble → solve)
 into a bounded, observable service: typed versioned requests, a
 content-addressed artifact cache keyed by the operator-plan
-fingerprint, fingerprint batching into multi-RHS block solves, and a
+fingerprint, fingerprint batching (a batch solves the unit problems its
+requests are linear in once and combines them per request), and a
 virtual-clock scheduler with admission control, deadlines and
 retry-with-backoff.  Everything is deterministic — identical request
 streams produce bit-identical response digests.

@@ -23,8 +23,8 @@ Three digests matter, at three scopes:
 ``SolveRequest.batch_key``
     ``mesh_digest`` + the operator/factor parameters (PDE kind,
     tolerance, transport coefficients).  Requests sharing a batch key
-    share the cached factorization and are solved as one multi-RHS
-    block by :mod:`repro.serve.batcher`.
+    share the cached factor and are combinations of the same unit
+    responses, solved once per batch by :mod:`repro.serve.batcher`.
 
 All three — and the canonical geometry every one of them hashes — are
 **computed once per request instance**: a :class:`SolveRequest` is an
@@ -50,6 +50,7 @@ __all__ = [
     "REQ_SCHEMA_ID",
     "RESP_SCHEMA_ID",
     "PDE_KINDS",
+    "LINEAR_TERMS",
     "SolveRequest",
     "SolveResponse",
     "Rejected",
@@ -61,13 +62,23 @@ __all__ = [
 REQ_SCHEMA_ID = "repro.serve/req.v1"
 RESP_SCHEMA_ID = "repro.serve/resp.v1"
 
-#: Supported PDE kinds: strong-Dirichlet Poisson (batched multi-RHS
-#: CG), Shifted-Boundary-Method Poisson (cached LU), SUPG transport
-#: (cached implicit-Euler LU, block time stepping), adaptive Poisson
-#: (one cached estimator-driven refinement trajectory per batch key —
-#: Dörfler marking is invariant under RHS scaling, so every request in
-#: the batch shares the adapted mesh and scales the unit solution).
-PDE_KINDS = ("poisson", "sbm", "transport", "amr")
+#: Supported PDE kinds and the request data each one's solution is
+#: linear in: strong-Dirichlet Poisson (Jacobi CG on the cached
+#: operator), Shifted-Boundary-Method Poisson (cached LU), SUPG transport
+#: from c = 0 with boundary value 0 (cached implicit-Euler LU), adaptive
+#: Poisson (one cached estimator-driven refinement trajectory per batch
+#: key — Dörfler marking is invariant under RHS scaling, so every
+#: request in the batch shares the adapted mesh).  A batch solves the
+#: unit problem of each term once and every request is a combination of
+#: them (:mod:`repro.serve.batcher`); a non-zero coefficient on a term
+#: the kind does not have is refused by :meth:`SolveRequest.validate`.
+LINEAR_TERMS = {
+    "poisson": ("f", "g"),
+    "sbm": ("f", "g"),
+    "transport": ("f",),
+    "amr": ("f",),
+}
+PDE_KINDS = tuple(LINEAR_TERMS)
 
 _SHAPES = ("sphere", "box")
 
@@ -213,12 +224,18 @@ class SolveRequest:
     base_level: int = 2
     boundary_level: int = 3
     p: int = 1
+    #: relative tolerance of each iterative unit solve.  A request that
+    #: mixes terms therefore meets ``tol·(|f|‖b_unit‖ + |g|‖lift‖)`` — per
+    #: term, not relative to the norm of its (possibly cancelling)
+    #: combined right-hand side — and its reported ``residual``,
+    #: ``|f|·r_f + |g|·r_g``, is an upper bound on the true one
     tol: float = 1e-10
     deadline: int | None = None
     priority: int = 4
-    #: source amplitude (RHS scale) — the per-request column of a batch
+    #: source amplitude: the coefficient on the batch's unit response u_f
     f: float = 1.0
-    #: constant Dirichlet boundary value
+    #: constant Dirichlet boundary value: the coefficient on u_g (must be
+    #: 0 for a pde without that term — see :data:`LINEAR_TERMS`)
     g: float = 0.0
     # transport-only coefficients
     velocity: tuple = (1.0, 0.0, 0.0)
@@ -269,12 +286,12 @@ class SolveRequest:
                 raise ValueError("deadline must be non-negative")
         if self.pde == "transport" and self.steps < 1:
             raise ValueError("transport needs steps >= 1")
+        if self.g != 0.0 and "g" not in LINEAR_TERMS[self.pde]:
+            raise ValueError(
+                f"{self.pde} requests require g == 0: the solve imposes "
+                "boundary value 0 and is linear in f alone"
+            )
         if self.pde == "amr":
-            if self.g != 0.0:
-                raise ValueError(
-                    "amr requests require g == 0: the shared refinement "
-                    "trajectory relies on pure RHS scaling"
-                )
             if self.amr_cycles < 0:
                 raise ValueError("amr_cycles must be non-negative")
             if not (0.0 < self.amr_theta <= 1.0):
@@ -388,7 +405,7 @@ class SolveRequest:
     @_once
     def batch_key(self) -> str:
         """Requests with equal batch keys share one cached factor and
-        solve as one multi-RHS block."""
+        the unit responses one batch solves."""
         return _sha256(self.solver_doc())
 
     def build_mesh(self):

@@ -1,32 +1,34 @@
-"""Fingerprint-grouped batch execution: one operator pass, many RHS.
+"""Fingerprint-grouped batch execution: unit responses, combined per request.
 
 Requests that share a :attr:`repro.serve.api.SolveRequest.batch_key`
 (same discretization, same operator parameters) differ only in their
-RHS data (source amplitude ``f``, Dirichlet value ``g``).  Both enter
-the discrete system *linearly*, so a batch of k requests is exactly a
-multi-RHS solve:
+data: the source amplitude ``f`` and, where the pde has one, the
+Dirichlet value ``g`` (:data:`repro.serve.api.LINEAR_TERMS`).  Both
+enter the discrete system *linearly*, so request j's solution is
+``f_j·u_f + g_j·u_g`` with the **unit responses** ``u_f`` (f=1, g=0)
+and ``u_g`` (f=0, g=1).  A *factor* is what a batch key caches — the
+operator or its LU plus the unit right-hand sides — and its one job is
+``unit(term, rtol)``:
 
-* ``poisson`` — block CG through the new multi-RHS path of
-  :func:`repro.solvers.krylov.cg` on the cached assembled operator:
-  every iteration is one SpMM over the ``(n, k)`` block instead of k
-  SpMVs, so cache-hot traffic pays one operator traversal per batch.
+* ``poisson`` — Jacobi :func:`repro.solvers.krylov.cg` on the cached
+  assembled operator: ``A_ff x = b_unit``, or ``−lift`` with boundary 1.
 * ``sbm`` — the Shifted Boundary Method system is factorized once
-  (``splu``); a batch is one k-column triangular solve.
+  (``splu``); a unit response is a one-column triangular solve.
 * ``transport`` — the implicit-Euler SUPG matrix is factorized once;
-  time stepping advances all k columns together.
-* ``amr`` — one estimator-driven refinement trajectory
-  (:func:`repro.amr.loop.amr_solve`, unit source) is cached per batch
-  key; every request shares the adapted mesh and scales the unit
-  solution by its amplitude ``f``.
+  one column is stepped ``steps`` times.
+* ``amr`` — the ``u_unit`` of the one estimator-driven refinement
+  trajectory (:func:`repro.amr.loop.amr_solve`) cached per batch key.
 
-Per-request RHS columns are assembled from cached *unit* vectors
-(``b_unit`` for f=1 — the mesh context's one shared, read-only
-``unit_load()`` — and ``bs_unit``/``lift`` for g=1), so the per-request
-marginal cost on the hot path is axpy-scale.
-
-A Krylov ``breakdown``/``nonfinite`` column surfaces as a typed
-:class:`repro.resilience.faults.SolverBreakdown` for the whole batch —
-the scheduler's retry-with-backoff handles it.
+:func:`solve_batch` is the one place that combines: it takes each unit
+response some member has a non-zero coefficient on — once, whatever the
+batch size — and forms every member from the units it rides by
+element-wise multiply/add, so a response's bits are a function of the
+request, not of the batch it rode in.  Nothing is kept across batches:
+the virtual clock charges a solve per batch (``cost_solve``), brownout
+loosens the tolerance per batch, and a cross-batch solution cache is a
+parked ROADMAP lane.  A Krylov ``breakdown`` or non-finite unit response
+raises :class:`repro.resilience.faults.SolverBreakdown` for the whole
+batch — the scheduler's retry-with-backoff handles it.
 """
 
 from __future__ import annotations
@@ -42,21 +44,32 @@ from ..obs import span
 from ..resilience.faults import SolverBreakdown
 from ..solvers.krylov import cg
 from ..solvers.precond import jacobi
-from .api import SolveRequest, solution_digest
+from .api import LINEAR_TERMS, SolveRequest, solution_digest
 from .cache import CacheEntry
 
 __all__ = ["BatchOutcome", "build_entry", "ensure_factor", "solve_batch"]
 
 
 @dataclass
+class UnitResponse:
+    """A batch key's solution for one data term at coefficient 1."""
+
+    u: np.ndarray                  # (n_nodes,), boundary values included
+    iterations: int
+    residual: float
+    reason: str
+    matvecs: int                   # operator applications / LU sweeps
+
+
+@dataclass
 class BatchOutcome:
-    """Per-column results of one batch solve."""
+    """Per-request results of one batch solve."""
 
     solutions: np.ndarray          # (n_nodes, k)
     iterations: list[int]
     residuals: list[float]
     reasons: list[str]
-    matvecs: int                   # block operator applications
+    matvecs: int                   # spent on the batch's unit solves
 
     def digest(self, j: int) -> str:
         return solution_digest(self.solutions[:, j])
@@ -77,12 +90,19 @@ def build_entry(request: SolveRequest) -> CacheEntry:
 # -- factors ------------------------------------------------------------
 
 
+def _boundary_unit(factor, term: str) -> np.ndarray:
+    """Zeros with the strongly imposed nodes at the term's unit value."""
+    u = np.zeros(factor.n_nodes)
+    u[factor.fixed] = float(term == "g")
+    return u
+
+
 class _PoissonFactor:
     """Assembled nodal-Dirichlet Poisson operator + Jacobi + unit RHS."""
 
     kind = "poisson"
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, request: SolveRequest):
         A = assemble(mesh, kind="stiffness")
         self.fixed = mesh.dirichlet_mask.copy()
         self.free = np.flatnonzero(~self.fixed)
@@ -99,36 +119,16 @@ class _PoissonFactor:
             + self.Aff.indptr.nbytes + self.b_unit.nbytes + self.lift.nbytes
         )
 
-    def solve(self, requests: list[SolveRequest],
-              tol_scale: float = 1.0) -> BatchOutcome:
-        k = len(requests)
-        fs = np.array([r.f for r in requests])
-        gs = np.array([r.g for r in requests])
-        U = np.empty((self.n_nodes, k))
-        U[self.fixed, :] = gs[None, :]
+    def unit(self, term: str, rtol: float) -> UnitResponse:
+        u = _boundary_unit(self, term)
         if len(self.free) == 0:
-            return BatchOutcome(U, [0] * k, [0.0] * k, ["direct"] * k, 0)
-        B = (
-            self.b_unit[self.free, None] * fs[None, :]
-            - self.lift[:, None] * gs[None, :]
-        )
-        # equal across the batch (in the batch key); brownout loosens
-        # it uniformly via tol_scale
-        rtol = min(requests[0].tol * tol_scale, 1e-2)
-        res = cg(self.Aff, B, M=self.M, rtol=rtol, atol=1e-14,
+            return UnitResponse(u, 0, 0.0, "direct", 0)
+        b = self.b_unit[self.free] if term == "f" else -self.lift
+        res = cg(self.Aff, b, M=self.M, rtol=rtol, atol=1e-14,
                  maxiter=20 * len(self.free))
-        bad = [r for r in res.col_reasons if r in ("breakdown", "nonfinite")]
-        if bad:
-            raise SolverBreakdown("serve.batch", bad[0],
-                                  f"{len(bad)}/{k} columns broke down")
-        U[self.free, :] = res.x
-        return BatchOutcome(
-            U,
-            [int(i) for i in res.col_iterations],
-            [float(r) for r in res.col_residuals],
-            list(res.col_reasons),
-            res.matvecs,
-        )
+        u[self.free] = res.x
+        return UnitResponse(u, res.iterations, res.residual, res.reason,
+                            res.matvecs)
 
 
 class _SbmFactor:
@@ -136,14 +136,15 @@ class _SbmFactor:
 
     kind = "sbm"
 
-    def __init__(self, mesh, alpha: float = 2.0):
+    def __init__(self, mesh, request: SolveRequest):
         from ..fem.sbm import sbm_terms
 
         A = assemble(mesh, kind="stiffness")
         ones = lambda pts: np.ones(len(pts))  # noqa: E731
-        A_s, bs_unit = sbm_terms(mesh, ones, alpha=alpha)
+        A_s, bs_unit = sbm_terms(mesh, ones, alpha=2.0)
         A = (A + A_s).tocsr()
-        # only the true cube boundary stays strongly imposed
+        # only the true cube boundary stays strongly imposed (so every
+        # retained element keeps a free corner: ``free`` is never empty)
         self.fixed = mesh.nodes.domain_boundary & ~mesh.nodes.carved_node
         self.free = np.flatnonzero(~self.fixed)
         fixed_idx = np.flatnonzero(self.fixed)
@@ -161,35 +162,21 @@ class _SbmFactor:
             + self.b_unit.nbytes + self.bs_unit.nbytes + self.lift.nbytes
         )
 
-    def solve(self, requests: list[SolveRequest],
-              tol_scale: float = 1.0) -> BatchOutcome:
-        k = len(requests)
-        fs = np.array([r.f for r in requests])
-        gs = np.array([r.g for r in requests])
-        U = np.empty((self.n_nodes, k))
-        U[self.fixed, :] = gs[None, :]
-        if len(self.free) == 0:
-            return BatchOutcome(U, [0] * k, [0.0] * k, ["direct"] * k, 0)
-        b = self.b_unit[:, None] * fs[None, :] + self.bs_unit[:, None] * gs[None, :]
-        B = b[self.free, :] - self.lift[:, None] * gs[None, :]
-        X = self.lu.solve(B)
-        if not np.all(np.isfinite(X)):
-            raise SolverBreakdown("serve.batch", "nonfinite",
-                                  "SBM LU solve produced non-finite values")
-        U[self.free, :] = X
-        rnorm = np.linalg.norm(self.Aff @ X - B, axis=0)
-        return BatchOutcome(
-            U, [0] * k, [float(r) for r in rnorm], ["direct"] * k, 1
-        )
+    def unit(self, term: str, rtol: float) -> UnitResponse:
+        u = _boundary_unit(self, term)
+        b = (self.b_unit[self.free] if term == "f"
+             else self.bs_unit[self.free] - self.lift)
+        x = u[self.free] = self.lu.solve(b)
+        rnorm = float(np.linalg.norm(self.Aff @ x - b))
+        return UnitResponse(u, 0, rnorm, "direct", 1)
 
 
 class _TransportFactor:
     """Implicit-Euler SUPG transport, one LU shared by the batch.
 
-    All batch members share velocity/kappa/dt/steps (they are in the
-    batch key); the per-request source amplitude ``f`` scales the unit
-    load column, and the k concentration histories advance in lockstep
-    through the shared factorization.
+    velocity/kappa/dt/steps are in the batch key and every member starts
+    from c = 0 with boundary value 0, so its history is linear in the
+    source amplitude ``f``: the unit-load column is stepped once.
     """
 
     kind = "transport"
@@ -217,22 +204,14 @@ class _TransportFactor:
             + 16 * int(self.problem._lu.nnz) + self.b_unit.nbytes
         )
 
-    def solve(self, requests: list[SolveRequest],
-              tol_scale: float = 1.0) -> BatchOutcome:
-        k = len(requests)
-        fs = np.array([r.f for r in requests])
+    def unit(self, term: str, rtol: float) -> UnitResponse:
         prob = self.problem
-        C = np.zeros((self.n_nodes, k))
+        c = np.zeros(self.n_nodes)
         for _ in range(self.steps):
-            rhs = prob.M_old @ C + self.b_unit[:, None] * fs[None, :]
-            rhs[prob.dirichlet_mask, :] = prob.dirichlet_value
-            C = prob._lu.solve(rhs)
-        if not np.all(np.isfinite(C)):
-            raise SolverBreakdown("serve.batch", "nonfinite",
-                                  "transport stepping produced non-finite values")
-        return BatchOutcome(
-            C, [self.steps] * k, [0.0] * k, ["direct"] * k, self.steps
-        )
+            rhs = prob.M_old @ c + self.b_unit
+            rhs[prob.dirichlet_mask] = prob.dirichlet_value
+            c = prob._lu.solve(rhs)
+        return UnitResponse(c, self.steps, 0.0, "direct", self.steps)
 
 
 class _AmrFactor:
@@ -273,14 +252,13 @@ class _AmrFactor:
             + self.mesh.leaves.levels.nbytes
         )
 
-    def solve(self, requests: list[SolveRequest],
-              tol_scale: float = 1.0) -> BatchOutcome:
-        k = len(requests)
-        fs = np.array([r.f for r in requests])
-        U = self.u_unit[:, None] * fs[None, :]
-        return BatchOutcome(
-            U, [self.cycles] * k, [float(self.eta)] * k, ["converged"] * k, 0
-        )
+    def unit(self, term: str, rtol: float) -> UnitResponse:
+        return UnitResponse(self.u_unit, self.cycles, float(self.eta),
+                            "converged", 0)
+
+
+_FACTORS = {f.kind: f for f in (_PoissonFactor, _SbmFactor,
+                                 _TransportFactor, _AmrFactor)}
 
 
 def ensure_factor(entry: CacheEntry, request: SolveRequest):
@@ -291,29 +269,51 @@ def ensure_factor(entry: CacheEntry, request: SolveRequest):
     if factor is not None:
         return factor, False
     with span("serve.factor_build", pde=request.pde) as osp:
-        if request.pde == "poisson":
-            factor = _PoissonFactor(entry.mesh)
-        elif request.pde == "sbm":
-            factor = _SbmFactor(entry.mesh)
-        elif request.pde == "transport":
-            factor = _TransportFactor(entry.mesh, request)
-        elif request.pde == "amr":
-            factor = _AmrFactor(entry.mesh, request)
-        else:  # pragma: no cover - validated at submit
-            raise ValueError(f"unknown pde {request.pde!r}")
+        factor = _FACTORS[request.pde](entry.mesh, request)
         osp.add("bytes", factor.nbytes)
     entry.add_factor(key, factor, factor.nbytes)
     return factor, True
 
 
+#: reasons a member can end with, mildest first: it takes the worst of
+#: the units it rides (all-zero data rides none and is exact)
+_REASONS = ("direct", "converged", "maxiter")
+
+
 def solve_batch(factor, requests: list[SolveRequest],
                 tol_scale: float = 1.0) -> BatchOutcome:
-    """Solve one batch through its cached factor (one multi-RHS block).
+    """Solve one batch through its cached factor.
 
-    ``tol_scale > 1`` is the brownout degrade path: iterative members
-    stop at a loosened tolerance (direct factors are unaffected)."""
+    A member's iteration count is the largest of the units it rides, its
+    residual ``Σ|coef|·unit residual`` (an upper bound on the true one).
+    ``tol_scale > 1`` is the brownout degrade path: iterative unit
+    solves stop at a loosened tolerance (direct factors are unaffected)."""
     with span("serve.solve", pde=factor.kind) as osp:
-        out = factor.solve(requests, tol_scale=tol_scale)
-        osp.add("columns", len(requests))
-        osp.add("matvecs", out.matvecs)
-    return out
+        # tol is in the batch key: equal across the members
+        rtol = min(requests[0].tol * tol_scale, 1e-2)
+        k = len(requests)
+        rows = np.zeros((k, factor.n_nodes))
+        its, res, worst = [0] * k, [0.0] * k, [0] * k
+        matvecs = 0
+        for term in LINEAR_TERMS[factor.kind]:
+            coef = [getattr(r, term) for r in requests]
+            if not any(coef):
+                continue
+            unit = factor.unit(term, rtol)
+            reason = unit.reason if np.isfinite(unit.u).all() else "nonfinite"
+            if reason not in _REASONS:
+                raise SolverBreakdown(
+                    "serve.batch", reason,
+                    f"{factor.kind} unit response for {term!r} broke down")
+            severity = _REASONS.index(reason)
+            matvecs += unit.matvecs
+            for j, c in enumerate(coef):
+                if c:
+                    rows[j] += c * unit.u
+                    its[j] = max(its[j], unit.iterations)
+                    res[j] += abs(c) * unit.residual
+                    worst[j] = max(worst[j], severity)
+        osp.add("columns", k)
+        osp.add("matvecs", matvecs)
+    return BatchOutcome(rows.T, its, res, [_REASONS[w] for w in worst],
+                        matvecs)

@@ -100,8 +100,9 @@ def _cg_block(
     iterates are mathematically identical to k separate single-RHS
     solves — but every iteration applies the operator to the whole
     ``(n, k)`` block at once (one SpMM / one traversal instead of k
-    SpMVs), which is what makes fingerprint-grouped request batching in
-    :mod:`repro.serve` pay one traversal per batch.  Columns freeze as
+    SpMVs).  It is the entry point for k *distinct* right-hand sides;
+    columns that are multiples of one vector want one scalar solve and
+    a scaling (what :mod:`repro.serve.batcher` does).  Columns freeze as
     they converge (their search direction is zeroed) and per-column
     breakdowns are recorded without stopping the surviving columns.
     """
@@ -109,7 +110,8 @@ def _cg_block(
         op = _as_op(A)
         B = np.asarray(B, float)
         n, k = B.shape
-        maxiter = maxiter or 10 * n
+        if maxiter is None:
+            maxiter = 10 * n
         X = np.zeros((n, k)) if x0 is None else np.asarray(x0, float).copy()
         R = B - op(X)
         nmv = 1
@@ -208,6 +210,8 @@ def cg(
     ``callback(it, rnorm)`` is invoked after every iteration; the
     per-iteration residual history is also attached to the
     ``solver.cg`` trace span when :mod:`repro.obs` is enabled.
+    ``maxiter=None`` allows ``10·n`` iterations; ``maxiter=0`` is a zero
+    budget: ``x0`` comes back with ``iterations == 0``.
 
     A 2-D ``b`` of shape ``(n, k)`` selects the multi-RHS block path:
     all k systems share every operator application (the operator must
@@ -221,7 +225,8 @@ def cg(
         op = _as_op(A)
         dot, axpy = _vector_ops()
         n = len(b)
-        maxiter = maxiter or 10 * n
+        if maxiter is None:
+            maxiter = 10 * n
         x = np.zeros(n) if x0 is None else x0.astype(float).copy()
         r = b - op(x)
         nmv = 1
@@ -292,7 +297,8 @@ def bicgstab(
         op = _as_op(A)
         dot, _ = _vector_ops()
         n = len(b)
-        maxiter = maxiter or 10 * n
+        if maxiter is None:
+            maxiter = 10 * n
         x = np.zeros(n) if x0 is None else x0.astype(float).copy()
         r = b - op(x)
         nmv = 1

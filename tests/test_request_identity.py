@@ -123,6 +123,51 @@ def test_non_finite_parameter_refused_by_the_fleet(field, kw):
     assert resp.ok and resp.request_digest == good.digest
 
 
+# -- a coefficient on a term the pde does not have ----------------------------
+
+#: transport and amr are linear in ``f`` alone (``api.LINEAR_TERMS``): a
+#: non-zero ``g`` used to be solved with boundary value 0 and answered ok
+NO_SUCH_TERM = [
+    dict(pde="transport", g=2.0),
+    dict(pde="transport", g=-1e-300),
+    dict(pde="amr", g=0.5, amr_cycles=1),
+]
+
+
+def test_linear_terms_name_every_pde_kind():
+    assert set(api.LINEAR_TERMS) == set(api.PDE_KINDS)
+    assert all(terms[0] == "f" and set(terms) <= {"f", "g"}
+               for terms in api.LINEAR_TERMS.values())
+    for pde in api.PDE_KINDS:  # g == 0 (and -0.0) is every kind's default
+        SolveRequest(geometry=GEOMETRY, pde=pde).validate()
+        SolveRequest(geometry=GEOMETRY, pde=pde, g=-0.0).validate()
+    for pde in ("poisson", "sbm"):
+        SolveRequest(geometry=GEOMETRY, pde=pde, g=2.0).validate()
+
+
+@pytest.mark.parametrize("kw", NO_SUCH_TERM)
+def test_term_the_pde_lacks_refused_by_the_service(kw):
+    svc = SolverService()
+    with pytest.raises(ValueError, match=f"^{kw['pde']} requests require g == 0"):
+        svc.submit(SolveRequest(geometry=GEOMETRY, **kw))
+    assert svc.scheduler.depth == 0 and svc.responses == []
+    assert svc.drain() == [] and svc.clock.now == 0
+
+
+@pytest.mark.parametrize("kw", NO_SUCH_TERM)
+def test_term_the_pde_lacks_refused_by_the_fleet(kw):
+    fleet = FleetService(2)
+    good = SolveRequest(geometry=GEOMETRY)
+    with pytest.raises(ValueError, match="requests require g == 0"):
+        fleet.run([Arrival(0, good),
+                   Arrival(5, SolveRequest(geometry=GEOMETRY, **kw))])
+    # the refused arrival reached no shard queue and no fail-over log
+    assert [len(log.arrivals) for log in fleet.logs.values()].count(1) == 1
+    assert sum(fleet.routed.values()) == 1
+    (resp,) = fleet.run([])
+    assert resp.ok and resp.request_digest == good.digest
+
+
 def test_valid_digests_are_where_they_were():
     # pinned at the commit before identity was memoised
     assert SolveRequest().digest == (
@@ -137,10 +182,14 @@ def test_valid_digests_are_where_they_were():
 
 # -- computed once: counted, not timed ------------------------------------------
 
-FLEET_DIGEST = "eedd71c2bef02352dcd414cd05edefccaaf32a4839393e3fe48db71e4515cdfc"
+# re-pinned when a batch began solving its unit problems once: solution
+# vectors are f·u_f instead of CG on f·b (last bits, <= 5e-16 relative)
+# and the reported residual is |f|·(unit residual); nothing counted
+# below moved
+FLEET_DIGEST = "bb6f86de716f3bde34bf696a0aa145e4f9d1bcce9367bdc8cee7c753b50cd45a"
 STREAM_DIGESTS = {
-    "shard0": "7f263deab9aa41470aba04358c965ec81be3712301a53bf07a4ba6d0ecd8f1bb",
-    "shard1": "e713bf1a880facfbc357c5319fce841a6ddb00897374564d1d58c14e125daaa6",
+    "shard0": "d81a38eb4a3436ed2bdf2332400f4e869bf6dd385d1fea42b1788215b5f1af08",
+    "shard1": "2ec60a81c9bf94edaa9e9dc59cd9baa9e12e2ac1e00a5beabb945ba24305f95a",
 }
 
 

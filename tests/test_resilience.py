@@ -382,6 +382,15 @@ def test_shrink_splits_absorbs_failed_ranges():
 # -- end-to-end recovery ----------------------------------------------
 
 
+def test_resilient_poisson_maxiter_zero_is_a_zero_budget(sphere_mesh, tmp_path):
+    # ``maxiter or 20 * n`` read 0 as "unset" and solved to convergence
+    dom, mesh = sphere_mesh
+    res = resilient_poisson_solve(
+        PoissonProblem(mesh, f=1.0), ranks=2, ckpt_dir=tmp_path, maxiter=0)
+    assert res.iterations == 0 and res.reason == "maxiter"
+    assert not res.converged and not np.any(res.x)
+
+
 def test_resilient_poisson_crash_recovery_matches(sphere_mesh, tmp_path):
     dom, mesh = sphere_mesh
     prob = PoissonProblem(mesh, f=1.0)

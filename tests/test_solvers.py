@@ -266,3 +266,26 @@ def test_cg_iterates_keep_their_bits_and_resolve_the_backend_once(monkeypatch):
     nonsym = A + sp.diags(np.linspace(0.0, 1.0, 59), 1)
     assert bicgstab(nonsym.tocsr(), b, rtol=1e-10).converged
     assert len(lookups) == 1
+
+
+@pytest.mark.parametrize("solver", ["cg", "cg_block", "bicgstab"])
+def test_maxiter_zero_is_a_zero_budget_not_the_default(solver):
+    """``maxiter=0`` used to read as "unset" and run 10·n iterations."""
+    A = sp.csr_matrix(_spd(30, 5))
+    b = np.random.default_rng(6).standard_normal(30)
+    x0 = np.linspace(-1.0, 1.0, 30)
+    if solver == "cg_block":
+        b, x0 = np.stack([b, 2.0 * b], axis=1), np.stack([x0, x0], axis=1)
+    solve = bicgstab if solver == "bicgstab" else cg
+    for start in (None, x0):
+        res = solve(A, b, x0=start, rtol=1e-10, maxiter=0)
+        assert res.iterations == 0 and res.matvecs == 1
+        assert res.reason == "maxiter" and not res.converged
+        want = np.zeros_like(b) if start is None else start
+        assert res.x.tobytes() == want.tobytes()
+    # a start that already meets the tolerance needs no budget
+    exact = solve(A, b, rtol=1e-13).x
+    res = solve(A, b, x0=exact, rtol=1e-6, maxiter=0)
+    assert res.iterations == 0 and res.reason == "converged"
+    # None still means 10·n
+    assert solve(A, b, rtol=1e-10, maxiter=None).converged
