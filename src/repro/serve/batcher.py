@@ -7,8 +7,9 @@ Dirichlet value ``g`` (:data:`repro.serve.api.LINEAR_TERMS`).  Both
 enter the discrete system *linearly*, so request j's solution is
 ``f_j·u_f + g_j·u_g`` with the **unit responses** ``u_f`` (f=1, g=0)
 and ``u_g`` (f=0, g=1).  A *factor* is what a batch key caches — the
-operator or its LU plus the unit right-hand sides — and its one job is
-``unit(term, rtol)``:
+operator or its LU, the unit right-hand sides, and ``units``: the
+nominal-tolerance unit responses it has been asked for so far.  Its one
+job is ``unit(term, rtol)``:
 
 * ``poisson`` — Jacobi :func:`repro.solvers.krylov.cg` on the cached
   assembled operator: ``A_ff x = b_unit``, or ``−lift`` with boundary 1.
@@ -19,16 +20,21 @@ operator or its LU plus the unit right-hand sides — and its one job is
 * ``amr`` — the ``u_unit`` of the one estimator-driven refinement
   trajectory (:func:`repro.amr.loop.amr_solve`) cached per batch key.
 
-:func:`solve_batch` is the one place that combines: it takes each unit
-response some member has a non-zero coefficient on — once, whatever the
-batch size — and forms every member from the units it rides by
+:func:`solve_batch` is the one place that combines and the one caller
+of ``unit``: it takes each unit response some member has a non-zero
+coefficient on from ``factor.units`` — solving it on the factor's first
+such batch only — and forms every member from the units it rides by
 element-wise multiply/add, so a response's bits are a function of the
-request, not of the batch it rode in.  Nothing is kept across batches:
-the virtual clock charges a solve per batch (``cost_solve``), brownout
-loosens the tolerance per batch, and a cross-batch solution cache is a
-parked ROADMAP lane.  A Krylov ``breakdown`` or non-finite unit response
-raises :class:`repro.resilience.faults.SolverBreakdown` for the whole
-batch — the scheduler's retry-with-backoff handles it.
+request, not of the batch it rode in, and a hot batch is k scaled adds.
+The memo lives and dies with the factor and its bytes are in
+``factor.nbytes`` from build.  The nominal ``rtol`` is a function of the
+batch key; brownout loosens it per batch, so a degraded batch solves per
+batch and never touches the memo.  The outcome's ``matvecs`` are the
+stored unit's: the virtual clock (``cost_solve``) keeps charging a solve
+per batch — it models a server without the memo.  A Krylov ``breakdown``
+or non-finite unit response raises
+:class:`repro.resilience.faults.SolverBreakdown` for the whole batch and
+stores nothing — the scheduler's retry-with-backoff re-solves it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ import scipy.sparse.linalg as spla
 
 from ..core.assembly import assemble
 from ..core.plan import operator_context
+from ..obs import add as obs_add
 from ..obs import span
 from ..resilience.faults import SolverBreakdown
 from ..solvers.krylov import cg
@@ -246,11 +253,8 @@ class _AmrFactor:
         self.cycles = len(result.history)
         self.eta = result.total_eta
         self.n_nodes = result.mesh.n_nodes
-        self.nbytes = (
-            self.u_unit.nbytes
-            + self.mesh.leaves.anchors.nbytes
-            + self.mesh.leaves.levels.nbytes
-        )
+        leaves = self.mesh.leaves
+        self.nbytes = leaves.anchors.nbytes + leaves.levels.nbytes
 
     def unit(self, term: str, rtol: float) -> UnitResponse:
         return UnitResponse(self.u_unit, self.cycles, float(self.eta),
@@ -270,6 +274,10 @@ def ensure_factor(entry: CacheEntry, request: SolveRequest):
         return factor, False
     with span("serve.factor_build", pde=request.pde) as osp:
         factor = _FACTORS[request.pde](entry.mesh, request)
+        # term → nominal UnitResponse, filled by solve_batch; its bytes
+        # count from build so cache bytes never depend on arrival order
+        factor.units = {}
+        factor.nbytes += 8 * factor.n_nodes * len(LINEAR_TERMS[factor.kind])
         osp.add("bytes", factor.nbytes)
     entry.add_factor(key, factor, factor.nbytes)
     return factor, True
@@ -282,15 +290,17 @@ _REASONS = ("direct", "converged", "maxiter")
 
 def solve_batch(factor, requests: list[SolveRequest],
                 tol_scale: float = 1.0) -> BatchOutcome:
-    """Solve one batch through its cached factor.
+    """Solve one batch through its cached factor and its unit memo.
 
     A member's iteration count is the largest of the units it rides, its
     residual ``Σ|coef|·unit residual`` (an upper bound on the true one).
     ``tol_scale > 1`` is the brownout degrade path: iterative unit
-    solves stop at a loosened tolerance (direct factors are unaffected)."""
+    solves stop at a loosened tolerance (direct factors are unaffected)
+    and the memo is neither read nor written."""
     with span("serve.solve", pde=factor.kind) as osp:
         # tol is in the batch key: equal across the members
         rtol = min(requests[0].tol * tol_scale, 1e-2)
+        memo = factor.units if tol_scale == 1.0 else {}
         k = len(requests)
         rows = np.zeros((k, factor.n_nodes))
         its, res, worst = [0] * k, [0.0] * k, [0] * k
@@ -299,13 +309,20 @@ def solve_batch(factor, requests: list[SolveRequest],
             coef = [getattr(r, term) for r in requests]
             if not any(coef):
                 continue
-            unit = factor.unit(term, rtol)
-            reason = unit.reason if np.isfinite(unit.u).all() else "nonfinite"
-            if reason not in _REASONS:
-                raise SolverBreakdown(
-                    "serve.batch", reason,
-                    f"{factor.kind} unit response for {term!r} broke down")
-            severity = _REASONS.index(reason)
+            unit = memo.get(term)
+            found = "misses" if unit is None else "hits"
+            osp.add("unit_" + found)
+            obs_add("serve.unit." + found, pde=factor.kind)
+            if unit is None:
+                unit = factor.unit(term, rtol)
+                reason = unit.reason if np.isfinite(unit.u).all() else "nonfinite"
+                if reason not in _REASONS:
+                    raise SolverBreakdown(
+                        "serve.batch", reason,
+                        f"{factor.kind} unit response for {term!r} broke down")
+                unit.u.flags.writeable = False
+                memo[term] = unit
+            severity = _REASONS.index(unit.reason)
             matvecs += unit.matvecs
             for j, c in enumerate(coef):
                 if c:

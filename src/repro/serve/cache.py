@@ -101,25 +101,21 @@ class CacheEntry:
     cache get can prove the artifact is still the one that was built.
     """
 
-    __slots__ = ("fingerprint", "mesh", "ctx", "factors", "_factor_nbytes",
-                 "_base_nbytes", "content_digest")
+    __slots__ = ("fingerprint", "mesh", "ctx", "factors", "nbytes",
+                 "content_digest")
 
     def __init__(self, fingerprint: str, mesh, ctx):
         self.fingerprint = fingerprint
         self.mesh = mesh
         self.ctx = ctx
         self.factors: dict[str, object] = {}
-        self._factor_nbytes: dict[str, int] = {}
-        self._base_nbytes = _entry_base_nbytes(mesh, ctx)
+        self.nbytes = _entry_base_nbytes(mesh, ctx)
         self.content_digest = _entry_content_digest(mesh, ctx)
 
     def add_factor(self, key: str, factor, nbytes: int) -> None:
+        """A factor's bytes are fixed at build, so the sum is kept."""
         self.factors[key] = factor
-        self._factor_nbytes[key] = int(nbytes)
-
-    @property
-    def nbytes(self) -> int:
-        return self._base_nbytes + sum(self._factor_nbytes.values())
+        self.nbytes += int(nbytes)
 
     def verify(self, *, tier: str = "l1") -> None:
         """Recompute the content digest; raise on mismatch."""

@@ -102,7 +102,7 @@ class VirtualClock:
         return self.now
 
 
-@dataclass
+@dataclass(eq=False)  # an identity: ``seq`` is unique per scheduler
 class PendingItem:
     """One admitted request waiting for dispatch.
 

@@ -3,7 +3,8 @@
 Every factor kind returns *unit responses* and ``solve_batch`` forms each
 request as a combination of the ones it has a non-zero coefficient on,
 element-wise — so a response's bits are a function of the request, not
-of the batch it rode in."""
+of the batch it rode in.  That is what lets the factor keep its nominal
+unit responses: a unit problem is solved once per factor, not per batch."""
 
 import numpy as np
 import pytest
@@ -34,19 +35,27 @@ def _req(pde, f=1.0, g=0.0, **kw):
                            **TEMPLATES[pde], **kw})
 
 
+def _fresh(pde, **kw):
+    """A factor nothing has been solved on yet."""
+    req = _req(pde, **kw)
+    factor, built = ensure_factor(build_entry(req), req)
+    assert built and factor.kind == pde and factor.units == {}
+    return factor
+
+
 @pytest.fixture(scope="module")
 def factors():
-    out = {}
-    for pde in TEMPLATES:
-        req = _req(pde)
-        out[pde], built = ensure_factor(build_entry(req), req)
-        assert built and out[pde].kind == pde
-    return out
+    """Shared, so its memo fills as tests run: not for counting solves."""
+    return {pde: _fresh(pde) for pde in TEMPLATES}
 
 
 def _column(out, j):
     return (out.solutions[:, j].tobytes(), out.iterations[j],
             out.residuals[j], out.reasons[j])
+
+
+def _columns(out):
+    return [_column(out, j) for j in range(out.solutions.shape[1])]
 
 
 _amplitude = st.one_of(
@@ -118,13 +127,20 @@ def _count_units(monkeypatch, factor):
 
 @pytest.mark.parametrize("pde", list(TEMPLATES))
 def test_a_unit_problem_is_solved_once_whatever_the_batch_size(
-        factors, pde, monkeypatch):
-    factor = factors[pde]
-    one = solve_batch(factor, [_req(pde, 1.5)])
+        pde, monkeypatch):
+    factor = _fresh(pde)
     calls = _count_units(monkeypatch, factor)
-    out = solve_batch(factor, [_req(pde, f) for f in (1.5, -2.0, 0.25, 4.0,
-                                                      1.5, 3.0, 0.5, 7.0)])
+    reqs = [_req(pde, f) for f in (1.5, -2.0, 0.25, 4.0, 1.5, 3.0, 0.5, 7.0)]
+    out = solve_batch(factor, reqs)
+    assert calls == ["f"] and list(factor.units) == ["f"]
+    # ... and once per factor: the next batch reads the stored response,
+    # and reports what the first one did, matvecs included
+    again = solve_batch(factor, reqs)
+    one = solve_batch(factor, reqs[:1])
     assert calls == ["f"]
+    assert _columns(again) == _columns(out) and again.matvecs == out.matvecs
+    with pytest.raises(ValueError, match="read-only"):
+        factor.units["f"].u[0] = 1.0
     # the model's matvec count is the batch's, not k times it
     assert out.matvecs == one.matvecs
     assert out.iterations == [one.iterations[0]] * 8
@@ -149,18 +165,18 @@ def test_all_zero_batch_solves_nothing_and_is_exact(factors, pde, monkeypatch):
 
 
 @pytest.mark.parametrize("pde", HAS_G)
-def test_only_the_member_with_boundary_data_sees_u_g(factors, pde,
-                                                     monkeypatch):
-    factor = factors[pde]
+def test_only_the_member_with_boundary_data_sees_u_g(pde, monkeypatch):
+    factor = _fresh(pde)
+    calls = _count_units(monkeypatch, factor)
     u_f = solve_batch(factor, [_req(pde, 1.0)])
+    assert calls == ["f"]  # a batch without boundary data never solves u_g
     u_g = solve_batch(factor, [_req(pde, 0.0, 1.0)])
     assert np.array_equal(u_g.solutions[factor.fixed, 0],
                           np.ones(factor.fixed.sum()))
-    calls = _count_units(monkeypatch, factor)
     reqs = [_req(pde, 2.0), _req(pde, 0.0), _req(pde, -1.0, 3.0),
             _req(pde, 0.5), _req(pde, 0.0, -2.0)]
     out = solve_batch(factor, reqs)
-    assert calls == ["f", "g"]
+    assert calls == ["f", "g"]  # each solved by the batch that first rode it
     assert out.matvecs == u_f.matvecs + u_g.matvecs
     f_only, g_only = _column(u_f, 0), _column(u_g, 0)
     # members 0 and 3 ride u_f alone: u_g's iterations, residual and bits
@@ -218,23 +234,38 @@ def test_mixed_request_meets_the_per_term_tolerance():
 # -- a unit solve that breaks fails the whole batch --------------------------
 
 
-def test_breakdown_in_a_unit_solve_fails_the_whole_batch(factors, monkeypatch):
-    factor = factors["poisson"]
-    reqs = [_req("poisson", 1.0), _req("poisson", 2.0), _req("poisson", 0.5, 1.0)]
-    real = batcher.cg
-    broken = []
+def _break_u_g(monkeypatch, factor, times):
+    """``cg`` reports a breakdown on u_g's solve, the first ``times`` times."""
+    real, solved, broken = batcher.cg, [], []
 
-    def cg_breaking_on_lift(A, b, **kw):
+    def cg(A, b, **kw):
         res = real(A, b, **kw)
-        if np.array_equal(b, -factor.lift):  # only u_g's solve breaks
+        solved.append(kw["rtol"])
+        if len(broken) < times and np.array_equal(b, -factor.lift):
             broken.append(kw["rtol"])
             return KrylovResult(res.x, 3, res.residual, False, 4, "breakdown")
         return res
 
-    monkeypatch.setattr(batcher, "cg", cg_breaking_on_lift)
+    monkeypatch.setattr(batcher, "cg", cg)
+    return solved, broken
+
+
+_MIXED = [("poisson", 1.0), ("poisson", 2.0), ("poisson", 0.5, 1.0)]
+
+
+def test_breakdown_in_a_unit_solve_fails_the_whole_batch(monkeypatch):
+    factor = _fresh("poisson")
+    reqs = [_req(*a) for a in _MIXED]
+    solved, broken = _break_u_g(monkeypatch, factor, times=99)
     with pytest.raises(SolverBreakdown) as exc:
         solve_batch(factor, reqs)
     assert exc.value.reason == "breakdown" and len(broken) == 1
+    # the broken unit is not stored, so the next batch solves it again;
+    # u_f, solved before u_g broke, is
+    assert list(factor.units) == ["f"]
+    with pytest.raises(SolverBreakdown):
+        solve_batch(factor, reqs)
+    assert len(broken) == 2 and len(solved) == 3
     # without the member that needs u_g the batch is untouched
     assert solve_batch(factor, reqs[:2]).reasons == ["converged"] * 2
     # through the service: the members are retried together, then failed
@@ -244,7 +275,43 @@ def test_breakdown_in_a_unit_solve_fails_the_whole_batch(factors, monkeypatch):
     done = svc.drain()
     assert sorted((r.status, r.reason, r.retries) for r in done) == [
         ("failed", "retries_exhausted", 1)] * 3
-    assert len(broken) == 3
+    assert len(broken) == 4 and len(solved) == 6
+
+
+def test_the_retry_after_a_breakdown_is_a_real_second_attempt(monkeypatch):
+    factor = _fresh("poisson")
+    reqs = [_req(*a) for a in _MIXED]
+    solved, broken = _break_u_g(monkeypatch, factor, times=1)
+    svc = SolverService(max_retries=1, backoff=10)
+    for r in reqs:
+        svc.submit(r)
+    done = svc.drain()
+    assert [(r.status, r.retries) for r in done] == [("ok", 1)] * 3
+    assert len(broken) == 1 and len(solved) == 3  # u_f once, u_g twice
+    # ... and answers what a factor that never broke answers
+    clean = solve_batch(factor, reqs)
+    assert {r.request_digest: r.solution_digest for r in done} == {
+        r.digest: clean.digest(j) for j, r in enumerate(reqs)}
+
+
+@pytest.mark.parametrize("pde", list(TEMPLATES))
+def test_a_non_finite_unit_is_not_stored(pde, monkeypatch):
+    factor, req = _fresh(pde), _req(pde, 2.0)
+    unit, poisoned = factor.unit, []
+
+    def nan_once(term, rtol):
+        out = unit(term, rtol)
+        if not poisoned:
+            poisoned.append(term)
+            out.u = out.u * np.nan
+        return out
+
+    monkeypatch.setattr(factor, "unit", nan_once)
+    with pytest.raises(SolverBreakdown) as exc:
+        solve_batch(factor, [req])
+    assert exc.value.reason == "nonfinite" and factor.units == {}
+    assert solve_batch(factor, [req]).reasons[0] in ("direct", "converged")
+    assert list(factor.units) == ["f"]
 
 
 @pytest.mark.parametrize("pde", ["sbm", "transport"])
@@ -265,6 +332,54 @@ def test_non_finite_unit_response_is_a_breakdown(pde, monkeypatch):
     assert exc.value.reason == "nonfinite"
 
 
+# -- what the memo is not: a different tolerance, unaccounted bytes ----------
+
+
+@pytest.mark.parametrize("pde", list(TEMPLATES))
+def test_a_degraded_batch_solves_per_batch_and_leaves_the_memo_alone(
+        pde, monkeypatch):
+    # poisson on a mesh where CG stops at its tolerance, not at round-off
+    kw = dict(base_level=3, boundary_level=5) if pde == "poisson" else {}
+    factor = _fresh(pde, **kw)
+    reqs = [_req(pde, 2.0, 1.0, **kw), _req(pde, -0.5, **kw)]
+    terms = ["f", "g"] if pde in HAS_G else ["f"]
+    calls = _count_units(monkeypatch, factor)
+    loose = solve_batch(factor, reqs, tol_scale=1e6)
+    assert calls == terms and factor.units == {}
+    before = solve_batch(factor, reqs)
+    stored = {t: id(u) for t, u in factor.units.items()}
+    assert calls == terms * 2 and list(stored) == terms
+    for _ in range(2):
+        assert _columns(solve_batch(factor, reqs, tol_scale=1e6)) == (
+            _columns(loose))
+    assert calls == terms * 4
+    assert {t: id(u) for t, u in factor.units.items()} == stored
+    assert _columns(solve_batch(factor, reqs)) == _columns(before)
+    assert calls == terms * 4
+    if pde == "poisson":  # the one kind a tolerance reaches: flagged, different
+        assert loose.iterations[0] < before.iterations[0]
+        assert loose.solutions.tobytes() != before.solutions.tobytes()
+
+
+@pytest.mark.parametrize("pde", list(TEMPLATES))
+def test_cache_bytes_do_not_depend_on_what_has_been_solved(pde):
+    from repro.serve.cache import ArtifactCache
+
+    req = _req(pde, 2.0, 1.0)
+    cache = ArtifactCache()
+    entry = cache.insert(req.mesh_digest, build_entry(req))
+    bare = entry.nbytes
+    factor, _ = ensure_factor(entry, req)
+    built = (entry.nbytes, cache.nbytes)
+    assert built == (bare + factor.nbytes, bare + factor.nbytes)
+    solve_batch(factor, [req])
+    assert (entry.nbytes, cache.nbytes) == built
+    # the unit responses were in the factor's bytes from the start
+    held = sum(u.u.nbytes for u in factor.units.values())
+    assert 0 < held <= factor.nbytes
+    assert held == 8 * factor.n_nodes * len(factor.units)
+
+
 # -- the same invariant, seen from the fleet ---------------------------------
 
 
@@ -283,3 +398,39 @@ def test_fleet_digest_does_not_depend_on_how_requests_were_batched():
     # ... while the batches themselves did differ
     sizes = [sorted(r.batch_size for r in f.responses) for f in runs]
     assert len({tuple(s) for s in sizes}) > 1
+
+
+@pytest.mark.fleet
+def test_the_memo_survives_a_demotion_to_l2_and_dies_with_a_quarantine(
+        monkeypatch):
+    from repro.fleet import FleetService
+    from repro.fleet.workload import Arrival
+    from repro.resilience.faults import corrupt_in_place
+
+    fleet = FleetService(2, cache_bytes=1, stealing=False)  # L1 holds one key
+    a = _req("poisson")
+    home = fleet.ring.route(a.mesh_digest)
+    b = next(r for r in (_req("poisson", geometry={**DISK, "radius": 0.1 + i / 100})
+                         for i in range(19))
+             if fleet.ring.route(r.mesh_digest) == home)
+    shard, solved = fleet.shards[home], []
+    unit = batcher._PoissonFactor.unit
+    monkeypatch.setattr(
+        batcher._PoissonFactor, "unit",
+        lambda self, term, rtol: solved.append(term) or unit(self, term, rtol))
+
+    def serve(req):
+        resp = fleet.run([Arrival(fleet.now + 1, req)])[-1]
+        assert resp.ok and resp.request_digest == req.digest
+        return resp
+
+    serve(a)
+    serve(b)
+    assert solved == ["f", "f"] and shard.cache.peek(a.mesh_digest) is None
+    # evicted to L2 and fetched back: the same entry, the same factor, no solve
+    assert serve(_req("poisson", 2.0)).cache_hit and shard.l2_fetches == 1
+    assert solved == ["f", "f"]
+    # a flipped bit: both tiers quarantine it, the rebuilt key starts empty
+    corrupt_in_place(shard.cache.peek(a.mesh_digest).ctx.h, (0,))
+    assert not serve(_req("poisson", 3.0)).cache_hit
+    assert solved == ["f", "f", "f"] and len(shard.cache.quarantined) == 1
