@@ -11,9 +11,9 @@ scale-folded CSR product.  This bench times both on the 848- and
 18 224-element e2e meshes and requires compiled <= map-based on each,
 reports the compiled path's phase breakdown from its merge spans next
 to the map-based path's per-kernel seconds, and holds the production
-traversal of every backend to the recursive tree walk it was derived
-from (:mod:`repro.core.traversal_reference`, the test oracle): same
-answer to 1e-10, at least 50x faster.
+traversal to the recursive tree walk it was derived from
+(:mod:`repro.core.traversal_reference`, the test oracle): same answer
+to 1e-10, at least 50x faster.
 """
 
 import os
@@ -32,7 +32,6 @@ from repro.core.matvec import (
 )
 from repro.core.traversal_reference import recursive_traversal_matvec
 from repro.geometry import SphereCarve
-from repro.kernels import available_backends, backend_names, use_backend
 from repro.parallel import (
     SimComm,
     analyze_partition,
@@ -135,90 +134,65 @@ def test_traversal_vs_map_ablation():
 
 
 def test_backend_ablation(mesh):
-    """Kernel-backend ablation on the serial traversal MATVEC.
+    """Production traversal MATVEC against the recursive oracle.
 
-    Times the production (plan-compiled) traversal under each
-    registered :mod:`repro.kernels` backend on the same plan and the
-    recursive oracle once, asserts same-backend runs are bit-identical
-    and every backend agrees with the oracle to 1e-10, records the
-    achieved fraction-of-peak per kernel per backend into the bench.v1
-    sidecar, and requires every backend's production traversal to beat
-    the oracle by >= 50x.  The per-backend columns are reported
-    numbers, not a ranking gate."""
+    Times the production (plan-compiled) traversal and the recursive
+    oracle once on the same plan, asserts repeated runs are
+    bit-identical and agree with the oracle to 1e-10, records the
+    achieved fraction-of-peak per kernel into the bench.v1 sidecar, and
+    requires the production traversal to beat the oracle by >= 50x."""
     rng = np.random.default_rng(0)
     u = rng.standard_normal(mesh.n_nodes)
     plan = TraversalPlan(mesh)
     mv = MapBasedMatVec(mesh)
     repeats = 20
-    avail = available_backends()
 
     t = ResultTable(
         "backend_ablation_matvec",
-        f"Kernel backends: serial traversal MATVEC "
+        f"Production vs oracle: serial traversal MATVEC "
         f"({mesh.n_elem} elements, {mesh.n_nodes} DOFs, {repeats} applies)",
     )
     t0 = time.perf_counter()
     y_oracle = recursive_traversal_matvec(mesh, u, plan=plan)
     t_oracle = time.perf_counter() - t0
-    t.row(f"{'oracle':8s}: {t_oracle * 1e3:9.3f} ms/apply (recursive walk, 1 apply)")
+    t.row(f"{'oracle':10s}: {t_oracle * 1e3:9.3f} ms/apply (recursive walk, 1 apply)")
     t.record(column="oracle", seconds_per_apply=t_oracle)
 
-    results, timings = {}, {}
     obs.reset()
     obs.enable()
     try:
-        for name in backend_names():
-            if not avail[name]:
-                t.row(f"{name:8s}: skipped (backend unavailable)")
-                t.record(column="backend", backend=name, available=False)
-                continue
-            with use_backend(name):
-                y0 = traversal_matvec(mesh, u, plan=plan)  # warm-up / jit
-                y1 = traversal_matvec(mesh, u, plan=plan)
-                assert y0.tobytes() == y1.tobytes(), (
-                    f"{name}: same-backend runs are not bit-identical"
-                )
-                t0 = time.perf_counter()
-                for _ in range(repeats):
-                    y1 = traversal_matvec(mesh, u, plan=plan)
-                dt = (time.perf_counter() - t0) / repeats
-                mv(u)  # exercise gather/elem_apply/scatter counters too
-            results[name], timings[name] = y1, dt
-            t.row(f"{name:8s}: {dt * 1e3:9.3f} ms/apply "
-                  f"({t_oracle / dt:7.1f}x vs oracle)")
-            t.record(
-                column="backend", backend=name, available=True,
-                seconds_per_apply=dt, repeats=repeats,
-                speedup_vs_oracle=t_oracle / dt,
-            )
+        y0 = traversal_matvec(mesh, u, plan=plan)  # warm-up, compiles
+        y = traversal_matvec(mesh, u, plan=plan)
+        assert y0.tobytes() == y.tobytes(), "repeated runs are not bit-identical"
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            y = traversal_matvec(mesh, u, plan=plan)
+        dt = (time.perf_counter() - t0) / repeats
+        mv(u)  # exercise gather/elem_apply/scatter counters too
+        measured = measured_kernel_points()
     finally:
         obs.disable()
-
-    for name, y in results.items():
-        assert np.allclose(y, y_oracle, atol=1e-10), (
-            f"{name} disagrees with the recursive oracle beyond tolerance"
-        )
-    # achieved fraction-of-peak per kernel per backend (measured by the
-    # facade counters of the runs above)
-    for m in measured_kernel_points():
+    speedup = t_oracle / dt
+    t.row(f"{'production':10s}: {dt * 1e3:9.3f} ms/apply "
+          f"({speedup:7.1f}x vs oracle, traced)")
+    t.record(column="production_vs_oracle", seconds_per_apply=dt,
+             repeats=repeats, speedup=speedup)
+    assert np.allclose(y, y_oracle, atol=1e-10), (
+        "production traversal disagrees with the recursive oracle"
+    )
+    # achieved fraction-of-peak per kernel (measured by the facade
+    # counters of the runs above)
+    for m in measured:
         t.row(
-            f"  {m.kernel:10s} [{m.backend:7s}] AI={m.arithmetic_intensity:6.3f} "
+            f"  {m.kernel:10s} AI={m.arithmetic_intensity:6.3f} "
             f"achieved={m.achieved_gflops / 1e9:7.3f} GFLOP/s "
             f"fraction-of-peak={m.fraction_of_peak:.4f}"
         )
         t.record(column="measured_kernel", **m.to_doc())
-
-    slowest = max(timings, key=timings.get)
-    speedup = t_oracle / timings[slowest]
-    t.row(f"production traversal vs recursive oracle: >= {speedup:.1f}x "
-          f"(slowest backend: {slowest}); every backend runs the same "
-          f"compiled apply program, numpy is the default")
-    t.record(column="production_vs_oracle", slowest_backend=slowest,
-             speedup=speedup)
     t.save()
     assert speedup >= 50.0, (
-        f"production traversal under {slowest} only {speedup:.1f}x over the "
-        f"recursive oracle (< 50x)"
+        f"production traversal only {speedup:.1f}x over the recursive "
+        f"oracle (< 50x)"
     )
 
 

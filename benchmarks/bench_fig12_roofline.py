@@ -17,7 +17,6 @@ from repro.analysis import (
     roofline_ceilings,
 )
 from repro.geometry import BoxRetain, SphereCarve
-from repro.kernels import available_backends, backend_names
 
 from _util import ResultTable
 
@@ -38,23 +37,17 @@ def run_roofline():
 
 
 def run_backend_columns():
-    """Per-backend achieved kernel rates on the sphere p=1 mesh,
-    measured through the repro.kernels facade counters."""
+    """Achieved kernel rates on the sphere p=1 mesh, measured through
+    the repro.kernels facade counters."""
     dom_s = Domain(SphereCarve([5.0, 5.0, 5.0], 0.5), scale=10.0)
     mesh = build_mesh(dom_s, 4, 7, p=1)
-    avail = available_backends()
-    rows = []
     obs.reset()
     obs.enable()
     try:
-        for name in backend_names():
-            if not avail[name]:
-                continue
-            analyze_kernel(mesh, repeats=3, backend=name)
-        rows = measured_kernel_points()
+        analyze_kernel(mesh, repeats=3)
+        return measured_kernel_points()
     finally:
         obs.disable()
-    return rows
 
 
 def test_fig12_roofline(benchmark):
@@ -81,13 +74,13 @@ def test_fig12_roofline(benchmark):
         by_p[pt.p].append(pt)
     t.row("paper: AI 0.072 (linear) / 0.121 (quadratic); achieved "
           "~4 / ~7 GFLOP/s — memory bound")
-    # measured per-kernel per-backend achieved rates (repro.kernels
-    # facade counters) — the achieved half of predicted-vs-achieved
-    t.row(f"{'kernel':>12} {'backend':>8} {'AI (meas)':>10} "
+    # measured per-kernel achieved rates (repro.kernels facade
+    # counters) — the achieved half of predicted-vs-achieved
+    t.row(f"{'kernel':>12} {'AI (meas)':>10} "
           f"{'achieved GF/s':>14} {'frac-of-peak':>13}")
     measured = run_backend_columns()
     for m in measured:
-        t.row(f"{m.kernel:>12} {m.backend:>8} "
+        t.row(f"{m.kernel:>12} "
               f"{m.arithmetic_intensity:>10.3f} "
               f"{m.achieved_gflops / 1e9:>14.3f} "
               f"{m.fraction_of_peak:>13.4f}")

@@ -82,27 +82,19 @@ def analyze_kernel(
     mesh: IncompleteMesh,
     machine: MachineModel = FRONTERA,
     repeats: int = 5,
-    backend: str | None = None,
 ) -> RooflinePoint:
-    """Place the mesh's Poisson elemental kernel on the roofline.
-
-    ``backend`` selects the :mod:`repro.kernels` backend the timed
-    applies execute under (None = the session default).
-    """
-    from ..kernels import use_backend
-
+    """Place the mesh's Poisson elemental kernel on the roofline."""
     p, dim = mesh.p, mesh.dim
     mv = MapBasedMatVec(mesh)
     compiled = TraversalMatVec(mesh)
     u = np.linspace(0.0, 1.0, mesh.n_nodes)
     seconds = {}
-    with use_backend(backend):
-        for name, op in (("map", mv), ("compiled", compiled)):
-            op(u)  # warm up
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                op(u)
-            seconds[name] = (time.perf_counter() - t0) / repeats
+    for name, op in (("map", mv), ("compiled", compiled)):
+        op(u)  # warm up
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            op(u)
+        seconds[name] = (time.perf_counter() - t0) / repeats
     dense_flops = mv.flops()
     tens_flops = tensorised_apply_flops(p, dim) * mesh.n_elem
     depth = float(mesh.leaves.levels.mean())

@@ -67,7 +67,6 @@ def _event_lines(recorder, path: str | None, name: str) -> list[str]:
 
 def _mvc_common(domain, base, boundary, order, ranks, label):
     from .core.mesh import build_mesh
-    from .kernels import resolve_backend_name
     from .parallel import (
         FRONTERA,
         SimComm,
@@ -84,7 +83,7 @@ def _mvc_common(domain, base, boundary, order, ranks, label):
     t_mesh = time.perf_counter() - t0
     lines = [
         f"# {label}: base={base} boundary={boundary} order={order} "
-        f"ranks={ranks} backend={resolve_backend_name()}",
+        f"ranks={ranks}",
         f"mesh: {mesh.n_elem} elements, {mesh.n_nodes} DOFs, "
         f"levels {int(mesh.leaves.levels.min())}..{int(mesh.leaves.levels.max())}",
         f"mesh construction: {t_mesh:.3f} s (measured, this machine)",
@@ -796,9 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--out", default=None)
         s.add_argument("--trace-out", default=None,
                        help="run-artifact path (default trace_<command>.json)")
-        s.add_argument("--backend", default=None,
-                       help="kernel backend (numpy, einsum, numba; "
-                            "default: $REPRO_KERNELS_BACKEND or numpy)")
         s.set_defaults(func=func, trace_name=name)
 
     add_mvc("mvc-channel", "MVCChannel", cmd_mvc_channel,
@@ -865,9 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--trace-out", default=None,
                    help="run-artifact path (default trace_<command>.json)")
-    s.add_argument("--backend", default=None,
-                   help="kernel backend for all solves (numpy, einsum, "
-                        "numba; default: $REPRO_KERNELS_BACKEND or numpy)")
     s.set_defaults(func=cmd_serve_demo, trace_name="serve-demo")
 
     s = sub.add_parser(
@@ -926,9 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--trace-out", default=None,
                    help="run-artifact path (default trace_<command>.json)")
-    s.add_argument("--backend", default=None,
-                   help="kernel backend for all solves (numpy, einsum, "
-                        "numba; default: $REPRO_KERNELS_BACKEND or numpy)")
     s.set_defaults(func=cmd_fleet_demo, trace_name="fleet-demo")
 
     s = sub.add_parser(
@@ -1030,13 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        from .kernels import UnknownBackend, set_default_backend
-
-        try:
-            set_default_backend(args.backend)
-        except UnknownBackend as exc:
-            raise SystemExit(f"--backend: {exc}") from None
     tracing = obs.is_enabled() and getattr(args, "trace_name", None)
     if tracing:
         obs.reset()

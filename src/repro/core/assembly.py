@@ -48,10 +48,7 @@ def elemental_blocks(mesh: IncompleteMesh, kind="stiffness", nquad=None) -> np.n
 def assemble(mesh: IncompleteMesh, kind="stiffness", blocks=None) -> sp.csr_matrix:
     """Assembled global sparse operator (CSR).
 
-    Executes through the :mod:`repro.kernels` facade: the default numpy
-    backend runs the BSR triple product (bit-identical to the
-    historical path); the einsum backend emits vectorized §3.6 triplets
-    from the flat slot table.
+    One BSR triple product, counted by the :mod:`repro.kernels` facade.
     """
     with span("assembly") as osp:
         if blocks is None:

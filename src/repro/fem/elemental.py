@@ -57,9 +57,7 @@ class ReferenceElement:
 
     # -- batched matrix-free applications ------------------------------
     # routed through the repro.kernels facade so MapBasedMatVec, the
-    # distributed MATVEC and the fem operators all honour the active
-    # backend (the default numpy backend evaluates the exact historical
-    # expressions, bit-identically)
+    # distributed MATVEC and the fem operators are counted as one kernel
 
     def apply_stiffness(self, u_loc: np.ndarray, h: np.ndarray) -> np.ndarray:
         """K_e u_e for all elements. ``u_loc`` is ``(n_elem, npe)``."""

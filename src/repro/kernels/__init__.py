@@ -1,65 +1,43 @@
-"""repro.kernels — swappable multi-backend kernel layer.
+"""repro.kernels — the hot numerical loops, behind a counted facade.
 
-The hot numerical loops of the stack (gather/scatter, batched elemental
-applies, the traversal MATVEC, assembly, Krylov axpy/dot) execute
-through the :mod:`~repro.kernels.api` facade, dispatching to a
-registered backend:
-
-* ``numpy`` (default) — map-based ops bit-identical to the historical
-  inline paths, plus the flat plan-compiled traversal every backend runs;
-* ``einsum`` — einsum elemental applies/dots, vectorized assembly;
-* ``numba`` — jitted slot/CSR loops, gracefully unavailable when
-  numba is not installed.
-
-Select a backend with the ``REPRO_KERNELS_BACKEND`` environment
-variable, the ``--backend`` CLI flag (:func:`set_default_backend`), a
-scoped :func:`use_backend` context, or per-request via
-``SolveRequest.backend`` in :mod:`repro.serve`.  Every facade call
-publishes ``kernels.{calls,flops,bytes,seconds}`` counters to
-:mod:`repro.obs` when tracing is on, which
+Gather/scatter, batched elemental applies, the traversal MATVEC,
+assembly and the Krylov axpy/dot execute through :mod:`~repro.kernels.api`.
+The kernel bodies live in :mod:`~repro.kernels.numpy_backend` (one set,
+one instance); the facade adds nothing with tracing off and publishes
+``kernels.{calls,flops,bytes,seconds}`` counters with tracing on, which
 :func:`repro.analysis.roofline.measured_kernel_points` converts into
-measured fraction-of-peak per kernel per backend.
+measured fraction-of-peak per kernel.
+
+There is no selector.  The ``einsum`` set lost to ``numpy`` on every op
+it overrode on every bench mesh and the jitted set never ran
+(EXPERIMENTS.md); a second implementation returns from git history
+together with the workload that separates it.
 """
 
+from contextlib import contextmanager
+
 from . import api
-from .einsum_backend import EinsumKernels
-from .numba_backend import NUMBA_AVAILABLE, NumbaKernels
-from .numpy_backend import NumpyKernels
-from .registry import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    BackendUnavailable,
-    UnknownBackend,
-    available_backends,
-    backend_names,
-    default_backend,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-    set_default_backend,
-    use_backend,
-)
+from .numpy_backend import KERNELS
 
-__all__ = [
-    "api",
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
-    "NUMBA_AVAILABLE",
-    "UnknownBackend",
-    "BackendUnavailable",
-    "NumpyKernels",
-    "EinsumKernels",
-    "NumbaKernels",
-    "register_backend",
-    "backend_names",
-    "available_backends",
-    "resolve_backend_name",
-    "get_backend",
-    "set_default_backend",
-    "default_backend",
-    "use_backend",
-]
+__all__ = ["api", "available_backends", "use_backend"]
 
-register_backend("numpy", NumpyKernels())
-register_backend("einsum", EinsumKernels())
-register_backend("numba", NumbaKernels())
+
+def available_backends() -> dict[str, bool]:
+    """``{"numpy": True}``.  Kept only because ``benchmarks/e2e/worker.py``
+    enumerates it for its ``s_per_call.<backend>`` columns and that
+    directory is frozen; ROADMAP item 1(b) removes ``backend_slice`` and
+    then this function."""
+    return {KERNELS.name: True}
+
+
+@contextmanager
+def use_backend(name: str | None):
+    """A no-op scope that accepts ``None`` / ``"numpy"`` and raises
+    ``ValueError`` otherwise.  Kept only because
+    ``benchmarks/e2e/workloads.py`` (``backend_slice``) enters it and
+    that directory is frozen; ROADMAP item 1(b) removes both."""
+    if name not in (None, KERNELS.name):
+        raise ValueError(
+            f"unknown kernel backend {name!r}; the only kernel set is "
+            f"{KERNELS.name!r}")
+    yield

@@ -1,22 +1,23 @@
-"""Instrumented ops facade — the single entry point to kernel backends.
+"""Instrumented ops facade — the counted entry point to the kernels.
 
 Call sites (:mod:`repro.core.matvec`, :mod:`repro.core.assembly`,
 :mod:`repro.fem.elemental`, :mod:`repro.parallel.dist_matvec`,
 :mod:`repro.solvers.krylov`) invoke these functions instead of inlining
-numpy expressions; each call dispatches to the active backend (see
-:mod:`repro.kernels.registry` for the selection precedence) and — when
-:mod:`repro.obs` tracing is enabled — publishes achieved-work counters::
+numpy expressions.  With tracing off a call is a passthrough to the one
+kernel set (:data:`repro.kernels.numpy_backend.KERNELS`) behind one
+attribute check; with :mod:`repro.obs` tracing on it also publishes
+achieved-work counters::
 
-    kernels.calls{backend="einsum",kernel="elem_apply"}
+    kernels.calls{backend="numpy",kernel="elem_apply"}
     kernels.flops{...}     # modelled double-precision FLOPs executed
     kernels.bytes{...}     # modelled bytes moved
     kernels.seconds{...}   # measured wall time
 
 :func:`repro.analysis.roofline.measured_kernel_points` turns these four
 counters into measured arithmetic intensity and fraction-of-peak per
-kernel per backend, from a live registry or any ``run.v1``/``bench.v1``
-artifact.  With tracing disabled every facade call costs one attribute
-check on top of the op itself.
+kernel, from a live registry or any ``run.v1``/``bench.v1`` artifact.
+The ``backend="numpy"`` label is constant: it is part of that artifact
+format, not a selection.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 
 from ..obs.counters import REGISTRY
 from ..obs.trace import TRACER, span
-from .registry import get_backend
+from .numpy_backend import KERNELS as _K
 
 __all__ = [
     "gather",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 
-def _timed(be, kernel: str, fn, cost, *args):
+def _timed(kernel: str, fn, cost, *args):
     """The tracing-on half of every facade call: time ``fn(*args)`` and
     publish the ``kernels.*`` counters, work and traffic modelled by
     ``cost(out, *args) -> (flops, bytes)``."""
@@ -50,7 +51,7 @@ def _timed(be, kernel: str, fn, cost, *args):
     out = fn(*args)
     dt = perf_counter() - t0
     flops, nbytes = cost(out, *args)
-    labels = {"kernel": kernel, "backend": be.name}
+    labels = {"kernel": kernel, "backend": _K.name}
     REGISTRY.add("kernels.calls", 1, **labels)
     REGISTRY.add("kernels.flops", float(flops), **labels)
     REGISTRY.add("kernels.bytes", float(nbytes), **labels)
@@ -116,68 +117,58 @@ def _assemble_cost(A, ctx, blocks):
     )
 
 
-def gather(G: sp.csr_matrix, u: np.ndarray, backend: str | None = None):
-    """Hanging-aware element gather ``G @ u`` through the active backend."""
-    be = get_backend(backend)
+def gather(G: sp.csr_matrix, u: np.ndarray):
+    """Hanging-aware element gather ``G @ u``."""
     if not TRACER.enabled:
-        return be.gather(G, u)
-    return _timed(be, "gather", be.gather, _csr_cost, G, u)
+        return _K.gather(G, u)
+    return _timed("gather", _K.gather, _csr_cost, G, u)
 
 
-def scatter(S: sp.csr_matrix, w: np.ndarray, backend: str | None = None):
-    """Bottom-up accumulation ``S @ w`` through the active backend."""
-    be = get_backend(backend)
+def scatter(S: sp.csr_matrix, w: np.ndarray):
+    """Bottom-up accumulation ``S @ w``."""
     if not TRACER.enabled:
-        return be.scatter(S, w)
-    return _timed(be, "scatter", be.scatter, _csr_cost, S, w)
+        return _K.scatter(S, w)
+    return _timed("scatter", _K.scatter, _csr_cost, S, w)
 
 
-def elem_apply(u_loc: np.ndarray, M: np.ndarray, scale: np.ndarray,
-               backend: str | None = None) -> np.ndarray:
+def elem_apply(u_loc: np.ndarray, M: np.ndarray,
+               scale: np.ndarray) -> np.ndarray:
     """Batched elemental apply ``(u_loc @ M.T) * scale[:, None]``."""
-    be = get_backend(backend)
     if not TRACER.enabled:
-        return be.elem_apply(u_loc, M, scale)
-    return _timed(be, "elem_apply", be.elem_apply, _elem_apply_cost,
+        return _K.elem_apply(u_loc, M, scale)
+    return _timed("elem_apply", _K.elem_apply, _elem_apply_cost,
                   u_loc, M, scale)
 
 
-def dot(x: np.ndarray, y: np.ndarray, backend: str | None = None) -> float:
+def dot(x: np.ndarray, y: np.ndarray) -> float:
     """Krylov inner product ⟨x, y⟩."""
-    be = get_backend(backend)
     if not TRACER.enabled:
-        return be.dot(x, y)
-    return _timed(be, "dot", be.dot, _dot_cost, x, y)
+        return _K.dot(x, y)
+    return _timed("dot", _K.dot, _dot_cost, x, y)
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray,
-         backend: str | None = None) -> np.ndarray:
+def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """In-place ``y += alpha * x``; returns ``y``."""
-    be = get_backend(backend)
     if not TRACER.enabled:
-        return be.axpy(alpha, x, y)
-    return _timed(be, "axpy", be.axpy, _axpy_cost, alpha, x, y)
+        return _K.axpy(alpha, x, y)
+    return _timed("axpy", _K.axpy, _axpy_cost, alpha, x, y)
 
 
 def traversal_apply(plan, u: np.ndarray, ker: np.ndarray, pw: int,
-                    e_lo: int, e_hi: int,
-                    backend: str | None = None) -> np.ndarray:
+                    e_lo: int, e_hi: int) -> np.ndarray:
     """Flat traversal MATVEC over elements ``[e_lo, e_hi)`` of ``plan``;
     when tracing, under a ``matvec.traversal`` span that holds the
-    backend's phase spans."""
-    be = get_backend(backend)
+    phase spans."""
     if not TRACER.enabled:
-        return be.traversal_matvec(plan, u, ker, pw, e_lo, e_hi)
-    with span("matvec.traversal", backend=be.name) as osp:
+        return _K.traversal_matvec(plan, u, ker, pw, e_lo, e_hi)
+    with span("matvec.traversal", backend=_K.name) as osp:
         osp.add("elements", e_hi - e_lo)
-        return _timed(be, "traversal", be.traversal_matvec, _traversal_cost,
+        return _timed("traversal", _K.traversal_matvec, _traversal_cost,
                       plan, u, ker, pw, e_lo, e_hi)
 
 
-def assemble(ctx, blocks: np.ndarray,
-             backend: str | None = None) -> sp.csr_matrix:
-    """Global sparse assembly ``Σ_e P_eᵀ K_e P_e`` through the backend."""
-    be = get_backend(backend)
+def assemble(ctx, blocks: np.ndarray) -> sp.csr_matrix:
+    """Global sparse assembly ``Σ_e P_eᵀ K_e P_e``."""
     if not TRACER.enabled:
-        return be.assemble(ctx, blocks)
-    return _timed(be, "assemble", be.assemble, _assemble_cost, ctx, blocks)
+        return _K.assemble(ctx, blocks)
+    return _timed("assemble", _K.assemble, _assemble_cost, ctx, blocks)

@@ -1,4 +1,4 @@
-"""Default numpy backend, and the contract every backend implements.
+"""The kernel bodies: one numpy kernel set, one module-level instance.
 
 The map-based ops are the exact expressions the call sites inlined
 before the kernel layer existed, so routing through this backend
@@ -12,9 +12,8 @@ the :class:`~repro.core.plan.ApplyProgram` the plan compiled once — one
 index read and one hanging-rows CSR product down, the dense part through
 :meth:`NumpyKernels.elem_apply`, one scale-folded CSR product up.
 
-Other backends subclass this and override only the ops they speed up,
-so every backend is complete by construction and runs the same
-traversal unless it replaces it outright.
+:data:`KERNELS` is the instance :mod:`repro.kernels.api` counts and
+:mod:`repro.solvers.krylov` takes ``dot`` / ``axpy`` from.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ import scipy.sparse as sp
 
 from ..obs import span
 
-__all__ = ["NumpyKernels"]
+__all__ = ["NumpyKernels", "KERNELS"]
 
 
 class NumpyKernels:
-    """Baseline kernel set; the contract every backend implements."""
+    """The kernel set; ``name`` is the ``backend=`` label of its counters."""
 
     name = "numpy"
-    available = True
-    unavailable_reason = ""
 
     # -- sparse gather / scatter ----------------------------------------
 
@@ -120,3 +117,6 @@ class NumpyKernels:
         A = (g.T @ (B @ g)).tocsr()
         A.sum_duplicates()
         return A
+
+
+KERNELS = NumpyKernels()

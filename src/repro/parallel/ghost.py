@@ -229,7 +229,7 @@ class ExchangePlan:
         )
 
     def gather_rank(self, r: int, u_loc_vec: np.ndarray) -> np.ndarray:
-        """Rank ``r``'s element gather through the active kernel backend:
+        """Rank ``r``'s element gather through the kernel facade:
         local ghosted vector → ``(n_owned_elem, npe)`` slot matrix."""
         from ..kernels import api as kernels
 
@@ -239,8 +239,8 @@ class ExchangePlan:
         )
 
     def scatter_rank(self, r: int, w_elem: np.ndarray) -> np.ndarray:
-        """Rank ``r``'s bottom-up accumulation through the active kernel
-        backend: elemental results → rank-local node contributions."""
+        """Rank ``r``'s bottom-up accumulation through the kernel
+        facade: elemental results → rank-local node contributions."""
         from ..kernels import api as kernels
 
         return kernels.scatter(self.g_loc_T[r], w_elem.reshape(-1))

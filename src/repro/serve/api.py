@@ -245,8 +245,6 @@ class SolveRequest:
     # amr-only parameters (see repro.amr.loop.amr_solve)
     amr_cycles: int = 4
     amr_theta: float = 0.5
-    #: kernel backend override (repro.kernels); None = server default
-    backend: str | None = None
 
     def __post_init__(self):
         if isinstance(self.geometry, dict):
@@ -296,21 +294,6 @@ class SolveRequest:
                 raise ValueError("amr_cycles must be non-negative")
             if not (0.0 < self.amr_theta <= 1.0):
                 raise ValueError("amr_theta must be in (0, 1]")
-        if self.backend is not None:
-            # depends on the server, not on the request: never memoised
-            from ..kernels import available_backends
-
-            avail = available_backends()
-            if self.backend not in avail:
-                raise ValueError(
-                    f"unknown kernel backend {self.backend!r}; "
-                    f"known: {sorted(avail)}"
-                )
-            if not avail[self.backend]:
-                raise ValueError(
-                    f"kernel backend {self.backend!r} is not available "
-                    "on this server"
-                )
 
     def _raise_non_finite_parameter(self) -> None:
         for name in ("f", "g", "tol", "kappa", "dt"):
@@ -331,9 +314,6 @@ class SolveRequest:
         doc = {"schema": REQ_SCHEMA_ID}
         for name in _REQUEST_FIELDS:
             v = getattr(self, name)
-            if name == "backend" and v is None:
-                # omitted so pre-backend request digests are unchanged
-                continue
             if name == "geometry":
                 v = _copy_geometry(self._canonical_geometry())
             elif name == "velocity":
@@ -394,11 +374,6 @@ class SolveRequest:
         elif self.pde == "amr":
             doc["amr_cycles"] = self.amr_cycles
             doc["amr_theta"] = float(self.amr_theta)
-        if self.backend is not None:
-            # different kernel backends must not share a solve batch:
-            # cross-backend results are only tolerance-equal, and one
-            # batch executes under a single use_backend() scope
-            doc["backend"] = self.backend
         return doc
 
     @property

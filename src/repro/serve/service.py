@@ -27,7 +27,6 @@ import hashlib
 import numpy as np
 
 from ..core.nodes import EmptyMeshError
-from ..kernels import use_backend
 from ..obs import EventLog, Histogram
 from ..obs import add as obs_add
 from ..obs import observe as obs_observe
@@ -301,9 +300,8 @@ class SolverService:
                     )
                 obs_add("serve.degraded", len(batch))
             try:
-                with use_backend(req0.backend):
-                    entry, hit = self._resolve_entry(req0, bid)
-                    factor, built = ensure_factor(entry, req0)
+                entry, hit = self._resolve_entry(req0, bid)
+                factor, built = ensure_factor(entry, req0)
             except EmptyMeshError:
                 bsp.event("empty_mesh")
                 return self._fail_batch(batch, "empty_mesh", bid)
@@ -324,11 +322,10 @@ class SolverService:
                         "solve_start", it.digest, tick=self.clock.now,
                         shard=self.name, bid=bid,
                     )
-                with use_backend(req0.backend):
-                    outcome = solve_batch(
-                        factor, [it.request for it in batch],
-                        tol_scale=tol_scale,
-                    )
+                outcome = solve_batch(
+                    factor, [it.request for it in batch],
+                    tol_scale=tol_scale,
+                )
             except SolverBreakdown as exc:
                 bsp.event("solver_breakdown",
                           reason=getattr(exc, "reason", "breakdown"))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..kernels import api as kernels
-from ..kernels.registry import get_backend
+from ..kernels.numpy_backend import KERNELS
 from ..obs import span
 from ..obs.trace import TRACER
 
@@ -34,12 +34,6 @@ class KrylovResult:
     ``converged`` is True **only** for ``reason == "converged"``; a
     breakdown or non-finite exit never reports success, even if the
     last residual norm happened to sit below the tolerance.
-
-    For a multi-RHS block solve (``b`` of shape ``(n, k)``), ``x`` is
-    ``(n, k)``, the scalar fields aggregate over columns (worst
-    residual, total iterations, all-columns ``converged``) and the
-    per-column outcome is carried in ``col_iterations`` /
-    ``col_residuals`` / ``col_reasons``.
     """
 
     x: np.ndarray
@@ -48,9 +42,9 @@ class KrylovResult:
     converged: bool
     matvecs: int = 0
     reason: str = "maxiter"
-    col_iterations: np.ndarray | None = None
-    col_residuals: np.ndarray | None = None
-    col_reasons: tuple[str, ...] | None = None
+    #: always None (there is no block solve); benchmarks/e2e/spans.py
+    #: reads it on every result
+    col_reasons: None = None
 
 
 def _as_op(A) -> Operator:
@@ -62,137 +56,12 @@ def _as_op(A) -> Operator:
 
 
 def _vector_ops():
-    """``(dot, axpy)`` for one solve: the active backend's own methods,
-    resolved once at entry rather than per call; with tracing on, the
-    instrumented facade, so every call still publishes its counters."""
+    """``(dot, axpy)`` for one solve: the kernel set's own methods;
+    with tracing on, the instrumented facade, so every call still
+    publishes its counters."""
     if TRACER.enabled:
         return kernels.dot, kernels.axpy
-    be = get_backend()
-    return be.dot, be.axpy
-
-
-def _apply_columns(M: Operator, R: np.ndarray) -> np.ndarray:
-    """Apply a single-vector preconditioner column-by-column."""
-    out = np.empty_like(R)
-    for j in range(R.shape[1]):
-        out[:, j] = M(R[:, j])
-    return out
-
-
-def _col_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Per-column inner products ⟨u_j, v_j⟩ of two (n, k) blocks."""
-    return np.einsum("ij,ij->j", U, V)
-
-
-def _cg_block(
-    A,
-    B: np.ndarray,
-    x0: np.ndarray | None,
-    M: Operator | None,
-    rtol: float,
-    atol: float,
-    maxiter: int | None,
-    callback: Callable[[int, float], None] | None,
-) -> KrylovResult:
-    """Multi-RHS CG: k independent recurrences advanced in lockstep.
-
-    Each column carries its own ``alpha``/``beta`` scalars, so the
-    iterates are mathematically identical to k separate single-RHS
-    solves — but every iteration applies the operator to the whole
-    ``(n, k)`` block at once (one SpMM / one traversal instead of k
-    SpMVs).  It is the entry point for k *distinct* right-hand sides;
-    columns that are multiples of one vector want one scalar solve and
-    a scaling (what :mod:`repro.serve.batcher` does).  Columns freeze as
-    they converge (their search direction is zeroed) and per-column
-    breakdowns are recorded without stopping the surviving columns.
-    """
-    with span("solver.cg") as osp:
-        op = _as_op(A)
-        B = np.asarray(B, float)
-        n, k = B.shape
-        if maxiter is None:
-            maxiter = 10 * n
-        X = np.zeros((n, k)) if x0 is None else np.asarray(x0, float).copy()
-        R = B - op(X)
-        nmv = 1
-        Z = _apply_columns(M, R) if M else R.copy()
-        P = Z.copy()
-        rz = _col_dots(R, Z)
-        bnorm = np.linalg.norm(B, axis=0)
-        tol = np.maximum(rtol * np.where(bnorm == 0.0, 1.0, bnorm), atol)
-        rnorm = np.linalg.norm(R, axis=0)
-        residuals = [float(rnorm.max())]
-        col_it = np.zeros(k, np.int64)
-        col_reason = np.array(["maxiter"] * k, object)
-        nonfin = ~np.isfinite(rnorm)
-        col_reason[nonfin] = "nonfinite"
-        done0 = ~nonfin & (rnorm <= tol)
-        col_reason[done0] = "converged"
-        active = ~nonfin & ~done0
-        P[:, ~active] = 0.0
-        it = 0
-        while active.any() and it < maxiter:
-            with span("solver.iteration", merge=True) as isp:
-                AP = op(P)
-                nmv += 1
-                pAp = _col_dots(P, AP)
-                bad = active & ~np.isfinite(pAp)
-                brk = active & np.isfinite(pAp) & (pAp == 0.0)
-                col_reason[bad] = "nonfinite"
-                col_reason[brk] = "breakdown"
-                col_it[bad | brk] = it
-                active &= ~(bad | brk)
-                if bad.any() or brk.any():
-                    P[:, bad | brk] = 0.0
-                if not active.any():
-                    break
-                alpha = np.where(
-                    active, rz / np.where(pAp == 0.0, 1.0, pAp), 0.0
-                )
-                X += alpha[None, :] * P
-                R -= alpha[None, :] * AP
-                rnorm = np.linalg.norm(R, axis=0)
-                isp.add("matvecs", 1)
-            it += 1
-            residuals.append(float(rnorm.max()))
-            if callback is not None:
-                callback(it, float(rnorm.max()))
-            nonfin = active & ~np.isfinite(rnorm)
-            col_reason[nonfin] = "nonfinite"
-            col_it[nonfin] = it
-            done = active & ~nonfin & (rnorm <= tol)
-            col_reason[done] = "converged"
-            col_it[done] = it
-            active &= ~(nonfin | done)
-            if not active.any():
-                break
-            Z = _apply_columns(M, R) if M else R.copy()
-            rz_new = _col_dots(R, Z)
-            beta = np.where(active, rz_new / np.where(rz == 0.0, 1.0, rz), 0.0)
-            P = np.where(active[None, :], Z + beta[None, :] * P, 0.0)
-            rz = rz_new
-        col_it[active] = it  # columns that ran out of iterations
-        reasons = tuple(str(r) for r in col_reason)
-        if "nonfinite" in reasons:
-            reason = "nonfinite"
-        elif "breakdown" in reasons:
-            reason = "breakdown"
-        elif "maxiter" in reasons:
-            reason = "maxiter"
-        else:
-            reason = "converged"
-        osp.add("iterations", it)
-        osp.add("matvecs", nmv)
-        osp.add("columns", k)
-        osp.set("residual_history", residuals)
-        osp.set("reason", reason)
-    return KrylovResult(
-        X, it, float(rnorm.max()) if k else 0.0, reason == "converged",
-        nmv, reason,
-        col_iterations=col_it,
-        col_residuals=rnorm.copy(),
-        col_reasons=reasons,
-    )
+    return KERNELS.dot, KERNELS.axpy
 
 
 def cg(
@@ -211,23 +80,21 @@ def cg(
     per-iteration residual history is also attached to the
     ``solver.cg`` trace span when :mod:`repro.obs` is enabled.
     ``maxiter=None`` allows ``10·n`` iterations; ``maxiter=0`` is a zero
-    budget: ``x0`` comes back with ``iterations == 0``.
-
-    A 2-D ``b`` of shape ``(n, k)`` selects the multi-RHS block path:
-    all k systems share every operator application (the operator must
-    then accept ``(n, k)`` blocks — assembled matrices do), with
-    per-column convergence bookkeeping.  ``M`` is still a single-vector
-    preconditioner; it is applied column-wise.
+    budget: ``x0`` comes back with ``iterations == 0``.  ``b`` is one
+    right-hand side; k multiples of one vector want one solve and a
+    scaling (what :mod:`repro.serve.batcher` does).
     """
-    if getattr(b, "ndim", 1) == 2:
-        return _cg_block(A, b, x0, M, rtol, atol, maxiter, callback)
+    if np.ndim(b) != 1:
+        raise ValueError(
+            f"cg solves one right-hand side: b has shape {np.shape(b)}, "
+            "expected (n,)")
     with span("solver.cg") as osp:
         op = _as_op(A)
         dot, axpy = _vector_ops()
         n = len(b)
         if maxiter is None:
             maxiter = 10 * n
-        x = np.zeros(n) if x0 is None else x0.astype(float).copy()
+        x = np.zeros(n) if x0 is None else np.array(x0, float)
         r = b - op(x)
         nmv = 1
         z = M(r) if M else r
@@ -299,7 +166,7 @@ def bicgstab(
         n = len(b)
         if maxiter is None:
             maxiter = 10 * n
-        x = np.zeros(n) if x0 is None else x0.astype(float).copy()
+        x = np.zeros(n) if x0 is None else np.array(x0, float)
         r = b - op(x)
         nmv = 1
         r_hat = r.copy()

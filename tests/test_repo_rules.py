@@ -54,3 +54,17 @@ def test_one_unit_memo_in_one_place():
     calls = _grep(r"\.unit\(")
     assert len(calls) == 1 and calls[0].startswith("serve/batcher.py:"), calls
     assert _files(_grep(r"\.units\b|UnitResponse")) == {"serve/batcher.py"}
+
+
+def test_one_kernel_set():
+    """``kernels/`` holds one implementation of each kernel and nothing
+    that selects one: no second class with an ``elem_apply`` or a
+    ``traversal_matvec``, no environment read, and the two names the
+    frozen e2e harness still imports are mentioned nowhere else."""
+    for method in ("elem_apply", "traversal_matvec"):
+        defs = _grep(rf"^\s+def {method}\(", "kernels")  # methods only
+        assert len(defs) == 1, defs
+        assert defs[0].startswith("kernels/numpy_backend.py:")
+    assert _grep(r"os\.environ|getenv", "kernels") == []
+    assert _files(_grep(r"use_backend|available_backends")) == {
+        "kernels/__init__.py"}
