@@ -11,9 +11,9 @@ multigrid.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro import Domain, assemble, build_mesh
+from repro.fem.dirichlet import Dirichlet
 from repro.geometry import SphereCarve
 from repro.solvers import BlockJacobi, MultigridPoisson, cg, jacobi
 
@@ -21,12 +21,9 @@ from _util import ResultTable
 
 
 def _system(mesh):
-    A = assemble(mesh)
     fixed = mesh.dirichlet_mask
-    keep = sp.diags((~fixed).astype(float))
-    Abc = (keep @ A @ keep + sp.diags(fixed.astype(float))).tocsr()
-    b = keep @ np.ones(mesh.n_nodes)
-    return Abc, b, fixed
+    Abc, b = Dirichlet(fixed).masked(assemble(mesh), np.ones(mesh.n_nodes))
+    return Abc.tocsr(), b, fixed
 
 
 def run_mg_ablation():

@@ -13,10 +13,10 @@ In-Out predicate it always uses.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro import Domain, assemble, build_mesh, build_uniform_mesh
 from repro.baselines import TwoTierError, TwoTierMesh, boxes_for_predicate
+from repro.fem.dirichlet import Dirichlet
 from repro.geometry import BoxRetain, SphereCarve, TriMeshCarve, dragon_blob
 from repro.solvers import condest_1norm
 
@@ -24,8 +24,7 @@ from _util import ResultTable
 
 
 def _cond(A, fixed):
-    keep = sp.diags((~fixed).astype(float))
-    return condest_1norm((keep @ A + sp.diags(fixed.astype(float))).tocsc())
+    return condest_1norm(Dirichlet(fixed).replace_rows(A).tocsc())
 
 
 def run_two_tier():

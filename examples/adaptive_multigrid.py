@@ -10,11 +10,11 @@ Run:  python examples/adaptive_multigrid.py
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import Domain, assemble, build_mesh, mesh_from_leaves
 from repro.core.adapt import coarsen_leaves, construct_from_points
 from repro.fem import PoissonProblem
+from repro.fem.dirichlet import Dirichlet
 from repro.geometry import SphereCarve
 from repro.io import write_vtu
 from repro.solvers import MultigridPoisson, cg, jacobi
@@ -35,11 +35,9 @@ def main() -> None:
 
     # multigrid-preconditioned CG solve
     hierarchy = [mesh] + [build_mesh(domain, lv, lv + 2, p=1) for lv in (4, 3)]
-    A = assemble(mesh)
     fixed = mesh.dirichlet_mask
-    keep = sp.diags((~fixed).astype(float))
-    Abc = (keep @ A @ keep + sp.diags(fixed.astype(float))).tocsr()
-    b = keep @ np.ones(mesh.n_nodes)
+    Abc, b = Dirichlet(fixed).masked(assemble(mesh), np.ones(mesh.n_nodes))
+    Abc = Abc.tocsr()
     mg = MultigridPoisson(hierarchy, Abc, fixed)
     r_mg = cg(Abc, b, M=mg, rtol=1e-10)
     r_j = cg(Abc, b, M=jacobi(Abc), rtol=1e-10, maxiter=20000)

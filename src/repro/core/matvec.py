@@ -133,36 +133,23 @@ def traversal_matvec(
 
 
 class TraversalMatVec:
-    """The compiled traversal MATVEC as a linear operator.
-
-    ``free`` (a boolean node mask) makes it the Dirichlet-constrained
-    operator of a nodal solve: identity rows and columns on the other
-    nodes, so a Krylov method iterates on the full vector while the
-    constrained entries stay put.
-    """
+    """The compiled traversal MATVEC as a linear operator (a nodal
+    Dirichlet solve wraps it with
+    :meth:`repro.fem.dirichlet.Dirichlet.masked_apply`)."""
 
     def __init__(
         self,
         mesh: IncompleteMesh,
         kind: str = "stiffness",
         plan: TraversalPlan | None = None,
-        free: np.ndarray | None = None,
     ):
         self.mesh = mesh
         self.kind = kind
         self.plan = plan if plan is not None else operator_context(mesh).traversal
         self.pw = self.plan.kernel(kind)[1]  # an unknown kind fails here
-        self.free = free
-        self._fixed = None if free is None else np.flatnonzero(~free)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self._fixed is None:
-            return traversal_matvec(self.mesh, u, self.kind, plan=self.plan)
-        v = np.array(u, float)
-        v[self._fixed] = 0.0
-        w = traversal_matvec(self.mesh, v, self.kind, plan=self.plan)
-        w[self._fixed] = u[self._fixed]
-        return w
+        return traversal_matvec(self.mesh, u, self.kind, plan=self.plan)
 
     def _cost(self) -> tuple[int, int]:
         return kernels.traversal_cost(
@@ -170,10 +157,10 @@ class TraversalMatVec:
         )
 
     def flops(self) -> int:
-        """FLOPs of one unconstrained apply as executed
+        """FLOPs of one apply as executed
         (:func:`repro.kernels.api.traversal_cost`: no scale pass)."""
         return self._cost()[0]
 
     def traffic_bytes(self) -> int:
-        """Modelled bytes moved by one unconstrained apply as executed."""
+        """Modelled bytes moved by one apply as executed."""
         return self._cost()[1]

@@ -33,6 +33,7 @@ from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..obs import add as obs_add
 from ..obs import span
+from .dirichlet import Dirichlet
 
 __all__ = ["NavierStokesProblem", "big_gather", "NSResult"]
 
@@ -98,13 +99,11 @@ class NavierStokesProblem:
         )
         self._G = self.ctx.big_gather(self.dim + 1)
         self._GT = self._G.T.tocsr()
-        # big fixed-dof mask over [u components | p]
-        self.fixed = np.concatenate(
-            [self.vmask[:, k] for k in range(self.dim)] + [self.ppin]
-        )
-        self.fixed_vals = np.concatenate(
-            [np.where(self.vmask[:, k], self.vvals[:, k], 0.0) for k in range(self.dim)]
-            + [np.zeros(self.n)]
+        # strong data over the big [u components | p] vector
+        self._bc = Dirichlet(
+            np.concatenate([self.vmask[:, k] for k in range(self.dim)] + [self.ppin]),
+            np.concatenate([self.vvals[:, k] for k in range(self.dim)]
+                           + [np.zeros(self.n)]),
         )
 
     # -- elemental blocks ------------------------------------------------
@@ -224,19 +223,8 @@ class NavierStokesProblem:
             else:
                 b = np.zeros(A.shape[0])
             osp.add("elements", ne)
-        return self._apply_bc(A, b)
-
-    def _apply_bc(self, A: sp.csr_matrix, b: np.ndarray):
-        fixed = self.fixed
-        N = A.shape[0]
-        keep = sp.diags((~fixed).astype(float))
-        ident = sp.diags(fixed.astype(float))
-        # zero fixed rows AND columns (their contribution moves to the
-        # RHS), then unit diagonal — the symmetric elimination keeping
-        # the matrix square
-        A_bc = (keep @ A @ keep + ident).tocsc()
-        b = keep @ (b - A @ (self.fixed_vals * fixed)) + self.fixed_vals * fixed
-        return A_bc, b
+        A_bc, b = self._bc.masked(A, b)
+        return A_bc.tocsc(), b
 
     def pack(self, U: np.ndarray, P: np.ndarray) -> np.ndarray:
         return np.concatenate([U[:, k] for k in range(self.dim)] + [P])

@@ -3,7 +3,8 @@
 Supports both strong (nodal) Dirichlet conditions — the "naive"
 first-order treatment of the voxelated boundary — and the Shifted
 Boundary Method (:mod:`repro.fem.sbm`) that restores optimal
-convergence (Fig. 6 of the paper).
+convergence (Fig. 6 of the paper).  The strong part is always one
+:class:`repro.fem.dirichlet.Dirichlet` elimination.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..core.assembly import assemble
-from ..core.matvec import TraversalMatVec, traversal_matvec
+from ..core.matvec import TraversalMatVec
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..solvers.krylov import cg
 from ..solvers.precond import jacobi
+from .dirichlet import Dirichlet, finite
+from .sbm import sbm_terms
 
 __all__ = ["PoissonProblem", "load_vector", "l2_error", "linf_error", "quad_points"]
 
@@ -80,29 +83,24 @@ class PoissonProblem:
     f: Callable | float = 0.0
     dirichlet: Callable | float = 0.0
     method: str = "nodal"
-    # penalty: large enough for stability yet gentle on cells touching
-    # the boundary only at a corner (where |d| approaches the cell
-    # diagonal); 2.0 gives clean optimal rates for p=1 and p=2
-    sbm_alpha: float = 2.0
 
     def _g_at(self, pts: np.ndarray) -> np.ndarray:
-        if np.isscalar(self.dirichlet):
-            return np.full(len(pts), float(self.dirichlet))
-        return self.dirichlet(pts)
+        g = self.dirichlet
+        return finite("dirichlet", np.full(len(pts), float(g))
+                      if np.isscalar(g) else g(pts))
 
     def system(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Assembled system (A, b, fixed_mask) before elimination."""
         A = assemble(self.mesh, kind="stiffness")
-        b = load_vector(self.mesh, self.f)
+        b = finite("f", load_vector(self.mesh, self.f))
         if self.method == "nodal":
             fixed = self.mesh.dirichlet_mask.copy()
         elif self.method == "sbm":
-            from .sbm import sbm_terms
-
-            A_s, b_s = sbm_terms(self.mesh, self._g_at, alpha=self.sbm_alpha)
+            A_s, b_s = sbm_terms(self.mesh, self._g_at)
             A = (A + A_s).tocsr()
             b = b + b_s
-            # only the true cube boundary stays strongly imposed
+            # only the true cube boundary stays strongly imposed (so every
+            # retained element keeps a free corner)
             fixed = self.mesh.nodes.domain_boundary & ~self.mesh.nodes.carved_node
         else:
             raise ValueError(f"unknown method {self.method!r}")
@@ -119,84 +117,54 @@ class PoissonProblem:
         ``solver``: ``"auto"`` (direct for SBM, CG otherwise),
         ``"direct"``, ``"cg"`` (assembled + Jacobi-CG), or
         ``"matrix-free"`` — never assembles the global matrix: the
-        operator action is the compiled traversal MATVEC with the
-        boundary rows folded in (:meth:`matrix_free_system`).
+        operator action is the compiled traversal MATVEC, masked
+        (:meth:`masked_system`).
 
         ``x0`` (length ``n_nodes``) warm-starts the CG iteration — the
         AMR loop passes the previous mesh's solution transferred to the
         current mesh, cutting iteration counts on later cycles.  Ignored
-        by the direct solver.
+        by the direct solver.  Non-finite ``f``, ``dirichlet`` or ``x0``
+        is a ``ValueError`` before any solve.
         """
         if solver not in ("auto", "direct", "cg", "matrix-free"):
             raise ValueError(
                 f"unknown solver {solver!r}: expected auto, direct, cg or matrix-free"
             )
+        if x0 is not None:
+            x0 = finite("x0", x0, self.mesh.n_nodes)
         if solver == "matrix-free":
-            return self._solve_matrix_free(rtol, x0)
-        A, b, fixed = self.system()
-        n = self.mesh.n_nodes
-        u = np.zeros(n)
-        if fixed.any():
-            u[fixed] = self._g_at(self.mesh.node_coords()[fixed])
-        free = np.flatnonzero(~fixed)
-        if len(free) == 0:
-            return u
-        Aff = A[np.ix_(free, free)].tocsr()
-        rhs = b[free] - A[np.ix_(free, np.flatnonzero(fixed))] @ u[fixed]
-        if solver == "direct" or (solver == "auto" and self.method == "sbm"):
-            import scipy.sparse.linalg as spla
-
-            u[free] = spla.spsolve(Aff.tocsc(), rhs)
+            bc, op, b, diag = self.masked_system()
+            start = None if x0 is None else np.where(bc.free, x0, 0.0)
+            M, maxiter, take = (lambda r: r / diag), 20 * self.mesh.n_nodes, bc.free_idx
         else:
-            start = None if x0 is None else np.asarray(x0, float)[free]
-            res = cg(
-                Aff,
-                rhs,
-                x0=start,
-                M=jacobi(Aff),
-                rtol=rtol,
-                maxiter=20 * len(free),
-            )
-            if not res.converged:
-                raise RuntimeError(
-                    f"CG failed to converge: residual {res.residual:.3e}"
-                )
-            u[free] = res.x
-        return u
+            A, b, fixed = self.system()
+            bc = Dirichlet(fixed, self._g_at(self.mesh.node_coords()))
+            free = bc.free_idx
+            if len(free) == 0:
+                return bc.expand(free)
+            op, b = bc.A_ff(A), bc.rhs(A, b)
+            if solver == "direct" or (solver == "auto" and self.method == "sbm"):
+                import scipy.sparse.linalg as spla
 
-    def matrix_free_system(self):
-        """The nodal-Dirichlet system without a matrix, ``(op, b, diag,
-        u_fix)``: the constrained :class:`TraversalMatVec` (``op.free``
-        marks the unknowns), the lifted load (zero where constrained),
-        the Jacobi diagonal (1 where constrained), the boundary data."""
+                return bc.expand(spla.spsolve(op.tocsc(), b))
+            start = None if x0 is None else x0[free]
+            M, maxiter, take = jacobi(op), 20 * len(free), slice(None)
+        res = cg(op, b, x0=start, M=M, rtol=rtol, maxiter=maxiter)
+        if not res.converged:
+            raise RuntimeError(f"CG failed to converge: residual {res.residual:.3e}")
+        return bc.expand(res.x[take])
+
+    def masked_system(self):
+        """The nodal system without a matrix, ``(bc, op, b, diag)``: the
+        :class:`Dirichlet`, the masked compiled MATVEC, the lifted load
+        (0 where fixed), the Jacobi diagonal (1 where fixed)."""
         if self.method != "nodal":
             raise ValueError("matrix-free solve supports the nodal method")
         mesh = self.mesh
         ctx = operator_context(mesh)
-        free = ~mesh.dirichlet_mask
-        u_fix = np.where(free, 0.0, self._g_at(mesh.node_coords()))
-        b = load_vector(mesh, self.f)
-        if u_fix.any():  # homogeneous data lifts to nothing
-            b -= traversal_matvec(mesh, u_fix, plan=ctx.traversal)
+        bc = Dirichlet(mesh.dirichlet_mask, self._g_at(mesh.node_coords()))
+        apply = TraversalMatVec(mesh, plan=ctx.traversal)
+        b = bc.masked_rhs(apply, finite("f", load_vector(mesh, self.f)))
         diag = ctx.jacobi_diagonal()
-        diag = np.where(free & (diag > 0), diag, 1.0)
-        op = TraversalMatVec(mesh, plan=ctx.traversal, free=free)
-        return op, np.where(free, b, 0.0), diag, u_fix
-
-    def _solve_matrix_free(self, rtol: float, x0: np.ndarray | None) -> np.ndarray:
-        """Matrix-free Jacobi-CG: no global matrix is ever formed."""
-        op, b, diag, u_fix = self.matrix_free_system()
-        start = None if x0 is None else np.where(op.free, x0, 0.0)
-        res = cg(
-            op, b, x0=start, M=lambda r: r / diag, rtol=rtol,
-            maxiter=20 * self.mesh.n_nodes,
-        )
-        if not res.converged:
-            raise RuntimeError(
-                f"matrix-free CG failed: residual {res.residual:.3e}"
-            )
-        return np.where(op.free, res.x, u_fix)
-
-    def matrix_free_operator(self) -> TraversalMatVec:
-        """The unconstrained stiffness action (for scaling studies)."""
-        return TraversalMatVec(self.mesh, kind="stiffness")
+        diag = np.where(bc.free & (diag > 0), diag, 1.0)
+        return bc, bc.masked_apply(apply), b, diag

@@ -27,6 +27,11 @@ from ..fem.quadrature import tensor_rule
 
 __all__ = ["sbm_terms", "face_quadrature"]
 
+#: penalty α: large enough for stability yet gentle on cells touching
+#: the boundary only at a corner (where |d| approaches the cell
+#: diagonal); 2.0 gives clean optimal rates for p=1 and p=2
+ALPHA = 2.0
+
 
 def face_quadrature(p: int, dim: int, axis: int, side: int, nquad: int):
     """Reference quadrature on one face of the unit cube.
@@ -46,7 +51,6 @@ def face_quadrature(p: int, dim: int, axis: int, side: int, nquad: int):
 def sbm_terms(
     mesh: IncompleteMesh,
     g: Callable[[np.ndarray], np.ndarray],
-    alpha: float = 10.0,
     nquad: int | None = None,
     include_domain_faces: bool = True,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -105,7 +109,7 @@ def sbm_terms(
             Nq = np.broadcast_to(N[None], (nf, nqf, npe))
             shifted = Nq + gd                  # φ + ∇φ·d
             wq = rwts[None, :] * (h ** (dim - 1))[:, None]
-            wpen = wq * (alpha / h)[:, None]
+            wpen = wq * (ALPHA / h)[:, None]
             # bilinear terms
             S = (
                 -np.einsum("fq,fqi,fqj->fij", wq, Nq, gn)

@@ -23,6 +23,7 @@ import scipy.sparse.linalg as spla
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..fem.poisson import load_vector
+from .dirichlet import Dirichlet, finite
 
 __all__ = ["TransportProblem", "element_velocity"]
 
@@ -50,8 +51,9 @@ class TransportProblem:
     dt:
         Time-step size.
     dirichlet_mask / dirichlet_value:
-        Nodes with strong data (e.g. inlet c = 0).  Other boundaries
-        get the natural (zero-flux) condition.
+        Nodes with strong data (e.g. inlet c = 0), imposed row-replaced
+        (:meth:`repro.fem.dirichlet.Dirichlet.replace_rows`).  Other
+        boundaries get the natural (zero-flux) condition.
     """
 
     def __init__(
@@ -71,12 +73,9 @@ class TransportProblem:
         if vel.shape != (mesh.n_nodes, mesh.dim):
             raise ValueError("velocity must be (n_nodes, dim)")
         self.vel_nodes = vel
-        self.dirichlet_mask = (
-            np.zeros(mesh.n_nodes, bool)
-            if dirichlet_mask is None
-            else np.asarray(dirichlet_mask, bool)
-        )
-        self.dirichlet_value = float(dirichlet_value)
+        self.bc = Dirichlet(
+            np.zeros(mesh.n_nodes, bool) if dirichlet_mask is None
+            else dirichlet_mask, dirichlet_value, n=mesh.n_nodes)
         self._build()
 
     def _build(self) -> None:
@@ -118,23 +117,15 @@ class TransportProblem:
             shape=(mesh.n_elem * npe, mesh.n_elem * npe),
         )
         self.M_old = (g.T @ (Bm @ g)).tocsr()
-
-        fixed = self.dirichlet_mask
-        A = A.tolil()
-        idx = np.flatnonzero(fixed)
-        for i in idx:
-            A.rows[i] = [i]
-            A.data[i] = [1.0]
-        self.A = A.tocsc()
+        self.A = self.bc.replace_rows(A).tocsc()
         self._lu = spla.splu(self.A)
 
     def step(self, c: np.ndarray, source: "Callable | float" = 0.0) -> np.ndarray:
         """Advance one implicit-Euler step; ``source`` is s(x) this step."""
         rhs = self.M_old @ c
         if not (np.isscalar(source) and source == 0.0):
-            rhs = rhs + load_vector(self.mesh, source)
-        rhs[self.dirichlet_mask] = self.dirichlet_value
-        return self._lu.solve(rhs)
+            rhs = rhs + finite("source", load_vector(self.mesh, source))
+        return self._lu.solve(self.bc.replace_values(rhs))
 
     def run(self, c0: np.ndarray, nsteps: int, source=0.0) -> np.ndarray:
         c = np.asarray(c0, float).copy()

@@ -152,9 +152,9 @@ def resilient_poisson_solve(
     """Matrix-free distributed Jacobi-CG with checkpoint/restart.
 
     Semantically identical to ``PoissonProblem.solve(solver="matrix-free")``
-    — the same :meth:`~repro.fem.poisson.PoissonProblem.matrix_free_system`
-    right-hand side, masking and Jacobi diagonal — but the operator is
-    applied through the simulated communicator, the Krylov state
+    — the same :meth:`~repro.fem.poisson.PoissonProblem.masked_system`
+    constraint, right-hand side and Jacobi diagonal — but the masked
+    operator is applied through the simulated communicator, the Krylov state
     ``(x, r, p, rz)`` is checkpointed every ``ckpt_interval``
     iterations, and injected rank crashes are survived automatically
     (up to ``max_recoveries`` times).
@@ -162,8 +162,7 @@ def resilient_poisson_solve(
     mesh = problem.mesh
     n = mesh.n_nodes
     ctx = operator_context(mesh)
-    op, b, diag, u_fix = problem.matrix_free_system()
-    free = op.free
+    bc, _, b, diag = problem.masked_system()
 
     ckpt_dir = Path(ckpt_dir)
     splits = partition_mesh(mesh, ranks, load_tol=0.1)
@@ -181,11 +180,9 @@ def resilient_poisson_solve(
     ckpts_written = 0
     reason = "maxiter"
 
-    def apply_op(v):
-        w = distributed_matvec(
-            mesh, layout, np.where(free, v, 0.0), comm, plan=plan
-        )
-        return np.where(free, w, v)
+    # reads layout / comm / plan at call time: a recovery rebinds them
+    apply_op = bc.masked_apply(
+        lambda v: distributed_matvec(mesh, layout, v, comm, plan=plan))
 
     def checkpoint(step):
         nonlocal ckpts_written
@@ -257,9 +254,8 @@ def resilient_poisson_solve(
         osp.add("iterations", it)
         osp.add("recoveries", len(recoveries))
 
-    u = np.where(free, x, u_fix)
     return ResilientSolveResult(
-        x=u, iterations=it, residual=rnorm,
+        x=bc.expand(x[bc.free_idx]), iterations=it, residual=rnorm,
         converged=(reason == "converged"), reason=reason,
         recoveries=recoveries, checkpoints_written=ckpts_written,
         ranks_final=comm.size,

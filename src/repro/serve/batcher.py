@@ -6,17 +6,17 @@ data: the source amplitude ``f`` and, where the pde has one, the
 Dirichlet value ``g`` (:data:`repro.serve.api.LINEAR_TERMS`).  Both
 enter the discrete system *linearly*, so request j's solution is
 ``f_j·u_f + g_j·u_g`` with the **unit responses** ``u_f`` (f=1, g=0)
-and ``u_g`` (f=0, g=1).  A *factor* is what a batch key caches — the
-operator or its LU, the unit right-hand sides, and ``units``: the
-nominal-tolerance unit responses it has been asked for so far.  Its one
-job is ``unit(term, rtol)``:
+and ``u_g`` (f=0, g=1).  A *factor* is what a batch key caches — a
+system + its :class:`repro.fem.dirichlet.Dirichlet` elimination + how it
+is inverted, the unit right-hand sides, and ``units``: the nominal-
+tolerance unit responses it has been asked for so far.  Its one job is
+``unit(term, rtol)``:
 
-* ``poisson`` — Jacobi :func:`repro.solvers.krylov.cg` on the cached
-  assembled operator: ``A_ff x = b_unit``, or ``−lift`` with boundary 1.
-* ``sbm`` — the Shifted Boundary Method system is factorized once
-  (``splu``); a unit response is a one-column triangular solve.
-* ``transport`` — the implicit-Euler SUPG matrix is factorized once;
-  one column is stepped ``steps`` times.
+* ``poisson`` — ``PoissonProblem.system()``, sliced, Jacobi
+  :func:`repro.solvers.krylov.cg`: ``A_ff x = b_unit``, or ``−lift``.
+* ``sbm`` — the same with the SBM terms, LU-factorized once (``splu``).
+* ``transport`` — a ``TransportProblem`` (row-replaced, LU-factorized
+  once) steps the unit source ``steps`` times.
 * ``amr`` — the ``u_unit`` of the one estimator-driven refinement
   trajectory (:func:`repro.amr.loop.amr_solve`) cached per batch key.
 
@@ -44,8 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from ..core.assembly import assemble
 from ..core.plan import operator_context
+from ..fem.dirichlet import Dirichlet
+from ..fem.poisson import PoissonProblem
+from ..fem.transport import TransportProblem
 from ..obs import add as obs_add
 from ..obs import span
 from ..resilience.faults import SolverBreakdown
@@ -97,85 +99,64 @@ def build_entry(request: SolveRequest) -> CacheEntry:
 # -- factors ------------------------------------------------------------
 
 
-def _boundary_unit(factor, term: str) -> np.ndarray:
-    """Zeros with the strongly imposed nodes at the term's unit value."""
-    u = np.zeros(factor.n_nodes)
-    u[factor.fixed] = float(term == "g")
-    return u
+def _csr_nbytes(A) -> int:
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 class _PoissonFactor:
-    """Assembled nodal-Dirichlet Poisson operator + Jacobi + unit RHS."""
+    """Nodal-Dirichlet Poisson: the system, sliced, inverted by Jacobi-CG."""
 
     kind = "poisson"
 
     def __init__(self, mesh, request: SolveRequest):
-        A = assemble(mesh, kind="stiffness")
-        self.fixed = mesh.dirichlet_mask.copy()
-        self.free = np.flatnonzero(~self.fixed)
-        fixed_idx = np.flatnonzero(self.fixed)
-        self.Aff = A[np.ix_(self.free, self.free)].tocsr()
+        A, self.b_unit, fixed = PoissonProblem(mesh, f=1.0).system()
+        self.bc = Dirichlet(fixed, 1.0)  # the g unit's data; f's is zero
+        self.Aff = self.bc.A_ff(A)
         self.M = jacobi(self.Aff)
-        self.b_unit = operator_context(mesh).unit_load()
-        self.lift = np.asarray(
-            A[np.ix_(self.free, fixed_idx)] @ np.ones(len(fixed_idx))
-        ).ravel()
+        self.lift = self.bc.lift(A)
         self.n_nodes = mesh.n_nodes
-        self.nbytes = (
-            self.Aff.data.nbytes + self.Aff.indices.nbytes
-            + self.Aff.indptr.nbytes + self.b_unit.nbytes + self.lift.nbytes
-        )
+        self.nbytes = (_csr_nbytes(self.Aff) + self.b_unit.nbytes
+                       + self.lift.nbytes)
 
     def unit(self, term: str, rtol: float) -> UnitResponse:
-        u = _boundary_unit(self, term)
-        if len(self.free) == 0:
-            return UnitResponse(u, 0, 0.0, "direct", 0)
-        b = self.b_unit[self.free] if term == "f" else -self.lift
+        free, scale = self.bc.free_idx, float(term == "g")
+        if len(free) == 0:
+            return UnitResponse(self.bc.expand([], scale), 0, 0.0, "direct", 0)
+        b = self.b_unit[free] if term == "f" else -self.lift
         res = cg(self.Aff, b, M=self.M, rtol=rtol, atol=1e-14,
-                 maxiter=20 * len(self.free))
-        u[self.free] = res.x
-        return UnitResponse(u, res.iterations, res.residual, res.reason,
-                            res.matvecs)
+                 maxiter=20 * len(free))
+        return UnitResponse(self.bc.expand(res.x, scale), res.iterations,
+                            res.residual, res.reason, res.matvecs)
 
 
 class _SbmFactor:
-    """Shifted-Boundary-Method Poisson, LU-factorized once per mesh."""
+    """Shifted-Boundary-Method Poisson: the system, sliced, LU once."""
 
     kind = "sbm"
 
     def __init__(self, mesh, request: SolveRequest):
-        from ..fem.sbm import sbm_terms
-
-        A = assemble(mesh, kind="stiffness")
-        ones = lambda pts: np.ones(len(pts))  # noqa: E731
-        A_s, bs_unit = sbm_terms(mesh, ones, alpha=2.0)
-        A = (A + A_s).tocsr()
-        # only the true cube boundary stays strongly imposed (so every
-        # retained element keeps a free corner: ``free`` is never empty)
-        self.fixed = mesh.nodes.domain_boundary & ~mesh.nodes.carved_node
-        self.free = np.flatnonzero(~self.fixed)
-        fixed_idx = np.flatnonzero(self.fixed)
-        self.Aff = A[np.ix_(self.free, self.free)].tocsr()
+        # f = 0, g = 1: the system's load is the unit SBM boundary load
+        A, self.bs_unit, fixed = PoissonProblem(
+            mesh, dirichlet=1.0, method="sbm").system()
+        self.bc = Dirichlet(fixed, 1.0)
+        self.Aff = self.bc.A_ff(A)
         self.lu = spla.splu(self.Aff.tocsc())
         self.b_unit = operator_context(mesh).unit_load()
-        self.bs_unit = bs_unit
-        self.lift = np.asarray(
-            A[np.ix_(self.free, fixed_idx)] @ np.ones(len(fixed_idx))
-        ).ravel()
+        self.lift = self.bc.lift(A)
         self.n_nodes = mesh.n_nodes
         self.nbytes = (
-            self.Aff.data.nbytes + self.Aff.indices.nbytes
-            + self.Aff.indptr.nbytes + 16 * int(self.lu.nnz)
+            _csr_nbytes(self.Aff) + 16 * int(self.lu.nnz)
             + self.b_unit.nbytes + self.bs_unit.nbytes + self.lift.nbytes
         )
 
     def unit(self, term: str, rtol: float) -> UnitResponse:
-        u = _boundary_unit(self, term)
-        b = (self.b_unit[self.free] if term == "f"
-             else self.bs_unit[self.free] - self.lift)
-        x = u[self.free] = self.lu.solve(b)
+        free = self.bc.free_idx
+        b = (self.b_unit[free] if term == "f"
+             else self.bs_unit[free] - self.lift)
+        x = self.lu.solve(b)
         rnorm = float(np.linalg.norm(self.Aff @ x - b))
-        return UnitResponse(u, 0, rnorm, "direct", 1)
+        return UnitResponse(self.bc.expand(x, float(term == "g")), 0, rnorm,
+                            "direct", 1)
 
 
 class _TransportFactor:
@@ -183,14 +164,12 @@ class _TransportFactor:
 
     velocity/kappa/dt/steps are in the batch key and every member starts
     from c = 0 with boundary value 0, so its history is linear in the
-    source amplitude ``f``: the unit-load column is stepped once.
+    source amplitude ``f``: the unit source is stepped once.
     """
 
     kind = "transport"
 
     def __init__(self, mesh, request: SolveRequest):
-        from ..fem.transport import TransportProblem
-
         vel = np.asarray(request.velocity, float)[: mesh.dim]
         if len(vel) != mesh.dim:
             raise ValueError(
@@ -203,21 +182,13 @@ class _TransportFactor:
             dirichlet_value=0.0,
         )
         self.steps = request.steps
-        self.b_unit = operator_context(mesh).unit_load()
         self.n_nodes = mesh.n_nodes
-        A = self.problem.A
-        self.nbytes = (
-            A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-            + 16 * int(self.problem._lu.nnz) + self.b_unit.nbytes
-        )
+        # + the unit load the steps add
+        self.nbytes = (_csr_nbytes(self.problem.A)
+                       + 16 * int(self.problem._lu.nnz) + 8 * mesh.n_nodes)
 
     def unit(self, term: str, rtol: float) -> UnitResponse:
-        prob = self.problem
-        c = np.zeros(self.n_nodes)
-        for _ in range(self.steps):
-            rhs = prob.M_old @ c + self.b_unit
-            rhs[prob.dirichlet_mask] = prob.dirichlet_value
-            c = prob._lu.solve(rhs)
+        c = self.problem.run(np.zeros(self.n_nodes), self.steps, source=1.0)
         return UnitResponse(c, self.steps, 0.0, "direct", self.steps)
 
 

@@ -6,13 +6,13 @@ supplies the natural octree preconditioner: a V-cycle over a hierarchy
 of carved meshes.
 
 The hierarchy uses *Galerkin* coarse operators A_c = Pᵀ A_f P, with the
-prolongation P built geometrically: every fine node is located inside a
-coarse leaf (the same perturbed-corner point-location the hanging-node
-donor search uses) and its row holds the coarse element's shape
-functions — composed with the coarse hanging-node interpolation, so
-conformity is preserved across levels.  Galerkin coarsening makes the
-cycle robust even though carved hierarchies are not perfectly nested
-(the voxelated boundary moves with the level).
+prolongation P built geometrically: row i of P is the coarse FE field
+evaluated at fine node i (:func:`repro.core.interpolate.evaluation_matrix`
+— the containing coarse leaf's shape functions composed with the coarse
+hanging-node interpolation), so conformity is preserved across levels.
+Galerkin coarsening makes the cycle robust even though carved
+hierarchies are not perfectly nested (the voxelated boundary moves with
+the level).
 """
 
 from __future__ import annotations
@@ -23,96 +23,34 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ..core.interpolate import evaluation_matrix
 from ..core.mesh import IncompleteMesh
-from ..core.octant import max_level
-from ..core.plan import operator_context
-from ..fem.basis import LagrangeBasis, local_node_offsets
+from ..fem.dirichlet import Dirichlet
 
 __all__ = ["prolongation", "MultigridPoisson"]
-
-
-def _locate_leaves(mesh: IncompleteMesh, pts_2p: np.ndarray) -> np.ndarray:
-    """Containing leaf index for integer node coords in 2p-scaled units.
-
-    Points on cell boundaries resolve to any containing leaf via
-    corner-perturbed queries (value continuity makes the choice
-    immaterial for conforming fields).  Returns -1 where no retained
-    leaf contains the point.
-    """
-    dim = mesh.dim
-    m = max_level(dim)
-    p = mesh.p
-    # SFC keys and block ends come from the mesh's cached traversal plan
-    plan = operator_context(mesh).traversal
-    oracle, keys, ends = plan.oracle, plan.keys, plan.ends
-    dirs = 2 * local_node_offsets(1, dim) - 1
-    Q = 2 * pts_2p[:, None, :] + dirs[None, :, :]  # 4p-scaled units
-    extent4 = 4 * p * (1 << m)
-    in_dom = np.all((Q > 0) & (Q < extent4), axis=2)
-    cell = np.clip(Q // (4 * p), 0, (1 << m) - 1).astype(np.uint32)
-    ck = oracle.keys_from_coords(cell.reshape(-1, dim), dim)
-    idx = np.searchsorted(keys, ck, side="right") - 1
-    idxc = np.clip(idx, 0, len(keys) - 1)
-    ok = (idx >= 0) & (ck >= keys[idxc]) & (ck < ends[idxc])
-    ok &= in_dom.reshape(-1)
-    cand = np.where(ok, idxc, -1).reshape(len(pts_2p), -1)
-    out = np.full(len(pts_2p), -1, np.int64)
-    for c in range(cand.shape[1]):
-        out = np.where(out < 0, cand[:, c], out)
-    return out
 
 
 def prolongation(
     fine: IncompleteMesh, coarse: IncompleteMesh
 ) -> sp.csr_matrix:
-    """Sparse P mapping coarse DOF vectors to fine DOF vectors."""
+    """Sparse P mapping coarse DOF vectors to fine DOF vectors: the
+    coarse FE field evaluated at the fine nodes."""
     if fine.dim != coarse.dim or fine.p != coarse.p:
         raise ValueError("meshes must share dimension and order")
-    dim, p = fine.dim, fine.p
-    basis = LagrangeBasis(p, dim)
-    # fine node coordinates in the coarse mesh's 2p-units (identical
-    # integer lattice: both meshes share max_level scaling)
-    pts = fine.nodes.coords
-    leaf = _locate_leaves(coarse, pts)
-    missing = leaf < 0
-    if missing.any():
-        # voxelated boundaries recede with coarsening: a fine boundary
-        # node can fall outside the coarse mesh — snap it to the
-        # nearest retained coarse leaf centre (injection fallback)
-        centers = coarse.element_centers()
-        fpts = fine.nodes.physical_coords()[missing]
-        from scipy.spatial import cKDTree
+    pts = fine.node_coords()
+    P, found = evaluation_matrix(coarse, pts, strict=False)
+    if found.all():
+        return P
+    # voxelated boundaries recede with coarsening: a fine boundary node
+    # can fall outside the coarse mesh — clamp it into the box of the
+    # nearest retained coarse leaf (injection fallback)
+    from scipy.spatial import cKDTree
 
-        _, nearest = cKDTree(centers).query(fpts)
-        leaf = leaf.copy()
-        leaf[missing] = nearest
-    a = coarse.leaves.anchors.astype(np.int64)[leaf]
-    s = coarse.leaves.sizes.astype(np.int64)[leaf]
-    xi = (pts / (2 * p) - a) / s[:, None]
-    xi = np.clip(xi, 0.0, 1.0)
-    N = basis.eval(xi)  # (n_fine, npe)
-    # compose with the coarse hanging interpolation via its gather rows
-    g = operator_context(coarse).gather
-    npe = coarse.npe
-    rows, cols, vals = [], [], []
-    indptr, indices, data = g.indptr, g.indices, g.data
-    for i in range(len(pts)):
-        e = leaf[i]
-        r0, r1 = indptr[e * npe], indptr[(e + 1) * npe]
-        slot = np.repeat(
-            np.arange(npe), np.diff(indptr[e * npe : (e + 1) * npe + 1])
-        )
-        w = N[i, slot] * data[r0:r1]
-        nz = w != 0.0
-        cols.append(indices[r0:r1][nz])
-        vals.append(w[nz])
-        rows.append(np.full(int(nz.sum()), i, np.int64))
-    P = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fine.n_nodes, coarse.n_nodes),
-    )
-    P.sum_duplicates()
-    return P
+    lost = ~found
+    _, nearest = cKDTree(coarse.element_centers()).query(pts[lost])
+    lo, hi = coarse.leaves.physical_bounds(coarse.domain.scale)
+    pts[lost] = np.clip(pts[lost], lo[nearest], hi[nearest])
+    return evaluation_matrix(coarse, pts)[0]
 
 
 @dataclass(eq=False)
@@ -154,8 +92,7 @@ class MultigridPoisson:
             P = prolongation(meshes[k], meshes[k + 1])
             # keep boundary conditions out of the correction space:
             # zero P rows at fixed fine nodes
-            keep = sp.diags((~fixed_f).astype(float))
-            P = (keep @ P).tocsr()
+            P = (Dirichlet(fixed_f).keep @ P).tocsr()
             d = A.diagonal()
             self.levels.append(_Level(A, P, 1.0 / np.where(d != 0, d, 1.0)))
             A = (P.T @ A @ P).tocsr()

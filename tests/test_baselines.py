@@ -112,10 +112,9 @@ def test_dendro_memory_model():
 
 def test_two_tier_channel_matches_carved_octree():
     """For box-decomposable domains, two-tier == carved octree exactly."""
-    import scipy.sparse as sp
-
     from repro import assemble, build_uniform_mesh
     from repro.baselines import TwoTierMesh, boxes_for_predicate
+    from repro.fem.dirichlet import Dirichlet
     from repro.solvers import condest_1norm
 
     dom = Domain(BoxRetain([0, 0], [4, 1], domain=([0, 0], [4, 4])), scale=4.0)
@@ -128,10 +127,7 @@ def test_two_tier_channel_matches_carved_octree():
     assert tt.boundary_mask().sum() == oc.dirichlet_mask.sum()
 
     def cond_of(A, fixed):
-        keep = sp.diags((~fixed).astype(float))
-        return condest_1norm(
-            (keep @ A + sp.diags(fixed.astype(float))).tocsc()
-        )
+        return condest_1norm(Dirichlet(fixed).replace_rows(A).tocsc())
 
     c_tt = cond_of(tt.assemble_stiffness(), tt.boundary_mask())
     c_oc = cond_of(assemble(oc), oc.dirichlet_mask)

@@ -171,8 +171,8 @@ def test_only_the_member_with_boundary_data_sees_u_g(pde, monkeypatch):
     u_f = solve_batch(factor, [_req(pde, 1.0)])
     assert calls == ["f"]  # a batch without boundary data never solves u_g
     u_g = solve_batch(factor, [_req(pde, 0.0, 1.0)])
-    assert np.array_equal(u_g.solutions[factor.fixed, 0],
-                          np.ones(factor.fixed.sum()))
+    assert np.array_equal(u_g.solutions[factor.bc.fixed, 0],
+                          np.ones(factor.bc.fixed.sum()))
     reqs = [_req(pde, 2.0), _req(pde, 0.0), _req(pde, -1.0, 3.0),
             _req(pde, 0.5), _req(pde, 0.0, -2.0)]
     out = solve_batch(factor, reqs)
@@ -204,7 +204,7 @@ def test_mixed_request_meets_the_per_term_tolerance():
     fine = dict(base_level=3, boundary_level=5)
     first = _req("poisson", **fine)
     factor, _ = ensure_factor(build_entry(first), first)
-    free = factor.free
+    free = factor.bc.free_idx
     u_f = solve_batch(factor, [first]).solutions[:, 0]
     f = 3.0
     g = -f * float(u_f[free].mean())  # u_g ≡ 1: cancels the mean
@@ -214,8 +214,8 @@ def test_mixed_request_meets_the_per_term_tolerance():
                 _req("poisson", f, g, tol=1e-6, **fine)):
         out = solve_batch(factor, [req])
         u = out.solutions[:, 0]
-        assert np.array_equal(u[factor.fixed],
-                              np.full(factor.fixed.sum(), req.g))
+        assert np.array_equal(u[factor.bc.fixed],
+                              np.full(factor.bc.fixed.sum(), req.g))
         rhs = req.f * factor.b_unit[free] - req.g * factor.lift
         true = float(np.linalg.norm(factor.Aff @ u[free] - rhs))
         bound = req.tol * (abs(req.f) * np.linalg.norm(factor.b_unit[free])

@@ -2,21 +2,17 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro import Domain, assemble, build_mesh, build_uniform_mesh
+from repro.fem.dirichlet import Dirichlet
 from repro.geometry import SphereCarve, SphereRetain
 from repro.solvers import MultigridPoisson, cg, jacobi, prolongation
 
 
 def _bc_system(mesh):
-    A = assemble(mesh)
     fixed = mesh.dirichlet_mask
-    keep = sp.diags((~fixed).astype(float))
-    ident = sp.diags(fixed.astype(float))
-    Abc = (keep @ A @ keep + ident).tocsr()
-    b = keep @ np.ones(mesh.n_nodes)
-    return Abc, b, fixed
+    Abc, b = Dirichlet(fixed).masked(assemble(mesh), np.ones(mesh.n_nodes))
+    return Abc.tocsr(), b, fixed
 
 
 @pytest.fixture(scope="module")

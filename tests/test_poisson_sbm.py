@@ -200,3 +200,47 @@ def test_unknown_solver_is_rejected():
     mesh = build_uniform_mesh(Domain(dim=2), 2, p=1)
     with pytest.raises(ValueError, match="matrix-free"):
         PoissonProblem(mesh, f=1.0).solve(solver="matrixfree")
+
+
+# -- hostile data: a named ValueError before any factorisation ---------------
+
+
+@pytest.mark.parametrize("method,solver", [
+    ("nodal", "cg"), ("nodal", "direct"), ("nodal", "matrix-free"),
+    ("sbm", "auto")])
+def test_non_finite_source_is_refused(method, solver, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    mesh = build_uniform_mesh(Domain(SphereRetain([0.5, 0.5], 0.5)), 3, p=1)
+    # refused before any factorisation: reaching one is a TypeError
+    monkeypatch.setattr(spla, "spsolve", None)
+    for f in (np.nan, lambda pts: np.where(pts[:, 0] > 0.5, np.inf, 1.0)):
+        with pytest.raises(ValueError, match="^f has non-finite"):
+            PoissonProblem(mesh, f=f, method=method).solve(solver=solver)
+
+
+@pytest.mark.parametrize("method,solver", [
+    ("nodal", "cg"), ("nodal", "direct"), ("nodal", "matrix-free"),
+    ("sbm", "auto")])
+def test_non_finite_boundary_data_is_refused(method, solver):
+    mesh = build_uniform_mesh(Domain(SphereRetain([0.5, 0.5], 0.5)), 3, p=1)
+    for g in (np.nan, lambda pts: np.full(len(pts), np.nan)):
+        with pytest.raises(ValueError, match="^dirichlet has non-finite"):
+            PoissonProblem(mesh, f=1.0, dirichlet=g, method=method).solve(
+                solver=solver)
+
+
+@pytest.mark.parametrize("solver", ["cg", "matrix-free", "direct"])
+def test_bad_x0_is_refused(solver):
+    mesh = build_uniform_mesh(Domain(dim=2), 3, p=1)
+    prob = PoissonProblem(mesh, f=1.0)
+    n = mesh.n_nodes
+    for x0, match in ((0.5, r"^x0 must have shape"),
+                      (np.zeros(n + 1), r"^x0 must have shape"),
+                      (np.zeros(n - 1), r"^x0 must have shape"),
+                      (np.full(n, np.nan), "^x0 has non-finite")):
+        with pytest.raises(ValueError, match=match):
+            prob.solve(solver=solver, x0=x0)
+    # a list of the right length is still an x0
+    u = prob.solve(solver=solver)
+    assert np.abs(prob.solve(solver=solver, x0=list(u)) - u).max() < 1e-9

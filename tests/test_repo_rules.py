@@ -68,3 +68,19 @@ def test_one_kernel_set():
     assert _grep(r"os\.environ|getenv", "kernels") == []
     assert _files(_grep(r"use_backend|available_backends")) == {
         "kernels/__init__.py"}
+
+
+def test_one_dirichlet_elimination():
+    """Strong Dirichlet data is eliminated in ``fem/dirichlet.py`` only:
+    no other module slices a free/fixed block, builds a 0/1 diagonal
+    from a free/fixed mask, or replaces matrix rows through ``lil``.
+    (``assembly.py``'s ``Ke[np.ix_(slot, slot)]`` is a gather, not an
+    elimination, and does not match.)"""
+    idioms = (r"np\.ix_\([^)]*\b\w*(free|fixed)",
+              r"sp\.diags\(\(?~?[\w.]*(free|fixed)",
+              r"\.tolil\(",
+              r"\.rows\[[^\]]*\]\s*=")
+    for pattern in idioms:
+        assert _files(_grep(pattern)) <= {"fem/dirichlet.py"}, (
+            pattern, _grep(pattern))
+    assert _files(_grep(idioms[0])) == {"fem/dirichlet.py"}

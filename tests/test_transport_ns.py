@@ -190,3 +190,24 @@ def test_ns_carved_cylinder_produces_wake():
     # stagnation pressure in front exceeds wake pressure
     front = (np.abs(pts[:, 1] - 5.0) < 0.2) & (pts[:, 0] > 2.0) & (pts[:, 0] < 2.5)
     assert res.pressure[front].mean() > res.pressure[behind].mean()
+
+
+def test_transport_refuses_a_wrong_length_dirichlet_mask(square_mesh):
+    vel = np.zeros((square_mesh.n_nodes, 2))
+    for mask in (np.zeros(square_mesh.n_nodes - 1, bool),
+                 np.zeros(square_mesh.n_nodes + 3, bool),
+                 np.zeros(square_mesh.n_nodes, int)):
+        with pytest.raises(ValueError, match="dirichlet_mask"):
+            TransportProblem(square_mesh, vel, kappa=0.1, dt=0.1,
+                             dirichlet_mask=mask)
+
+
+def test_transport_refuses_non_finite_data(square_mesh):
+    vel = np.zeros((square_mesh.n_nodes, 2))
+    with pytest.raises(ValueError, match="dirichlet"):
+        TransportProblem(square_mesh, vel, kappa=0.1, dt=0.1,
+                         dirichlet_mask=square_mesh.dirichlet_mask,
+                         dirichlet_value=np.nan)
+    tp = TransportProblem(square_mesh, vel, kappa=0.1, dt=0.1)
+    with pytest.raises(ValueError, match="source"):
+        tp.step(np.zeros(square_mesh.n_nodes), source=np.inf)
