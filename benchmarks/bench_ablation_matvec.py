@@ -199,8 +199,9 @@ def test_backend_ablation(mesh):
 def test_plan_reuse_vs_rebuild(mesh):
     """Operator-plan ablation: 50 repeated distributed MATVEC applies
     with the cached :class:`ExchangePlan` vs rebuilding the plan on
-    every call (the pre-plan-layer behaviour, which re-derived exchange
-    dicts and re-CSR'd the gather per apply)."""
+    every call (re-deriving the exchange index arrays and recompiling
+    every rank's apply program per apply).  The cached row is the
+    distributed apply's cost: each rank runs its compiled program."""
     nranks, repeats = 8, 50
     layout = analyze_partition(mesh, partition_mesh(mesh, nranks))
     comm = SimComm(nranks)

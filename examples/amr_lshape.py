@@ -8,9 +8,7 @@ estimator-driven adaptive loop recovers the optimal N^{-1} (in L2, p=1)
 by grading the mesh into the singularity.
 
 The carved box is grid-conforming (the voxelated boundary IS the true
-boundary), so the comparison isolates the refinement strategy.  Every
-incremental plan update is cross-checked bit-identical against a full
-rebuild (the equivalence gate of repro.core.plan_delta).
+boundary), so the comparison isolates the refinement strategy.
 
 Run:  python examples/amr_lshape.py
 """
@@ -56,7 +54,7 @@ def main() -> None:
     )
     for rec in res.history:
         print(f"  cycle {rec['cycle']:>2}: {rec['n_dofs']:>6} DOFs  "
-              f"L2 error {rec['error_l2']:.3e}  churn {rec['churn']:.2f}")
+              f"L2 error {rec['error_l2']:.3e}")
 
     # convergence rates from the last few points of each curve
     def rate(points):

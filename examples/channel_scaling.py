@@ -10,7 +10,7 @@ Run:  python examples/channel_scaling.py
 import numpy as np
 
 from repro import Domain, build_mesh
-from repro.core.matvec import MapBasedMatVec
+from repro.core.matvec import traversal_matvec
 from repro.geometry import BoxRetain
 from repro.parallel import (
     FRONTERA,
@@ -34,7 +34,7 @@ def main() -> None:
 
     rng = np.random.default_rng(0)
     u = rng.standard_normal(mesh.n_nodes)
-    serial = MapBasedMatVec(mesh)(u)
+    serial = traversal_matvec(mesh, u)
 
     print(f"\n{'ranks':>6} {'ghost/rank':>11} {'eta':>7} {'msgs':>5} "
           f"{'t_model':>10} {'efficiency':>10}")
@@ -44,7 +44,8 @@ def main() -> None:
         layout = analyze_partition(mesh, splits)
         comm = SimComm(nranks)
         dist = distributed_matvec(mesh, layout, u, comm)
-        assert np.allclose(dist, serial, atol=1e-10), "distributed != serial"
+        err = np.abs(dist - serial).max() / np.abs(serial).max()
+        assert err <= (0.0 if nranks == 1 else 1e-14), f"distributed != serial ({err:.1e})"
         stats = rank_statistics(mesh, layout)
         phases = model_matvec(stats, p=mesh.p, dim=mesh.dim, machine=FRONTERA)
         t = phases.time
@@ -53,8 +54,9 @@ def main() -> None:
         print(f"{nranks:>6} {stats.ghost_nodes.mean():>11.1f} "
               f"{layout.eta().mean():>7.3f} {stats.messages.max():>5} "
               f"{t * 1e3:>8.2f}ms {eff:>10.2f}")
-    print("\n(distributed MATVEC verified bit-identical to serial at "
-          "every rank count; times from the calibrated machine model)")
+    print("\n(distributed MATVEC verified against the serial compiled apply: "
+          "bit-identical on 1 rank, to 1e-14 beyond; times from the "
+          "calibrated machine model)")
 
 
 if __name__ == "__main__":

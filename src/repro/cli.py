@@ -90,25 +90,43 @@ def _mvc_common(domain, base, boundary, order, ranks, label):
     ]
     splits = partition_mesh(mesh, ranks, load_tol=0.1)
     layout = analyze_partition(mesh, splits)
-    # execute one real distributed MATVEC and verify against serial
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(mesh.n_nodes)
-    comm = SimComm(ranks)
-    dist = distributed_matvec(mesh, layout, u, comm)
-    map_based = MapBasedMatVec(mesh)  # the paper's ablation column
-    serial = map_based(u)
-    ok = bool(np.allclose(dist, serial, atol=1e-9))
-    lines.append(f"distributed MATVEC == serial: {ok}")
-    # serial traversal matvec + assembly so the run artifact carries the
-    # kernel-layer spans the CI perf gate diffs (matvec.*, assembly)
+    # the serial compiled apply, one real distributed MATVEC checked
+    # against it, and the map-based ablation column; the run artifact
+    # then carries the kernel-layer spans the CI perf gate diffs
     from .core.assembly import assemble
 
-    t0 = time.perf_counter()
-    trav = traversal_matvec(mesh, u)
-    t_trav = time.perf_counter() - t0
-    ok_trav = bool(np.allclose(trav, serial, atol=1e-9))
+    def fastest(apply):
+        """Seconds of the fastest of three applies (the first call
+        compiled the tables)."""
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            apply()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    def rel_err(y, ref):
+        return float(np.abs(y - ref).max() / np.abs(ref).max())
+
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(mesh.n_nodes)
+    serial = traversal_matvec(mesh, u)
+    comm = SimComm(ranks)  # counts the ghost traffic of one apply
+    dist = distributed_matvec(mesh, layout, u, comm)
+    map_based = MapBasedMatVec(mesh)  # the paper's ablation column
+    y_map = map_based(u)
+    t_trav = fastest(lambda: traversal_matvec(mesh, u))
+    t_dist = fastest(lambda: distributed_matvec(mesh, layout, u, SimComm(ranks)))
+    t_map = fastest(lambda: map_based(u))
+    err, err_map = rel_err(dist, serial), rel_err(y_map, serial)
+    ok, ok_map = err <= 1e-12, err_map <= 1e-12
     lines.append(
-        f"traversal MATVEC == serial: {ok_trav} ({t_trav * 1e3:.2f} ms)"
+        f"distributed MATVEC == serial: {ok} (max rel diff {err:.1e}; "
+        f"{t_dist * 1e3:.2f} ms on {ranks} ranks, serial {t_trav * 1e3:.2f} ms)"
+    )
+    lines.append(
+        f"map-based MATVEC == serial: {ok_map} (max rel diff {err_map:.1e}; "
+        f"{t_map * 1e3:.2f} ms)"
     )
     for name, op in (("compiled", TraversalMatVec(mesh)), ("map-based", map_based)):
         lines.append(
@@ -142,8 +160,8 @@ def _mvc_common(domain, base, boundary, order, ranks, label):
         f"eta = ghost/owned: mean {layout.eta().mean():.4f}, "
         f"max {layout.eta().max():.4f}"
     )
-    if not ok or not ok_trav:
-        raise SystemExit("FATAL: distributed MATVEC mismatch")
+    if not ok or not ok_map:
+        raise SystemExit("FATAL: MATVEC mismatch")
     return lines
 
 
@@ -414,8 +432,7 @@ def cmd_amr_demo(args) -> None:
     if args.case == "lshape":
         domain = Domain(BoxCarve([0.5, 0.5], [1.0, 1.0]), dim=2, scale=1.0)
         f, g, exact = 0.0, _amr_lshape_exact, _amr_lshape_exact
-    else:  # "source": sharp off-dyadic Gaussian — exercises the
-        # incremental plan-delta path (refinement stays SFC-local)
+    else:  # "source": sharp off-dyadic Gaussian, refinement stays local
         domain = Domain(SphereCarve([0.62, 0.38], 0.2), dim=2, scale=1.0)
 
         def f(pts):
@@ -428,27 +445,20 @@ def cmd_amr_demo(args) -> None:
         base_level=args.base_level,
         boundary_level=args.boundary_level or args.base_level,
         max_cycles=args.cycles, theta=args.theta, exact=exact,
-        check_equivalence=not args.no_equivalence_check,
     )
     lines = [
         f"# amr-demo: case={args.case} cycles={args.cycles} "
         f"theta={args.theta} base={args.base_level}",
-        "cycle  n_elem   n_dofs   eta        churn  incr"
-        + ("  l2_error" if exact else ""),
+        "cycle  n_elem   n_dofs   eta" + ("        l2_error" if exact else ""),
     ]
     for rec in res.history:
         row = (
             f"{rec['cycle']:>5}  {rec['n_elem']:>6}  {rec['n_dofs']:>7}  "
-            f"{rec['eta']:.3e}  {rec['churn']:.3f}  {str(rec['incremental']):<5}"
+            f"{rec['eta']:.3e}"
         )
         if exact:
-            row += f" {rec['error_l2']:.3e}"
+            row += f"  {rec['error_l2']:.3e}"
         lines.append(row)
-    inc_steps = sum(1 for r in res.history if r["incremental"])
-    lines.append(
-        f"incremental steps: {inc_steps}/{max(len(res.history) - 1, 0)} "
-        f"(equivalence gate {'ON' if not args.no_equivalence_check else 'off'})"
-    )
     lines.append(f"final: {res.mesh.n_elem} elements, {res.n_dofs} DOFs, "
                  f"eta={res.total_eta:.3e}")
     lines.append(f"digest: {res.digest()}")
@@ -865,16 +875,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser(
         "amr-demo",
-        help="estimator-driven adaptive refinement loop "
-             "(incremental operator-plan deltas + equivalence gate)",
+        help="estimator-driven adaptive refinement loop",
     )
     s.add_argument("--case", choices=("lshape", "source"), default="lshape")
     s.add_argument("--cycles", type=int, default=6)
     s.add_argument("--theta", type=float, default=0.5)
     s.add_argument("--base-level", type=int, default=3)
     s.add_argument("--boundary-level", type=int, default=None)
-    s.add_argument("--no-equivalence-check", action="store_true",
-                   help="skip the incremental-vs-full bit-identity gate")
     s.add_argument("--out", default=None)
     s.add_argument("--trace-out", default=None,
                    help="run-artifact path (default trace_<command>.json)")

@@ -11,13 +11,10 @@ from .nodes import EmptyMeshError, MeshNodes, build_nodes
 from .octant import OctantSet, max_level
 from .plan import (
     OperatorContext,
-    PlanDelta,
     TraversalPlan,
-    diff_leaves,
     mesh_fingerprint,
     operator_context,
 )
-from .plan_delta import PlanUpdateReport, assert_plan_equivalent, update_mesh
 from .sfc import HilbertOrder, MortonOrder, get_curve
 from .treesort import linearize, tree_sort
 
@@ -46,11 +43,6 @@ __all__ = [
     "TraversalPlan",
     "operator_context",
     "mesh_fingerprint",
-    "PlanDelta",
-    "diff_leaves",
-    "PlanUpdateReport",
-    "update_mesh",
-    "assert_plan_equivalent",
     "AdaptMap",
     "refine_leaves",
     "coarsen_leaves",

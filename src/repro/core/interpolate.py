@@ -20,9 +20,20 @@ from ..fem.basis import LagrangeBasis, local_node_offsets
 from .mesh import IncompleteMesh
 from .octant import max_level
 from .plan import operator_context
-from .plan_delta import _ranges
 
 __all__ = ["locate_points", "evaluation_matrix", "evaluate_field", "transfer_field"]
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``arange(starts[i], starts[i]+counts[i])`` ranges."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, np.int64)
+    rep = np.repeat(starts.astype(np.int64), counts)
+    offs = np.arange(total, dtype=np.int64) - np.repeat(
+        np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64), counts
+    )
+    return rep + offs
 
 
 def locate_points(mesh: IncompleteMesh, pts: np.ndarray) -> np.ndarray:

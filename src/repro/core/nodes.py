@@ -84,14 +84,6 @@ class MeshNodes:
         *subdomain boundary* nodes where Dirichlet data is imposed.
     domain_boundary:
         bool ``(n_glob,)``: node on the boundary of the root cube.
-    hang_elem / hang_slot / hang_donor / hang_W:
-        raw hanging-slot data, one row per hanging slot in row-major
-        ``(elem, slot)`` order: the element and local slot index, the
-        donor element, and the ``(npe,)`` donor Lagrange weight row
-        (post small-weight zeroing).  This is what the incremental plan
-        update (:mod:`repro.core.plan_delta`) needs to re-resolve
-        chained hanging rows bit-identically without a full rebuild.
-        ``None`` on nodes built by code predating the delta path.
     """
 
     p: int
@@ -102,10 +94,6 @@ class MeshNodes:
     carved_node: np.ndarray
     domain_boundary: np.ndarray
     h_node: float  # physical length of one 2p-scaled unit
-    hang_elem: np.ndarray | None = None
-    hang_slot: np.ndarray | None = None
-    hang_donor: np.ndarray | None = None
-    hang_W: np.ndarray | None = None
 
     @property
     def n_glob(self) -> int:
@@ -252,9 +240,6 @@ def _build_nodes(
         rows_list += hr
         cols_list += hc
         vals_list += hv
-    else:
-        don = np.empty(0, np.int64)
-        W = np.empty((0, npe))
 
     n_glob = len(coords)
     gather = sp.csr_matrix(
@@ -281,10 +266,6 @@ def _build_nodes(
         carved_node=carved_node,
         domain_boundary=domain_boundary,
         h_node=h_node,
-        hang_elem=hang_e.astype(np.int64),
-        hang_slot=hang_i.astype(np.int64),
-        hang_donor=don.astype(np.int64),
-        hang_W=W,
     )
 
 
@@ -302,14 +283,9 @@ def _hanging_entries(
     ``don[h]`` with Lagrange weight row ``W[h]``.  Slots whose donor row
     is itself partly hanging are resolved by recursive substitution —
     the slot list must therefore be *closed* under the donor relation
-    (every slot reachable during the descent must appear in it; the full
-    build passes all slots, the incremental build passes the recompute
-    set plus its transitive donor closure).
+    (every slot reachable during the descent must appear in it).
 
-    Returns three lists of arrays ``(rows, cols, vals)``.  Per-slot
-    values depend only on that slot's donor chain data (weights and
-    iteration order are chain-local), which is what makes incremental
-    re-resolution bit-identical to a full rebuild.
+    Returns three lists of arrays ``(rows, cols, vals)``.
     """
     rows_list: list[np.ndarray] = []
     cols_list: list[np.ndarray] = []

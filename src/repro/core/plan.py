@@ -40,7 +40,6 @@ import scipy.sparse as sp
 
 from ..fem.elemental import ReferenceElement, reference_element
 from ..obs import span
-from .octant import OctantSet
 from .sfc import cached_keys, get_curve
 from .treesort import block_ends
 
@@ -50,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "OperatorContext",
     "TraversalPlan",
-    "PlanDelta",
-    "diff_leaves",
     "operator_context",
     "mesh_fingerprint",
 ]
@@ -72,91 +69,6 @@ def mesh_fingerprint(mesh: IncompleteMesh) -> str:
     h.update(np.ascontiguousarray(mesh.leaves.levels).tobytes())
     h.update(f"|dim={mesh.dim}|p={mesh.p}|curve={mesh.curve}".encode())
     return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class PlanDelta:
-    """Positional diff between two SFC-sorted leaf arrays.
-
-    The longest common prefix (``prefix`` leaves) and suffix
-    (``suffix`` leaves) over the sorted ``(key, level)`` sequences are
-    *unchanged*: element ``i`` of the old mesh is element
-    ``old_to_new(i)`` of the new mesh with identical geometry.  The
-    windows ``changed_old`` / ``changed_new`` in between are the leaves
-    an incremental plan update must treat as removed / added (a leaf
-    that merely shifted position inside the window is conservatively
-    counted as changed).
-    """
-
-    n_old: int
-    n_new: int
-    prefix: int
-    suffix: int
-    #: True when the update that produced this delta took the
-    #: incremental path (False: full rebuild fallback).
-    incremental: bool = False
-
-    @property
-    def n_changed_old(self) -> int:
-        return self.n_old - self.prefix - self.suffix
-
-    @property
-    def n_changed_new(self) -> int:
-        return self.n_new - self.prefix - self.suffix
-
-    @property
-    def churn(self) -> float:
-        """Fraction of the *new* mesh's leaves that are changed."""
-        return self.n_changed_new / max(self.n_new, 1)
-
-    @property
-    def identical(self) -> bool:
-        return self.n_changed_old == 0 and self.n_changed_new == 0
-
-    def changed_old(self) -> np.ndarray:
-        return np.arange(self.prefix, self.n_old - self.suffix)
-
-    def changed_new(self) -> np.ndarray:
-        return np.arange(self.prefix, self.n_new - self.suffix)
-
-    def old_to_new(self, idx: np.ndarray) -> np.ndarray:
-        """Map old element indices to new ones (``-1`` for changed)."""
-        idx = np.asarray(idx, np.int64)
-        shift = self.n_new - self.n_old
-        out = np.where(idx < self.prefix, idx, idx + shift)
-        out = np.where(
-            (idx >= self.prefix) & (idx < self.n_old - self.suffix), -1, out
-        )
-        return out
-
-
-def diff_leaves(
-    old_leaves: OctantSet, new_leaves: OctantSet, curve: str = "morton"
-) -> PlanDelta:
-    """Diff two SFC-sorted linear octrees into a :class:`PlanDelta`.
-
-    Longest-common-prefix/suffix; ``prefix + suffix`` never exceeds the
-    shorter array, so the changed windows are well defined.  Equality is
-    tested on ``(anchor, level)`` directly — for SFC-sorted arrays of
-    the same curve that coincides with ``(key, level)`` equality and
-    avoids recomputing keys.
-    """
-    a1, l1 = old_leaves.anchors, old_leaves.levels
-    a2, l2 = new_leaves.anchors, new_leaves.levels
-    n1, n2 = len(old_leaves), len(new_leaves)
-    n = min(n1, n2)
-    eq = np.all(a1[:n] == a2[:n], axis=1) & (l1[:n] == l2[:n])
-    prefix = int(np.argmin(eq)) if not eq.all() else n
-    rem = n - prefix
-    if rem == 0:
-        suffix = 0
-    else:
-        eq_s = np.all(a1[n1 - rem :] == a2[n2 - rem :], axis=1) & (
-            l1[n1 - rem :] == l2[n2 - rem :]
-        )
-        rev = eq_s[::-1]
-        suffix = int(np.argmin(rev)) if not rev.all() else rem
-    return PlanDelta(n_old=n1, n_new=n2, prefix=prefix, suffix=suffix)
 
 
 @dataclass(frozen=True)
@@ -184,6 +96,21 @@ class HangingBlock:
         return (self.interp @ u).reshape(len(self.elems), -1)
 
 
+def _local_ids(local: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of the global node ids ``ids`` in the sorted id set
+    ``local``.  An id outside the set raises here: scipy does not check
+    CSR columns, and an out-of-range one corrupts the heap."""
+    pos = np.searchsorted(local, ids)
+    hit = pos < len(local)
+    hit[hit] = local[pos[hit]] == ids[hit]
+    if not hit.all():
+        raise ValueError(
+            f"{int((~hit).sum())} node ids lie outside the "
+            f"{len(local)}-node local index space"
+        )
+    return pos
+
+
 class ApplyProgram:
     """One compiled §3.5 apply over the elements ``[e_lo, e_hi)`` of a plan.
 
@@ -193,9 +120,17 @@ class ApplyProgram:
     bottom-up is **one** CSR product (:meth:`scatter`) whose weights
     already carry ``h**pw`` — exact for the power-of-two sizes of an
     octree, within 1 ulp otherwise — so no apply pays a scale pass.
+
+    ``local`` (sorted global node ids) compiles the program in that
+    rank-local index space: it reads and returns ``len(local)``-vectors,
+    entry ``i`` standing for node ``local[i]``.  Every referenced node
+    must be in ``local``.
     """
 
-    def __init__(self, plan: TraversalPlan, e_lo: int, e_hi: int):
+    def __init__(
+        self, plan: TraversalPlan, e_lo: int, e_hi: int,
+        local: np.ndarray | None = None,
+    ):
         self.npe = npe = plan.mesh.npe
         elems = np.arange(e_lo, e_hi)
         ident = plan.identity_elem[elems]
@@ -204,13 +139,19 @@ class ApplyProgram:
         self.n_elem = len(order)  #: leaf rows
         slots = np.arange(npe)
         # the element-to-node interpolation, slot rows in program order
-        self._gather = plan.gather[(order[:, None] * npe + slots).ravel()]
+        g = plan.gather[(order[:, None] * npe + slots).ravel()]
+        gid = plan.slot_gid[plan.slot_ptr[id_el][:, None] + slots]
+        if local is not None:
+            g = sp.csr_matrix(
+                (g.data, _local_ids(local, g.indices), g.indptr),
+                shape=(g.shape[0], len(local)),
+            )
+            gid = _local_ids(local, gid)
+        self._gather = g
         self._h = plan.h[order]
         self._scatter: dict[int, sp.csr_matrix] = {}
-        self.identity = IdentityBlock(
-            id_el, plan.slot_gid[plan.slot_ptr[id_el][:, None] + slots]
-        )
-        self.hanging = HangingBlock(hg_el, self._gather[len(id_el) * npe :])
+        self.identity = IdentityBlock(id_el, gid)
+        self.hanging = HangingBlock(hg_el, g[len(id_el) * npe :])
 
     def __iter__(self):
         return (b for b in (self.identity, self.hanging) if len(b.elems))
@@ -223,6 +164,15 @@ class ApplyProgram:
             scale = sp.diags(np.repeat(self._h**pw, self.npe))
             self._scatter[pw] = (scale @ self._gather).T.tocsr()
         return self._scatter[pw]
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the program's tables, scatters built so far
+        included."""
+        csrs = (self._gather, self.hanging.interp, *self._scatter.values())
+        return self.identity.gid.nbytes + self._h.nbytes + sum(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in csrs
+        )
 
 
 class TraversalPlan:
@@ -302,8 +252,10 @@ class TraversalPlan:
         """The compiled apply program of the elements ``[e_lo, e_hi)``.
 
         The whole-mesh program is built on first use and kept for the
-        life of the plan; a proper sub-range (the distributed-memory
-        ``owned_range``) compiles its own program per call.
+        life of the plan; a proper sub-range (``traversal_matvec``'s
+        ``owned_range``) compiles its own program per call.  The
+        distributed MATVEC keeps one rank-local program per rank on its
+        :class:`repro.parallel.ghost.ExchangePlan`.
         """
         n_elem = self.mesh.n_elem
         e_lo, e_hi = max(e_lo, 0), n_elem if e_hi is None else min(e_hi, n_elem)

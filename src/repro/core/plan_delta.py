@@ -1,670 +1,24 @@
-"""Incremental operator-plan updates: the :class:`~repro.core.plan.PlanDelta` path.
+"""``update_mesh``: the name of a retired incremental mesh update.
 
-A refine/coarsen step that changes a few percent of the leaves used to
-pay a full node-enumeration + gather rebuild.  This module splices the
-old :class:`~repro.core.nodes.MeshNodes` instead: it diffs the sorted
-leaf arrays (:func:`repro.core.plan.diff_leaves`), determines the set of
-elements whose interpolation rows can change — the changed leaves, the
-unchanged leaves geometrically adjacent to them, and the transitive
-donor-chain closure of both — and recomputes *only* those, reusing every
-other element's gather rows, global node ids (monotonically remapped)
-and carved/boundary flags verbatim.
-
-The result is **bit-identical** to a full rebuild (same node order, same
-gather CSR bytes, same fingerprint-derived operators):
-
-* global node ids are assigned in sorted-coordinate order, so the
-  old → new id map is monotone and spliced CSR rows stay canonical;
-* hanging rows are re-resolved with the exact full-build algorithm
-  (:func:`repro.core.nodes._hanging_entries`) against the *raw* stored
-  donor weight rows, so chained floating-point accumulation replays in
-  the same order;
-* only coordinates emitted by a changed leaf can change their
-  ordinary/cancellation status, and every element emitting such a
-  coordinate is geometrically adjacent to the changed region — the
-  adjacency search (corner probes into SFC key intervals) is exact for
-  dyadic boxes, not a heuristic.
-
-:func:`assert_plan_equivalent` is the equivalence gate: it compares two
-meshes' plans array-for-array (and optionally a stiffness matvec) and is
-asserted on every AMR step when ``check_equivalence`` is enabled.
+The AMR loop rebuilds every refined mesh through
+:func:`repro.core.mesh.mesh_from_leaves`; nothing in the package calls
+this module.  It stays importable because the e2e benchmark's span
+shims resolve ``repro.core.plan_delta:update_mesh`` by name
+(``benchmarks/e2e/spans.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
-import scipy.sparse as sp
-
-from ..fem.basis import LagrangeBasis, local_node_offsets
-from ..obs import span
 from .mesh import IncompleteMesh, mesh_from_leaves
-from .nodes import (
-    MeshNodes,
-    _element_node_coords,
-    _find_donors,
-    _hanging_entries,
-    cancellation_offsets,
-)
-from .octant import OctantSet, max_level
-from .plan import PlanDelta, diff_leaves, mesh_fingerprint
-from .sfc import cached_keys, get_curve
-from .treesort import block_ends
+from .octant import OctantSet
 
-__all__ = [
-    "PlanUpdateReport",
-    "update_mesh",
-    "assert_plan_equivalent",
-    "coord_sort_keys",
-]
+__all__ = ["update_mesh"]
 
 
-@dataclass
-class PlanUpdateReport:
-    """What an :func:`update_mesh` call reused and recomputed.
-
-    Attached to the returned mesh as ``mesh._plan_update`` so downstream
-    consumers (e.g. :func:`repro.parallel.ghost.update_exchange_plan`)
-    can patch their own artifacts with the same delta.
-    """
-
-    delta: PlanDelta
-    #: per-new-element True where the gather rows were spliced verbatim
-    #: (False: recomputed — changed, adjacent, or donor-chain dirty)
-    clean_new: np.ndarray
-    #: old global node id → new global node id (-1: node vanished)
-    gid_map: np.ndarray
-    incremental: bool
-
-
-def coord_sort_keys(coords: np.ndarray) -> np.ndarray:
-    """Byte keys whose lexicographic order equals ``np.lexsort(coords.T)``.
-
-    The node build sorts coordinates with the *last* column as primary
-    key; encoding the reversed columns big-endian gives byte strings
-    whose bytewise order matches, enabling O(log n) sorted merges and
-    membership tests against the node coordinate table.  (Coordinates
-    are non-negative; int64 bit-packing would overflow at 2-D max_level.)
-    """
-    dim = coords.shape[1]
-    rev = np.ascontiguousarray(coords[:, ::-1]).astype(">i8")
-    return rev.view(f"S{8 * dim}").ravel()
-
-
-def _make_ckey(p: int, dim: int):
-    """Coordinate sort-key encoder for one (p, dim) mesh family.
-
-    Returns a function mapping ``(n, dim)`` node coordinates (2p-scaled
-    anchor units) to scalar keys whose order equals the node build's
-    ``np.lexsort`` order.  When every axis fits in ``64 // dim`` bits
-    the keys are packed uint64 words (fast sorts and searches); the
-    byte-string encoding of :func:`coord_sort_keys` is the general
-    fallback.  The choice is a pure function of (p, dim), so every
-    array compared within one mesh family uses the same encoding.
-    """
-    m = max_level(dim)
-    shift = np.uint64(64 // dim)
-    if (2 * p) << m < (1 << (64 // dim)):
-
-        def ckey(coords: np.ndarray) -> np.ndarray:
-            k = coords[:, -1].astype(np.uint64)
-            for ax in range(dim - 2, -1, -1):
-                k = (k << shift) | coords[:, ax].astype(np.uint64)
-            return k
-
-        return ckey
-    return coord_sort_keys
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(starts[i], starts[i]+counts[i])`` ranges."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    rep = np.repeat(starts.astype(np.int64), counts)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64), counts
+def update_mesh(old_mesh: IncompleteMesh, new_leaves: OctantSet) -> IncompleteMesh:
+    """The mesh of the SFC-sorted, 2:1-balanced ``new_leaves`` on
+    ``old_mesh``'s domain, order and curve: a full rebuild."""
+    return mesh_from_leaves(
+        old_mesh.domain, new_leaves, p=old_mesh.p, curve=old_mesh.curve,
+        balance=False,
     )
-    return rep + offs
-
-
-def _in_blocks(pkeys: np.ndarray, bkeys: np.ndarray, bends: np.ndarray):
-    """Membership of probe keys in a sorted, disjoint SFC block list."""
-    if len(bkeys) == 0:
-        return np.zeros(len(pkeys), bool)
-    j = np.searchsorted(bkeys, pkeys, side="right") - 1
-    jc = np.clip(j, 0, len(bkeys) - 1)
-    return (j >= 0) & (pkeys < bends[jc])
-
-
-def _corner_probe_cells(anchors: np.ndarray, sizes: np.ndarray, dim: int):
-    """Finest-level cells incident to every vertex of every box.
-
-    Returns ``(cells, ok)`` with ``cells`` of shape
-    ``(k * 4^dim, dim)``: for each box, its ``2^dim`` vertices each
-    probed via the ``2^dim`` finest cells incident at the vertex.  A
-    vertex lies in the closure of a dyadic box iff one of its incident
-    finest cells is inside that box, which turns closed-box adjacency
-    into exact SFC interval membership.
-    """
-    m = max_level(dim)
-    verts = local_node_offsets(1, dim).astype(np.int64)  # {0,1}^dim
-    V = anchors[:, None, :] + verts[None, :, :] * sizes[:, None, None]
-    C = V[:, :, None, :] - verts[None, None, :, :]
-    C = C.reshape(-1, dim)
-    ok = np.all((C >= 0) & (C < (1 << m)), axis=1)
-    return C, ok
-
-
-def _pack_cells(cells: np.ndarray, dim: int) -> np.ndarray:
-    """Pack finest-level cell coordinates into single uint64 words.
-
-    Always representable: ``dim * max_level(dim) <= 63`` bits.  Used to
-    deduplicate probe cells cheaply before the (costlier) SFC keying —
-    adjacent boxes share most of their corner-probe cells.
-    """
-    m = max_level(dim)
-    packed = cells[:, 0].astype(np.uint64)
-    for ax in range(1, dim):
-        packed |= cells[:, ax].astype(np.uint64) << np.uint64(ax * m)
-    return packed
-
-
-def update_mesh(
-    old_mesh: IncompleteMesh,
-    new_leaves: OctantSet,
-    *,
-    delta: PlanDelta | None = None,
-    churn_limit: float = 0.5,
-) -> tuple[IncompleteMesh, PlanDelta]:
-    """Build the mesh of ``new_leaves`` incrementally from ``old_mesh``.
-
-    ``new_leaves`` must be SFC-sorted and 2:1 balanced (the caller
-    refines/coarsens and re-balances first, exactly as for
-    :func:`repro.core.mesh.mesh_from_leaves` with ``balance=False``).
-    Falls back to a full rebuild when the churn exceeds
-    ``churn_limit`` or the old mesh predates the raw hanging-data
-    storage; the returned delta's ``incremental`` flag records which
-    path ran.  The incremental result is bit-identical to the full
-    rebuild (see :func:`assert_plan_equivalent`).
-    """
-    curve = old_mesh.curve
-    if delta is None:
-        delta = diff_leaves(old_mesh.leaves, new_leaves, curve)
-    can_inc = (
-        old_mesh.nodes.hang_elem is not None
-        and delta.churn <= churn_limit
-        and delta.prefix + delta.suffix > 0
-    )
-    if not can_inc:
-        mesh = mesh_from_leaves(
-            old_mesh.domain, new_leaves, old_mesh.p, curve, balance=False
-        )
-        delta = replace(delta, incremental=False)
-        mesh._plan_update = PlanUpdateReport(
-            delta=delta,
-            clean_new=np.zeros(len(new_leaves), bool),
-            gid_map=np.full(old_mesh.n_nodes, -1, np.int64),
-            incremental=False,
-        )
-        return mesh, delta
-    with span("plan.delta_update") as osp:
-        if delta.identical:
-            nodes, labels = old_mesh.nodes, old_mesh.labels
-            clean = np.ones(delta.n_new, bool)
-            gid_map = np.arange(old_mesh.n_nodes, dtype=np.int64)
-        else:
-            nodes, labels, clean, gid_map = _incremental_update(
-                old_mesh, new_leaves, delta
-            )
-        osp.add("elements", len(new_leaves))
-        osp.add("changed", delta.n_changed_new)
-        osp.add("recomputed", int((~clean).sum()))
-        osp.add("reused", int(clean.sum()))
-    delta = replace(delta, incremental=True)
-    mesh = IncompleteMesh(
-        old_mesh.domain, new_leaves, labels, nodes, old_mesh.p,
-        get_curve(curve).name,
-    )
-    mesh._plan_update = PlanUpdateReport(
-        delta=delta, clean_new=clean, gid_map=gid_map, incremental=True
-    )
-    return mesh, delta
-
-
-def _incremental_update(
-    old_mesh: IncompleteMesh, new_leaves: OctantSet, delta: PlanDelta
-):
-    domain = old_mesh.domain
-    p, dim = old_mesh.p, old_mesh.dim
-    npe = (p + 1) ** dim
-    m = max_level(dim)
-    oracle = get_curve(old_mesh.curve)
-    old_leaves = old_mesh.leaves
-    on = old_mesh.nodes
-    n_old, n_new = delta.n_old, delta.n_new
-    P, S = delta.prefix, delta.suffix
-    shift = n_new - n_old
-    chg_old = delta.changed_old()
-    chg_new = delta.changed_new()
-    basis = LagrangeBasis(p, dim)
-    ord_off = local_node_offsets(p, dim)
-    canc_off = cancellation_offsets(p, dim)
-    ckey = _make_ckey(p, dim)
-
-    def emissions(leaves: OctantSet, idx: np.ndarray):
-        sub = leaves[idx]
-        o = _element_node_coords(sub, 2 * ord_off, p).reshape(-1, dim)
-        c = _element_node_coords(sub, canc_off, p).reshape(-1, dim)
-        return o, c
-
-    # ---- A: the coordinates whose emitter set changes ------------------
-    # Only changed leaves alter any coordinate's ordinary/cancellation
-    # emission multiset, so A = emissions(changed_old) ∪ emissions(changed_new).
-    o_old, c_old = emissions(old_leaves, chg_old)
-    o_new, c_new = emissions(new_leaves, chg_new)
-    A_all = np.concatenate([o_old, c_old, o_new, c_new])
-    A_keys_all = ckey(A_all)
-    A_keys, first = np.unique(A_keys_all, return_index=True)
-    A_coords = A_all[first]
-
-    def in_A(keys: np.ndarray):
-        pos = np.searchsorted(A_keys, keys)
-        posc = np.clip(pos, 0, max(len(A_keys) - 1, 0))
-        if len(A_keys) == 0:
-            return np.zeros(len(keys), bool), posc
-        return (pos < len(A_keys)) & (A_keys[posc] == keys), posc
-
-    # ---- adjacency: unchanged elements touching the changed region -----
-    old_keys = cached_keys(old_leaves, oracle)
-    old_ends = block_ends(old_keys, old_leaves.levels, dim)
-    new_keys = cached_keys(new_leaves, oracle)
-    new_ends = block_ends(new_keys, new_leaves.levels, dim)
-    a_o = old_leaves.anchors.astype(np.int64)[chg_old]
-    s_o = old_leaves.sizes.astype(np.int64)[chg_old]
-    a_n = new_leaves.anchors.astype(np.int64)[chg_new]
-    s_n = new_leaves.sizes.astype(np.int64)[chg_new]
-    cb_a = np.concatenate([a_o, a_n])
-    cb_s = np.concatenate([s_o, s_n])
-    touched_mask = np.zeros(n_new, bool)
-
-    unchanged_new = np.concatenate(
-        [np.arange(P, dtype=np.int64), np.arange(n_new - S, n_new, dtype=np.int64)]
-    )
-    if len(cb_a) and len(unchanged_new):
-        box_lo = cb_a.min(axis=0)
-        box_hi = (cb_a + cb_s[:, None]).max(axis=0)
-        ua = new_leaves.anchors.astype(np.int64)[unchanged_new]
-        us = new_leaves.sizes.astype(np.int64)[unchanged_new]
-        cand_m = np.all((ua <= box_hi) & (ua + us[:, None] >= box_lo), axis=1)
-        cand = unchanged_new[cand_m]
-        # (b) unchanged-leaf vertices probed into the changed key blocks:
-        # catches every touching pair where the unchanged leaf is the
-        # smaller (or equal) box
-        if len(cand):
-            C, ok = _corner_probe_cells(
-                new_leaves.anchors.astype(np.int64)[cand],
-                new_leaves.sizes.astype(np.int64)[cand],
-                dim,
-            )
-            hit = np.zeros(len(C), bool)
-            if ok.any():
-                pk = oracle.keys_from_coords(
-                    C[ok].astype(np.uint32), dim
-                )
-                hit[ok] = _in_blocks(
-                    pk, old_keys[chg_old], old_ends[chg_old]
-                ) | _in_blocks(pk, new_keys[chg_new], new_ends[chg_new])
-            hit_e = hit.reshape(len(cand), -1).any(axis=1)
-            touched_mask[cand[hit_e]] = True
-        # (a) changed-box vertices located in the new tree: catches every
-        # touching pair where the changed box is the smaller (or equal).
-        # Adjacent changed boxes share most probe cells — dedup via the
-        # packed-uint64 representation before the costlier SFC keying.
-        C2, ok2 = _corner_probe_cells(cb_a, cb_s, dim)
-        if ok2.any():
-            uq_cells = np.unique(_pack_cells(C2[ok2], dim))
-            m_bits = np.uint64(max_level(dim))
-            mask_ax = np.uint64((1 << max_level(dim)) - 1)
-            cells = np.empty((len(uq_cells), dim), np.uint32)
-            for ax in range(dim):
-                cells[:, ax] = (uq_cells >> (np.uint64(ax) * m_bits)) & mask_ax
-            pk2 = oracle.keys_from_coords(cells, dim)
-            j = np.searchsorted(new_keys, pk2, side="right") - 1
-            jc = np.clip(j, 0, n_new - 1)
-            inside = (j >= 0) & (pk2 < new_ends[jc])
-            touched_mask[jc[inside]] = True
-    touched_mask[chg_new] = False  # adjacency is about *unchanged* leaves
-    touched_new = np.flatnonzero(touched_mask)
-
-    def new2old(idx: np.ndarray) -> np.ndarray:
-        return np.where(idx < P, idx, idx - shift)
-
-    def old2new(idx: np.ndarray) -> np.ndarray:
-        return np.where(idx < P, idx, idx + shift)
-
-    # ---- dirty-chain propagation (old index space) ---------------------
-    # An unchanged element whose donor chain passes through a changed or
-    # adjacent element needs its hanging rows re-resolved.
-    he_o = on.hang_elem
-    hi_o = on.hang_slot
-    hd_o = on.hang_donor
-    dirty = np.zeros(n_old, bool)
-    dirty[chg_old] = True
-    dirty[new2old(touched_new)] = True
-    if len(he_o):
-        while True:
-            add = dirty[hd_o] & ~dirty[he_o]
-            if not add.any():
-                break
-            dirty[he_o[add]] = True
-    chg_old_mask = np.zeros(n_old, bool)
-    chg_old_mask[chg_old] = True
-    extra_old = np.flatnonzero(dirty & ~chg_old_mask)
-    R_new = np.unique(np.concatenate([chg_new, old2new(extra_old)]))
-    R_mask = np.zeros(n_new, bool)
-    R_mask[R_new] = True
-    clean_new = ~R_mask
-    clean_old_mask = ~dirty  # clean in old index space
-
-    # ---- new status of the A-coordinates -------------------------------
-    # Every new-mesh emitter of an A-coordinate is changed or adjacent.
-    has_ord = np.zeros(len(A_keys), bool)
-    has_canc = np.zeros(len(A_keys), bool)
-    o_t, c_t = emissions(new_leaves, touched_new)
-    for coords_part, flag in (
-        (np.concatenate([o_new, o_t]), has_ord),
-        (np.concatenate([c_new, c_t]), has_canc),
-    ):
-        inside, posc = in_A(ckey(coords_part))
-        flag[posc[inside]] = True
-    A_is_dof = has_ord & ~has_canc
-
-    # ---- splice the global DOF table -----------------------------------
-    # old coords are stored in lexsort order, so their byte keys are
-    # already sorted: membership and merge positions are found by
-    # probing the *small* churn-sized arrays into the big sorted one
-    old_k = getattr(on, "_sort_keys", None)
-    if old_k is None:
-        old_k = ckey(on.coords)
-        on._sort_keys = old_k
-    in_A_old = np.zeros(on.n_glob, bool)
-    if len(A_keys):
-        posA = np.searchsorted(old_k, A_keys)
-        posAc = np.clip(posA, 0, max(on.n_glob - 1, 0))
-        foundA = (posA < on.n_glob) & (old_k[posAc] == A_keys)
-        in_A_old[posAc[foundA]] = True
-    kept_idx = np.flatnonzero(~in_A_old)
-    kept_k = old_k[kept_idx]
-    ins_k = A_keys[A_is_dof]
-    ins_coords = A_coords[A_is_dof]
-    n_glob = len(kept_idx) + len(ins_k)
-    ins_pos = np.arange(len(ins_k), dtype=np.int64) + np.searchsorted(
-        kept_k, ins_k
-    )
-    kept_mask_new = np.ones(n_glob, bool)
-    kept_mask_new[ins_pos] = False
-    kept_pos = np.flatnonzero(kept_mask_new)
-    coords_new = np.empty((n_glob, dim), on.coords.dtype)
-    coords_new[kept_pos] = on.coords[kept_idx]
-    coords_new[ins_pos] = ins_coords
-    gid_map = np.full(on.n_glob, -1, np.int64)
-    gid_map[kept_idx] = kept_pos
-    old_A_idx = np.flatnonzero(in_A_old)
-    if len(old_A_idx) and len(ins_k):
-        p2 = np.searchsorted(ins_k, old_k[old_A_idx])
-        p2c = np.clip(p2, 0, len(ins_k) - 1)
-        hit = (p2 < len(ins_k)) & (ins_k[p2c] == old_k[old_A_idx])
-        gid_map[old_A_idx[hit]] = ins_pos[p2c[hit]]
-
-    h_node = on.h_node
-    carved_new = np.empty(n_glob, bool)
-    carved_new[kept_pos] = on.carved_node[kept_idx]
-    carved_new[ins_pos] = domain.carved_points(
-        ins_coords.astype(np.float64) * h_node
-    )
-    extent = 2 * p * (1 << m)
-    db_new = np.empty(n_glob, bool)
-    db_new[kept_pos] = on.domain_boundary[kept_idx]
-    db_new[ins_pos] = np.any(
-        (ins_coords == 0) | (ins_coords == extent), axis=1
-    )
-
-    # ---- elem_nodes: splice clean rows, look up recomputed rows --------
-    elem_nodes = np.empty((n_new, npe), np.int64)
-    # sentinel: index -1 reads the appended -1, so hanging slots (-1)
-    # map to -1 without a mask pass.  The unchanged windows are copied
-    # as contiguous slices; rows in R inside them are overwritten by the
-    # fresh lookup below.
-    gmap_ext = np.append(gid_map, np.int64(-1))
-    vanished_rows = []
-    if P:
-        elem_nodes[:P] = gmap_ext[on.elem_nodes[:P]]
-        van = (elem_nodes[:P] < 0) & (on.elem_nodes[:P] >= 0)
-        if van.any():
-            vanished_rows.append(np.flatnonzero(van.any(axis=1)))
-    if S:
-        elem_nodes[n_new - S :] = gmap_ext[on.elem_nodes[n_old - S :]]
-        van = (elem_nodes[n_new - S :] < 0) & (on.elem_nodes[n_old - S :] >= 0)
-        if van.any():
-            vanished_rows.append(np.flatnonzero(van.any(axis=1)) + (n_new - S))
-    if vanished_rows:
-        # only rows recomputed below may reference vanished nodes
-        if not R_mask[np.concatenate(vanished_rows)].all():
-            raise RuntimeError(
-                "incremental node splice: clean element references a "
-                "vanished node — adjacency closure is incomplete"
-            )
-    new_k = ckey(coords_new)
-    if len(R_new):
-        xyzR = _element_node_coords(
-            new_leaves[R_new], 2 * ord_off, p
-        ).reshape(-1, dim)
-        kR = ckey(xyzR)
-        pos = np.searchsorted(new_k, kR)
-        posc = np.clip(pos, 0, max(n_glob - 1, 0))
-        hit = (pos < n_glob) & (new_k[posc] == kR)
-        rowsR = np.where(hit, posc, np.int64(-1))
-        elem_nodes[R_new] = rowsR.reshape(len(R_new), npe)
-
-    # ---- hanging resolution for the recompute set ----------------------
-    he_r_loc, hi_r = np.nonzero(elem_nodes[R_new] < 0)
-    he_r = R_new[he_r_loc] if len(R_new) else np.empty(0, np.int64)
-    if len(he_r):
-        don_r, xi_r = _find_donors(
-            domain, new_leaves, he_r, hi_r, p, old_mesh.curve
-        )
-        W_r = basis.eval(xi_r)
-        W_r[np.abs(W_r) < 1e-12] = 0.0
-    else:
-        don_r = np.empty(0, np.int64)
-        W_r = np.empty((0, npe))
-
-    # transitive donor closure: clean donors whose raw rows the resolver
-    # must see to replay chained descents (their own rows stay spliced)
-    included = R_mask.copy()
-    ce_l, ci_l, cd_l, cW_l = [], [], [], []
-    frontier = np.unique(don_r[~included[don_r]]) if len(don_r) else (
-        np.empty(0, np.int64)
-    )
-    while len(frontier):
-        included[frontier] = True
-        f_old = np.sort(new2old(frontier))
-        lo = np.searchsorted(he_o, f_old)
-        hi = np.searchsorted(he_o, f_old, side="right")
-        take = _ranges(lo, hi - lo)
-        if len(take) == 0:
-            break
-        d_nn = old2new(hd_o[take])
-        ce_l.append(old2new(he_o[take]))
-        ci_l.append(hi_o[take])
-        cd_l.append(d_nn)
-        cW_l.append(on.hang_W[take])
-        frontier = np.unique(d_nn[~included[d_nn]])
-
-    hang_e_all = np.concatenate([he_r] + ce_l) if ce_l else he_r
-    hang_i_all = np.concatenate([hi_r] + ci_l) if ci_l else hi_r
-    don_all = np.concatenate([don_r] + cd_l) if cd_l else don_r
-    W_all = np.concatenate([W_r] + cW_l) if cW_l else W_r
-
-    rows_h = np.empty(0, np.int64)
-    cols_h = np.empty(0, np.int64)
-    vals_h = np.empty(0, np.float64)
-    if len(hang_e_all):
-        hr, hc, hv = _hanging_entries(
-            elem_nodes, hang_e_all, hang_i_all, don_all, W_all, npe
-        )
-        if hr:
-            rows_h = np.concatenate(hr)
-            cols_h = np.concatenate(hc)
-            vals_h = np.concatenate(hv)
-            keep = R_mask[rows_h // npe]
-            # canonical CSR form: rows ascending, columns sorted per row
-            order = np.lexsort((cols_h[keep], rows_h[keep]))
-            rows_h = rows_h[keep][order]
-            cols_h = cols_h[keep][order]
-            vals_h = vals_h[keep][order]
-
-    # clean hanging rows to splice verbatim from the old gather
-    sel = clean_old_mask[he_o] if len(he_o) else np.empty(0, bool)
-    e_oc = he_o[sel]
-    i_oc = hi_o[sel]
-    d_oc = hd_o[sel]
-
-    # ---- assemble the gather CSR directly (no COO round-trip) ----------
-    # Construction yields no duplicate (row, col) pairs, spliced old rows
-    # are already column-sorted (sum_duplicates canonicalized them and
-    # gid_map is monotone), and the fresh hanging entries were sorted
-    # above — so the final CSR can be written segment-by-segment in
-    # canonical form, identical byte-for-byte to the full build's.
-    flat = elem_nodes.ravel()
-    nrows = n_new * npe
-    counts = (flat >= 0).astype(np.int64)  # one direct entry per slot
-    if len(rows_h):
-        counts += np.bincount(rows_h, minlength=nrows).astype(np.int64)
-    g = on.gather
-    if len(e_oc):
-        r_old = e_oc * npe + i_oc
-        r_cl = old2new(e_oc) * npe + i_oc
-        lo_r = g.indptr[r_old].astype(np.int64)
-        cnt = (g.indptr[r_old + 1] - g.indptr[r_old]).astype(np.int64)
-        counts[r_cl] = cnt  # disjoint from the R rows above
-    indptr = np.zeros(nrows + 1, np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.empty(nnz, np.int64)
-    data = np.empty(nnz, np.float64)
-    ord_flat = np.flatnonzero(flat >= 0)
-    pos0 = indptr[ord_flat]
-    indices[pos0] = flat[ord_flat]
-    data[pos0] = 1.0
-    if len(rows_h):
-        grp_start = np.flatnonzero(np.r_[True, rows_h[1:] != rows_h[:-1]])
-        grp_sizes = np.diff(np.r_[grp_start, len(rows_h)])
-        within = np.arange(len(rows_h), dtype=np.int64) - np.repeat(
-            grp_start, grp_sizes
-        )
-        dest = indptr[rows_h] + within
-        indices[dest] = cols_h
-        data[dest] = vals_h
-    if len(e_oc):
-        src = _ranges(lo_r, cnt)
-        cols_s = gid_map[g.indices[src]]
-        if np.any(cols_s < 0):
-            raise RuntimeError(
-                "incremental gather splice: clean hanging row references a "
-                "vanished node — donor closure is incomplete"
-            )
-        dest = _ranges(indptr[r_cl], cnt)
-        indices[dest] = cols_s
-        data[dest] = g.data[src]
-    gather = sp.csr_matrix(
-        (data, indices, indptr), shape=(nrows, n_glob)
-    )
-
-    # ---- raw hanging data of the new nodes ------------------------------
-    hang_flat = np.flatnonzero(flat < 0)
-    hang_e_new = hang_flat // npe
-    hang_i_new = hang_flat % npe
-    code_new = hang_flat
-    don_new = np.empty(len(code_new), np.int64)
-    W_new = np.empty((len(code_new), npe))
-    filled = np.zeros(len(code_new), bool)
-    if len(he_r):
-        pos = np.searchsorted(code_new, he_r * npe + hi_r)
-        don_new[pos] = don_r
-        W_new[pos] = W_r
-        filled[pos] = True
-    if len(e_oc):
-        pos = np.searchsorted(code_new, old2new(e_oc) * npe + i_oc)
-        don_new[pos] = old2new(d_oc)
-        W_new[pos] = on.hang_W[sel]
-        filled[pos] = True
-    if not filled.all():
-        raise RuntimeError("incremental hanging-data splice left gaps")
-
-    nodes = MeshNodes(
-        p=p,
-        dim=dim,
-        coords=coords_new,
-        elem_nodes=elem_nodes,
-        gather=gather,
-        carved_node=carved_new,
-        domain_boundary=db_new,
-        h_node=h_node,
-        hang_elem=hang_e_new.astype(np.int64),
-        hang_slot=hang_i_new.astype(np.int64),
-        hang_donor=don_new,
-        hang_W=W_new,
-    )
-    nodes._sort_keys = new_k  # reused as old_k by the next delta step
-
-    old_labels = np.asarray(old_mesh.labels)
-    labels = np.empty(n_new, old_labels.dtype)
-    labels[:P] = old_labels[:P]
-    if S:
-        labels[n_new - S :] = old_labels[n_old - S :]
-    if len(chg_new):
-        labels[chg_new] = domain.classify_octants(new_leaves[chg_new])
-
-    return nodes, labels, clean_new, gid_map
-
-
-def assert_plan_equivalent(
-    mesh_a: IncompleteMesh,
-    mesh_b: IncompleteMesh,
-    *,
-    matvec_check: bool = True,
-) -> None:
-    """Assert two meshes carry bit-identical operator plans.
-
-    The incremental-vs-full equivalence gate: fingerprints, node
-    coordinates, element connectivity, the gather CSR byte arrays,
-    boundary flags and labels must match exactly; optionally one
-    deterministic stiffness matvec is compared bit-for-bit as well.
-    Raises ``AssertionError`` with the first differing artifact.
-    """
-    assert mesh_fingerprint(mesh_a) == mesh_fingerprint(mesh_b), "fingerprint"
-    na, nb = mesh_a.nodes, mesh_b.nodes
-    assert np.array_equal(na.coords, nb.coords), "node coords differ"
-    assert np.array_equal(na.elem_nodes, nb.elem_nodes), "elem_nodes differ"
-    ga, gb = na.gather.tocsr(), nb.gather.tocsr()
-    assert ga.shape == gb.shape, "gather shape differs"
-    assert np.array_equal(ga.indptr, gb.indptr), "gather indptr differs"
-    assert np.array_equal(ga.indices, gb.indices), "gather indices differ"
-    assert np.array_equal(ga.data, gb.data), "gather data differs"
-    assert np.array_equal(na.carved_node, nb.carved_node), "carved flags differ"
-    assert np.array_equal(
-        na.domain_boundary, nb.domain_boundary
-    ), "domain-boundary flags differ"
-    assert np.array_equal(
-        np.asarray(mesh_a.labels), np.asarray(mesh_b.labels)
-    ), "labels differ"
-    if matvec_check:
-        from .matvec import MapBasedMatVec
-
-        x = np.sin(np.arange(mesh_a.n_nodes, dtype=np.float64))
-        ya = MapBasedMatVec(mesh_a, kind="stiffness")(x)
-        yb = MapBasedMatVec(mesh_b, kind="stiffness")(x)
-        assert np.array_equal(ya, yb), "stiffness matvec differs"

@@ -56,8 +56,8 @@ class ReferenceElement:
         self.D_ref = np.einsum("q,qik,qjl->klij", w, self.G, self.G)
 
     # -- batched matrix-free applications ------------------------------
-    # routed through the repro.kernels facade so MapBasedMatVec, the
-    # distributed MATVEC and the fem operators are counted as one kernel
+    # routed through the repro.kernels facade so MapBasedMatVec and the
+    # fem operators are counted as one kernel
 
     def apply_stiffness(self, u_loc: np.ndarray, h: np.ndarray) -> np.ndarray:
         """K_e u_e for all elements. ``u_loc`` is ``(n_elem, npe)``."""

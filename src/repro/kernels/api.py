@@ -1,11 +1,11 @@
 """Instrumented ops facade — the counted entry point to the kernels.
 
 Call sites (:mod:`repro.core.matvec`, :mod:`repro.core.assembly`,
-:mod:`repro.fem.elemental`, :mod:`repro.parallel.dist_matvec`,
-:mod:`repro.solvers.krylov`) invoke these functions instead of inlining
-numpy expressions.  With tracing off a call is a passthrough to the one
-kernel set (:data:`repro.kernels.numpy_backend.KERNELS`) behind one
-attribute check; with :mod:`repro.obs` tracing on it also publishes
+:mod:`repro.fem.elemental`, :mod:`repro.solvers.krylov`) invoke these
+functions instead of inlining numpy expressions.  With tracing off a
+call is a passthrough to the one kernel set
+(:data:`repro.kernels.numpy_backend.KERNELS`) behind one attribute
+check; with :mod:`repro.obs` tracing on it also publishes
 achieved-work counters::
 
     kernels.calls{backend="numpy",kernel="elem_apply"}
@@ -105,8 +105,8 @@ def traversal_cost(prog, pw: int, n_nodes: int) -> tuple[int, int]:
     )
 
 
-def _traversal_cost(out, plan, u, ker, pw, e_lo, e_hi):
-    return traversal_cost(plan.apply_tables(e_lo, e_hi), pw, len(u))
+def _traversal_cost(out, prog, u, ker, pw):
+    return traversal_cost(prog, pw, len(u))
 
 
 def _assemble_cost(A, ctx, blocks):
@@ -160,11 +160,11 @@ def traversal_apply(plan, u: np.ndarray, ker: np.ndarray, pw: int,
     when tracing, under a ``matvec.traversal`` span that holds the
     phase spans."""
     if not TRACER.enabled:
-        return _K.traversal_matvec(plan, u, ker, pw, e_lo, e_hi)
+        return _K.traversal_matvec(plan.apply_tables(e_lo, e_hi), u, ker, pw)
     with span("matvec.traversal", backend=_K.name) as osp:
         osp.add("elements", e_hi - e_lo)
         return _timed("traversal", _K.traversal_matvec, _traversal_cost,
-                      plan, u, ker, pw, e_lo, e_hi)
+                      plan.apply_tables(e_lo, e_hi), u, ker, pw)
 
 
 def assemble(ctx, blocks: np.ndarray) -> sp.csr_matrix:

@@ -7,10 +7,11 @@ products, the batched elemental apply is one dense matmul plus a column
 scale, dot/axpy are the plain BLAS-backed numpy expressions, and
 assembly is the BSR triple product.
 
-``traversal_matvec`` is the one production matrix-free apply: it runs
-the :class:`~repro.core.plan.ApplyProgram` the plan compiled once — one
-index read and one hanging-rows CSR product down, the dense part through
-:meth:`NumpyKernels.elem_apply`, one scale-folded CSR product up.
+``traversal_matvec`` is the one production matrix-free apply, serial and
+per rank: it runs a compiled :class:`~repro.core.plan.ApplyProgram` —
+one index read and one hanging-rows CSR product down, the dense part
+through :meth:`NumpyKernels.elem_apply`, one scale-folded CSR product
+up.
 
 :data:`KERNELS` is the instance :mod:`repro.kernels.api` counts and
 :mod:`repro.solvers.krylov` takes ``dot`` / ``axpy`` from.
@@ -70,9 +71,10 @@ class NumpyKernels:
 
     # -- traversal MATVEC -------------------------------------------------
 
-    def traversal_matvec(self, plan, u, ker, pw, e_lo, e_hi):
-        """Traversal MATVEC over elements ``[e_lo, e_hi)``: one run of
-        the plan's compiled :class:`~repro.core.plan.ApplyProgram`.
+    def traversal_matvec(self, prog, u, ker, pw):
+        """Traversal MATVEC: one run of a compiled
+        :class:`~repro.core.plan.ApplyProgram` — a plan's (serial) or a
+        rank's (distributed, in its local index space).
 
         The paper's three phases, each a merge span: slot gather of the
         identity block, then hanging interpolation of the hanging block
@@ -82,7 +84,6 @@ class NumpyKernels:
         instances, ``h**pw`` already in its weights
         (``matvec.bottom_up``).
         """
-        prog = plan.apply_tables(e_lo, e_hi)
         w_loc = np.empty((prog.n_elem, prog.npe))
         row = 0
         for block in prog:

@@ -5,14 +5,18 @@ ownership, each rank touches **only** its owned entries plus the ghost
 payloads it received, works entirely in a rank-local index space
 (ghosted vectors), and returns partial results whose ghost contributions
 travel back to their owners — the two exchange legs of §3.5, both
-counted by :class:`SimComm`.  The assembled global result is
-bit-identical to the serial MATVEC (asserted in tests).
+counted by :class:`SimComm`.  Between the legs each rank runs its
+compiled :class:`repro.core.plan.ApplyProgram` through the same kernel
+body as the serial apply, so the ``matvec.rank`` /
+``matvec.{top_down,leaf,bottom_up}`` spans time the serial code.  One
+rank reproduces the serial apply bit for bit; k ranks differ from it
+only in the order of the bottom-up sums (asserted in tests).
 
-All per-mesh/per-partition derivations — the rank-restricted gather
-CSRs, the send/recv index arrays of both exchange legs — live in the
-persistent :class:`repro.parallel.ghost.ExchangePlan` (cached on the
-layout behind the mesh content fingerprint), so Krylov solvers calling
-this once per iteration pay only for the apply, not for plan rebuilds.
+All per-mesh/per-partition derivations — the rank programs, the send/recv
+index arrays of both exchange legs — live in the persistent
+:class:`repro.parallel.ghost.ExchangePlan` (cached on the layout behind
+the mesh content fingerprint), so Krylov solvers calling this once per
+iteration pay only for the apply, not for plan rebuilds.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.mesh import IncompleteMesh
+from ..kernels.numpy_backend import KERNELS
 from ..obs import span
 from ..resilience.faults import RankFailure
 from .ghost import ExchangePlan, PartitionLayout, exchange_plan
@@ -43,18 +48,13 @@ def distributed_matvec(
     """
     if comm.size != layout.nranks:
         raise ValueError("communicator size must match the partition")
+    if np.shape(u) != (mesh.n_nodes,):
+        raise ValueError(
+            f"distributed_matvec applies to one nodal vector: u has shape "
+            f"{np.shape(u)}, expected ({mesh.n_nodes},)")
     if plan is None:
         plan = exchange_plan(mesh, layout)
-    ref_el = plan.ctx.ref()
-    if kind == "stiffness":
-        apply_loc = ref_el.apply_stiffness
-    elif kind == "mass":
-        apply_loc = ref_el.apply_mass
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    h = plan.h
-    splits = layout.splits
-    nranks = comm.size
+    ker, pw = plan.ctx.traversal.kernel(kind)
 
     # --- pre-exchange: owners send ghost values to the users ----------
     # (an owner reads only entries it owns — legitimate rank-local data)
@@ -66,40 +66,34 @@ def distributed_matvec(
             exc.phase = "matvec.exchange.pre"
             raise
 
-    out = np.zeros_like(u, dtype=np.float64)
+    out = np.zeros(mesh.n_nodes)
     post: dict[tuple[int, int], np.ndarray] = {}
-    for r in range(nranks):
-        lo, hi = splits[r], splits[r + 1]
-        if hi <= lo:
+    for r, prog in enumerate(plan.programs):
+        if prog is None:
             continue
         with span("matvec.rank", rank=r):
-            ref = layout.ref_nodes[r]
             mine = plan.mine[r]
-            with span("matvec.top_down") as tsp:
+            neighbors = [int(o) for o in layout.neighbor_ranks[r]]
+            with span("matvec.top_down", merge=True) as tsp:
                 # rank-local ghosted input vector: owned entries from the
                 # locally stored distributed vector, ghosts from payloads.
                 # Zero-initialised so a silently dropped ghost payload
                 # (fault injection) yields a deterministic wrong answer
                 # rather than reading uninitialised memory.
-                u_loc_vec = np.zeros(len(ref))
-                u_loc_vec[mine] = u[plan.owned_ids[r]]
-                for o in layout.neighbor_ranks[r]:
-                    key = (int(o), r)
-                    payload = pre.get(key)
+                u_loc = np.zeros(len(mine))
+                u_loc[mine] = u[plan.owned_ids[r]]
+                for o in neighbors:
+                    payload = pre.get((o, r))
                     if payload is not None:
-                        u_loc_vec[plan.ghost_pos[key]] = payload
-                u_elem = plan.gather_rank(r, u_loc_vec)
-                tsp.add("local_nodes", len(ref))
-            with span("matvec.leaf") as lsp:
-                w_elem = apply_loc(u_elem, h[lo:hi])
-                lsp.add("elements", hi - lo)
-            with span("matvec.bottom_up") as bsp:
-                contrib = plan.scatter_rank(r, w_elem)
+                        u_loc[plan.ghost_pos[(o, r)]] = payload
+                tsp.add("local_nodes", len(mine))
+            contrib = KERNELS.traversal_matvec(prog, u_loc, ker, pw)
+            with span("matvec.bottom_up", merge=True) as bsp:
                 # owned contributions accumulate locally ...
                 out[plan.owned_ids[r]] += contrib[mine]
                 # ... ghost contributions return to their owners
-                for o in layout.neighbor_ranks[r]:
-                    post[(r, int(o))] = contrib[plan.ghost_pos[(int(o), r)]]
+                for o in neighbors:
+                    post[(r, o)] = contrib[plan.ghost_pos[(o, r)]]
                 bsp.add("ghost_returns", int(len(layout.ghost_nodes[r])))
     with span("matvec.exchange.post", merge=True):
         try:

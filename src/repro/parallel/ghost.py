@@ -7,9 +7,10 @@ the quantities behind Fig. 11 (ghost distribution, η = N_G/N_L) and the
 communication volumes of the scaling studies.
 
 :class:`ExchangePlan` turns a :class:`PartitionLayout` into a
-*persistent* ghost-exchange plan: the per-(rank, neighbour) send/recv
-index arrays and the rank-local restricted gather operators that the
-distributed MATVEC needs on every apply, precomputed once.  Krylov
+*persistent* plan: the per-(rank, neighbour) send/recv index arrays of
+the ghost exchange and, per rank, the compiled §3.5 apply program of
+its owned elements in its local index space — the same
+:class:`repro.core.plan.ApplyProgram` every serial solve runs.  Krylov
 solvers hit :func:`repro.parallel.dist_matvec.distributed_matvec` once
 per iteration, so hoisting this derivation out of the call is the
 distributed half of the operator-plan layer
@@ -21,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.mesh import IncompleteMesh
-from ..core.plan import mesh_fingerprint, operator_context
+from ..core.plan import ApplyProgram, mesh_fingerprint, operator_context
 from ..obs import set_gauge, span
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "analyze_partition",
     "ExchangePlan",
     "exchange_plan",
-    "update_exchange_plan",
 ]
 
 
@@ -40,6 +39,7 @@ __all__ = [
 class PartitionLayout:
     """Everything the distributed MATVEC needs to know about a partition."""
 
+    fingerprint: str                # content fingerprint of the mesh
     splits: np.ndarray              # (nranks+1,) element range bounds
     node_owner: np.ndarray          # (n_glob,) owning rank per node
     owned_counts: np.ndarray        # (nranks,) nodes owned per rank
@@ -125,6 +125,7 @@ def _analyze_partition(mesh: IncompleteMesh, splits: np.ndarray) -> PartitionLay
         neighbor_ranks.append(np.unique(src))
 
     return PartitionLayout(
+        fingerprint=mesh_fingerprint(mesh),
         splits=splits,
         node_owner=node_owner,
         owned_counts=owned_counts,
@@ -147,58 +148,42 @@ class ExchangePlan:
       the returned ghost contributions accumulate in the post-exchange);
     * ``ghost_pos[(owner, user)]`` — the positions of those ghosts in
       the user rank's local (referenced-node) index space;
-    * ``g_loc[r]`` — rank ``r``'s rows of the gather operator with
-      columns remapped into its local index space (CSR);
+    * ``programs[r]`` — rank ``r``'s compiled apply program over its
+      owned elements, in its local index space (``None`` for a rank
+      that owns no element);
     * ``mine[r]`` / ``owned_ids[r]`` — the locally owned subset of the
       referenced nodes and their global ids.
 
-    ``distributed_matvec`` consumes these arrays directly, so repeated
-    distributed applies no longer re-derive exchange dicts or re-CSR the
-    gather on every call.
+    ``distributed_matvec`` consumes these directly, so repeated
+    distributed applies derive nothing per call.  A layout belongs to
+    the mesh it was analysed on: any other mesh is a ``ValueError``.
     """
 
-    def __init__(
-        self,
-        mesh: IncompleteMesh,
-        layout: PartitionLayout,
-        _reuse: "dict[int, tuple[sp.csr_matrix, sp.csc_matrix]] | None" = None,
-    ):
+    def __init__(self, mesh: IncompleteMesh, layout: PartitionLayout):
         ctx = operator_context(mesh)
+        if layout.fingerprint != ctx.fingerprint:
+            raise ValueError(
+                f"the partition layout belongs to a different mesh "
+                f"(fingerprint {layout.fingerprint[:12]}…, this mesh "
+                f"{ctx.fingerprint[:12]}…)"
+            )
         self.mesh = mesh
         self.layout = layout
         self.ctx = ctx
         self.fingerprint = ctx.fingerprint
-        self.npe = mesh.npe
-        self.h = ctx.h
-        g = ctx.gather
-        npe = mesh.npe
         splits = layout.splits
-        nranks = layout.nranks
         self.mine: list[np.ndarray] = []
         self.owned_ids: list[np.ndarray] = []
-        self.g_loc: list[sp.csr_matrix | None] = []
-        self.g_loc_T: list[sp.csc_matrix | None] = []
+        self.programs: list[ApplyProgram | None] = []
         self.send_ids: dict[tuple[int, int], np.ndarray] = {}
         self.ghost_pos: dict[tuple[int, int], np.ndarray] = {}
-        self.reused_ranks = 0
-        for r in range(nranks):
+        for r in range(layout.nranks):
             self._build_rank_exchange(layout, r)
             lo, hi = splits[r], splits[r + 1]
-            if hi <= lo:
-                self.g_loc.append(None)
-                self.g_loc_T.append(None)
-                continue
-            if _reuse is not None and r in _reuse:
-                g_loc, g_loc_T = _reuse[r]
-                self.g_loc.append(g_loc)
-                self.g_loc_T.append(g_loc_T)
-                self.reused_ranks += 1
-                continue
-            g_loc = self._build_rank_operator(g, layout, r, npe)
-            self.g_loc.append(g_loc)
-            # the CSC transpose shares g_loc's arrays; prebuilding it
-            # keeps scipy's per-call transpose wrapper off the hot path
-            self.g_loc_T.append(g_loc.T)
+            self.programs.append(
+                ApplyProgram(ctx.traversal, lo, hi, local=layout.ref_nodes[r])
+                if hi > lo else None
+            )
 
     def _build_rank_exchange(self, layout: PartitionLayout, r: int) -> None:
         """Per-rank send/recv index arrays and ownership masks (cheap)."""
@@ -213,59 +198,23 @@ class ExchangePlan:
             self.send_ids[(int(owner), r)] = gh[sel]
             self.ghost_pos[(int(owner), r)] = gpos[sel]
 
-    @staticmethod
-    def _build_rank_operator(
-        g: sp.csr_matrix, layout: PartitionLayout, r: int, npe: int
-    ) -> sp.csr_matrix:
-        """Rank ``r``'s gather rows with columns remapped into its local
-        (referenced-node) index space — the expensive per-rank piece."""
-        lo, hi = layout.splits[r], layout.splits[r + 1]
-        ref = layout.ref_nodes[r]
-        g_r = g[lo * npe : hi * npe]
-        local_cols = np.searchsorted(ref, g_r.indices)
-        return sp.csr_matrix(
-            (g_r.data, local_cols, g_r.indptr),
-            shape=(g_r.shape[0], len(ref)),
-        )
-
-    def gather_rank(self, r: int, u_loc_vec: np.ndarray) -> np.ndarray:
-        """Rank ``r``'s element gather through the kernel facade:
-        local ghosted vector → ``(n_owned_elem, npe)`` slot matrix."""
-        from ..kernels import api as kernels
-
-        lo, hi = self.layout.splits[r], self.layout.splits[r + 1]
-        return kernels.gather(self.g_loc[r], u_loc_vec).reshape(
-            hi - lo, self.npe
-        )
-
-    def scatter_rank(self, r: int, w_elem: np.ndarray) -> np.ndarray:
-        """Rank ``r``'s bottom-up accumulation through the kernel
-        facade: elemental results → rank-local node contributions."""
-        from ..kernels import api as kernels
-
-        return kernels.scatter(self.g_loc_T[r], w_elem.reshape(-1))
-
     def nbytes(self) -> int:
-        """Resident bytes of the plan's index/operator arrays — the
-        memory price of persisting the exchange plan, reported by the
+        """Resident bytes of the plan's index arrays and rank programs —
+        the memory price of persisting the plan, reported by the
         resilience overhead benchmark alongside checkpoint volume."""
-        total = 0
-        for arrs in (self.mine, self.owned_ids):
-            total += sum(a.nbytes for a in arrs)
-        for d in (self.send_ids, self.ghost_pos):
-            total += sum(a.nbytes for a in d.values())
-        for m in self.g_loc:
-            if m is not None:
-                total += m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-        return total
+        arrays = (*self.mine, *self.owned_ids, *self.send_ids.values(),
+                  *self.ghost_pos.values())
+        return sum(a.nbytes for a in arrays) + sum(
+            prog.nbytes for prog in self.programs if prog is not None
+        )
 
 
 def exchange_plan(mesh: IncompleteMesh, layout: PartitionLayout) -> ExchangePlan:
     """The layout's cached :class:`ExchangePlan`.
 
-    Cached on the layout object behind the mesh content fingerprint:
-    reusing a layout against a refined/coarsened mesh (new fingerprint)
-    rebuilds the plan instead of reusing stale index arrays.
+    Cached on the layout object behind the mesh content fingerprint, so
+    the rank programs are compiled once per (mesh, layout); a layout
+    handed another mesh raises instead of reusing stale index arrays.
     """
     plan = getattr(layout, "_exchange_plan", None)
     if (
@@ -277,57 +226,5 @@ def exchange_plan(mesh: IncompleteMesh, layout: PartitionLayout) -> ExchangePlan
     with span("plan.exchange_build") as osp:
         plan = ExchangePlan(mesh, layout)
         osp.add("ranks", layout.nranks)
-    layout._exchange_plan = plan
-    return plan
-
-
-def update_exchange_plan(
-    mesh: IncompleteMesh, layout: PartitionLayout, old_plan: ExchangePlan
-) -> ExchangePlan:
-    """Build ``mesh``'s :class:`ExchangePlan`, reusing per-rank operators
-    from ``old_plan`` where the incremental plan delta proves them valid.
-
-    ``mesh`` must come out of :func:`repro.core.plan_delta.update_mesh`
-    (it carries a :class:`~repro.core.plan_delta.PlanUpdateReport`).  A
-    rank's restricted gather ``g_loc[r]`` is bit-identical to a fresh
-    build — and therefore reused — when
-
-    * its element window is unchanged (same splits) and every element in
-      it is *clean* (its gather row was spliced, not recomputed), and
-    * its referenced-node set maps elementwise through the old→new
-      ``gid_map`` onto the new referenced set (no node in the window
-      vanished or appeared; the monotone gid_map preserves the local
-      column order).
-
-    All cheap per-rank index arrays (send/recv ids, ownership masks) are
-    rebuilt fresh from ``layout`` — they live in *global* node ids, which
-    shift under the delta.  Ranks failing the conditions rebuild their
-    operator exactly as :class:`ExchangePlan` would.
-    """
-    report = getattr(mesh, "_plan_update", None)
-    if report is None or not report.incremental:
-        return exchange_plan(mesh, layout)
-    gid_map = report.gid_map
-    clean = report.clean_new
-    ol = old_plan.layout
-    reuse: dict[int, tuple[sp.csr_matrix, sp.csc_matrix]] = {}
-    for r in range(layout.nranks):
-        lo, hi = int(layout.splits[r]), int(layout.splits[r + 1])
-        if hi <= lo or r >= ol.nranks:
-            continue
-        if int(ol.splits[r]) != lo or int(ol.splits[r + 1]) != hi:
-            continue
-        if old_plan.g_loc[r] is None or not clean[lo:hi].all():
-            continue
-        mapped = gid_map[ol.ref_nodes[r]]
-        if (mapped < 0).any() or not np.array_equal(
-            mapped, layout.ref_nodes[r]
-        ):
-            continue
-        reuse[r] = (old_plan.g_loc[r], old_plan.g_loc_T[r])
-    with span("plan.exchange_update") as osp:
-        plan = ExchangePlan(mesh, layout, _reuse=reuse)
-        osp.add("ranks", layout.nranks)
-        osp.add("ranks_reused", plan.reused_ranks)
     layout._exchange_plan = plan
     return plan

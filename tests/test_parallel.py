@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Domain, build_mesh
-from repro.core.matvec import MapBasedMatVec
-from repro.geometry import BoxRetain, SphereCarve
+from repro.core.matvec import traversal_matvec
+from repro.core.plan import ApplyProgram, operator_context
+from repro.geometry import SphereCarve
 from repro.parallel import (
     FRONTERA,
     SimComm,
     analyze_partition,
     distributed_matvec,
+    exchange_plan,
     model_matvec,
     partition_mesh,
     partition_weights,
@@ -137,23 +139,102 @@ def test_eta_increases_with_ranks(mesh):
 # -- distributed matvec --------------------------------------------------
 
 
+def _rel_diff(y, ref):
+    return np.abs(y - ref).max() / np.abs(ref).max()
+
+
 @pytest.mark.parametrize("nranks", [2, 5, 16])
 def test_distributed_matvec_matches_serial(mesh, nranks):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(mesh.n_nodes)
-    serial = MapBasedMatVec(mesh)(u)
+    serial = traversal_matvec(mesh, u)
     comm = SimComm(nranks)
     layout = analyze_partition(mesh, partition_mesh(mesh, nranks))
     dist = distributed_matvec(mesh, layout, u, comm)
-    assert np.allclose(dist, serial, atol=1e-10)
+    assert _rel_diff(dist, serial) <= 1e-14
     if nranks > 1:
         assert comm.counters.total_bytes() > 0
+
+
+_GRID_MESHES: dict = {}
+
+
+def _grid_mesh(dim, p):
+    """Carved sphere/disk meshes of the 1-vs-k grid, built once each."""
+    if (dim, p) not in _GRID_MESHES:
+        dom = Domain(SphereCarve([0.45] * dim, 0.3))
+        _GRID_MESHES[dim, p] = build_mesh(dom, 2, 5 if dim == 2 else 4, p=p)
+    return _GRID_MESHES[dim, p]
+
+
+@pytest.mark.parametrize("nranks", [1, 3, 7])
+@pytest.mark.parametrize("kind", ["stiffness", "mass"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_distributed_matvec_is_the_compiled_apply(dim, p, kind, nranks):
+    """Each rank runs its compiled program: one rank is the serial
+    compiled apply bit for bit, k ranks differ only in the order of the
+    bottom-up sums."""
+    mesh = _grid_mesh(dim, p)
+    u = np.random.default_rng(dim * 10 + p).standard_normal(mesh.n_nodes)
+    serial = traversal_matvec(mesh, u, kind=kind)
+    layout = analyze_partition(mesh, partition_mesh(mesh, nranks))
+    dist = distributed_matvec(mesh, layout, u, SimComm(nranks), kind=kind)
+    if nranks == 1:
+        assert np.array_equal(dist, serial)
+    else:
+        assert _rel_diff(dist, serial) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["stiffness", "mass"])
+def test_distributed_matvec_with_empty_ranks(mesh, kind):
+    n = mesh.n_elem
+    splits = np.array([0, 0, n // 3, n // 3, n, n])  # ranks 0, 2, 4 own nothing
+    layout = analyze_partition(mesh, splits)
+    u = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+    dist = distributed_matvec(mesh, layout, u, SimComm(5), kind=kind)
+    assert _rel_diff(dist, traversal_matvec(mesh, u, kind=kind)) <= 1e-14
+    programs = exchange_plan(mesh, layout).programs
+    assert [prog is None for prog in programs] == [True, False, True, False, True]
 
 
 def test_distributed_matvec_rank_mismatch(mesh):
     layout = analyze_partition(mesh, partition_mesh(mesh, 4))
     with pytest.raises(ValueError):
         distributed_matvec(mesh, layout, np.zeros(mesh.n_nodes), SimComm(3))
+
+
+def test_distributed_matvec_refuses_a_layout_of_another_mesh(mesh):
+    """A layout of a smaller mesh would hand scipy out-of-range CSR
+    columns (heap corruption), one of a larger mesh out-of-range vector
+    indices: both are refused before any index table is built."""
+    small = build_mesh(Domain(SphereCarve([0.5, 0.5, 0.5], 0.3)), 2, 3, p=1)
+    assert small.n_nodes < mesh.n_nodes
+    for a, b in ((mesh, small), (small, mesh)):
+        layout = analyze_partition(b, partition_mesh(b, 3))
+        with pytest.raises(ValueError, match="different mesh"):
+            distributed_matvec(a, layout, np.zeros(a.n_nodes), SimComm(3))
+
+
+@pytest.mark.parametrize("shape", ["long", "short", "2-D"])
+def test_distributed_matvec_rejects_a_wrong_shape(mesh, shape):
+    n = mesh.n_nodes
+    u = {"long": np.zeros(n + 5), "short": np.zeros(n - 5),
+         "2-D": np.zeros((n, 2))}[shape]
+    layout = analyze_partition(mesh, partition_mesh(mesh, 3))
+    with pytest.raises(ValueError, match=rf"shape \({u.shape[0]},"):
+        distributed_matvec(mesh, layout, u, SimComm(3))
+
+
+def test_rank_local_program_checks_its_index_space(mesh):
+    plan = operator_context(mesh).traversal
+    lo, hi = 0, mesh.n_elem // 4
+    npe = mesh.npe
+    ref = np.unique(plan.gather[lo * npe: hi * npe].indices)
+    prog = ApplyProgram(plan, lo, hi, local=ref)
+    assert prog.scatter(1).shape == (len(ref), (hi - lo) * npe)
+    with pytest.raises(ValueError, match="outside the"):
+        ApplyProgram(plan, lo, hi, local=ref[1:])
 
 
 # -- performance model ----------------------------------------------------

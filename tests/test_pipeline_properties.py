@@ -87,3 +87,24 @@ def test_random_geometry_distributed_consistency(seed, nranks):
     layout = analyze_partition(mesh, partition_mesh(mesh, nranks))
     dist = distributed_matvec(mesh, layout, u, SimComm(nranks))
     assert np.allclose(dist, MapBasedMatVec(mesh)(u), atol=1e-10)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), nranks=st.integers(2, 9),
+       p=st.integers(1, 2))
+def test_random_geometry_distributed_is_the_compiled_apply(seed, nranks, p):
+    """1 rank reproduces the serial compiled apply bit for bit, k ranks
+    to 1e-14 relative, on a generated 3-D carve."""
+    from repro.parallel import SimComm, analyze_partition, distributed_matvec, partition_mesh
+
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(_random_domain(rng, 3), 2, 3, p=p)
+    u = rng.standard_normal(mesh.n_nodes)
+    serial = traversal_matvec(mesh, u)
+    for k in (1, nranks):
+        layout = analyze_partition(mesh, partition_mesh(mesh, k))
+        dist = distributed_matvec(mesh, layout, u, SimComm(k))
+        if k == 1:
+            assert np.array_equal(dist, serial)
+        else:
+            assert np.abs(dist - serial).max() <= 1e-14 * np.abs(serial).max()

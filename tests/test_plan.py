@@ -232,7 +232,7 @@ def test_exchange_plan_invalidated_by_content_change():
 @pytest.mark.parametrize("nranks", [2, 7])
 def test_distributed_plan_reuse_bit_identical(sphere_mesh, nranks):
     """Cached-plan applies are bit-identical to fresh-plan applies and
-    to each other, and match the serial MATVEC."""
+    to each other, and match the serial compiled apply."""
     mesh = sphere_mesh
     rng = np.random.default_rng(1)
     u = rng.standard_normal(mesh.n_nodes)
@@ -244,26 +244,38 @@ def test_distributed_plan_reuse_bit_identical(sphere_mesh, nranks):
     )
     assert np.array_equal(cached, again)
     assert np.array_equal(cached, fresh)
-    assert np.allclose(cached, MapBasedMatVec(mesh)(u), atol=1e-10)
+    serial = traversal_matvec(mesh, u)
+    assert np.abs(cached - serial).max() <= 1e-14 * np.abs(serial).max()
 
 
 def test_exchange_plan_hoists_per_call_artifacts(sphere_mesh):
-    """The rank-local gathers and exchange index arrays live on the plan
-    (built once), not rebuilt inside distributed_matvec."""
+    """Each rank's compiled program and the exchange index arrays live
+    on the plan: the same objects across applies, rebuilt only for a
+    mesh with another fingerprint."""
     mesh = sphere_mesh
     layout = analyze_partition(mesh, partition_mesh(mesh, 4))
     plan = exchange_plan(mesh, layout)
-    g_loc_before = [g for g in plan.g_loc]
+    programs = list(plan.programs)
     u = np.linspace(0, 1, mesh.n_nodes)
-    distributed_matvec(mesh, layout, u, SimComm(4))
-    assert all(a is b for a, b in zip(g_loc_before, plan.g_loc))
-    for r in range(layout.nranks):
+    for _ in range(2):
+        distributed_matvec(mesh, layout, u, SimComm(4))
+        assert exchange_plan(mesh, layout) is plan
+        assert all(a is b for a, b in zip(programs, plan.programs))
+    for r, prog in enumerate(plan.programs):
         lo, hi = layout.splits[r], layout.splits[r + 1]
-        if hi > lo:
-            assert plan.g_loc[r].shape == (
-                (hi - lo) * mesh.npe,
-                len(layout.ref_nodes[r]),
-            )
+        assert prog.n_elem == hi - lo
+        assert prog.scatter(1).shape == (
+            len(layout.ref_nodes[r]), (hi - lo) * mesh.npe)
+    refined = mesh_from_leaves(
+        mesh.domain, refine_leaves(mesh.domain, mesh.leaves,
+                                   np.arange(mesh.n_elem) % 7 == 0), p=1)
+    assert mesh_fingerprint(refined) != plan.fingerprint
+    plan_r = exchange_plan(
+        refined, analyze_partition(refined, partition_mesh(refined, 4)))
+    assert plan_r.fingerprint == mesh_fingerprint(refined)
+    assert not any(a is b for a in programs for b in plan_r.programs)
+    with pytest.raises(ValueError, match="different mesh"):
+        exchange_plan(refined, layout)
 
 
 # -- obs spans survive the refactor -------------------------------------
