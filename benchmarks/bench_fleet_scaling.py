@@ -38,6 +38,7 @@ Results land in ``benchmarks/results/fleet_scaling.{txt,json}``
 from repro.fleet import FleetService, synthetic_workload
 from repro.obs import EventLog
 from repro.obs.reqtrace import STAGES, stage_histograms
+from repro.resilience import FaultSchedule
 
 from _util import ResultTable
 
@@ -146,8 +147,9 @@ def test_fleet_scaling(tmp_path=None):
     kill_tick = max(a.tick for a in wl) + 1
     victim = max(sorted(base.routed), key=lambda s: base.routed[s])
     ckpt_dir = None if tmp_path is None else tmp_path / "ckpt"
-    killed = _fleet(4, stealing=False, ckpt_dir=ckpt_dir)
-    killed.run(wl, kill=(kill_tick, victim))
+    killed = _fleet(4, stealing=False, ckpt_dir=ckpt_dir,
+                    chaos=FaultSchedule().crash(kill_tick, victim))
+    killed.run(wl)
     ev = killed.failover_events[0]
     recovered = killed.fleet_digest == base.fleet_digest
     table.row(f"fail-over: {ev.describe()}")
@@ -164,13 +166,12 @@ def test_fleet_scaling(tmp_path=None):
     # straggler tail latency: the busiest shard runs 10x slow for the
     # whole run (stealing off, so nothing else rebalances); hedged
     # requests must claw back at least half of the lost p99
-    from repro.chaos import ChaosSchedule
     from repro.fleet.defense import HedgePolicy
 
     def straggler_fleet(hedge=None):
         return _fleet(
             4, stealing=False,
-            chaos=ChaosSchedule().slow(victim, 0, 1 << 30, 10),
+            chaos=FaultSchedule().slow(victim, 0, 1 << 30, 10),
             hedge=hedge,
         )
 

@@ -1,34 +1,19 @@
-"""repro.chaos — seeded, deterministic fleet-level fault injection.
+"""repro.chaos — the fleet's chaos invariants, swept over seeded schedules.
 
-Chaos engineering for the virtual-clock serving fleet: a
-:class:`~repro.chaos.schedule.ChaosSchedule` names exactly which shard
-slows, stalls, crashes, serves a bit-flipped artifact or mangles a
-handoff, and :mod:`repro.chaos.invariants` certifies — as bit-level
-equalities, not statistics — that the defense layers (hedged requests,
-circuit breakers, brownout, cache quarantine, checkpointed fail-over)
-preserve exactly-once completion, unaffected-request identity and
-deterministic health snapshots under every schedule.
+Faults themselves are entries in the one seeded
+:class:`repro.resilience.faults.FaultSchedule` (slowdown and stall
+windows, shard crashes, bit-flipped artifacts, mangled handoffs), which
+the fleet takes as ``chaos=``.  :mod:`repro.chaos.invariants` certifies
+— as bit-level equalities, not statistics — that the defense layers
+(hedged requests, circuit breakers, brownout, cache quarantine,
+checkpointed fail-over) preserve exactly-once completion,
+unaffected-request identity and deterministic health snapshots under
+every schedule :meth:`FaultSchedule.random` draws.
 """
 
 from .invariants import CHAOS_KINDS, check_schedule, run_sweep
-from .schedule import (
-    CacheCorruption,
-    ChaosClock,
-    ChaosSchedule,
-    Crash,
-    HandoffFault,
-    Slowdown,
-    Stall,
-)
 
 __all__ = [
-    "Slowdown",
-    "Stall",
-    "Crash",
-    "CacheCorruption",
-    "HandoffFault",
-    "ChaosSchedule",
-    "ChaosClock",
     "CHAOS_KINDS",
     "check_schedule",
     "run_sweep",

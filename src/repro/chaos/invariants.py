@@ -47,8 +47,8 @@ from ..fleet.service import core_doc
 from ..obs import EventLog
 from ..obs.reqtrace import timeline_doc, timelines
 from ..obs.slo import fleet_health
+from ..resilience.faults import FaultSchedule
 from ..serve.scheduler import BrownoutPolicy
-from .schedule import ChaosSchedule
 
 __all__ = ["CHAOS_KINDS", "check_schedule", "run_sweep"]
 
@@ -89,12 +89,12 @@ def _build_fleet(n_shards: int, recorder, *, chaos=None,
 
 
 def _schedule(seed: int, shard_ids: list[str], *,
-              stealing: bool) -> ChaosSchedule:
+              stealing: bool) -> FaultSchedule:
     # draw every fault on at most two (seed-chosen) shards, so invariant
     # 2 always has provably-clean shards left to compare against
     n = len(shard_ids)
     targets = sorted({shard_ids[seed % n], shard_ids[(3 * seed + 1) % n]})
-    return ChaosSchedule.random(
+    return FaultSchedule.random(
         seed, targets, HORIZON,
         n_slow=1, n_stall=1, n_crash=seed % 2, n_corrupt=1,
         n_handoff=2 if stealing else 0,
@@ -116,7 +116,7 @@ def _assert_stage_sums(log: EventLog, label: str) -> int:
     return n
 
 
-def _tainted_shards(schedule: ChaosSchedule, log: EventLog) -> set[str]:
+def _tainted_shards(schedule: FaultSchedule, log: EventLog) -> set[str]:
     tainted = set(schedule.affected_shards())
     for ev in log.events:
         if ev.shard is None:
@@ -152,7 +152,7 @@ def check_schedule(seed: int, *, n_shards: int = 4, n_requests: int = 40,
     base = _build_fleet(n_shards, base_log, stealing=stealing)
     base.run(synthetic_workload(n_requests, seed=seed))
 
-    def chaos_run() -> tuple[FleetService, EventLog, ChaosSchedule]:
+    def chaos_run() -> tuple[FleetService, EventLog, FaultSchedule]:
         log = EventLog()
         sched = _schedule(seed, list(base.shard_ids), stealing=stealing)
         fleet = _build_fleet(n_shards, log, chaos=sched, stealing=stealing)

@@ -504,12 +504,13 @@ def cmd_fleet_demo(args) -> None:
 
     from .fleet import FleetService, synthetic_workload
     from .obs.events import EventLog
+    from .resilience import FaultSchedule
 
-    kill = None
+    chaos = FaultSchedule()
     if args.kill:
         tick, _, sid = args.kill.partition(":")
         try:
-            kill = (int(tick), sid)
+            chaos.crash(int(tick), sid)
         except ValueError:
             sid = ""  # a non-integer tick gets the same usage message
         if not sid:
@@ -521,12 +522,11 @@ def cmd_fleet_demo(args) -> None:
         steal_threshold=args.steal_threshold,
         steal_latency=args.steal_latency,
         stealing=not args.no_steal, ckpt_dir=args.ckpt_dir,
-        ckpt_interval=args.ckpt_interval, recorder=recorder,
+        ckpt_interval=args.ckpt_interval, recorder=recorder, chaos=chaos,
     )
     fleet.run(
         synthetic_workload(args.requests, seed=args.seed,
                            mean_gap=args.mean_gap, burst_gap=args.burst_gap),
-        kill=kill,
     )
     st = fleet.stats()
     lines = [
@@ -591,15 +591,16 @@ def cmd_chaos_demo(args) -> None:
             raise SystemExit(1)
         return
 
-    from .chaos import CHAOS_KINDS, ChaosSchedule
+    from .chaos import CHAOS_KINDS
     from .fleet import FleetService, synthetic_workload
     from .fleet.defense import BreakerPolicy, HedgePolicy
     from .obs.events import EventLog
+    from .resilience import FaultSchedule
     from .serve.scheduler import BrownoutPolicy
 
     recorder = EventLog()
     shard_ids = [f"shard{i}" for i in range(args.shards)]
-    sched = ChaosSchedule.random(
+    sched = FaultSchedule.random(
         args.seed, shard_ids, args.horizon,
         n_slow=1, n_stall=1, n_crash=args.crashes, n_corrupt=1,
         n_handoff=0 if args.no_steal else 2,

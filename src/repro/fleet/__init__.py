@@ -7,7 +7,9 @@ shard work stealing when queues spike, and checkpointed replica
 fail-over that replays a killed shard's in-flight requests
 bit-identically on a survivor.  The whole fleet — faults, steals and
 all — runs as a discrete-event simulation on integer virtual clocks
-and is certified by stream digests.
+and is certified by stream digests.  Every fault, a shard kill
+included, is an entry in one seeded
+:class:`repro.resilience.faults.FaultSchedule` passed as ``chaos=``.
 """
 
 from .defense import BreakerPolicy, CircuitBreaker, HedgePolicy
@@ -50,21 +52,21 @@ __all__ = [
 
 
 def demo_fleet(n_shards: int = 4, *, seed: int = 0, n_requests: int = 60,
-               stealing: bool = True, ckpt_dir=None,
-               kill: tuple[int, str] | None = None,
+               stealing: bool = True, ckpt_dir=None, chaos=None,
                recorder=None) -> FleetService:
     """Build and run the canonical demo fleet (CLI / CI smoke entry).
 
     Small meshes, a zipf-skewed bursty workload, and parameters tuned
     so stealing actually fires.  Returns the finished
-    :class:`FleetService` for digest/stats inspection.  Pass a
-    :class:`repro.obs.EventLog` as ``recorder`` to capture the run's
-    full causal event stream.
+    :class:`FleetService` for digest/stats inspection.  ``chaos`` is
+    its fault schedule (``FaultSchedule().crash(2500, "shard0")`` kills
+    a shard mid-run).  Pass a :class:`repro.obs.EventLog` as
+    ``recorder`` to capture the run's full causal event stream.
     """
     fleet = FleetService(
         n_shards, cache_bytes=8 << 20, steal_threshold=4,
         steal_latency=100, stealing=stealing, ckpt_dir=ckpt_dir,
-        ckpt_interval=6, recorder=recorder,
+        ckpt_interval=6, recorder=recorder, chaos=chaos,
     )
-    fleet.run(synthetic_workload(n_requests, seed=seed), kill=kill)
+    fleet.run(synthetic_workload(n_requests, seed=seed))
     return fleet

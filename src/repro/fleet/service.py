@@ -15,9 +15,9 @@ simulation::
 
 **The event loop.**  Each shard runs its own virtual clock; the fleet
 tracks a global event time ``now`` and repeatedly executes the
-earliest of four event kinds — a scheduled shard kill, the next
+earliest of four event kinds — a scheduled shard crash, the next
 workload arrival, the next due hedge, or the earliest shard-ready
-execution step — with ties broken kill < arrival < hedge < exec.
+execution step — with ties broken crash < arrival < hedge < exec.
 Arrivals are canonically sorted by ``(tick, request digest)`` before
 the loop starts, so *any* submission order of the same workload yields
 the same simulation (the shuffle test asserts this on both digests).
@@ -41,12 +41,13 @@ overloaded shards shed their lowest-priority tail and degrade solve
 tolerances, with external *pressure* asserted fleet-wide while any
 breaker is open.
 
-**Chaos** (:mod:`repro.chaos.schedule`).  ``chaos=`` installs a seeded
-fault schedule: per-shard slowdown/stall windows (via a schedule-aware
-virtual clock), multi-crash kills, cache-artifact bit corruption and
-duplicated/dropped handoffs — all deterministic, which is what lets
-:mod:`repro.chaos.invariants` assert bit-level properties of faulted
-runs.
+**Faults** (:mod:`repro.resilience.faults`).  ``chaos=`` installs a
+seeded :class:`~repro.resilience.faults.FaultSchedule` (``None`` is an
+empty one): per-shard slowdown windows (via :class:`ShardClock`), stall
+windows, shard crashes (a kill is a scheduled ``crash``), cache-artifact
+bit corruption and duplicated/dropped handoffs — all deterministic,
+which is what lets :mod:`repro.chaos.invariants` assert bit-level
+properties of faulted runs.
 
 **Two digests, two guarantees.**  Responses fold a **core document**
 (request digest, status, reason, PDE, solution digest, iterations,
@@ -76,13 +77,17 @@ import json
 
 from ..obs import EventLog, Histogram
 from ..obs import add as obs_add
-from ..resilience.faults import ArtifactCorruption, corrupt_in_place
+from ..resilience.faults import (
+    ArtifactCorruption,
+    FaultSchedule,
+    corrupt_in_place,
+)
 from ..serve.api import SolveRequest, SolveResponse
 # unused here since the shard stopped building on its own; kept because
 # benchmarks/e2e/test_harness.py (not editable from a program change)
 # asserts its shims follow this binding
 from ..serve.batcher import build_entry  # noqa: F401
-from ..serve.scheduler import BrownoutPolicy
+from ..serve.scheduler import BrownoutPolicy, VirtualClock
 from ..serve.service import SolverService
 from .defense import BreakerPolicy, CircuitBreaker, HedgePolicy
 from .failover import FailoverEvent, ShardCheckpointer, ShardLog, rebuild_queue
@@ -91,7 +96,8 @@ from .steal import StealEvent, plan_steals
 from .tiercache import TierCache
 from .workload import Arrival
 
-__all__ = ["FleetShard", "FleetService", "core_doc", "core_digest"]
+__all__ = ["ShardClock", "FleetShard", "FleetService", "core_doc",
+           "core_digest"]
 
 
 def core_doc(resp: SolveResponse) -> dict:
@@ -119,6 +125,24 @@ def core_digest(resp: SolveResponse) -> str:
     ).encode()).hexdigest()
 
 
+class ShardClock(VirtualClock):
+    """A :class:`~repro.serve.scheduler.VirtualClock` that scales every
+    advance by the fault schedule's slowdown factor for its shard.
+
+    Work whose execution *starts* inside a slowdown window pays the
+    full factor — the discrete-event analogue of a degraded host, and
+    still a pure function of (schedule, history)."""
+
+    def __init__(self, schedule: FaultSchedule, shard: str):
+        super().__init__()
+        self.schedule = schedule
+        self.shard = shard
+
+    def advance(self, ticks: int) -> int:
+        factor = self.schedule.slow_factor(self.shard, self.now)
+        return super().advance(int(ticks) * factor)
+
+
 class FleetShard(SolverService):
     """One fleet shard: a :class:`SolverService` wired into the shared
     second tier.
@@ -130,16 +154,18 @@ class FleetShard(SolverService):
     to L2, and L1 byte-budget victims demote into L2 instead of being
     dropped, so each discretization is built at most once fleet-wide.
 
-    With a chaos schedule attached, the shard counts its L1 lookups
-    and flips one bit of the due entry's payload *before* the lookup —
-    the digest re-verification inside :class:`ArtifactCache` then
-    catches the damage, quarantines the entry and degrades to a
-    rebuild.  Both tiers verify: a fetched L2 entry that fails its
+    The shard runs on a :class:`ShardClock` and counts its L1 lookups;
+    a ``corrupt_cache`` fault flips one bit of the due entry's payload
+    *before* the lookup — the digest re-verification inside
+    :class:`ArtifactCache` then catches the damage, quarantines the
+    entry and degrades to a rebuild.  Both tiers verify: a fetched L2 entry that fails its
     digest is quarantined from L2 and rebuilt as well.
     """
 
     def __init__(self, shard_id: str, l2: TierCache, *, chaos=None, **kwargs):
-        super().__init__(name=shard_id, **kwargs)
+        chaos = FaultSchedule.of(chaos)
+        super().__init__(name=shard_id, clock=ShardClock(chaos, shard_id),
+                         **kwargs)
         self.shard_id = shard_id
         self.l2 = l2
         self.cache.on_evict = l2.publish_entry
@@ -148,14 +174,11 @@ class FleetShard(SolverService):
         self._lookups = 0
 
     def _resolve_entry(self, request: SolveRequest, bid: str = ""):
-        if self.chaos is not None:
-            self._lookups += 1
-            if self.chaos.cache_corruption_due(self.shard_id, self._lookups):
-                victim = self.cache.peek(request.mesh_digest)
-                if victim is not None:
-                    corrupt_in_place(
-                        victim.ctx.h, (self.chaos.seed, self._lookups)
-                    )
+        self._lookups += 1
+        if self.chaos.take("corrupt_cache", self._lookups, self.shard_id):
+            victim = self.cache.peek(request.mesh_digest)
+            if victim is not None:
+                corrupt_in_place(victim.ctx.h, (self.chaos.seed, self._lookups))
         return super()._resolve_entry(request, bid)
 
     def _cold_entry(self, request: SolveRequest, bid: str):
@@ -193,9 +216,10 @@ class FleetShard(SolverService):
 class FleetService:
     """N deterministic shards behind a consistent-hash ring.
 
-    One instance simulates one fleet run: build it, :meth:`run` a
-    workload (optionally killing a shard mid-run), read the digests
-    and :meth:`stats`.  All shard construction parameters are
+    One instance simulates one fleet run: build it (``chaos=`` may
+    schedule faults, a mid-run shard crash among them), :meth:`run` a
+    workload — in one call or in chunks — then read the digests and
+    :meth:`stats`.  All shard construction parameters are
     identical across shards, so any fleet with the same configuration
     and workload replays bit-identically.
     """
@@ -212,9 +236,9 @@ class FleetService:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         self.shard_ids = [f"shard{i}" for i in range(int(n_shards))]
-        if chaos is not None:
-            # a fault on a shard that does not exist would never fire
-            self._require_shards(chaos.affected_shards(), "chaos fault names")
+        self.chaos = FaultSchedule.of(chaos)
+        # a fault on a shard that does not exist would never fire
+        self._require_shards(self.chaos.affected_shards(), "chaos fault names")
         self.l2 = TierCache(l2_bytes, promote_after=l2_promote_after,
                             window=l2_window)
         self.ring = HashRing(self.shard_ids)
@@ -226,7 +250,6 @@ class FleetService:
         #: defense-layer policies (all optional; None disables)
         self.hedge = hedge
         self.breaker_policy = breaker
-        self.chaos = chaos
         self.breakers: dict[str, CircuitBreaker] = (
             {sid: CircuitBreaker(sid, breaker, self.recorder)
              for sid in self.shard_ids}
@@ -283,10 +306,8 @@ class FleetService:
             )
 
     def _make_shard(self, sid: str) -> FleetShard:
-        kwargs = dict(self._shard_kwargs)
-        if self.chaos is not None:
-            kwargs["clock"] = self.chaos.clock_for(sid)
-        shard = FleetShard(sid, self.l2, chaos=self.chaos, **kwargs)
+        shard = FleetShard(sid, self.l2, chaos=self.chaos,
+                           **self._shard_kwargs)
         shard.on_response = self._make_on_response(sid)
         shard.completion_guard = self._make_completion_guard(sid)
         return shard
@@ -373,26 +394,21 @@ class FleetService:
 
     # -- the discrete-event loop ------------------------------------------
 
-    def run(self, arrivals: list[Arrival],
-            kill: tuple[int, str] | None = None) -> list[SolveResponse]:
+    def run(self, arrivals: list[Arrival]) -> list[SolveResponse]:
         """Simulate the fleet over a workload; returns all responses in
         fleet completion order.
 
-        ``kill=(tick, shard_id)`` schedules one shard kill; a chaos
-        schedule may add more.  At each kill the shard's process state
-        is discarded and :meth:`_fail_over` rebuilds a replacement from
-        the checkpoint and logs.  Event ties resolve kill < arrival <
-        hedge < exec, and arrivals are canonically re-sorted, so the
-        simulation is a pure function of (config, workload multiset,
-        kill, chaos schedule).  A kill naming an unknown shard raises
-        ``ValueError`` before anything is delivered.
+        Each pending ``crash`` of the fault schedule fires once: the
+        shard's process state is discarded and :meth:`_fail_over`
+        rebuilds a replacement from the checkpoint and logs.  Event
+        ties resolve crash < arrival < hedge < exec, and arrivals are
+        canonically re-sorted, so the simulation is a pure function of
+        (config, workload multiset, fault schedule).  A crash naming an
+        unknown shard raises ``ValueError`` before anything is
+        delivered.
         """
-        kills: list[tuple[int, str]] = []
-        if kill is not None:
-            kills.append((int(kill[0]), kill[1]))
-        if self.chaos is not None:
-            kills.extend(self.chaos.crashes())
-        kills.sort()
+        kills = sorted((f.at, f.who) for f in self.chaos.pending()
+                       if f.kind == "crash")
         self._require_shards((sid for _, sid in kills), "cannot kill")
         queue = sorted(arrivals, key=lambda a: (a.tick, a.request.digest))
         i = 0
@@ -402,11 +418,8 @@ class FleetService:
             ready: dict[str, int] = {}
             for sid, sh in self.shards.items():
                 rt = sh.ready_time()
-                if rt is None:
-                    continue
-                if self.chaos is not None:
-                    rt = max(rt, self.chaos.stall_until(sid, rt))
-                ready[sid] = rt
+                if rt is not None:
+                    ready[sid] = self.chaos.stall_until(sid, rt)
             next_exec = min(ready.values()) if ready else None
             kill_tick = kills[0][0] if kills else None
             next_hedge = self._next_hedge_tick()
@@ -417,7 +430,9 @@ class FleetService:
             t = min(events)
             self.now = max(self.now, t)
             if kill_tick == t:
-                self._fail_over(kills.pop(0)[1])
+                tick, sid = kills.pop(0)
+                self.chaos.take("crash", tick, sid)  # one-shot: fires once
+                self._fail_over(sid)
                 continue
             if next_arrival == t:
                 while i < len(queue) and queue[i].tick == t:
@@ -428,7 +443,7 @@ class FleetService:
             else:
                 sid = min(s for s, rt in ready.items() if rt == t)
                 shard, log = self.shards[sid], self.logs[sid]
-                if self.chaos is not None:
+                if t > shard.ready_time():
                     # a stalled shard resumes at the window's end; its
                     # clock must not pretend the pause never happened
                     shard.clock.jump_to(t)
@@ -582,10 +597,9 @@ class FleetService:
                 continue
             digests = []
             for it in items:
-                mode = None
-                if self.chaos is not None:
-                    mode = self.chaos.handoff_mode(self._handoffs)
-                    self._handoffs += 1
+                fault = self.chaos.take("handoff", self._handoffs)
+                self._handoffs += 1
+                mode = fault.mode if fault else ""
                 if mode == "drop":
                     # lost in transit: the copy never departs the
                     # source's durable log and never arrives at the
@@ -740,6 +754,6 @@ class FleetService:
                 "breaker_opens": sum(b.opens
                                      for b in self.breakers.values()),
             }
-        if self.chaos is not None:
+        if self.chaos.faults:
             out["chaos"] = self.chaos.describe()
         return out

@@ -14,13 +14,15 @@ The API mirrors the phased collective style of the algorithms: each
 call takes per-rank inputs and returns per-rank outputs, updating the
 per-rank traffic counters.
 
-Fault injection (:mod:`repro.resilience.faults`): installing a
-:class:`~repro.resilience.faults.FaultSchedule` makes the communicator
-raise typed :class:`RankFailure` / :class:`MessageCorruption` errors at
-exactly the scheduled collective steps.  A crashed rank poisons the
-communicator — every later collective keeps raising until a recovery
-driver rebuilds a fresh one over the survivors — matching real MPI
-semantics where a communicator with a dead rank is unusable.
+Fault injection (:mod:`repro.resilience.faults`): every communicator
+holds a :class:`~repro.resilience.faults.FaultSchedule` (empty unless
+one is installed) and takes its rank-scope faults — ``crash_rank``,
+message ``drop`` and ``corrupt`` — as typed :class:`RankFailure` /
+:class:`MessageCorruption` errors at exactly the scheduled collective
+steps.  A crashed rank poisons the communicator — every later
+collective keeps raising until a recovery driver rebuilds a fresh one
+over the survivors — matching real MPI semantics where a communicator
+with a dead rank is unusable.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..obs import add as obs_add
 from ..obs import record as obs_record
 from ..obs.trace import TRACER
 from ..resilience.faults import (
+    KINDS,
     FaultSchedule,
     MessageCorruption,
     RankFailure,
@@ -98,7 +101,7 @@ class SimComm:
         self.op_index = 0
         #: ranks that have crashed; non-empty == communicator is broken
         self.failed_ranks: set[int] = set()
-        self.fault_schedule: FaultSchedule | None = None
+        self.fault_schedule = FaultSchedule()
 
     def reset_counters(self) -> None:
         self.counters = TrafficCounters.zeros(self.size)
@@ -106,7 +109,22 @@ class SimComm:
     # -- fault injection ------------------------------------------------
 
     def install_faults(self, schedule: FaultSchedule | None) -> None:
-        """Attach a deterministic fault schedule (None to clear)."""
+        """Attach a deterministic fault schedule (``None`` clears it).
+
+        A pending rank fault naming a rank this communicator lacks
+        would never fire, so it is refused with ``ValueError``.  (The
+        recovery drivers hand a shrunk communicator the same schedule
+        without this check: faults on the ranks it lost never fire.)"""
+        schedule = FaultSchedule.of(schedule)
+        for f in schedule.pending():
+            if KINDS[f.kind].scope != "rank":
+                continue
+            for r in f.who if isinstance(f.who, tuple) else (f.who,):
+                if not 0 <= r < self.size:
+                    raise ValueError(
+                        f"fault names unknown rank {r} ({f.describe()}; "
+                        f"communicator has ranks 0..{self.size - 1})"
+                    )
         self.fault_schedule = schedule
 
     def _record_fault(self, kind: str, op: str, idx: int, **labels) -> None:
@@ -125,13 +143,10 @@ class SimComm:
         the communicator already lost a rank earlier."""
         idx = self.op_index
         self.op_index += 1
-        sched = self.fault_schedule
-        if sched is not None:
-            for f in sched.crashes_at(idx):
-                if f.rank is not None and 0 <= f.rank < self.size:
-                    sched.consume(f)
-                    self.failed_ranks.add(int(f.rank))
-                    self._record_fault("crash", op, idx, rank=int(f.rank))
+        for rank in range(self.size):
+            if self.fault_schedule.take("crash_rank", idx, rank):
+                self.failed_ranks.add(rank)
+                self._record_fault("crash", op, idx, rank=rank)
         if self.failed_ranks:
             raise RankFailure(min(self.failed_ranks), op, idx)
         return idx
@@ -141,12 +156,9 @@ class SimComm:
         filter when some unconsumed drop/corrupt fault targets this
         collective index (keeps the armed-schedule tax off the
         per-message hot path)."""
-        sched = self.fault_schedule
-        if sched is None:
-            return False
         return any(
-            f.kind in ("drop", "corrupt") and f.at_op == idx
-            for f in sched.pending()
+            f.kind in ("drop", "corrupt") and f.at == idx
+            for f in self.fault_schedule.pending()
         )
 
     def _message_filter(self, idx: int, op: str, src: int, dst: int, buf):
@@ -155,12 +167,10 @@ class SimComm:
         Returns ``(deliver, buf)``; raises :class:`MessageCorruption`
         for detected (non-silent) faults."""
         sched = self.fault_schedule
-        if sched is None:
-            return True, buf
-        f = sched.message_fault(idx, src, dst)
+        f = (sched.take("drop", idx, (src, dst))
+             or sched.take("corrupt", idx, (src, dst)))
         if f is None:
             return True, buf
-        sched.consume(f)
         self._record_fault(f.kind, op, idx, src=src, dst=dst)
         if not f.silent:
             raise MessageCorruption(src, dst, f.kind, op, idx)

@@ -1,33 +1,39 @@
-"""Deterministic fault model for the simulated communicator.
+"""The deterministic fault model: one seeded schedule for ranks and shards.
 
 The paper's production context (16K-core Frontera runs) treats rank
-loss and message corruption as routine operational hazards.  This
-module gives :class:`repro.parallel.SimComm` a *seeded, deterministic*
-fault plan: a :class:`FaultSchedule` names exactly which collective
-step kills which rank, or which (src, dst) message is dropped or
-bit-corrupted.  Determinism is the point — a recovery experiment must
-replay the same fault under the same seed, or its answer-matching
+loss, message corruption and degraded hosts as routine hazards.  One
+*seeded, deterministic* :class:`FaultSchedule` names exactly which
+collective of a :class:`repro.parallel.SimComm` kills which rank or
+drops / bit-flips which message, and which fleet shard slows down,
+stalls, crashes, serves a bit-flipped artifact or mangles a handoff on
+the virtual clock.  Determinism is the point — a recovery experiment
+must replay the same fault under the same seed, or its answer-matching
 acceptance check means nothing.
+
+:data:`KINDS` is the whole vocabulary.  Point faults are one-shot —
+:meth:`FaultSchedule.take` consumes a fault as it fires, so a rebuilt
+communicator, a replacement shard or a fleet run in chunks never sees
+it again; ``slow`` and ``stall`` are windows ``[at, until)``.
 
 Faults surface as typed exceptions:
 
-* :class:`RankFailure` — a rank died; the communicator is poisoned and
-  every subsequent collective raises until the driver rebuilds it over
-  the survivors (mirroring a broken MPI communicator).
+* :class:`RankFailure` — a rank died; the communicator stays poisoned
+  until the driver rebuilds it over the survivors (as in MPI).
 * :class:`MessageCorruption` — a message was dropped or bit-flipped
-  *and detected* (the transport-CRC model).  Schedules may mark a
-  fault ``silent`` to deliver the damage instead, which is how the
-  NaN/Inf guards downstream are exercised.
+  *and detected* (the transport-CRC model); a ``silent`` fault
+  delivers the damage instead, exercising the NaN/Inf guards.
 * :class:`SolverBreakdown` — a solver-level failure (non-finite state,
   exhausted retry budget) raised by the hardened Newton / NS drivers.
 
-Every injected fault is recorded as a ``resilience.faults_injected``
-counter and a span event on the innermost open :mod:`repro.obs` span.
+Every injected rank fault is recorded as a ``resilience.faults_injected``
+counter and a span event on the innermost open :mod:`repro.obs` span;
+fleet faults surface in the flight recorder's event stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
     "MessageCorruption",
     "SolverBreakdown",
     "ArtifactCorruption",
+    "KINDS",
     "Fault",
     "FaultSchedule",
     "corrupt_buffer",
@@ -91,10 +98,9 @@ class ArtifactCorruption(FaultError):
     """A cached artifact failed its content-digest re-verification.
 
     Raised by :class:`repro.serve.cache.ArtifactCache` (and the fleet's
-    shared second tier) when an entry's stored arrays no longer hash to
-    the digest computed at build time — bit rot, a torn write, or the
-    chaos harness flipping a byte.  The owning service quarantines the
-    key and rebuilds from scratch.
+    shared second tier) when an entry's arrays no longer hash to their
+    build-time digest — bit rot, a torn write, a ``corrupt_cache``
+    fault.  The service quarantines the key and rebuilds from scratch.
     """
 
     def __init__(self, key: str, tier: str = "l1", detail: str = ""):
@@ -106,121 +112,196 @@ class ArtifactCorruption(FaultError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class Fault:
-    """One scheduled fault.
+class Kind(NamedTuple):
+    scope: str  # "rank": SimComm; "shard" / "fleet": FleetService
+    clock: str  # what ``at`` counts (a lookup from 1, a handoff from 0)
+    line: str   # the describe() format over the fault's fields
 
-    ``kind`` is ``"crash"`` (needs ``rank``), ``"drop"`` or
-    ``"corrupt"`` (need ``src``/``dst``); ``at_op`` is the communicator
-    collective index (0-based, every collective increments it) at which
-    the fault fires.  ``silent`` message faults deliver the damaged
+
+#: the fault vocabulary, in :meth:`FaultSchedule.describe` order.  A
+#: fault's ``who`` is its rank, its (src, dst) pair or its shard id; a
+#: handoff names no one — its victims surface in the event stream
+KINDS: dict[str, Kind] = {
+    "crash_rank": Kind("rank", "op", "crash rank {who} @ op {at}"),
+    "drop": Kind("rank", "op", "drop msg {who[0]}->{who[1]} @ op {at}{silent}"),
+    "corrupt": Kind("rank", "op", "corrupt msg {who[0]}->{who[1]} @ op {at}{silent}"),
+    "slow": Kind("shard", "tick", "slowdown {who} x{factor} @ [{at}, {until})"),
+    "stall": Kind("shard", "tick", "stall {who} @ [{at}, {until})"),
+    "crash": Kind("shard", "tick", "crash {who} @ {at}"),
+    "corrupt_cache": Kind("shard", "lookup", "corrupt cache {who} @ lookup {at}"),
+    "handoff": Kind("fleet", "handoff", "{mode} handoff #{at}"),
+}
+_WINDOWS = ("slow", "stall")
+
+
+@dataclass(frozen=True, eq=False)  # identity: two equal faults fire twice
+class Fault:
+    """One scheduled fault; :data:`KINDS` says what ``at`` counts.
+
+    ``until`` closes a ``slow`` / ``stall`` window, ``factor`` is a
+    slowdown's work multiplier, ``mode`` a handoff's ``"dup"`` or
+    ``"drop"``, and a ``silent`` message fault delivers the damaged
     payload instead of raising.
     """
 
     kind: str
-    at_op: int
-    rank: int | None = None
-    src: int | None = None
-    dst: int | None = None
+    at: int
+    who: object = None
+    until: int | None = None
+    factor: int = 1
+    mode: str = ""
     silent: bool = False
 
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r}")
+        window = self.kind in _WINDOWS
+        if window and (self.until is None or self.until <= self.at
+                       or self.factor < 1):
+            raise ValueError("need t1 > t0 and factor >= 1")
+        if self.kind == "corrupt_cache" and self.at < 1:
+            raise ValueError("at_lookup is 1-based")
+        if self.kind == "handoff" and self.mode not in ("dup", "drop"):
+            raise ValueError("mode must be 'dup' or 'drop'")
+
     def describe(self) -> str:
-        if self.kind == "crash":
-            return f"crash rank {self.rank} @ op {self.at_op}"
-        tag = " (silent)" if self.silent else ""
-        return f"{self.kind} msg {self.src}->{self.dst} @ op {self.at_op}{tag}"
+        return KINDS[self.kind].line.format(
+            **{**vars(self), "silent": " (silent)" if self.silent else ""})
 
 
 class FaultSchedule:
     """A seeded, fully deterministic plan of faults to inject.
 
-    Faults are either declared explicitly (:meth:`crash_rank`,
-    :meth:`drop_message`, :meth:`corrupt_message`) or drawn
-    deterministically from the seed (:meth:`random`).  The schedule is
-    one-shot: a fault that fired is *consumed* and does not re-fire on
-    a rebuilt communicator (the same schedule object is reinstalled by
-    the recovery drivers so later faults still apply).
+    Built with the chaining builders or drawn from the seed
+    (:meth:`random`); consumers hold one unconditionally (:meth:`of`)
+    and query it with :meth:`take` (point faults), :meth:`slow_factor`
+    and :meth:`stall_until` (windows).  Faults are kept per kind, so a
+    query about a kind the schedule lacks is answered at once.
     """
 
-    def __init__(self, seed: int = 0, faults: list[Fault] | None = None):
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.faults: list[Fault] = list(faults or [])
-        self._consumed: set[int] = set()
-
-    # -- construction ---------------------------------------------------
-
-    def crash_rank(self, rank: int, at_op: int) -> "FaultSchedule":
-        self.faults.append(Fault("crash", int(at_op), rank=int(rank)))
-        return self
-
-    def drop_message(self, src: int, dst: int, at_op: int,
-                     silent: bool = False) -> "FaultSchedule":
-        self.faults.append(
-            Fault("drop", int(at_op), src=int(src), dst=int(dst), silent=silent)
-        )
-        return self
-
-    def corrupt_message(self, src: int, dst: int, at_op: int,
-                        silent: bool = False) -> "FaultSchedule":
-        self.faults.append(
-            Fault("corrupt", int(at_op), src=int(src), dst=int(dst),
-                  silent=silent)
-        )
-        return self
+        self._by_kind: dict[str, list[Fault]] = {k: [] for k in KINDS}
+        self._consumed: set[Fault] = set()
 
     @classmethod
-    def random(cls, seed: int, nranks: int, max_op: int,
-               n_faults: int = 1, kinds: tuple[str, ...] = ("crash",),
-               ) -> "FaultSchedule":
-        """Draw ``n_faults`` faults deterministically from ``seed``.
+    def of(cls, schedule: FaultSchedule | None) -> FaultSchedule:
+        """``schedule`` itself, or an empty schedule for ``None``."""
+        return cls() if schedule is None else schedule
 
-        The same (seed, nranks, max_op, n_faults, kinds) always yields
-        the same schedule — the reproducibility contract of every
-        fault-injection experiment.
-        """
+    def _add(self, fault: Fault) -> FaultSchedule:
+        self._by_kind[fault.kind].append(fault)
+        return self
+
+    # -- builders ---------------------------------------------------------
+
+    def crash_rank(self, rank: int, at_op: int) -> FaultSchedule:
+        return self._add(Fault("crash_rank", int(at_op), int(rank)))
+
+    def drop_message(self, src: int, dst: int, at_op: int,
+                     silent: bool = False) -> FaultSchedule:
+        return self._add(Fault("drop", int(at_op), (int(src), int(dst)), silent=silent))
+
+    def corrupt_message(self, src: int, dst: int, at_op: int,
+                        silent: bool = False) -> FaultSchedule:
+        return self._add(Fault("corrupt", int(at_op), (int(src), int(dst)),
+                              silent=silent))
+
+    def slow(self, shard: str, t0: int, t1: int,
+             factor: int = 10) -> FaultSchedule:
+        return self._add(Fault("slow", int(t0), shard, int(t1), int(factor)))
+
+    def stall(self, shard: str, t0: int, t1: int) -> FaultSchedule:
+        return self._add(Fault("stall", int(t0), shard, int(t1)))
+
+    def crash(self, tick: int, shard: str) -> FaultSchedule:
+        return self._add(Fault("crash", int(tick), shard))
+
+    def corrupt_cache(self, shard: str, at_lookup: int) -> FaultSchedule:
+        return self._add(Fault("corrupt_cache", int(at_lookup), shard))
+
+    def handoff(self, index: int, mode: str) -> FaultSchedule:
+        return self._add(Fault("handoff", int(index), mode=mode))
+
+    @classmethod
+    def random(cls, seed: int, shard_ids: list[str], horizon: int, *,
+               n_slow: int = 1, n_stall: int = 1, n_crash: int = 0,
+               n_corrupt: int = 1, n_handoff: int = 0,
+               slow_factor: int = 10) -> FaultSchedule:
+        """Draw a mixed fleet schedule deterministically from ``seed``:
+        the same arguments always yield the same schedule.  Windows
+        start inside ``[0, horizon)``; crashes land in its back half so
+        checkpoints and logs have something to replay."""
         rng = np.random.default_rng(seed)
         sched = cls(seed=seed)
-        for _ in range(n_faults):
-            kind = kinds[int(rng.integers(0, len(kinds)))]
-            at_op = int(rng.integers(0, max(max_op, 1)))
-            if kind == "crash":
-                sched.crash_rank(int(rng.integers(0, nranks)), at_op)
-            else:
-                src = int(rng.integers(0, nranks))
-                dst = int(rng.integers(0, nranks))
-                sched.faults.append(
-                    Fault(kind, at_op, src=src, dst=dst % max(nranks, 1))
-                )
+        ids = list(shard_ids)
+
+        def pick_shard() -> str:
+            return ids[int(rng.integers(0, len(ids)))]
+
+        def window(max_len: int) -> tuple[int, int]:
+            t0 = int(rng.integers(0, max(horizon - 1, 1)))
+            length = int(rng.integers(max_len // 4 + 1, max_len + 1))
+            return t0, t0 + length
+
+        for _ in range(n_slow):
+            t0, t1 = window(horizon // 2)
+            sched.slow(pick_shard(), t0, t1, factor=slow_factor)
+        for _ in range(n_stall):
+            t0, t1 = window(horizon // 4)
+            sched.stall(pick_shard(), t0, t1)
+        for _ in range(n_crash):
+            tick = int(rng.integers(horizon // 2, horizon))
+            sched.crash(tick, pick_shard())
+        for _ in range(n_corrupt):
+            sched.corrupt_cache(pick_shard(), int(rng.integers(1, 9)))
+        for _ in range(n_handoff):
+            mode = ("dup", "drop")[int(rng.integers(0, 2))]
+            sched.handoff(int(rng.integers(0, 6)), mode)
         return sched
 
-    # -- queries (used by SimComm) --------------------------------------
+    # -- queries ----------------------------------------------------------
 
-    def crashes_at(self, op_index: int) -> list[Fault]:
-        """Unconsumed crash faults scheduled for this collective."""
-        return [
-            f for i, f in enumerate(self.faults)
-            if f.kind == "crash" and f.at_op == op_index
-            and i not in self._consumed
-        ]
-
-    def message_fault(self, op_index: int, src: int, dst: int) -> Fault | None:
-        """Unconsumed drop/corrupt fault for this message, if any."""
-        for i, f in enumerate(self.faults):
-            if (f.kind in ("drop", "corrupt") and f.at_op == op_index
-                    and f.src == src and f.dst == dst
-                    and i not in self._consumed):
+    def take(self, kind: str, at: int, who=None) -> Fault | None:
+        """One-shot: the first pending ``kind`` fault due at ``at`` on
+        ``who``, consumed on return — or ``None`` when none is due."""
+        for f in self._by_kind[kind]:
+            if f.at == at and f.who == who and f not in self._consumed:
+                self._consumed.add(f)
                 return f
         return None
 
-    def consume(self, fault: Fault) -> None:
-        """Mark a fired fault so it never re-fires (one-shot semantics)."""
-        for i, f in enumerate(self.faults):
-            if f is fault:
-                self._consumed.add(i)
-                return
+    def slow_factor(self, shard: str, now: int) -> int:
+        """Combined slowdown factor for work starting at ``now``."""
+        factor = 1
+        for s in self._by_kind["slow"]:
+            if s.who == shard and s.at <= now < s.until:
+                factor = max(factor, s.factor)
+        return factor
+
+    def stall_until(self, shard: str, t: int) -> int:
+        """Earliest tick at or after ``t`` at which ``shard`` may
+        execute (``t`` itself when no stall window covers it)."""
+        for s in self._by_kind["stall"]:
+            if s.who == shard and s.at <= t < s.until:
+                return self.stall_until(shard, s.until)  # windows may chain
+        return t
+
+    # -- reporting --------------------------------------------------------
+
+    @property
+    def faults(self) -> list[Fault]:
+        """Every scheduled fault, grouped in :data:`KINDS` order."""
+        return [f for group in self._by_kind.values() for f in group]
 
     def pending(self) -> list[Fault]:
-        return [f for i, f in enumerate(self.faults) if i not in self._consumed]
+        """The point faults still to fire (windows never fire)."""
+        return [f for f in self.faults
+                if f.kind not in _WINDOWS and f not in self._consumed]
+
+    def affected_shards(self) -> set[str]:
+        """Shards named by any scheduled fault."""
+        return {f.who for f in self.faults if KINDS[f.kind].scope == "shard"}
 
     def describe(self) -> list[str]:
         return [f.describe() for f in self.faults]
@@ -241,10 +322,9 @@ def corrupt_buffer(buf: np.ndarray, key: tuple[int, ...]) -> np.ndarray:
 def corrupt_in_place(buf: np.ndarray, key: tuple[int, ...]) -> tuple[int, int]:
     """Deterministically flip one bit of ``buf`` *in place*.
 
-    The chaos harness uses this to damage a live cached artifact (a
-    shared array object the cache is already serving) rather than a
-    message copy; returns the (byte, bit) flipped so the injection is
-    auditable.
+    A ``corrupt_cache`` fault damages a live cached artifact (a shared
+    array the cache is already serving) this way; returns the (byte,
+    bit) flipped so the injection is auditable.
     """
     arr = np.asarray(buf)
     if arr.nbytes == 0:

@@ -101,7 +101,7 @@ class ResilientNSResult:
     ranks_final: int
 
 
-def _recover(mesh, ctx, comm, layout, ckpt_dir, name, schedule):
+def _recover(mesh, ctx, comm, layout, ckpt_dir, name):
     """Shared shrink-and-restore: returns (comm, layout, plan, ckpt, event_stub)."""
     t0 = time.perf_counter()
     with span("resilience.recover") as osp:
@@ -114,9 +114,10 @@ def _recover(mesh, ctx, comm, layout, ckpt_dir, name, schedule):
         layout = analyze_partition(mesh, new_splits)
         plan = exchange_plan(mesh, layout)
         new_comm = SimComm(survivors)
-        # the schedule is one-shot per fault, so reinstalling it lets
-        # later scheduled faults still hit the rebuilt communicator
-        new_comm.install_faults(schedule)
+        # the schedule is one-shot per fault, so handing it on lets later
+        # scheduled faults still hit the rebuilt communicator; assigned,
+        # not installed: faults on the ranks the shrink removed never fire
+        new_comm.fault_schedule = comm.fault_schedule
         path = latest_checkpoint(ckpt_dir, name)
         if path is None:
             raise SolverBreakdown("recovery", "no_checkpoint",
@@ -239,7 +240,7 @@ def resilient_poisson_solve(
                 if len(recoveries) >= max_recoveries:
                     raise
                 comm, layout, plan, ckpt, (failed, survivors, elapsed) = _recover(
-                    mesh, ctx, comm, layout, ckpt_dir, name, fault_schedule
+                    mesh, ctx, comm, layout, ckpt_dir, name
                 )
                 x = ckpt.vector("x")
                 r = ckpt.vector("r")
@@ -297,7 +298,6 @@ class ResilientNSDriver:
         self.ctx = operator_context(self.mesh)
         self.ckpt_dir = Path(ckpt_dir)
         self.ckpt_interval = max(int(ckpt_interval), 1)
-        self.fault_schedule = fault_schedule
         self.max_recoveries = int(max_recoveries)
         self.max_dt_halvings = int(max_dt_halvings)
         self.name = name
@@ -348,7 +348,7 @@ class ResilientNSDriver:
                     (self.comm, self.layout, _plan, ckpt,
                      (failed, survivors, elapsed)) = _recover(
                         self.mesh, self.ctx, self.comm, self.layout,
-                        self.ckpt_dir, self.name, self.fault_schedule,
+                        self.ckpt_dir, self.name,
                     )
                     self.splits = self.layout.splits
                     U = ckpt.vector("U")

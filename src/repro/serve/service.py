@@ -71,8 +71,8 @@ class SolverService:
             max_pending=max_pending, max_batch=max_batch,
             max_retries=max_retries, backoff=backoff,
         )
-        #: the fleet's chaos harness substitutes a slowdown-scaling
-        #: clock here; default is the plain monotonic tick counter
+        #: a fleet shard substitutes its slowdown-scaling clock here;
+        #: default is the plain monotonic tick counter
         self.clock = VirtualClock() if clock is None else clock
         self.fault_injector = fault_injector
         self.responses: list[SolveResponse] = []

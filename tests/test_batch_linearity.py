@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.resilience.faults import SolverBreakdown
+from repro.resilience.faults import FaultSchedule, SolverBreakdown
 from repro.serve import SolverService, SolveRequest, batcher
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
 from repro.solvers.krylov import KrylovResult
@@ -390,7 +390,8 @@ def test_fleet_digest_does_not_depend_on_how_requests_were_batched():
     from repro.fleet import demo_fleet
 
     runs = [demo_fleet(4, seed=0, n_requests=40),
-            demo_fleet(4, seed=0, n_requests=40, kill=(2500, "shard0")),
+            demo_fleet(4, seed=0, n_requests=40,
+                       chaos=FaultSchedule().crash(2500, "shard0")),
             demo_fleet(2, seed=0, n_requests=40, stealing=False),
             demo_fleet(1, seed=0, n_requests=40)]
     assert len({len(f.responses) for f in runs}) == 1

@@ -6,14 +6,15 @@ import pytest
 
 from repro.chaos import (
     CHAOS_KINDS,
-    ChaosSchedule,
     check_schedule,
     run_sweep,
 )
 from repro.fleet import FleetService, synthetic_workload
 from repro.fleet.defense import HedgePolicy
+from repro.fleet.service import ShardClock
 from repro.obs import EventLog
 from repro.obs.reqtrace import timelines
+from repro.resilience import FaultSchedule
 
 pytestmark = pytest.mark.chaos
 
@@ -23,15 +24,15 @@ pytestmark = pytest.mark.chaos
 
 def test_random_schedule_is_seed_deterministic():
     ids = ["shard0", "shard1", "shard2"]
-    a = ChaosSchedule.random(7, ids, 8000, n_crash=1, n_handoff=2)
-    b = ChaosSchedule.random(7, ids, 8000, n_crash=1, n_handoff=2)
+    a = FaultSchedule.random(7, ids, 8000, n_crash=1, n_handoff=2)
+    b = FaultSchedule.random(7, ids, 8000, n_crash=1, n_handoff=2)
     assert a.describe() == b.describe()
-    c = ChaosSchedule.random(8, ids, 8000, n_crash=1, n_handoff=2)
+    c = FaultSchedule.random(8, ids, 8000, n_crash=1, n_handoff=2)
     assert a.describe() != c.describe()
 
 
 def test_slow_factor_and_stall_windows():
-    s = ChaosSchedule().slow("s0", 100, 200, 10).stall("s0", 300, 400)
+    s = FaultSchedule().slow("s0", 100, 200, 10).stall("s0", 300, 400)
     assert s.slow_factor("s0", 150) == 10
     assert s.slow_factor("s0", 250) == 1  # outside the window
     assert s.slow_factor("s1", 150) == 1  # other shard untouched
@@ -41,23 +42,23 @@ def test_slow_factor_and_stall_windows():
 
 
 def test_stall_windows_chain():
-    s = ChaosSchedule().stall("s0", 100, 200).stall("s0", 200, 300)
+    s = FaultSchedule().stall("s0", 100, 200).stall("s0", 200, 300)
     assert s.stall_until("s0", 150) == 300
 
 
 def test_one_shot_faults_are_consumed():
-    s = ChaosSchedule().corrupt_cache("s0", at_lookup=2).handoff(1, "dup")
-    assert not s.cache_corruption_due("s0", 1)
-    assert s.cache_corruption_due("s0", 2)
-    assert not s.cache_corruption_due("s0", 2)  # one-shot
-    assert s.handoff_mode(0) is None
-    assert s.handoff_mode(1) == "dup"
-    assert s.handoff_mode(1) is None  # one-shot
+    s = FaultSchedule().corrupt_cache("s0", at_lookup=2).handoff(1, "dup")
+    assert not s.take("corrupt_cache", 1, "s0")
+    assert s.take("corrupt_cache", 2, "s0")
+    assert not s.take("corrupt_cache", 2, "s0")  # one-shot
+    assert s.take("handoff", 0) is None
+    assert s.take("handoff", 1).mode == "dup"
+    assert s.take("handoff", 1) is None  # one-shot
 
 
 def test_chaos_clock_scales_advance_inside_window():
-    sched = ChaosSchedule().slow("s0", 0, 1000, 5)
-    clock = sched.clock_for("s0")
+    sched = FaultSchedule().slow("s0", 0, 1000, 5)
+    clock = ShardClock(sched, "s0")
     clock.advance(10)
     assert clock.now == 50  # 10 ticks of work cost 5x
     clock.jump_to(2000)  # past the window
@@ -66,7 +67,7 @@ def test_chaos_clock_scales_advance_inside_window():
 
 
 def test_affected_shards_and_describe():
-    s = (ChaosSchedule().slow("s0", 0, 10).stall("s1", 0, 10)
+    s = (FaultSchedule().slow("s0", 0, 10).stall("s1", 0, 10)
          .crash(5, "s2").corrupt_cache("s3", 1).handoff(0, "drop"))
     assert s.affected_shards() == {"s0", "s1", "s2", "s3"}
     assert len(s.describe()) == 5
@@ -75,13 +76,13 @@ def test_affected_shards_and_describe():
 def test_fault_naming_an_unknown_shard_is_refused():
     # at construction: a slow/stall/corruption on a shard the fleet does
     # not have would be accepted and silently never fire
-    for sched in (ChaosSchedule().slow("shard9", 0, 10),
-                  ChaosSchedule().stall("shard0", 0, 10).corrupt_cache("nope", 1),
-                  ChaosSchedule().crash(5, "shard2")):
+    for sched in (FaultSchedule().slow("shard9", 0, 10),
+                  FaultSchedule().stall("shard0", 0, 10).corrupt_cache("nope", 1),
+                  FaultSchedule().crash(5, "shard2")):
         with pytest.raises(ValueError, match="unknown shard '(shard9|nope|shard2)'"):
             FleetService(2, chaos=sched)
     # at run(): a crash added to the schedule after construction
-    sched = ChaosSchedule()
+    sched = FaultSchedule()
     fleet = FleetService(2, chaos=sched)
     sched.crash(5, "shard7")
     with pytest.raises(ValueError, match="'shard7'"):
@@ -94,7 +95,7 @@ def test_fault_naming_an_unknown_shard_is_refused():
 
 def test_stage_attribution_sums_exactly_under_chaos():
     log = EventLog()
-    sched = ChaosSchedule().slow("shard0", 0, 10**7, 20)
+    sched = FaultSchedule().slow("shard0", 0, 10**7, 20)
     fleet = FleetService(
         2, cache_bytes=8 << 20, steal_threshold=4, steal_latency=100,
         stealing=False, recorder=log, chaos=sched,

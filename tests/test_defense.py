@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosSchedule
 from repro.fleet import FleetService, synthetic_workload
 from repro.fleet.defense import BreakerPolicy, CircuitBreaker, HedgePolicy
 from repro.obs import EventLog
@@ -18,7 +17,11 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     save_state_checkpoint,
 )
-from repro.resilience.faults import ArtifactCorruption, corrupt_in_place
+from repro.resilience.faults import (
+    ArtifactCorruption,
+    FaultSchedule,
+    corrupt_in_place,
+)
 from repro.serve import SolverService, demo_workload
 from repro.serve.scheduler import BrownoutPolicy
 
@@ -109,7 +112,7 @@ def test_breaker_transitions_emit_typed_events():
 
 
 def _straggler_schedule(factor=50):
-    return ChaosSchedule().slow("shard0", 0, 10_000_000, factor)
+    return FaultSchedule().slow("shard0", 0, 10_000_000, factor)
 
 
 def _hedge_policy(**kw):
@@ -256,7 +259,7 @@ def test_chaos_cache_corruption_detected_end_to_end():
     # answer every request
     # lookup 5 is a hit for this (workload, config): a live entry is
     # corrupted under the service's feet, not a miss
-    sched = ChaosSchedule().corrupt_cache("shard0", at_lookup=5)
+    sched = FaultSchedule().corrupt_cache("shard0", at_lookup=5)
     log = EventLog()
     fleet = _fleet(2, stealing=False, recorder=log, chaos=sched)
     workload = synthetic_workload(32, seed=0)

@@ -17,6 +17,7 @@ from repro.fleet import (
     synthetic_workload,
 )
 from repro.obs import EventLog
+from repro.resilience import FaultSchedule
 from repro.resilience.checkpoint import (
     CheckpointCorruption,
     load_state_checkpoint,
@@ -269,8 +270,9 @@ def test_stealing_fires_and_improves_makespan():
 def test_kill_naming_an_unknown_shard_is_refused_before_any_delivery():
     log = EventLog()
     fleet = _fleet(2, recorder=log)
+    fleet.chaos.crash(1500, "shard9")
     with pytest.raises(ValueError, match="'shard9'"):
-        fleet.run(_busy_workload(8), kill=(1500, "shard9"))
+        fleet.run(_busy_workload(8))
     assert fleet.responses == [] and len(log) == 0
     assert fleet._instances == []
     assert all(not lg.arrivals for lg in fleet.logs.values())
@@ -284,8 +286,9 @@ def test_post_arrival_kill_recovers_bit_identically(tmp_path):
     base.run(wl)
     for victim in ("shard0", "shard1"):
         killed = _fleet(4, stealing=False, ckpt_dir=tmp_path / victim,
-                        ckpt_interval=4)
-        killed.run(wl, kill=(kill_tick, victim))
+                        ckpt_interval=4,
+                        chaos=FaultSchedule().crash(kill_tick, victim))
+        killed.run(wl)
         assert killed.failover_events[0].shard_id == victim
         assert len(killed.responses) == len(wl)
         assert killed.fleet_digest == base.fleet_digest
@@ -298,8 +301,9 @@ def test_kill_recovers_without_disk_checkpoints():
     kill_tick = max(a.tick for a in wl) + 1
     base = _fleet(4, stealing=False)
     base.run(wl)
-    killed = _fleet(4, stealing=False)  # in-memory checkpointer
-    killed.run(wl, kill=(kill_tick, "shard0"))
+    killed = _fleet(4, stealing=False,  # in-memory checkpointer
+                    chaos=FaultSchedule().crash(kill_tick, "shard0"))
+    killed.run(wl)
     assert killed.fleet_digest == base.fleet_digest
 
 
@@ -308,12 +312,28 @@ def test_early_kill_exactly_once_delivery():
     is out of scope, but every admitted request completes exactly once."""
     wl = _busy_workload(48, seed=3)
     mid = sorted(a.tick for a in wl)[len(wl) // 2]
-    fleet = _fleet(4, ckpt_interval=3)
-    fleet.run(wl, kill=(mid, "shard1"))
+    fleet = _fleet(4, ckpt_interval=3,
+                   chaos=FaultSchedule().crash(mid, "shard1"))
+    fleet.run(wl)
     assert sorted(r.request_digest for r in fleet.responses) == sorted(
         a.request.digest for a in wl
     )
     assert fleet.failover_events[0].tick >= mid
+
+
+def test_a_scheduled_crash_fires_once_across_chunked_runs():
+    # one fleet fed in two run() calls, the crash due during the first:
+    # the second call must not kill the replacement shard again
+    wl = synthetic_workload(30, seed=1)
+    mid = sorted(a.tick for a in wl)[15]
+    fleet = FleetService(2, chaos=FaultSchedule().crash(mid, "shard0"))
+    fleet.run(wl[:15])
+    fleet.run(wl[15:])
+    assert [e.shard_id for e in fleet.failover_events] == ["shard0"]
+    assert fleet.chaos.pending() == []
+    assert sorted(r.request_digest for r in fleet.responses) == sorted(
+        a.request.digest for a in wl
+    )
 
 
 def test_rebuild_queue_watermark_multiset():

@@ -27,6 +27,7 @@ from repro.obs.reqtrace import (
     timelines,
 )
 from repro.obs.slo import SLOPolicy, evaluate_windows, fleet_health, render_health
+from repro.resilience import FaultSchedule
 from repro.serve import Rejected, SolverService, SolveRequest, demo_workload
 
 DISK = {"shape": "sphere", "center": (0.5, 0.5), "radius": 0.3}
@@ -345,14 +346,13 @@ def test_failover_survivor_timelines_bit_identical():
 
     def run(kill, rec):
         fleet = FleetService(4, cache_bytes=8 << 20, stealing=False,
-                             ckpt_interval=6, recorder=rec)
-        fleet.run(synthetic_workload(40, seed=3, mean_gap=40, burst_gap=5),
-                  kill=kill)
+                             ckpt_interval=6, recorder=rec, chaos=kill)
+        fleet.run(synthetic_workload(40, seed=3, mean_gap=40, burst_gap=5))
         return fleet
 
     rec_base, rec_kill = EventLog(), EventLog()
     run(None, rec_base)
-    run((kill_at, "shard0"), rec_kill)
+    run(FaultSchedule().crash(kill_at, "shard0"), rec_kill)
 
     kinds = rec_kill.kinds()
     assert kinds["failover"] == 1 and kinds.get("failover_replay", 0) > 0
@@ -425,19 +425,19 @@ def _pin_serve():
 
 def _pin_fleet_kill():
     rec = EventLog()
-    fleet = demo_fleet(4, seed=0, n_requests=40, kill=(2500, "shard0"),
+    fleet = demo_fleet(4, seed=0, n_requests=40,
+                       chaos=FaultSchedule().crash(2500, "shard0"),
                        recorder=rec)
     return rec, fleet.stream_digest, fleet.fleet_digest
 
 
 def _pin_chaos_demo():
     """The ``chaos-demo --seed 0`` configuration."""
-    from repro.chaos import ChaosSchedule
     from repro.fleet.defense import BreakerPolicy, HedgePolicy
     from repro.serve.scheduler import BrownoutPolicy
 
     rec = EventLog()
-    sched = ChaosSchedule.random(
+    sched = FaultSchedule.random(
         0, [f"shard{i}" for i in range(4)], 8000, n_slow=1, n_stall=1,
         n_crash=1, n_corrupt=1, n_handoff=2, slow_factor=10,
     )
@@ -454,7 +454,6 @@ def _pin_defended():
     """A straggler shard, a flood, four carved-away meshes and a late
     calm tail: hedges race, brownout sheds and degrades, one breaker
     opens, half-opens and closes."""
-    from repro.chaos import ChaosSchedule
     from repro.fleet import Arrival
     from repro.fleet.defense import BreakerPolicy, HedgePolicy
     from repro.serve.scheduler import BrownoutPolicy
@@ -468,7 +467,7 @@ def _pin_defended():
     rec = EventLog()
     fleet = FleetService(
         4, cache_bytes=8 << 20, stealing=False, recorder=rec,
-        chaos=ChaosSchedule().slow("shard0", 0, 10_000_000, 50),
+        chaos=FaultSchedule().slow("shard0", 0, 10_000_000, 50),
         hedge=HedgePolicy(initial_delay=3000, min_delay=1000,
                           min_samples=10**9, transfer_latency=100),
         breaker=BreakerPolicy(window=8, failure_threshold=0.5,
@@ -535,6 +534,20 @@ PINNED_STREAMS = {
         None,
     ),
 }
+
+
+def test_a_kill_is_a_scheduled_crash():
+    """The demo fleet built by hand, its kill a ``crash`` entry of the
+    fault schedule, reproduces the ``_pin_fleet_kill`` literal."""
+    rec = EventLog()
+    fleet = FleetService(
+        4, cache_bytes=8 << 20, steal_threshold=4, steal_latency=100,
+        ckpt_interval=6, recorder=rec,
+        chaos=FaultSchedule().crash(2500, "shard0"),
+    )
+    fleet.run(synthetic_workload(40, seed=0))
+    got = (len(rec), rec.digest, fleet.stream_digest, fleet.fleet_digest)
+    assert got == PINNED_STREAMS[_pin_fleet_kill]
 
 
 def test_event_streams_match_the_pinned_specification():

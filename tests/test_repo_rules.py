@@ -84,6 +84,22 @@ def test_one_dirichlet_elimination():
     assert _files(_grep(idioms[0])) == {"fem/dirichlet.py"}
 
 
+def test_one_fault_model():
+    """Every fault, rank or shard, is an entry of the one
+    ``FaultSchedule`` in ``resilience/faults.py``, and every consumer
+    holds one (``FaultSchedule.of`` turns ``None`` into an empty
+    schedule): no site tests a schedule for ``None``, no second
+    schedule or clock type, no ``kill=`` side door to a shard crash,
+    and one class keeps the consumed-fault set."""
+    assert _grep(r"\b(chaos|sched|fault_schedule) is (not )?None") == []
+    assert _grep(r"ChaosSchedule|ChaosClock") == []
+    assert _grep(r"\bkill(: [^=,)]+)?\s*=(?![={])") == []  # a parameter
+    assert not (SRC / "chaos" / "schedule.py").exists()
+    consumed = _grep(r"consumed\w*(: [^=]+)? = set\(\)")
+    assert _files(consumed) == {"resilience/faults.py"}, consumed
+    assert len(consumed) == 1, consumed
+
+
 def test_one_operator_plan_path():
     """Every AMR step rebuilds its mesh and every rank runs the compiled
     program: no rank-restricted gather CSR, no incremental plan update

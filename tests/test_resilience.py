@@ -4,6 +4,7 @@ All tests carry the ``resilience`` marker so CI can run the
 fault-injection suite standalone (``pytest -m resilience``).
 """
 
+import functools
 import json
 
 import numpy as np
@@ -18,6 +19,8 @@ from repro.parallel import SimComm, shrink_splits
 from repro.resilience import (
     Checkpoint,
     CheckpointCorruption,
+    Fault,
+    FaultError,
     FaultSchedule,
     MessageCorruption,
     RankFailure,
@@ -30,6 +33,7 @@ from repro.resilience import (
     resilient_poisson_solve,
     save_checkpoint,
 )
+from repro.resilience.faults import KINDS
 from repro.solvers import bicgstab, cg, newton_ls
 
 pytestmark = pytest.mark.resilience
@@ -68,17 +72,6 @@ def channel():
 
 
 # -- fault schedules ---------------------------------------------------
-
-
-def test_schedule_determinism():
-    a = FaultSchedule.random(3, nranks=8, max_op=100, n_faults=4,
-                             kinds=("crash", "drop", "corrupt"))
-    b = FaultSchedule.random(3, nranks=8, max_op=100, n_faults=4,
-                             kinds=("crash", "drop", "corrupt"))
-    assert a.describe() == b.describe()
-    c = FaultSchedule.random(4, nranks=8, max_op=100, n_faults=4,
-                             kinds=("crash", "drop", "corrupt"))
-    assert a.describe() != c.describe()
 
 
 def test_corrupt_buffer_deterministic_single_bit_flip():
@@ -172,6 +165,106 @@ def test_silent_corruption_flips_one_bit_deterministically():
         outs.append(comm.exchange({(0, 1): payload.copy()})[(0, 1)])
     assert np.array_equal(outs[0], outs[1])  # same seed, same damage
     assert not np.array_equal(outs[0], payload)
+
+
+#: one fault of each kind, built through its builder, with the line
+#: ``describe()`` printed for it when ranks and shards had two schedules
+_ONE_OF_EACH = {
+    "crash_rank": (lambda s: s.crash_rank(1, at_op=0),
+                   "crash rank 1 @ op 0"),
+    "drop": (lambda s: s.drop_message(0, 1, at_op=0),
+             "drop msg 0->1 @ op 0"),
+    "corrupt": (lambda s: s.corrupt_message(0, 1, at_op=0, silent=True),
+                "corrupt msg 0->1 @ op 0 (silent)"),
+    "slow": (lambda s: s.slow("shard0", 0, 10**7, 5),
+             "slowdown shard0 x5 @ [0, 10000000)"),
+    "stall": (lambda s: s.stall("shard1", 100, 2000),
+              "stall shard1 @ [100, 2000)"),
+    "crash": (lambda s: s.crash(2500, "shard0"), "crash shard0 @ 2500"),
+    "corrupt_cache": (lambda s: s.corrupt_cache("shard1", at_lookup=4),
+                      "corrupt cache shard1 @ lookup 4"),
+    "handoff": (lambda s: s.handoff(0, "dup"), "dup handoff #0"),
+}
+
+
+def _consume(scope: str, sched: FaultSchedule):
+    """Run ``sched`` through the consumer of ``scope``; returns what a
+    fault could change (delivered bytes, or the fleet's event digest)."""
+    if scope == "rank":
+        comm = SimComm(2)
+        comm.install_faults(sched)
+        try:
+            out = comm.exchange({(0, 1): np.arange(4.0),
+                                 (1, 0): np.arange(4.0)})
+        except FaultError as exc:
+            return repr(exc)
+        return sorted((k, v.tobytes()) for k, v in out.items())
+    from repro.fleet import FleetService, synthetic_workload
+    from repro.obs import EventLog
+
+    log = EventLog()
+    fleet = FleetService(4, cache_bytes=8 << 20, steal_threshold=4,
+                         steal_latency=100, recorder=log, chaos=sched)
+    fleet.run(synthetic_workload(40, seed=0))
+    return log.digest
+
+
+@functools.cache
+def _fault_free(scope: str):
+    return _consume(scope, FaultSchedule())
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_kind_in_the_table_fires(kind):
+    build, line = _ONE_OF_EACH[kind]
+    sched = build(FaultSchedule(seed=3))
+    assert sched.describe() == [line]
+    assert sched.pending() == ([] if kind in ("slow", "stall")
+                               else sched.faults)
+    scope = KINDS[kind].scope
+    assert _consume(scope, sched) != _fault_free(scope)
+    assert sched.pending() == []  # every point fault is one-shot
+
+
+def test_a_fault_of_an_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown fault kind 'kill'"):
+        Fault("kill", 5, "shard0")
+    with pytest.raises(ValueError, match="t1 > t0"):
+        FaultSchedule().stall("shard0", 10, 10)
+
+
+def test_a_rank_fault_on_a_missing_rank_is_refused_at_install(
+        sphere_mesh, channel, tmp_path):
+    with pytest.raises(ValueError, match="unknown rank 9"):
+        SimComm(4).install_faults(FaultSchedule().crash_rank(9, at_op=0))
+    with pytest.raises(ValueError, match="unknown rank 4"):
+        SimComm(4).install_faults(FaultSchedule().drop_message(0, 4, at_op=2))
+    _, mesh = sphere_mesh
+    with pytest.raises(ValueError, match="unknown rank 6"):
+        resilient_poisson_solve(
+            PoissonProblem(mesh, f=1.0), ranks=6, ckpt_dir=tmp_path / "p",
+            fault_schedule=FaultSchedule().crash_rank(6, at_op=17),
+        )
+    assert not list(tmp_path.glob("p/*"))  # refused before any checkpoint
+    _, _, make = channel
+    with pytest.raises(ValueError, match="unknown rank 4"):
+        ResilientNSDriver(make(), ranks=4, ckpt_dir=tmp_path / "ns",
+                          fault_schedule=FaultSchedule().crash_rank(4, 1))
+
+
+def test_a_shrunk_communicator_skips_faults_on_ranks_it_lost(sphere_mesh,
+                                                           tmp_path):
+    # rank 5 exists on the first communicator only: after the crash of
+    # rank 2 shrinks six ranks to five, its fault can never fire
+    _, mesh = sphere_mesh
+    sched = (FaultSchedule(seed=1).crash_rank(2, at_op=17)
+             .crash_rank(5, at_op=40))
+    res = resilient_poisson_solve(
+        PoissonProblem(mesh, f=1.0), ranks=6, ckpt_dir=tmp_path,
+        ckpt_interval=5, fault_schedule=sched, rtol=1e-12,
+    )
+    assert res.reason == "converged" and len(res.recoveries) == 1
+    assert sched.describe()[1:] == [f.describe() for f in sched.pending()]
 
 
 # -- communicator validation (satellite) -------------------------------
