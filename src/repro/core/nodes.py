@@ -25,6 +25,14 @@ per-element local node vectors, with hanging slots expanded into the
 coarse-donor Lagrange weights.  ``gather`` and its transpose are the
 algebraic content of the top-down and bottom-up traversals of §3.5; the
 traversal MATVEC itself lives in :mod:`repro.core.matvec`.
+
+Memory contract: the build holds no per-slot coordinate array.  Every
+ordinary and cancellation row is written straight from the leaves'
+anchors and sizes into one sort key (a packed int64 word, or one column
+per axis past 63 bits), each temporary is dropped after its last use,
+and only the independent nodes' coordinates are ever formed.  The donor
+search runs once per distinct hanging position, not once per hanging
+slot; the strictly-coarser check still covers every slot.
 """
 
 from __future__ import annotations
@@ -62,7 +70,9 @@ def cancellation_offsets(p: int, dim: int) -> np.ndarray:
     k = np.stack([g.ravel() for g in grids], axis=1)
     on_boundary = np.any((k == 0) | (k == 2 * p), axis=1)
     has_odd = np.any(k % 2 == 1, axis=1)
-    return k[on_boundary & has_odd]
+    out = k[on_boundary & has_odd]
+    out.flags.writeable = False  # shared by every build through the cache
+    return out
 
 
 @dataclass
@@ -116,52 +126,67 @@ class MeshNodes:
         return self.coords.astype(np.float64) * self.h_node
 
 
-def _element_node_coords(
-    leaves: OctantSet, offsets: np.ndarray, p: int
-) -> np.ndarray:
-    """All per-element node coords ``(n_elem, n_off, dim)`` in 2p units.
+def _sort_node_rows(leaves: OctantSet, p: int):
+    """Sort every element's ordinary and cancellation node rows by
+    coordinate, last axis most significant.
 
-    ``offsets`` are multi-indices scaled such that position =
-    ``2p·a + offset·s`` (ordinary nodes pass ``2*i``, cancellation
-    passes ``k``).
+    Row ``e·npe + i`` is ordinary node ``i`` of element ``e``; row
+    ``n_elem·npe + e·n_canc + k`` is its cancellation position ``k``.
+    Returns ``(order, grp, first)``: ``order`` sorts the rows (stable),
+    ``grp[r]`` is the group id of row ``order[r]`` — equal coordinates
+    share an id, ids ascend in sorted order — and ``first[g]`` is the
+    first row of group ``g``.
+
+    No row is ever built as a coordinate triple.  Every coordinate is a
+    non-negative multiple of the finest leaf side, so each axis is
+    written straight from ``anchors`` / ``sizes`` in units of that side,
+    and when one row's quotients fit a 63-bit word the rows are packed
+    into one int64 word each and sorted as words — same order, one key.
+    The multi-column lexsort is left to rows too wide to pack (leaves
+    near ``max_level``).
     """
+    dim = leaves.dim
+    offsets = (2 * local_node_offsets(p, dim), cancellation_offsets(p, dim))
     a = leaves.anchors.astype(np.int64)
     s = leaves.sizes.astype(np.int64)
-    return 2 * p * a[:, None, :] + offsets[None, :, :] * s[:, None, None]
+    shift = int(s.min()).bit_length() - 1
+    a >>= shift
+    s >>= shift
+    n_elem = len(s)
+    n = n_elem * sum(len(off) for off in offsets)
+    bits = (2 * p * int((a + s[:, None]).max())).bit_length()
 
+    def axis(j: int) -> np.ndarray:
+        """Axis ``j`` of every row, ``2p·a + offset·s``."""
+        col = np.empty(n, np.int64)
+        lo = 0
+        for off in offsets:
+            part = col[lo : lo + n_elem * len(off)].reshape(n_elem, len(off))
+            np.multiply(s[:, None], off[:, j], out=part)
+            part += 2 * p * a[:, j, None]
+            lo += part.size
+        return col
 
-def _group_coords(all_coords: np.ndarray, unit: int):
-    """Group identical coordinate rows.
-
-    Returns ``(grp, n_groups, first_of_group)`` where ``grp[i]`` is the
-    group id of row i (ids ordered by sorted coordinate order, last
-    column most significant) and ``first_of_group[g]`` indexes a
-    representative row.  Every coordinate is a non-negative multiple of
-    the power of two ``unit`` (the finest leaf side), so when the
-    quotients of one row fit a 63-bit word the rows are sorted as packed
-    words — same order, one key — and the multi-column lexsort is left
-    to rows too wide to pack (leaves near ``max_level``).
-    """
-    n, dim = all_coords.shape
-    shift = int(unit).bit_length() - 1
-    bits = (int(all_coords.max()) >> shift).bit_length() if n else 0
-    new = np.ones(n, bool)
     if dim * bits <= 63:
-        word = all_coords[:, 0] >> shift
+        keys = [axis(0)]
         for j in range(1, dim):
-            word |= (all_coords[:, j] >> shift) << (j * bits)
-        order = np.argsort(word, kind="stable")
-        sw = word[order]
-        new[1:] = sw[1:] != sw[:-1]
+            col = axis(j)
+            col <<= j * bits
+            keys[0] |= col
+            del col
+        order = np.argsort(keys[0], kind="stable")
     else:
-        order = np.lexsort(all_coords.T)
-        sc = all_coords[order]
-        new[1:] = np.any(sc[1:] != sc[:-1], axis=1)
-    gid_sorted = np.cumsum(new) - 1
-    grp = np.empty(n, np.int64)
-    grp[order] = gid_sorted
-    first = order[new]
-    return grp, int(gid_sorted[-1]) + 1 if n else 0, first
+        keys = [axis(j) for j in range(dim)]
+        order = np.lexsort(keys)
+    new = np.zeros(n, bool)
+    new[0] = True
+    while keys:
+        key = keys.pop()[order]
+        new[1:] |= key[1:] != key[:-1]
+        del key
+    grp = np.cumsum(new)
+    grp -= 1
+    return order, grp, order[new]
 
 
 def build_nodes(
@@ -197,46 +222,52 @@ def _build_nodes(
         raise EmptyMeshError("cannot build nodes on an empty mesh")
     basis = LagrangeBasis(p, dim)
     ord_off = local_node_offsets(p, dim)  # (npe, dim), entries 0..p
-
-    node_xyz = _element_node_coords(leaves, 2 * ord_off, p)  # ordinary
-    canc_off = cancellation_offsets(p, dim)
-    canc_xyz = _element_node_coords(leaves, canc_off, p)
-
     n_ord = n_elem * npe
-    all_coords = np.concatenate(
-        [node_xyz.reshape(n_ord, dim), canc_xyz.reshape(-1, dim)]
-    )
-    is_canc = np.zeros(len(all_coords), bool)
-    is_canc[n_ord:] = True
 
-    grp, n_grp, first = _group_coords(all_coords, int(leaves.sizes.min()))
-    grp_has_canc = np.zeros(n_grp, bool)
-    np.logical_or.at(grp_has_canc, grp[is_canc], True)
-    grp_has_ord = np.zeros(n_grp, bool)
-    np.logical_or.at(grp_has_ord, grp[~is_canc], True)
+    order, grp, first = _sort_node_rows(leaves, p)
+    canc = order >= n_ord  # sorted rows that are cancellation instances
+    grp_has_canc = np.zeros(len(first), bool)
+    grp_has_canc[grp[canc]] = True
+    ordinary = ~canc
+    del canc
+    row_grp = np.empty(n_ord, np.int64)  # group of every ordinary row
+    row_grp[order[ordinary]] = grp[ordinary]
+    del order, grp, ordinary
 
-    # independent DOFs: ordinary-only coordinates
-    is_dof_grp = grp_has_ord & ~grp_has_canc
-    gid_of_grp = np.full(n_grp, -1, np.int64)
+    # independent DOFs: ordinary-only coordinates; a DOF group holds no
+    # cancellation row, so its first row is an ordinary one
+    is_dof_grp = np.zeros(len(first), bool)
+    is_dof_grp[row_grp] = True
+    is_dof_grp &= ~grp_has_canc
+    del grp_has_canc
+    gid_of_grp = np.full(len(first), -1, np.int64)
     gid_of_grp[is_dof_grp] = np.arange(int(is_dof_grp.sum()))
-    coords = all_coords[first[is_dof_grp]]
+    rep_e, rep_i = np.divmod(first[is_dof_grp], npe)
+    del first, is_dof_grp
+    coords = 2 * p * leaves.anchors[rep_e].astype(np.int64)
+    coords += 2 * ord_off[rep_i] * leaves.sizes[rep_e].astype(np.int64)[:, None]
 
-    elem_nodes = gid_of_grp[grp[:n_ord]].reshape(n_elem, npe)
+    elem_nodes = gid_of_grp[row_grp].reshape(n_elem, npe)
+    del gid_of_grp
 
     # --- hanging-slot interpolation -------------------------------------
     hang_e, hang_i = np.nonzero(elem_nodes < 0)
-    rows_list, cols_list, vals_list = [], [], []
+    position = row_grp[hang_e * npe + hang_i]
+    del row_grp
     # direct (non-hanging) slots
-    ok_e, ok_i = np.nonzero(elem_nodes >= 0)
-    rows_list.append(ok_e * npe + ok_i)
-    cols_list.append(elem_nodes[ok_e, ok_i])
-    vals_list.append(np.ones(len(ok_e)))
+    ok = np.flatnonzero(elem_nodes >= 0)
+    rows_list, cols_list = [ok], [elem_nodes.ravel()[ok]]
+    vals_list = [np.ones(len(ok))]
 
     if len(hang_e):
-        don, xi = _find_donors(domain, leaves, hang_e, hang_i, p, curve)
-        W = basis.eval(xi)  # (n_h, npe)
+        don, xi, inv = _find_donors(
+            domain, leaves, hang_e, hang_i, position, p, curve
+        )
+        W = basis.eval(xi)  # (n_positions, npe)
         W[np.abs(W) < 1e-12] = 0.0
-        hr, hc, hv = _hanging_entries(elem_nodes, hang_e, hang_i, don, W, npe)
+        hr, hc, hv = _hanging_entries(
+            elem_nodes, hang_e, hang_i, don[inv], W[inv], npe
+        )
         rows_list += hr
         cols_list += hc
         vals_list += hv
@@ -247,7 +278,7 @@ def _build_nodes(
             np.concatenate(vals_list),
             (np.concatenate(rows_list), np.concatenate(cols_list)),
         ),
-        shape=(n_elem * npe, n_glob),
+        shape=(n_ord, n_glob),
     )
     gather.sum_duplicates()
 
@@ -345,16 +376,21 @@ def _find_donors(
     leaves: OctantSet,
     hang_e: np.ndarray,
     hang_i: np.ndarray,
+    position: np.ndarray,
     p: int,
     curve: str,
 ):
-    """Locate the coarse donor element for every hanging slot.
+    """Locate the coarse donor element of every hanging slot.
 
-    Returns ``(donor_elem_index, xi)`` where ``xi`` are the hanging
-    nodes' reference coordinates inside their donors.  The donor is the
-    coarsest leaf whose closed cell contains the hanging coordinate; it
-    is strictly coarser than the hanging slot's element (guaranteed by
-    the cancellation construction — asserted).
+    ``position[h]`` labels the node coordinate of slot
+    ``(hang_e[h], hang_i[h])``; slots with one label share one node, so
+    the search runs once per label, on its first slot.  Returns
+    ``(don, xi, inv)``: per position the donor element index and the
+    node's reference coordinates inside it, and per slot its position
+    index.  The donor is the coarsest leaf whose closed cell contains
+    the hanging coordinate; it is strictly coarser than *every* slot's
+    element (guaranteed by the cancellation construction — asserted per
+    slot, not per position).
     """
     dim = domain.dim
     m = max_level(dim)
@@ -363,13 +399,14 @@ def _find_donors(
     ends = block_ends(keys, leaves.levels, dim)
     ord_off = local_node_offsets(p, dim)
 
-    a = leaves.anchors.astype(np.int64)[hang_e]
-    s = leaves.sizes.astype(np.int64)[hang_e]
-    X = 2 * p * a + 2 * ord_off[hang_i] * s[:, None]  # (n_h, dim), 2p units
+    _, rep, inv = np.unique(position, return_index=True, return_inverse=True)
+    a = leaves.anchors[hang_e[rep]].astype(np.int64)
+    s = leaves.sizes[hang_e[rep]].astype(np.int64)
+    X = 2 * p * a + 2 * ord_off[hang_i[rep]] * s[:, None]  # (n, dim), 2p units
 
     # perturb towards each of the 2^dim corners, in 4p-scaled units
     dirs = 2 * local_node_offsets(1, dim) - 1  # (+/-1)^dim
-    Q = 2 * X[:, None, :] + dirs[None, :, :]  # (n_h, 2^dim, dim) in 4p units
+    Q = 2 * X[:, None, :] + dirs[None, :, :]  # (n, 2^dim, dim) in 4p units
     extent4 = 4 * p * (1 << m)
     in_dom = np.all((Q > 0) & (Q < extent4), axis=2)
     cell = np.clip(Q // (4 * p), 0, (1 << m) - 1).astype(np.uint64)
@@ -382,20 +419,18 @@ def _find_donors(
     lv = leaves.levels.astype(np.int64)[idxc]
     BIG = np.int64(1) << 40
     score = np.where(contained, lv * BIG + idxc, np.iinfo(np.int64).max)
-    score = score.reshape(len(hang_e), -1)
+    score = score.reshape(len(X), -1)
     best = np.argmin(score, axis=1)
-    don = idxc.reshape(len(hang_e), -1)[np.arange(len(hang_e)), best]
-    best_score = score[np.arange(len(hang_e)), best]
+    don = idxc.reshape(len(X), -1)[np.arange(len(X)), best]
+    best_score = score[np.arange(len(X)), best]
     if np.any(best_score == np.iinfo(np.int64).max):
         raise RuntimeError("hanging node with no containing donor leaf")
-    own_level = leaves.levels.astype(np.int64)[hang_e]
-    don_level = leaves.levels.astype(np.int64)[don]
-    if np.any(don_level >= own_level):
+    if np.any(leaves.levels[don][inv] >= leaves.levels[hang_e]):
         raise RuntimeError(
             "donor not strictly coarser — mesh is not 2:1 balanced or "
             "node enumeration is inconsistent"
         )
-    da = leaves.anchors.astype(np.int64)[don]
-    ds = leaves.sizes.astype(np.int64)[don]
+    da = leaves.anchors[don].astype(np.int64)
+    ds = leaves.sizes[don].astype(np.int64)
     xi = (X / (2 * p) - da) / ds[:, None]
-    return don, xi
+    return don, xi, inv

@@ -22,8 +22,6 @@ def _lagrange_1d_coeffs(p: int) -> np.ndarray:
 
     Row j holds the monomial coefficients (ascending powers) of L_j.
     """
-    if p == 0:
-        return np.ones((1, 1))
     xs = np.linspace(0.0, 1.0, p + 1)
     coeffs = np.zeros((p + 1, p + 1))
     for j in range(p + 1):
@@ -32,6 +30,7 @@ def _lagrange_1d_coeffs(p: int) -> np.ndarray:
             if k != j:
                 c *= np.poly1d([1.0, -xs[k]]) / (xs[j] - xs[k])
         coeffs[j, : len(c.coeffs)] = c.coeffs[::-1]
+    coeffs.flags.writeable = False  # the cache shares one table per p
     return coeffs
 
 
@@ -42,6 +41,7 @@ def local_node_offsets(p: int, dim: int) -> np.ndarray:
     grids = np.meshgrid(*axes, indexing="ij")
     # axis 0 fastest: stack then reorder so index = sum i_k (p+1)^k
     out = np.stack([g.ravel(order="F") for g in grids], axis=1)
+    out.flags.writeable = False  # the cache shares one table per (p, dim)
     return out
 
 

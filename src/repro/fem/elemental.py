@@ -54,6 +54,10 @@ class ReferenceElement:
         #: (dim, dim, npe, npe) — stabilisation terms contract this
         #: with velocity/direction vectors
         self.D_ref = np.einsum("q,qik,qjl->klij", w, self.G, self.G)
+        # reference_element shares one instance per (p, dim, nquad)
+        # process-wide: a write into a table would reach every mesh
+        for table in (self.N, self.G, self.K_ref, self.M_ref, self.C_ref, self.D_ref):
+            table.flags.writeable = False
 
     # -- batched matrix-free applications ------------------------------
     # routed through the repro.kernels facade so MapBasedMatVec and the

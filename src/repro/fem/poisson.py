@@ -89,6 +89,14 @@ class PoissonProblem:
         return finite("dirichlet", np.full(len(pts), float(g))
                       if np.isscalar(g) else g(pts))
 
+    def _g_nodes(self) -> np.ndarray:
+        """g at every node; a scalar g needs the node count, not the
+        node coordinates."""
+        g = self.dirichlet
+        if np.isscalar(g):
+            return finite("dirichlet", np.full(self.mesh.n_nodes, float(g)))
+        return self._g_at(self.mesh.node_coords())
+
     def system(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """Assembled system (A, b, fixed_mask) before elimination."""
         A = assemble(self.mesh, kind="stiffness")
@@ -138,7 +146,7 @@ class PoissonProblem:
             M, maxiter, take = (lambda r: r / diag), 20 * self.mesh.n_nodes, bc.free_idx
         else:
             A, b, fixed = self.system()
-            bc = Dirichlet(fixed, self._g_at(self.mesh.node_coords()))
+            bc = Dirichlet(fixed, self._g_nodes())
             free = bc.free_idx
             if len(free) == 0:
                 return bc.expand(free)
@@ -162,7 +170,7 @@ class PoissonProblem:
             raise ValueError("matrix-free solve supports the nodal method")
         mesh = self.mesh
         ctx = operator_context(mesh)
-        bc = Dirichlet(mesh.dirichlet_mask, self._g_at(mesh.node_coords()))
+        bc = Dirichlet(mesh.dirichlet_mask, self._g_nodes())
         apply = TraversalMatVec(mesh, plan=ctx.traversal)
         b = bc.masked_rhs(apply, finite("f", load_vector(mesh, self.f)))
         diag = ctx.jacobi_diagonal()

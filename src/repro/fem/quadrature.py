@@ -13,7 +13,7 @@ __all__ = ["gauss_legendre_1d", "tensor_rule"]
 def gauss_legendre_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``n``-point Gauss–Legendre points/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _frozen(0.5 * (x + 1.0), 0.5 * w)
 
 
 @lru_cache(maxsize=None)
@@ -26,4 +26,11 @@ def tensor_rule(n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     w = np.ones(len(pts))
     for g in wgrids:
         w *= g.ravel()
-    return pts, w
+    return _frozen(pts, w)
+
+
+def _frozen(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cached rules are shared process-wide: make them read-only."""
+    for t in tables:
+        t.flags.writeable = False
+    return tables

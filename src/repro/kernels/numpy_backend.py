@@ -108,14 +108,22 @@ class NumpyKernels:
     # -- global assembly ---------------------------------------------------
 
     def assemble(self, ctx, blocks: np.ndarray) -> sp.csr_matrix:
-        """``gatherᵀ · blockdiag(K_e) · gather`` via one BSR product."""
+        """``gatherᵀ · blockdiag(K_e) · gather`` via one BSR product.
+
+        The left factor is the context's cached CSR ``scatter``, so the
+        outer product is CSR × CSR: no CSC copy of the inner product and
+        no format conversion of the result.  The inner product is made
+        CSR before the outer one starts, so its BSR form is freed first.
+        Every entry sums its slot terms in ascending slot order, the
+        order ``gather.T @ (B @ gather)`` sums them in, so the two are
+        the same to the bit.
+        """
         n_elem, npe, _ = blocks.shape
         B = sp.bsr_matrix(
             (blocks, np.arange(n_elem), np.arange(n_elem + 1)),
             shape=(n_elem * npe, n_elem * npe),
         )
-        g = ctx.gather
-        A = (g.T @ (B @ g)).tocsr()
+        A = ctx.scatter @ (B @ ctx.gather).tocsr()
         A.sum_duplicates()
         return A
 

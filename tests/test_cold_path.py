@@ -22,7 +22,7 @@ from repro.core.balance import (
 )
 from repro.core.construct import construct_adaptive
 from repro.core.interpolate import evaluation_matrix, locate_points
-from repro.core.nodes import _element_node_coords, _group_coords
+from repro.core.nodes import _sort_node_rows
 from repro.core.octant import (
     OctantSet,
     contains,
@@ -228,16 +228,22 @@ def test_neighbors_report_their_source():
 # -- (c) node grouping --------------------------------------------------------
 
 
+def _element_node_coords(leaves, offsets, p):
+    """Per-element node coords ``(n_elem, n_off, dim)`` in 2p units — the
+    per-slot coordinate array the production build never forms."""
+    a = leaves.anchors.astype(np.int64)
+    s = leaves.sizes.astype(np.int64)
+    return 2 * p * a[:, None, :] + offsets[None, :, :] * s[:, None, None]
+
+
 def _group_reference(all_coords):
-    """Multi-column lexsort grouping (the pre-packing ``_group_coords``)."""
+    """Multi-column lexsort grouping of materialised coordinate rows."""
     order = np.lexsort(all_coords.T)
     sc = all_coords[order]
     new = np.ones(len(sc), bool)
     new[1:] = np.any(sc[1:] != sc[:-1], axis=1)
     gid_sorted = np.cumsum(new) - 1
-    grp = np.empty(len(all_coords), np.int64)
-    grp[order] = gid_sorted
-    return grp, int(gid_sorted[-1]) + 1, order[new]
+    return order, gid_sorted, order[new]
 
 
 def _all_node_coords(leaves, p):
@@ -247,13 +253,12 @@ def _all_node_coords(leaves, p):
     return np.concatenate([ordinary.reshape(-1, dim), canc.reshape(-1, dim)])
 
 
-def _assert_same_groups(leaves, p):
-    coords = _all_node_coords(leaves, p)
-    grp, n_grp, first = _group_coords(coords, int(leaves.sizes.min()))
-    rgrp, rn, rfirst = _group_reference(coords)
-    assert n_grp == rn
-    assert np.array_equal(grp, rgrp)
-    assert np.array_equal(coords[first], coords[rfirst])
+def _assert_same_groups(got, leaves, p):
+    """``_sort_node_rows``'s (order, grp, first) equal the lexsort of the
+    materialised rows, tie order included (both sorts are stable)."""
+    want = _group_reference(_all_node_coords(leaves, p))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 @settings(max_examples=10, deadline=None)
@@ -265,7 +270,7 @@ def _assert_same_groups(leaves, p):
 def test_group_coords_packed_equals_lexsort(seed, dim, p):
     rng = np.random.default_rng(seed)
     mesh = build_mesh(_random_domain(rng, dim), 2, 4 if dim == 2 else 3, p=p)
-    _assert_same_groups(mesh.leaves, p)
+    _assert_same_groups(_sort_node_rows(mesh.leaves, p), mesh.leaves, p)
 
 
 def _corner_chain(dim, depth):
@@ -293,14 +298,10 @@ def test_group_coords_overflow_branch_at_max_level(monkeypatch):
     monkeypatch.setattr(
         np, "lexsort", lambda keys: lexsorts.append(1) or real(keys)
     )
-    coords = _all_node_coords(leaves, 1)
-    got = _group_coords(coords, int(leaves.sizes.min()))
+    got = _sort_node_rows(leaves, 1)
     assert lexsorts == [1]  # too wide to pack
     monkeypatch.undo()
-    want = _group_reference(coords)
-    assert got[1] == want[1]
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(coords[got[2]], coords[want[2]])
+    _assert_same_groups(got, leaves, 1)
     # and the whole enumeration stands on it
     dom = Domain(SphereCarve([5.0, 5.0, 5.0], 0.1))  # carves nothing
     mesh = mesh_from_leaves(dom, leaves, p=1, balance=False)
@@ -311,7 +312,7 @@ def test_group_coords_overflow_branch_at_max_level(monkeypatch):
     monkeypatch.setattr(
         np, "lexsort", lambda keys: lexsorts.append(1) or real(keys)
     )
-    _group_coords(_all_node_coords(shallow, 1), int(shallow.sizes.min()))
+    _sort_node_rows(shallow, 1)
     assert lexsorts == [1]
 
 
@@ -353,10 +354,12 @@ def _n_chained_slots(mesh):
     """Hanging slots whose donor row itself has a weighted hanging slot."""
     en = mesh.nodes.elem_nodes
     he, hi = np.nonzero(en < 0)
-    don, xi = nodes_mod._find_donors(mesh.domain, mesh.leaves, he, hi,
-                                     mesh.p, mesh.curve)
-    W = LagrangeBasis(mesh.p, mesh.dim).eval(xi)
-    return int(np.any((np.abs(W) >= 1e-12) & (en[don] < 0), axis=1).sum())
+    # every slot its own position: one donor search per slot
+    don, xi, inv = nodes_mod._find_donors(
+        mesh.domain, mesh.leaves, he, hi, np.arange(len(he)), mesh.p, mesh.curve
+    )
+    W = LagrangeBasis(mesh.p, mesh.dim).eval(xi)[inv]
+    return int(np.any((np.abs(W) >= 1e-12) & (en[don[inv]] < 0), axis=1).sum())
 
 
 def _locate_reference(mesh, pts):

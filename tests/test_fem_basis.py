@@ -142,3 +142,25 @@ def test_basis_interpolates_polynomials_exactly(p, seed):
         coeffs = nodes[:, 0] ** deg
         vals = b.eval(pts) @ coeffs
         assert np.allclose(vals, pts[:, 0] ** deg, atol=1e-10)
+
+
+def test_cached_tables_are_read_only():
+    """Every lru-cached table is shared process-wide: an in-place write
+    would reach every later build and apply, so it must raise."""
+    from repro.core.nodes import cancellation_offsets
+    from repro.fem.basis import _lagrange_1d_coeffs
+
+    ref = reference_element(2, 3)
+    tables = {
+        "local_node_offsets": local_node_offsets(2, 3),
+        "_lagrange_1d_coeffs": _lagrange_1d_coeffs(2),
+        "cancellation_offsets": cancellation_offsets(2, 3),
+        "gauss_legendre_1d": gauss_legendre_1d(3)[1],
+        "tensor_rule": tensor_rule(3, 3)[0],
+        **{f"ref.{k}": getattr(ref, k)
+           for k in ("N", "G", "K_ref", "M_ref", "C_ref", "D_ref")},
+    }
+    for name, table in tables.items():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] += 1
+            pytest.fail(f"{name} is writeable")
