@@ -112,7 +112,7 @@ LADDER = (
 
 #: peak bytes per element above the post-import RSS a p = 1 rung of at
 #: least 10⁶ elements may use (build + one matrix-free solve)
-LADDER_BYTES_PER_ELEMENT = 1600
+LADDER_BYTES_PER_ELEMENT = 1300
 
 #: one rung, run in a fresh interpreter so its peak RSS is its own;
 #: prints one JSON row

@@ -2,8 +2,9 @@
 
 * :func:`traversal_matvec` / :class:`TraversalMatVec` — the paper's
   traversal as one compiled program per plan
-  (:class:`repro.core.plan.ApplyProgram`, which documents the layout),
-  the operator every single-process matrix-free solve applies.  With
+  (:class:`repro.core.plan.ApplyProgram`, which documents the layout);
+  a single-process matrix-free Poisson solve runs the same kernel on
+  the free-node program :class:`repro.core.plan.ConstrainedStiffness`.  With
   tracing on (see :mod:`repro.obs`) the merge spans ``matvec.top_down``
   / ``matvec.leaf`` / ``matvec.bottom_up`` hold the phase breakdown of
   the scaling figures.
@@ -128,14 +129,15 @@ def traversal_matvec(
     ker, pw = plan.kernel(kind)
     e_lo, e_hi = owned_range if owned_range is not None else (0, mesh.n_elem)
     return kernels.traversal_apply(
-        plan, np.asarray(u, float), ker, pw, e_lo, e_hi
+        plan.apply_tables(e_lo, e_hi), np.asarray(u, float), ker, pw
     )
 
 
 class TraversalMatVec:
-    """The compiled traversal MATVEC as a linear operator (a nodal
-    Dirichlet solve wraps it with
-    :meth:`repro.fem.dirichlet.Dirichlet.masked_apply`)."""
+    """The compiled traversal MATVEC over all nodes as a linear operator
+    (the nodal Dirichlet solve iterates on the free-node program instead,
+    :class:`repro.core.plan.ConstrainedStiffness`, and applies this once
+    to lift non-zero boundary data)."""
 
     def __init__(
         self,

@@ -20,6 +20,10 @@ by every discretization in the stack:
   non-hanging elements, the SFC key/level arrays, and — compiled on
   first use, once per plan — the one :class:`ApplyProgram` every §3.5
   traversal MATVEC executes (:meth:`TraversalPlan.apply_tables`).
+* :class:`ConstrainedStiffness` is the nodal Dirichlet-constrained
+  stiffness operator compiled in the free-node index space, with its
+  Jacobi diagonal and unit load: what a matrix-free Poisson solve
+  iterates on (:meth:`OperatorContext.constrained_stiffness`).
 
 Consumers (:class:`repro.core.matvec.MapBasedMatVec`,
 :func:`repro.core.matvec.traversal_matvec`,
@@ -39,6 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..fem.elemental import ReferenceElement, reference_element
+from ..kernels import api as kernels
 from ..obs import span
 from .sfc import cached_keys, get_curve
 from .treesort import block_ends
@@ -47,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .mesh import IncompleteMesh
 
 __all__ = [
+    "ConstrainedStiffness",
     "OperatorContext",
     "TraversalPlan",
     "operator_context",
@@ -77,7 +83,9 @@ class IdentityBlock:
     top-down pass is the pure index read ``u[gid]``."""
 
     elems: np.ndarray  #: (n,) element ids, ascending
-    gid: np.ndarray  #: (n, npe) global node id of every slot
+    #: (n, npe) node id of every slot, ``intp`` (numpy converts any other
+    #: index type on every read)
+    gid: np.ndarray
 
     def gather(self, u: np.ndarray) -> np.ndarray:
         """Element-local values ``(n, npe)`` of the nodal vector ``u``."""
@@ -96,19 +104,20 @@ class HangingBlock:
         return (self.interp @ u).reshape(len(self.elems), -1)
 
 
-def _local_ids(local: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def _local_ids(local: np.ndarray, ids: np.ndarray, pad: bool = False):
     """Positions of the global node ids ``ids`` in the sorted id set
-    ``local``.  An id outside the set raises here: scipy does not check
-    CSR columns, and an out-of-range one corrupts the heap."""
+    ``local``, and which ids are in it.  Unless ``pad`` is set, an id
+    outside the set raises here: scipy does not check CSR columns, and
+    an out-of-range one corrupts the heap."""
     pos = np.searchsorted(local, ids)
     hit = pos < len(local)
     hit[hit] = local[pos[hit]] == ids[hit]
-    if not hit.all():
+    if not (pad or hit.all()):
         raise ValueError(
             f"{int((~hit).sum())} node ids lie outside the "
             f"{len(local)}-node local index space"
         )
-    return pos
+    return pos, hit
 
 
 class ApplyProgram:
@@ -120,38 +129,51 @@ class ApplyProgram:
     bottom-up is **one** CSR product (:meth:`scatter`) whose weights
     already carry ``h**pw`` — exact for the power-of-two sizes of an
     octree, within 1 ulp otherwise — so no apply pays a scale pass.
+    Both are compiled straight from the plan's slot tables.
 
     ``local`` (sorted global node ids) compiles the program in that
-    rank-local index space: it reads and returns ``len(local)``-vectors,
-    entry ``i`` standing for node ``local[i]``.  Every referenced node
-    must be in ``local``.
+    index space: it reads and returns ``len(local)``-vectors, entry ``i``
+    standing for node ``local[i]``.  Every referenced node must be in
+    ``local`` (a rank's program) unless ``pad`` is set: then the nodes
+    outside it are held at zero (the Dirichlet-constrained operator on
+    the free nodes).  The kernel appends one zero to the input, every
+    slot and donor on a held node reads it, and the held rows leave the
+    scatter, so each free row is the unconstrained one to the bit.
+    Donor entries keep their place in the hanging rows: a CSR product
+    over rows of irregular length (some emptied) ran 1.5x slower.
     """
 
     def __init__(
         self, plan: TraversalPlan, e_lo: int, e_hi: int,
-        local: np.ndarray | None = None,
+        local: np.ndarray | None = None, pad: bool = False,
     ):
         self.npe = npe = plan.mesh.npe
         elems = np.arange(e_lo, e_hi)
         ident = plan.identity_elem[elems]
         id_el, hg_el = elems[ident], elems[~ident]
-        order = np.concatenate([id_el, hg_el])
-        self.n_elem = len(order)  #: leaf rows
+        self.n_elem = len(elems)  #: leaf rows
+        #: length of the vectors the program reads and returns
+        self.n_nodes = n = plan.mesh.n_nodes if local is None else len(local)
+        #: the kernel appends a zero at index ``n_nodes`` for held nodes
+        self.pad = pad
         slots = np.arange(npe)
-        # the element-to-node interpolation, slot rows in program order
-        g = plan.gather[(order[:, None] * npe + slots).ravel()]
+        # an identity slot row holds one unit entry, at its slot offset
         gid = plan.slot_gid[plan.slot_ptr[id_el][:, None] + slots]
-        if local is not None:
-            g = sp.csr_matrix(
-                (g.data, _local_ids(local, g.indices), g.indptr),
-                shape=(g.shape[0], len(local)),
+        interp = plan.gather[(hg_el[:, None] * npe + slots).ravel()]
+        if local is None:
+            gid = gid.astype(np.intp)
+        else:
+            pos, hit = _local_ids(local, gid, pad)
+            gid = np.where(hit, pos, n)
+            pos, hit = _local_ids(local, interp.indices, pad)
+            interp = sp.csr_matrix(
+                (interp.data, np.where(hit, pos, n), interp.indptr),
+                shape=(interp.shape[0], n + 1 if pad else n),
             )
-            gid = _local_ids(local, gid)
-        self._gather = g
-        self._h = plan.h[order]
+        self._h = plan.h[np.concatenate([id_el, hg_el])]
         self._scatter: dict[int, sp.csr_matrix] = {}
         self.identity = IdentityBlock(id_el, gid)
-        self.hanging = HangingBlock(hg_el, g[len(id_el) * npe :])
+        self.hanging = HangingBlock(hg_el, interp)
 
     def __iter__(self):
         return (b for b in (self.identity, self.hanging) if len(b.elems))
@@ -161,15 +183,27 @@ class ApplyProgram:
         ``c`` = slot ``c % npe`` of leaf row ``c // npe``, ``h**pw``
         folded into the weights; built once per exponent."""
         if pw not in self._scatter:
-            scale = sp.diags(np.repeat(self._h**pw, self.npe))
-            self._scatter[pw] = (scale @ self._gather).T.tocsr()
+            h_slot = np.repeat(self._h**pw, self.npe)
+            gid, interp = self.identity.gid.ravel(), self.hanging.interp
+            n_id, ptr = len(gid), interp.indptr
+            w_hang = np.repeat(h_slot[n_id:], np.diff(ptr))
+            w_hang *= interp.data
+            # the gather's transpose in CSC, one column per slot row; a
+            # held node's entries land on the pad row, dropped after
+            S = sp.csc_matrix(
+                (np.concatenate([h_slot[:n_id], w_hang]),
+                 np.concatenate([gid, interp.indices], dtype=interp.indices.dtype),
+                 np.concatenate([np.arange(n_id, dtype=ptr.dtype), ptr + n_id])),
+                shape=(interp.shape[1], len(h_slot)),
+            ).tocsr()
+            self._scatter[pw] = S[: self.n_nodes] if self.pad else S
         return self._scatter[pw]
 
     @property
     def nbytes(self) -> int:
         """Resident bytes of the program's tables, scatters built so far
         included."""
-        csrs = (self._gather, self.hanging.interp, *self._scatter.values())
+        csrs = (self.hanging.interp, *self._scatter.values())
         return self.identity.gid.nbytes + self._h.nbytes + sum(
             m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in csrs
         )
@@ -187,7 +221,9 @@ class TraversalPlan:
         ``(n_elem + 1,)`` int64; element ``e`` owns the triple range
         ``slot_ptr[e]:slot_ptr[e+1]``.
     ``slot_idx`` / ``slot_gid`` / ``slot_w``
-        flat local-slot index, global node id, interpolation weight.
+        flat local-slot index (the narrowest unsigned type that holds
+        ``npe``), global node id and interpolation weight (views of the
+        gather's own ``indices`` / ``data``, no copies).
     ``identity_elem``
         ``(n_elem,)`` bool; True where the element's rows are the pure
         identity (no hanging slots).
@@ -210,10 +246,9 @@ class TraversalPlan:
         indptr, indices, data = g.indptr, g.indices, g.data
         counts = np.diff(indptr)
         self.slot_ptr = indptr[::npe].astype(np.int64)
-        self.slot_idx = np.repeat(
-            np.arange(n_elem * npe, dtype=np.int64) % npe, counts
-        )
-        self.slot_gid = indices.astype(np.int64)
+        slot = np.arange(npe, dtype=np.min_scalar_type(npe))
+        self.slot_idx = np.repeat(np.tile(slot, n_elem), counts)
+        self.slot_gid = indices
         self.slot_w = np.asarray(data, np.float64)
         # identity elements: one unit-weight entry per slot row
         simple_rows = (counts == 1).reshape(n_elem, npe).all(axis=1)
@@ -224,8 +259,11 @@ class TraversalPlan:
         self.keys = cached_keys(mesh.leaves, oracle)
         self.ends = block_ends(self.keys, mesh.leaves.levels, mesh.dim)
         self.coords = mesh.nodes.coords  # 2p-scaled units
-        self.levels = mesh.leaves.levels.astype(np.int64)
-        self.h = ctx.h if ctx is not None else mesh.element_sizes()
+        if ctx is not None:
+            self.levels, self.h = ctx.levels, ctx.h
+        else:
+            self.levels = mesh.leaves.levels.astype(np.int64)
+            self.h = mesh.element_sizes()
         self.oracle = oracle
         # Fortran order: the leaf apply multiplies by the transpose, and
         # a contiguous right operand is 2.5x faster through matmul
@@ -266,14 +304,44 @@ class TraversalPlan:
         return self._program
 
 
+class ConstrainedStiffness:
+    """``A_ff`` without a matrix: the stiffness operator on the free
+    nodes of the mesh's nodal Dirichlet mask, compiled once per mesh —
+    the compiled instance of :meth:`repro.fem.dirichlet.Dirichlet.A_ff`.
+
+    Calling it on a ``(n_free,)`` vector runs :attr:`program` (the whole
+    mesh, ``local=free_idx, pad=True``) through the counted kernel
+    facade, so spans and kernel counters see one traversal MATVEC.  The
+    free node ids ``free_idx``, the Jacobi diagonal ``diag`` (1 where it
+    would vanish) and the unit-source load ``unit_load``, both on the
+    free nodes, are read-only: the context shares them between callers.
+    """
+
+    def __init__(self, ctx: OperatorContext):
+        mesh = ctx.mesh
+        self.free_idx = np.flatnonzero(~mesh.dirichlet_mask)
+        plan = ctx.traversal
+        self.ker, self.pw = plan.kernel("stiffness")
+        self.program = ApplyProgram(
+            plan, 0, mesh.n_elem, local=self.free_idx, pad=True)
+        diag = ctx.jacobi_diagonal()[self.free_idx]
+        self.diag = np.where(diag > 0, diag, 1.0)
+        self.unit_load = ctx.unit_load()[self.free_idx]
+        for table in (self.free_idx, self.diag, self.unit_load):
+            table.flags.writeable = False
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return kernels.traversal_apply(self.program, u, self.ker, self.pw)
+
+
 class OperatorContext:
     """Per-mesh bundle of operator artifacts, computed once per fingerprint.
 
     Eagerly holds the cheap, universally needed pieces (gather CSR,
     element sizes, levels); derives the rest lazily on first use
     (scatter CSR, traversal plan, multi-field gathers, the solve
-    tables: unit load, Jacobi diagonal) and keeps them for the lifetime
-    of the mesh.
+    tables: unit load, Jacobi diagonal, the constrained stiffness
+    operator) and keeps them for the lifetime of the mesh.
     """
 
     def __init__(self, mesh: IncompleteMesh, fingerprint: str | None = None):
@@ -296,6 +364,7 @@ class OperatorContext:
         self._traversal: TraversalPlan | None = None
         self._big_gathers: dict[int, sp.csr_matrix] = {}
         self._solve_tables: dict[tuple, np.ndarray] = {}
+        self._constrained: ConstrainedStiffness | None = None
 
     # -- quadrature / reference-element handles -------------------------
 
@@ -355,6 +424,14 @@ class OperatorContext:
             return np.asarray(g.T.multiply(g.T) @ dloc).ravel()
 
         return self._solve_table(("jacobi_diagonal", kind), build)
+
+    def constrained_stiffness(self) -> ConstrainedStiffness:
+        """The nodal Dirichlet-constrained stiffness operator on the free
+        nodes; compiled from the plan's tables, never from the
+        whole-mesh program."""
+        if self._constrained is None:
+            self._constrained = ConstrainedStiffness(self)
+        return self._constrained
 
     def big_gather(self, nfields: int) -> sp.csr_matrix:
         """Multi-field gather: global ``[f0 | f1 | ...]`` vectors to

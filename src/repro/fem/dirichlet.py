@@ -6,6 +6,15 @@ arithmetic its callers had: sliced (``A_ff``, ``b_f − A_fc·u_c``,
 ``expand``), symmetric-masked (``keep·A·keep + I``, or ``masked_apply``
 around any apply callable) and row-replaced (``keep·A + I``).  Hostile
 data is a ``ValueError`` naming the field.
+
+The sliced form has two instances of ``A_ff``: the assembled one
+(:meth:`Dirichlet.A_ff`) and the compiled one,
+:class:`repro.core.plan.ConstrainedStiffness` — the traversal program
+over the free nodes, built once per mesh; a callable ``A`` lifts the
+data through one unconstrained apply.  The masked form stays for the
+distributed resilient solve: its checkpoints hold full-length Krylov
+vectors and each rank's program runs in its own index space, so it
+wraps ``distributed_matvec`` with :meth:`Dirichlet.masked_apply`.
 """
 
 from __future__ import annotations
@@ -57,7 +66,11 @@ class Dirichlet:
         return A[np.ix_(self.free_idx, self.free_idx)].tocsr()
 
     def lift(self, A) -> np.ndarray:
-        """``A_fc · u_c``: what the boundary data moves to the free rows."""
+        """``A_fc · u_c``: what the boundary data moves to the free rows.
+        ``A`` is a matrix or an apply callable over all nodes (one
+        unconstrained apply of the data)."""
+        if callable(A):
+            return A(self.u_fix)[self.free_idx]
         return A[np.ix_(self.free_idx, self.fixed_idx)] @ self.u_fix[self.fixed_idx]
 
     def rhs(self, A, b: np.ndarray) -> np.ndarray:

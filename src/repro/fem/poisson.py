@@ -124,9 +124,10 @@ class PoissonProblem:
 
         ``solver``: ``"auto"`` (direct for SBM, CG otherwise),
         ``"direct"``, ``"cg"`` (assembled + Jacobi-CG), or
-        ``"matrix-free"`` — never assembles the global matrix: the
-        operator action is the compiled traversal MATVEC, masked
-        (:meth:`masked_system`).
+        ``"matrix-free"`` — never assembles the global matrix: Jacobi-CG
+        runs on the free nodes through the mesh's compiled constrained
+        operator (:meth:`repro.core.plan.OperatorContext.constrained_stiffness`),
+        and non-zero boundary data is lifted by one unconstrained apply.
 
         ``x0`` (length ``n_nodes``) warm-starts the CG iteration — the
         AMR loop passes the previous mesh's solution transferred to the
@@ -138,34 +139,48 @@ class PoissonProblem:
             raise ValueError(
                 f"unknown solver {solver!r}: expected auto, direct, cg or matrix-free"
             )
+        mesh = self.mesh
         if x0 is not None:
-            x0 = finite("x0", x0, self.mesh.n_nodes)
+            x0 = finite("x0", x0, mesh.n_nodes)
         if solver == "matrix-free":
-            bc, op, b, diag = self.masked_system()
-            start = None if x0 is None else np.where(bc.free, x0, 0.0)
-            M, maxiter, take = (lambda r: r / diag), 20 * self.mesh.n_nodes, bc.free_idx
+            if self.method != "nodal":
+                raise ValueError("matrix-free solve supports the nodal method")
+            ctx = operator_context(mesh)
+            op = ctx.constrained_stiffness()
+            bc = Dirichlet(mesh.dirichlet_mask, self._g_nodes())
+            if np.isscalar(self.f):
+                b = finite("f", float(self.f) * op.unit_load)
+            else:
+                b = finite("f", load_vector(mesh, self.f))[op.free_idx]
+            if bc.u_fix.any():  # homogeneous data lifts to nothing
+                b = b - bc.lift(TraversalMatVec(mesh, plan=ctx.traversal))
+            M = lambda r: r / op.diag  # noqa: E731
         else:
             A, b, fixed = self.system()
             bc = Dirichlet(fixed, self._g_nodes())
-            free = bc.free_idx
-            if len(free) == 0:
-                return bc.expand(free)
+            if len(bc.free_idx) == 0:
+                return bc.expand(bc.free_idx)
             op, b = bc.A_ff(A), bc.rhs(A, b)
             if solver == "direct" or (solver == "auto" and self.method == "sbm"):
                 import scipy.sparse.linalg as spla
 
                 return bc.expand(spla.spsolve(op.tocsc(), b))
-            start = None if x0 is None else x0[free]
-            M, maxiter, take = jacobi(op), 20 * len(free), slice(None)
-        res = cg(op, b, x0=start, M=M, rtol=rtol, maxiter=maxiter)
+            M = jacobi(op)
+        free = bc.free_idx
+        start = None if x0 is None else x0[free]
+        res = cg(op, b, x0=start, M=M, rtol=rtol, maxiter=20 * len(free))
         if not res.converged:
             raise RuntimeError(f"CG failed to converge: residual {res.residual:.3e}")
-        return bc.expand(res.x[take])
+        return bc.expand(res.x)
 
     def masked_system(self):
-        """The nodal system without a matrix, ``(bc, op, b, diag)``: the
-        :class:`Dirichlet`, the masked compiled MATVEC, the lifted load
-        (0 where fixed), the Jacobi diagonal (1 where fixed)."""
+        """The nodal system without a matrix on full-length vectors,
+        ``(bc, op, b, diag)``: the :class:`Dirichlet`, the masked
+        compiled MATVEC, the lifted load (0 where fixed), the Jacobi
+        diagonal (1 where fixed).  The system of
+        :func:`repro.resilience.recovery.resilient_poisson_solve`, whose
+        checkpoints hold full-length vectors; :meth:`solve` iterates on
+        the free nodes instead."""
         if self.method != "nodal":
             raise ValueError("matrix-free solve supports the nodal method")
         mesh = self.mesh

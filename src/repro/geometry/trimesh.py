@@ -20,7 +20,6 @@ interior from the domain.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .predicate import RegionLabel, SubdomainPredicate
 
@@ -31,6 +30,9 @@ class TriMesh:
     """A closed, orientable triangle surface mesh."""
 
     def __init__(self, vertices: np.ndarray, faces: np.ndarray):
+        # imported here: every `import repro` would pay for scipy.spatial
+        from scipy.spatial import cKDTree
+
         self.vertices = np.ascontiguousarray(vertices, np.float64)
         self.faces = np.ascontiguousarray(faces, np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:

@@ -154,17 +154,17 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _timed("axpy", _K.axpy, _axpy_cost, alpha, x, y)
 
 
-def traversal_apply(plan, u: np.ndarray, ker: np.ndarray, pw: int,
-                    e_lo: int, e_hi: int) -> np.ndarray:
-    """Flat traversal MATVEC over elements ``[e_lo, e_hi)`` of ``plan``;
-    when tracing, under a ``matvec.traversal`` span that holds the
-    phase spans."""
+def traversal_apply(prog, u: np.ndarray, ker: np.ndarray,
+                    pw: int) -> np.ndarray:
+    """Flat traversal MATVEC: one run of the compiled apply program
+    ``prog``; when tracing, under a ``matvec.traversal`` span that holds
+    the phase spans."""
     if not TRACER.enabled:
-        return _K.traversal_matvec(plan.apply_tables(e_lo, e_hi), u, ker, pw)
+        return _K.traversal_matvec(prog, u, ker, pw)
     with span("matvec.traversal", backend=_K.name) as osp:
-        osp.add("elements", e_hi - e_lo)
+        osp.add("elements", prog.n_elem)
         return _timed("traversal", _K.traversal_matvec, _traversal_cost,
-                      plan.apply_tables(e_lo, e_hi), u, ker, pw)
+                      prog, u, ker, pw)
 
 
 def assemble(ctx, blocks: np.ndarray) -> sp.csr_matrix:

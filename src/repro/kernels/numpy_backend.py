@@ -7,11 +7,13 @@ products, the batched elemental apply is one dense matmul plus a column
 scale, dot/axpy are the plain BLAS-backed numpy expressions, and
 assembly is the BSR triple product.
 
-``traversal_matvec`` is the one production matrix-free apply, serial and
-per rank: it runs a compiled :class:`~repro.core.plan.ApplyProgram` —
-one index read and one hanging-rows CSR product down, the dense part
+``traversal_matvec`` is the one production matrix-free apply — the
+whole mesh, a rank's elements, or the Dirichlet-constrained operator on
+the free nodes: it runs a compiled :class:`~repro.core.plan.ApplyProgram`
+— one index read and one hanging-rows CSR product down, the dense part
 through :meth:`NumpyKernels.elem_apply`, one scale-folded CSR product
-up.
+up.  It checks the input length against the program, and appends the
+one zero a padded (constrained) program reads for its held nodes.
 
 :data:`KERNELS` is the instance :mod:`repro.kernels.api` counts and
 :mod:`repro.solvers.krylov` takes ``dot`` / ``axpy`` from.
@@ -83,7 +85,20 @@ class NumpyKernels:
         (``matvec.leaf``); one accumulation of the duplicated node
         instances, ``h**pw`` already in its weights
         (``matvec.bottom_up``).
+
+        ``u`` must hold one entry per program node: anything else is a
+        ``ValueError`` naming the shape (a longer vector would otherwise
+        be read in part, a shorter one fail inside an index read).  A
+        padded program (held nodes, :class:`~repro.core.plan.ApplyProgram`
+        ``pad=True``) reads a copy of ``u`` with a zero appended.
         """
+        if u.shape != (prog.n_nodes,):
+            raise ValueError(
+                f"traversal_matvec applies to one vector over the "
+                f"program's nodes: u has shape {u.shape}, expected "
+                f"({prog.n_nodes},)")
+        if prog.pad:
+            u = np.append(u, 0.0)
         w_loc = np.empty((prog.n_elem, prog.npe))
         row = 0
         for block in prog:

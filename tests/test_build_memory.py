@@ -1,12 +1,14 @@
-"""Memory gates of the mesh build and of assembly, and the per-slot donor
-check that the once-per-position donor search keeps.
+"""Memory gates of the mesh build, of assembly and of the first
+matrix-free solve, and the per-slot donor check that the
+once-per-position donor search keeps.
 
 The gates are tracemalloc peaks on the 18 224-element carved sphere
 (r = 0.3, base 4, boundary 6, p = 1), per element.  Per-slot coordinate
 arrays in ``build_nodes`` read 3.6 kB, and a CSC outer product in
 assembly (elemental blocks included) 2.6 kB; the bounds sit between
 those and the current 0.98 / 1.87 kB, so either coming back fails its
-gate.
+gate.  The first solve (now about 0.91 kB peak, 0.47 kB held) may use
+no more than the masked whole-mesh solve did.
 """
 
 import tracemalloc
@@ -29,6 +31,11 @@ from repro.geometry import SphereCarve
 #: bytes per element at the tracemalloc peak
 BUILD_NODES_BYTES_PER_ELEMENT = 1600
 ASSEMBLE_BYTES_PER_ELEMENT = 2000
+#: the first matrix-free solve, peak and held afterwards: what a solve
+#: through the masked whole-mesh program took (building the free-node
+#: program from that one read 1 327 / 1 072)
+FIRST_SOLVE_PEAK_BYTES_PER_ELEMENT = 1194
+FIRST_SOLVE_HELD_BYTES_PER_ELEMENT = 818
 
 
 @pytest.fixture(scope="module")
@@ -38,25 +45,40 @@ def sphere():
     return mesh
 
 
-def _peak_bytes(fn) -> int:
+def _traced_bytes(fn) -> tuple[int, int]:
+    """tracemalloc peak of ``fn()`` and the bytes it leaves held, its
+    result dropped."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn()
-        return tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return peak - base, held - base
     finally:
         tracemalloc.stop()
 
 
 def test_build_nodes_peak_per_element(sphere):
-    peak = _peak_bytes(lambda: build_nodes(sphere.domain, sphere.leaves, 1))
+    peak, _ = _traced_bytes(lambda: build_nodes(sphere.domain, sphere.leaves, 1))
     assert peak <= BUILD_NODES_BYTES_PER_ELEMENT * sphere.n_elem, peak / sphere.n_elem
 
 
 def test_assemble_peak_per_element(sphere):
     operator_context(sphere).scatter  # a per-mesh artifact, built once
-    peak = _peak_bytes(lambda: assemble(sphere))
+    peak, _ = _traced_bytes(lambda: assemble(sphere))
     assert peak <= ASSEMBLE_BYTES_PER_ELEMENT * sphere.n_elem, peak / sphere.n_elem
+
+
+def test_first_matrix_free_solve_per_element(sphere):
+    """The first solve on a mesh builds its operator context, plan and
+    solve tables; the constrained program is compiled from the plan's
+    tables, never through the whole-mesh program."""
+    mesh = mesh_from_leaves(sphere.domain, sphere.leaves, p=1, balance=False)
+    peak, held = _traced_bytes(
+        lambda: PoissonProblem(mesh, f=1.0).solve(solver="matrix-free"))
+    assert peak <= FIRST_SOLVE_PEAK_BYTES_PER_ELEMENT * mesh.n_elem, peak / mesh.n_elem
+    assert held <= FIRST_SOLVE_HELD_BYTES_PER_ELEMENT * mesh.n_elem, held / mesh.n_elem
+    assert operator_context(mesh).traversal._program is None
 
 
 def _overlapping_leaves():

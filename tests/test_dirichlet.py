@@ -6,7 +6,10 @@ eliminations each consumer wrote for itself before that, kept verbatim,
 so "no bit moved" is checked here and not only by the digest smokes:
 the serve factors of all four pde kinds on the ``cold_solve`` sphere
 (bytes held and unit responses), ``TransportProblem.A`` against the
-per-row ``lil`` loop, and the direct / CG / matrix-free Poisson solves.
+per-row ``lil`` loop, and the direct / CG Poisson solves.  The
+matrix-free solve iterates on the compiled free-node operator; it is
+checked against the masked form it replaced: the apply bit for bit on
+the free rows, the solve to 1e-12 in as many iterations.
 """
 
 import numpy as np
@@ -16,9 +19,10 @@ import scipy.sparse.linalg as spla
 
 from repro import Domain, build_mesh
 from repro.core.assembly import assemble
-from repro.core.matvec import traversal_matvec
+from repro.core.matvec import TraversalMatVec
+from repro.core.mesh import IncompleteMesh, build_uniform_mesh
 from repro.core.plan import operator_context
-from repro.fem import PoissonProblem
+from repro.fem import PoissonProblem, poisson
 from repro.fem.dirichlet import Dirichlet
 from repro.fem.sbm import sbm_terms
 from repro.geometry import SphereCarve
@@ -26,6 +30,8 @@ from repro.serve import SolveRequest
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
 from repro.solvers.krylov import cg
 from repro.solvers.precond import jacobi
+
+from .test_pipeline_properties import _random_domain
 
 #: the sphere ``cold_solve`` warms up on
 SPHERE = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 0.3}
@@ -189,25 +195,94 @@ def test_assembled_solves_keep_their_bits(carved, method, solver):
                                               x0=start).tobytes()
 
 
-def test_matrix_free_solve_keeps_its_bits(carved):
-    """The parent's masked operator, lift and diagonal, written out."""
-    prob = PoissonProblem(carved, f=2.5, dirichlet=0.75)
-    ctx = operator_context(carved)
-    free = ~carved.dirichlet_mask
-    u_fix = np.where(free, 0.0, prob._g_at(carved.node_coords()))
-    b = operator_context(carved).unit_load() * 2.5
-    b -= traversal_matvec(carved, u_fix, plan=ctx.traversal)
-    diag = ctx.jacobi_diagonal()
-    diag = np.where(free & (diag > 0), diag, 1.0)
+def _carve(dim, p, levels):
+    """A generated carve union, one seed per (dim, p)."""
+    rng = np.random.default_rng(29 + dim + 10 * p)
+    return build_mesh(_random_domain(rng, dim), *levels, p=p)
 
-    def op(u):
-        w = traversal_matvec(carved, np.where(free, u, 0.0))
-        return np.where(free, w, u)
 
-    res = cg(op, np.where(free, b, 0.0), M=lambda r: r / diag, rtol=1e-10,
-             maxiter=20 * carved.n_nodes)
-    want = np.where(free, res.x, u_fix)
-    assert prob.solve(solver="matrix-free").tobytes() == want.tobytes()
+_CONSTRAINED_MESHES = {
+    "carve-2d-p1": lambda: _carve(2, 1, (2, 5)),
+    "carve-2d-p2": lambda: _carve(2, 2, (2, 4)),
+    "carve-3d-p1": lambda: _carve(3, 1, (2, 4)),
+    "carve-3d-p2": lambda: _carve(3, 2, (2, 3)),
+    "no-hanging-slot": lambda: build_uniform_mesh(
+        Domain(SphereCarve([0.5, 0.5], 0.25)), 3),
+    # with the mask below, every node is free
+    "no-fixed-node": lambda: build_mesh(
+        Domain(SphereCarve([0.5, 0.5], 0.3)), 2, 4, p=2),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONSTRAINED_MESHES))
+def test_constrained_apply_is_the_masked_apply_on_the_free_rows(case, monkeypatch):
+    """The compiled free-node operator against the masked whole-mesh
+    apply, bit for bit, on every free row."""
+    if case == "no-fixed-node":
+        monkeypatch.setattr(IncompleteMesh, "dirichlet_mask",
+                            property(lambda m: np.zeros(m.n_nodes, bool)))
+    mesh = _CONSTRAINED_MESHES[case]()
+    plan = operator_context(mesh).traversal
+    assert plan.identity_elem.all() == (case == "no-hanging-slot")
+    fixed = mesh.dirichlet_mask
+    assert fixed.any() != (case == "no-fixed-node")
+    op = operator_context(mesh).constrained_stiffness()
+    assert np.array_equal(op.free_idx, np.flatnonzero(~fixed))
+    masked = Dirichlet(fixed).masked_apply(TraversalMatVec(mesh))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        u = rng.standard_normal(mesh.n_nodes)
+        assert np.array_equal(op(u[op.free_idx]), masked(u)[op.free_idx])
+    # the solve tables are the full-length ones on the free rows, shared
+    ctx = operator_context(mesh)
+    assert np.array_equal(op.unit_load, ctx.unit_load()[op.free_idx])
+    assert np.array_equal(op.diag, ctx.jacobi_diagonal()[op.free_idx])
+    assert ctx.constrained_stiffness() is op
+    for table in (op.free_idx, op.diag, op.unit_load):
+        assert not table.flags.writeable
+
+
+def _masked_solve(prob, rtol, x0):
+    """The matrix-free solve on full-length vectors: the masked system."""
+    bc, op, b, diag = prob.masked_system()
+    start = None if x0 is None else np.where(bc.free, x0, 0.0)
+    res = cg(op, b, x0=start, M=lambda r: r / diag, rtol=rtol,
+             maxiter=20 * prob.mesh.n_nodes)
+    return bc.expand(res.x[bc.free_idx]), res.iterations
+
+
+@pytest.fixture(scope="module")
+def carved_3d_p2():
+    return build_mesh(Domain(SphereCarve([0.5, 0.5, 0.5], 0.3)), 2, 3, p=2)
+
+
+@pytest.mark.parametrize("with_x0", [False, True], ids=["cold", "x0"])
+@pytest.mark.parametrize("g", ["zero", "constant", "callable"])
+@pytest.mark.parametrize("fixture", ["carved", "carved_3d_p2"])
+def test_matrix_free_solve_is_the_masked_solve(fixture, g, with_x0, request,
+                                               monkeypatch):
+    """CG on the free nodes takes the masked solve's iterations and lands
+    within 1e-12 of it (its dot products run over fewer entries)."""
+    mesh = request.getfixturevalue(fixture)
+    data = {"zero": 0.0, "constant": 0.75,
+            "callable": lambda pts: 1.0 + pts[:, 0] - 2.0 * pts[:, 1]}[g]
+    prob = PoissonProblem(mesh, f=2.5, dirichlet=data)
+    x0 = np.linspace(-1.0, 1.0, mesh.n_nodes) if with_x0 else None
+    iterations = []
+
+    def counted_cg(*args, **kwargs):
+        res = cg(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(poisson, "cg", counted_cg)
+    for rtol in (1e-2, 1e-10):
+        got = prob.solve(solver="matrix-free", rtol=rtol, x0=x0)
+        want, its = _masked_solve(prob, rtol, x0)
+        assert iterations.pop() == its
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        fixed = mesh.dirichlet_mask
+        assert got[fixed].tobytes() == want[fixed].tobytes()
 
 
 # -- the three forms against their literal expressions ------------------------

@@ -336,6 +336,24 @@ def test_constrained_operator_masks_in_place_of_two_copies(carved_mesh_2d):
     assert 0 < apply.traffic_bytes() < MapBasedMatVec(mesh).traffic_bytes()
 
 
+@pytest.mark.parametrize("shape", [(85,), (75,), (80, 1), ()],
+                         ids=["long", "short", "column", "scalar"])
+def test_a_vector_of_the_wrong_shape_is_named(shape):
+    """On a mesh without hanging slots a longer ``u`` used to be read in
+    part and a shorter one to fail inside an index read."""
+    mesh = build_uniform_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3)
+    assert mesh.n_nodes == 80
+    assert operator_context(mesh).traversal.identity_elem.all()
+    u = np.ones(shape)
+    for apply in (lambda v: traversal_matvec(mesh, v), TraversalMatVec(mesh)):
+        with pytest.raises(ValueError, match=r"u has shape \(.*expected \(80,\)"):
+            apply(u)
+    op = operator_context(mesh).constrained_stiffness()
+    n_free = len(op.free_idx)
+    with pytest.raises(ValueError, match=rf"expected \({n_free},\)"):
+        op(np.ones(mesh.n_nodes))
+
+
 def test_unit_load_and_assembly_keep_their_bits(carved_mesh_2d, carved_mesh_3d_p2):
     """``load_vector(mesh, 1.0)`` (now the context's cached unit load)
     and ``assemble(mesh)`` against the expressions they were before the

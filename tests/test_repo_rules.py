@@ -2,10 +2,14 @@
 
 Each rule is a pattern that must not grow back (or must stay in one
 place) under ``src/repro``; a failure prints the offending
-``path:line: text`` the way ``grep -rn`` would.
+``path:line: text`` the way ``grep -rn`` would.  One rule is checked in
+a fresh interpreter instead: which modules a process loads.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -98,6 +102,27 @@ def test_one_fault_model():
     consumed = _grep(r"consumed\w*(: [^=]+)? = set\(\)")
     assert _files(consumed) == {"resilience/faults.py"}, consumed
     assert len(consumed) == 1, consumed
+
+
+def test_scipy_spatial_is_imported_only_where_it_is_used():
+    """``scipy.spatial`` (a k-d tree for triangle meshes, nearest-node
+    fallbacks) is imported inside the functions that use it: a process
+    that imports ``repro``, ``repro.serve`` and ``repro.fleet`` and runs a
+    matrix-free solve never loads it."""
+    script = (
+        "import sys\n"
+        "import repro, repro.serve, repro.fleet\n"
+        "from repro.fem.poisson import PoissonProblem\n"
+        "from repro.geometry import SphereCarve\n"
+        "mesh = repro.build_mesh(repro.Domain(SphereCarve([0.5] * 3, 0.3)), 2, 3)\n"
+        "PoissonProblem(mesh, f=1.0).solve(solver='matrix-free')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_one_operator_plan_path():
