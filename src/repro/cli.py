@@ -220,13 +220,12 @@ def cmd_signed_distance(args) -> None:
 
 def _resilience_sphere(args, sched):
     from .core.domain import Domain
+    from .core.mesh import build_mesh
     from .fem.poisson import PoissonProblem
     from .geometry import SphereCarve
     from .resilience import resilient_poisson_solve
 
     domain = Domain(SphereCarve([0.5, 0.5, 0.5], 0.3))
-    from .core.mesh import build_mesh
-
     mesh = build_mesh(domain, args.base_level, args.boundary_level, p=1)
     prob = PoissonProblem(mesh, f=1.0)
     kw = dict(ranks=args.ranks, ckpt_interval=args.ckpt_interval, rtol=1e-12)
@@ -333,10 +332,14 @@ def cmd_resilience_demo(args) -> None:
 
 
 def cmd_ckpt_info(args) -> None:
-    """Inspect a ckpt.v1 checkpoint file (integrity-checked on load)."""
-    from .resilience import load_checkpoint
+    """Inspect a ckpt.v1 checkpoint file (integrity-checked on load); a
+    foreign or corrupt file exits with one line naming it and why."""
+    from .resilience import CheckpointCorruption, load_checkpoint
 
-    ck = load_checkpoint(args.path)
+    try:
+        ck = load_checkpoint(args.path)
+    except CheckpointCorruption as exc:
+        raise SystemExit(f"ckpt-info: {exc}") from None
     lines = [
         f"# {ck.path}",
         f"schema:      {ck.doc['schema']}",

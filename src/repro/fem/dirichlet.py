@@ -3,18 +3,16 @@
 :class:`Dirichlet` holds "these nodes are fixed to these values",
 checked once, in the three forms the solvers use, each with the exact
 arithmetic its callers had: sliced (``A_ff``, ``b_f − A_fc·u_c``,
-``expand``), symmetric-masked (``keep·A·keep + I``, or ``masked_apply``
-around any apply callable) and row-replaced (``keep·A + I``).  Hostile
-data is a ``ValueError`` naming the field.
+``expand``), symmetric-masked (``keep·A·keep + I``) and row-replaced
+(``keep·A + I``).  Hostile data is a ``ValueError`` naming the field.
 
-The sliced form has two instances of ``A_ff``: the assembled one
+Every Poisson solve, serial or distributed, iterates on the sliced
+form.  ``A_ff`` has two instances: the assembled one
 (:meth:`Dirichlet.A_ff`) and the compiled one,
 :class:`repro.core.plan.ConstrainedStiffness` — the traversal program
 over the free nodes, built once per mesh; a callable ``A`` lifts the
-data through one unconstrained apply.  The masked form stays for the
-distributed resilient solve: its checkpoints hold full-length Krylov
-vectors and each rank's program runs in its own index space, so it
-wraps ``distributed_matvec`` with :meth:`Dirichlet.masked_apply`.
+data through one unconstrained apply.  The masked form is assembled
+only: Navier–Stokes and the multigrid fixtures use it.
 """
 
 from __future__ import annotations
@@ -87,27 +85,6 @@ class Dirichlet:
         """``(keep·A·keep + I, keep·(b − A·u_fix) + u_fix)``."""
         A_bc = self.keep @ A @ self.keep + sp.diags(self.fixed.astype(float))
         return A_bc, self.keep @ (b - A @ self.u_fix) + self.u_fix
-
-    def masked_apply(self, apply):
-        """``apply`` (``v ↦ A·v``, a fresh array) with identity on the fixed
-        rows and columns: two index assignments on a working copy."""
-        fixed = self.fixed_idx
-
-        def op(u):
-            v = np.array(u, float)
-            v[fixed] = 0.0
-            w = apply(v)
-            w[fixed] = u[fixed]
-            return w
-
-        return op
-
-    def masked_rhs(self, apply, b: np.ndarray) -> np.ndarray:
-        """``b − A·u_fix`` on the free nodes, 0 on the fixed ones (the
-        iterate keeps 0 there; ``expand`` puts the data back)."""
-        if self.u_fix.any():  # homogeneous data lifts to nothing
-            b = b - apply(self.u_fix)
-        return np.where(self.free, b, 0.0)
 
     # -- row-replaced
     def replace_rows(self, A):

@@ -143,17 +143,7 @@ class PoissonProblem:
         if x0 is not None:
             x0 = finite("x0", x0, mesh.n_nodes)
         if solver == "matrix-free":
-            if self.method != "nodal":
-                raise ValueError("matrix-free solve supports the nodal method")
-            ctx = operator_context(mesh)
-            op = ctx.constrained_stiffness()
-            bc = Dirichlet(mesh.dirichlet_mask, self._g_nodes())
-            if np.isscalar(self.f):
-                b = finite("f", float(self.f) * op.unit_load)
-            else:
-                b = finite("f", load_vector(mesh, self.f))[op.free_idx]
-            if bc.u_fix.any():  # homogeneous data lifts to nothing
-                b = b - bc.lift(TraversalMatVec(mesh, plan=ctx.traversal))
+            bc, op, b = self.free_system()
             M = lambda r: r / op.diag  # noqa: E731
         else:
             A, b, fixed = self.system()
@@ -173,21 +163,25 @@ class PoissonProblem:
             raise RuntimeError(f"CG failed to converge: residual {res.residual:.3e}")
         return bc.expand(res.x)
 
-    def masked_system(self):
-        """The nodal system without a matrix on full-length vectors,
-        ``(bc, op, b, diag)``: the :class:`Dirichlet`, the masked
-        compiled MATVEC, the lifted load (0 where fixed), the Jacobi
-        diagonal (1 where fixed).  The system of
-        :func:`repro.resilience.recovery.resilient_poisson_solve`, whose
-        checkpoints hold full-length vectors; :meth:`solve` iterates on
-        the free nodes instead."""
+    def free_system(self):
+        """The nodal system on the free nodes without a matrix,
+        ``(bc, op, b)``: the :class:`Dirichlet`, the compiled constrained
+        stiffness (:meth:`repro.core.plan.OperatorContext.constrained_stiffness`,
+        its Jacobi diagonal ``op.diag``) and the free load, non-zero
+        boundary data lifted by one unconstrained apply.  What
+        ``solve(solver="matrix-free")`` iterates on, and what
+        :func:`repro.resilience.recovery.resilient_poisson_solve`
+        iterates on through its distributed apply."""
         if self.method != "nodal":
             raise ValueError("matrix-free solve supports the nodal method")
         mesh = self.mesh
         ctx = operator_context(mesh)
+        op = ctx.constrained_stiffness()
         bc = Dirichlet(mesh.dirichlet_mask, self._g_nodes())
-        apply = TraversalMatVec(mesh, plan=ctx.traversal)
-        b = bc.masked_rhs(apply, finite("f", load_vector(mesh, self.f)))
-        diag = ctx.jacobi_diagonal()
-        diag = np.where(bc.free & (diag > 0), diag, 1.0)
-        return bc, bc.masked_apply(apply), b, diag
+        if np.isscalar(self.f):
+            b = finite("f", float(self.f) * op.unit_load)
+        else:
+            b = finite("f", load_vector(mesh, self.f))[op.free_idx]
+        if bc.u_fix.any():  # homogeneous data lifts to nothing
+            b = b - bc.lift(TraversalMatVec(mesh, plan=ctx.traversal))
+        return bc, op, b

@@ -75,10 +75,72 @@ def _decode_array(d: dict) -> np.ndarray:
     return a.reshape(d["shape"]).copy()  # copy: writable, owns its memory
 
 
-def _canonical(doc: dict) -> bytes:
-    """The byte string the integrity digest covers (digest key excluded)."""
+def _digest(doc: dict) -> str:
+    """The integrity digest: sha256 over the canonical (sorted-key,
+    no-whitespace) serialisation of everything but the digest key."""
     body = {k: v for k, v in doc.items() if k != "sha256"}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _write_sealed(path, span_name: str, build, keep_last: int | None) -> Path:
+    """Seal the document ``build()`` returns with its digest and write
+    it — the one writer of both schemas; ``keep_last`` prunes its
+    ``name`` after the write."""
+    path = Path(path)
+    with span(span_name) as osp:
+        doc = build()
+        doc["sha256"] = _digest(doc)
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        osp.add("bytes", len(text))
+        obs_add("resilience.ckpt.writes", 1)
+        obs_add("resilience.ckpt.bytes_written", len(text))
+    if keep_last is not None:
+        prune_checkpoints(path.parent, name=doc["name"], keep_last=keep_last)
+    return path
+
+
+def _read_sealed(path, span_name: str, schema: str, cls):
+    """Read one sealed document, verify its schema tag and digest, and
+    wrap it in ``cls`` — the one reader of both schemas.
+
+    Raises :class:`CheckpointCorruption` on an unreadable file, a
+    document that is not a JSON object, a wrong schema tag, a missing
+    digest, or any digest mismatch (tampered payload/header).
+    """
+    path = Path(path)
+    with span(span_name) as osp:
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+                ValueError) as exc:
+            # a torn write can truncate mid-token (JSONDecodeError) or
+            # mid-multibyte character (UnicodeDecodeError) — both are
+            # corruption, not programming errors
+            raise CheckpointCorruption(f"{path}: unreadable checkpoint: {exc}")
+        if not isinstance(doc, dict):
+            raise CheckpointCorruption(
+                f"{path}: a checkpoint is a JSON object, got "
+                f"{type(doc).__name__}")
+        if doc.get("schema") != schema:
+            raise CheckpointCorruption(
+                f"{path}: schema tag must be {schema!r}, "
+                f"got {doc.get('schema')!r}"
+            )
+        digest = doc.get("sha256")
+        if not digest:
+            raise CheckpointCorruption(f"{path}: missing integrity digest")
+        actual = _digest(doc)
+        if actual != digest:
+            raise CheckpointCorruption(
+                f"{path}: integrity digest mismatch "
+                f"(stored {digest[:12]}…, computed {actual[:12]}…)"
+            )
+        osp.add("bytes", path.stat().st_size)
+        obs_add("resilience.ckpt.loads", 1)
+    return cls(doc, path)
 
 
 def save_checkpoint(
@@ -106,79 +168,39 @@ def save_checkpoint(
     retention policy long-lived workers (e.g. :mod:`repro.serve`
     deployments) use to keep checkpoint directories bounded.
     """
-    path = Path(path)
-    with span("resilience.ckpt.save") as osp:
-        doc: dict = {
-            "schema": CKPT_SCHEMA_ID,
-            "name": name,
-            "step": int(step),
-            "time": float(t),
-            "dt": None if dt is None else float(dt),
-            "fingerprint": mesh_fingerprint(mesh),
-            "mesh": {
-                "dim": int(mesh.dim),
-                "p": int(mesh.p),
-                "curve": mesh.curve,
-                "anchors": _encode_array(mesh.leaves.anchors),
-                "levels": _encode_array(mesh.leaves.levels),
-            },
-            "splits": None if splits is None else _encode_array(
-                np.asarray(splits, np.int64)
-            ),
-            "vectors": {
-                k: _encode_array(np.asarray(v))
-                for k, v in sorted((vectors or {}).items())
-            },
-            "scalars": {
-                k: float(v) for k, v in sorted((scalars or {}).items())
-            },
-            "meta": dict(meta) if meta else {},
-        }
-        doc["sha256"] = hashlib.sha256(_canonical(doc)).hexdigest()
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        osp.add("bytes", len(text))
-        obs_add("resilience.ckpt.writes", 1)
-        obs_add("resilience.ckpt.bytes_written", len(text))
-    if keep_last is not None:
-        prune_checkpoints(path.parent, name=name, keep_last=keep_last)
-    return path
+    return _write_sealed(path, "resilience.ckpt.save", lambda: {
+        "schema": CKPT_SCHEMA_ID,
+        "name": name,
+        "step": int(step),
+        "time": float(t),
+        "dt": None if dt is None else float(dt),
+        "fingerprint": mesh_fingerprint(mesh),
+        "mesh": {
+            "dim": int(mesh.dim),
+            "p": int(mesh.p),
+            "curve": mesh.curve,
+            "anchors": _encode_array(mesh.leaves.anchors),
+            "levels": _encode_array(mesh.leaves.levels),
+        },
+        "splits": None if splits is None else _encode_array(
+            np.asarray(splits, np.int64)
+        ),
+        "vectors": {
+            k: _encode_array(np.asarray(v))
+            for k, v in sorted((vectors or {}).items())
+        },
+        "scalars": {
+            k: float(v) for k, v in sorted((scalars or {}).items())
+        },
+        "meta": dict(meta) if meta else {},
+    }, keep_last)
 
 
 def load_checkpoint(path) -> "Checkpoint":
-    """Load and integrity-check one checkpoint file.
-
-    Raises :class:`CheckpointCorruption` on a wrong schema tag, a
-    missing digest, or any digest mismatch (tampered payload/header).
-    """
-    path = Path(path)
-    with span("resilience.ckpt.load") as osp:
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                ValueError) as exc:
-            # a torn write can truncate mid-token (JSONDecodeError) or
-            # mid-multibyte character (UnicodeDecodeError) — both are
-            # corruption, not programming errors
-            raise CheckpointCorruption(f"{path}: unreadable checkpoint: {exc}")
-        if not isinstance(doc, dict) or doc.get("schema") != CKPT_SCHEMA_ID:
-            raise CheckpointCorruption(
-                f"{path}: schema tag must be {CKPT_SCHEMA_ID!r}, "
-                f"got {doc.get('schema')!r}"
-            )
-        digest = doc.get("sha256")
-        if not digest:
-            raise CheckpointCorruption(f"{path}: missing integrity digest")
-        actual = hashlib.sha256(_canonical(doc)).hexdigest()
-        if actual != digest:
-            raise CheckpointCorruption(
-                f"{path}: integrity digest mismatch "
-                f"(stored {digest[:12]}…, computed {actual[:12]}…)"
-            )
-        osp.add("bytes", path.stat().st_size)
-        obs_add("resilience.ckpt.loads", 1)
-    return Checkpoint(doc, path)
+    """Load and integrity-check one ``ckpt.v1`` file (see
+    :func:`_read_sealed` for what raises :class:`CheckpointCorruption`)."""
+    return _read_sealed(path, "resilience.ckpt.load", CKPT_SCHEMA_ID,
+                        Checkpoint)
 
 
 def save_state_checkpoint(path, *, name: str, step: int, state: dict,
@@ -187,9 +209,7 @@ def save_state_checkpoint(path, *, name: str, step: int, state: dict,
     """Write one sealed ``state.v1`` snapshot of arbitrary JSON state.
 
     The mesh-centric :func:`save_checkpoint` covers solver restart;
-    this is the same sealed-document machinery (canonical sorted-key
-    serialisation, sha256 integrity digest, bit-deterministic bytes,
-    :class:`CheckpointCorruption` on tamper) for services whose state
+    this is the same sealed-document writer for services whose state
     is a queue, not a field — the fleet layer checkpoints each shard's
     pending requests here so a killed shard replays on a survivor.
     ``state`` must be JSON-serialisable and is stored verbatim.
@@ -198,58 +218,24 @@ def save_state_checkpoint(path, *, name: str, step: int, state: dict,
     :func:`latest_checkpoint` / :func:`prune_checkpoints` work on state
     checkpoints unchanged (``keep_last`` applies the same retention).
     """
-    path = Path(path)
-    with span("resilience.ckpt.save_state") as osp:
-        doc: dict = {
-            "schema": STATE_SCHEMA_ID,
-            "name": name,
-            "step": int(step),
-            "state": state,
-            "meta": dict(meta) if meta else {},
-        }
-        doc["sha256"] = hashlib.sha256(_canonical(doc)).hexdigest()
-        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        osp.add("bytes", len(text))
-        obs_add("resilience.ckpt.writes", 1)
-        obs_add("resilience.ckpt.bytes_written", len(text))
-    if keep_last is not None:
-        prune_checkpoints(path.parent, name=name, keep_last=keep_last)
-    return path
+    return _write_sealed(path, "resilience.ckpt.save_state", lambda: {
+        "schema": STATE_SCHEMA_ID,
+        "name": name,
+        "step": int(step),
+        "state": state,
+        "meta": dict(meta) if meta else {},
+    }, keep_last)
 
 
 def load_state_checkpoint(path) -> "StateCheckpoint":
     """Load and integrity-check one ``state.v1`` checkpoint."""
-    path = Path(path)
-    with span("resilience.ckpt.load_state") as osp:
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                ValueError) as exc:
-            raise CheckpointCorruption(f"{path}: unreadable checkpoint: {exc}")
-        if not isinstance(doc, dict) or doc.get("schema") != STATE_SCHEMA_ID:
-            raise CheckpointCorruption(
-                f"{path}: schema tag must be {STATE_SCHEMA_ID!r}, "
-                f"got {doc.get('schema')!r}"
-            )
-        digest = doc.get("sha256")
-        if not digest:
-            raise CheckpointCorruption(f"{path}: missing integrity digest")
-        actual = hashlib.sha256(_canonical(doc)).hexdigest()
-        if actual != digest:
-            raise CheckpointCorruption(
-                f"{path}: integrity digest mismatch "
-                f"(stored {digest[:12]}…, computed {actual[:12]}…)"
-            )
-        osp.add("bytes", path.stat().st_size)
-        obs_add("resilience.ckpt.loads", 1)
-    return StateCheckpoint(doc, path)
+    return _read_sealed(path, "resilience.ckpt.load_state", STATE_SCHEMA_ID,
+                        StateCheckpoint)
 
 
 @dataclass
-class StateCheckpoint:
-    """A loaded, integrity-verified ``state.v1`` document."""
+class _Sealed:
+    """A loaded, integrity-verified document: what both schemas share."""
 
     doc: dict
     path: Path
@@ -263,12 +249,16 @@ class StateCheckpoint:
         return int(self.doc["step"])
 
     @property
-    def state(self) -> dict:
-        return self.doc["state"]
-
-    @property
     def meta(self) -> dict:
         return dict(self.doc.get("meta", {}))
+
+
+class StateCheckpoint(_Sealed):
+    """A loaded, integrity-verified ``state.v1`` document."""
+
+    @property
+    def state(self) -> dict:
+        return self.doc["state"]
 
 
 def _step_order(path: Path) -> tuple[int, str]:
@@ -277,7 +267,12 @@ def _step_order(path: Path) -> tuple[int, str]:
     return (int(m.group(1)) if m else -1, path.name)
 
 
-def _sorted_checkpoints(directory: Path, name: str | None) -> list[Path]:
+def _sorted_checkpoints(directory, name: str | None) -> list[Path]:
+    """The checkpoints of ``name`` in ``directory``, oldest first (none
+    if the directory does not exist)."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        return []
     pattern = f"{name}_step*.ckpt.json" if name else "*.ckpt.json"
     return sorted(directory.glob(pattern), key=_step_order)
 
@@ -290,9 +285,6 @@ def latest_checkpoint(directory, name: str | None = None) -> Path | None:
     ``step10`` sorts after ``step2``; ties and foreign files fall back
     to lexicographic order.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return None
     files = _sorted_checkpoints(directory, name)
     return files[-1] if files else None
 
@@ -308,9 +300,6 @@ def prune_checkpoints(directory, name: str | None = None,
     """
     if keep_last < 1:
         raise ValueError("keep_last must be >= 1")
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
     files = _sorted_checkpoints(directory, name)
     removed = files[:-keep_last] if len(files) > keep_last else []
     for path in removed:
@@ -320,20 +309,8 @@ def prune_checkpoints(directory, name: str | None = None,
     return removed
 
 
-@dataclass
-class Checkpoint:
+class Checkpoint(_Sealed):
     """A loaded, integrity-verified ``ckpt.v1`` document."""
-
-    doc: dict
-    path: Path
-
-    @property
-    def name(self) -> str:
-        return self.doc["name"]
-
-    @property
-    def step(self) -> int:
-        return int(self.doc["step"])
 
     @property
     def time(self) -> float:
@@ -352,10 +329,6 @@ class Checkpoint:
     def scalars(self) -> dict[str, float]:
         return dict(self.doc.get("scalars", {}))
 
-    @property
-    def meta(self) -> dict:
-        return dict(self.doc.get("meta", {}))
-
     def vector(self, key: str) -> np.ndarray:
         return _decode_array(self.doc["vectors"][key])
 
@@ -365,12 +338,6 @@ class Checkpoint:
     def splits(self) -> np.ndarray | None:
         enc = self.doc.get("splits")
         return None if enc is None else _decode_array(enc)
-
-    def mesh_leaves(self) -> OctantSet:
-        m = self.doc["mesh"]
-        return OctantSet(
-            _decode_array(m["anchors"]), _decode_array(m["levels"]), int(m["dim"])
-        )
 
     def restore_mesh(self, domain) -> IncompleteMesh:
         """Rebuild the mesh on ``domain`` and verify the operator-plan
@@ -384,10 +351,10 @@ class Checkpoint:
         """
         m = self.doc["mesh"]
         with span("resilience.ckpt.restore_mesh") as osp:
-            mesh = mesh_from_leaves(
-                domain, self.mesh_leaves(), p=int(m["p"]), curve=m["curve"],
-                balance=False,
-            )
+            leaves = OctantSet(_decode_array(m["anchors"]),
+                               _decode_array(m["levels"]), int(m["dim"]))
+            mesh = mesh_from_leaves(domain, leaves, p=int(m["p"]),
+                                    curve=m["curve"], balance=False)
             fp = mesh_fingerprint(mesh)
             if fp != self.fingerprint:
                 raise CheckpointCorruption(

@@ -2,17 +2,13 @@
 
 Two drivers exercise the full resilience stack end-to-end:
 
-* :func:`resilient_poisson_solve` — a checkpointed distributed-CG
-  Poisson solve.  Every Krylov iteration applies the operator through
-  :func:`repro.parallel.dist_matvec.distributed_matvec`; when an
-  injected :class:`~repro.resilience.faults.RankFailure` surfaces from
-  a ghost-exchange leg, the driver contracts the partition onto the
-  survivors (:func:`repro.parallel.partition.shrink_splits`), re-derives
-  the exchange plan, reloads the latest ``ckpt.v1`` snapshot from disk
-  and resumes iterating.  Restoring from *disk* rather than from the
-  in-memory vectors is deliberate: in a real rank loss the dead rank's
-  vector shards are gone — the full in-memory state is a simulation
-  artifact the driver must not rely on.
+* :func:`resilient_poisson_solve` — the matrix-free Poisson solve with
+  its apply through :func:`repro.parallel.dist_matvec.distributed_matvec`.
+  When an injected :class:`~repro.resilience.faults.RankFailure`
+  surfaces from a ghost-exchange leg, it contracts the partition onto
+  the survivors (:func:`repro.parallel.partition.shrink_splits`),
+  reloads the latest ``ckpt.v1`` snapshot from *disk* — in a real rank
+  loss the dead rank's vector shards are gone — and resumes.
 
 * :class:`ResilientNSDriver` — a checkpointed Navier–Stokes
   time-stepping driver.  Each step opens with a heartbeat collective
@@ -42,6 +38,7 @@ from ..parallel.dist_matvec import distributed_matvec
 from ..parallel.ghost import analyze_partition, exchange_plan
 from ..parallel.partition import partition_mesh, shrink_splits
 from ..parallel.simmpi import SimComm
+from ..solvers.krylov import _CGState, _tolerance
 from .checkpoint import (
     CheckpointCorruption,
     latest_checkpoint,
@@ -101,8 +98,9 @@ class ResilientNSResult:
     ranks_final: int
 
 
-def _recover(mesh, ctx, comm, layout, ckpt_dir, name):
-    """Shared shrink-and-restore: returns (comm, layout, plan, ckpt, event_stub)."""
+def _recover(mesh, comm, layout, ckpt_dir, name, exc: RankFailure):
+    """Shared shrink-and-restore after ``exc``: returns (comm, layout,
+    plan, ckpt, event)."""
     t0 = time.perf_counter()
     with span("resilience.recover") as osp:
         failed = tuple(sorted(comm.failed_ranks))
@@ -110,8 +108,7 @@ def _recover(mesh, ctx, comm, layout, ckpt_dir, name):
         if survivors < 1:
             raise SolverBreakdown("recovery", "no_survivors",
                                   f"all {comm.size} ranks failed")
-        new_splits = shrink_splits(layout.splits, failed)
-        layout = analyze_partition(mesh, new_splits)
+        layout = analyze_partition(mesh, shrink_splits(layout.splits, failed))
         plan = exchange_plan(mesh, layout)
         new_comm = SimComm(survivors)
         # the schedule is one-shot per fault, so handing it on lets later
@@ -123,6 +120,7 @@ def _recover(mesh, ctx, comm, layout, ckpt_dir, name):
             raise SolverBreakdown("recovery", "no_checkpoint",
                                   f"nothing to restore in {ckpt_dir}")
         ckpt = load_checkpoint(path)
+        ctx = operator_context(mesh)
         if ckpt.fingerprint != ctx.fingerprint:
             raise CheckpointCorruption(
                 f"{path}: checkpoint fingerprint {ckpt.fingerprint[:12]}… "
@@ -133,7 +131,9 @@ def _recover(mesh, ctx, comm, layout, ckpt_dir, name):
     elapsed = time.perf_counter() - t0
     obs_add("resilience.recoveries", 1)
     obs_add("resilience.recovery_ms", elapsed * 1e3)
-    return new_comm, layout, plan, ckpt, (failed, survivors, elapsed)
+    event = RecoveryEvent("rank_failure", exc.op_index, failed, survivors,
+                          ckpt.step, elapsed)
+    return new_comm, layout, plan, ckpt, event
 
 
 def resilient_poisson_solve(
@@ -144,119 +144,89 @@ def resilient_poisson_solve(
     ckpt_interval: int = 10,
     fault_schedule=None,
     rtol: float = 1e-12,
-    atol: float = 0.0,
+    atol: float = 1e-12,
     maxiter: int | None = None,
     max_recoveries: int = 2,
     name: str = "poisson",
-    keep_last: int | None = None,
 ) -> ResilientSolveResult:
-    """Matrix-free distributed Jacobi-CG with checkpoint/restart.
+    """``PoissonProblem.solve(solver="matrix-free")`` on the simulated
+    communicator, with checkpoint/restart.
 
-    Semantically identical to ``PoissonProblem.solve(solver="matrix-free")``
-    — the same :meth:`~repro.fem.poisson.PoissonProblem.masked_system`
-    constraint, right-hand side and Jacobi diagonal — but the masked
-    operator is applied through the simulated communicator, the Krylov state
-    ``(x, r, p, rz)`` is checkpointed every ``ckpt_interval``
-    iterations, and injected rank crashes are survived automatically
-    (up to ``max_recoveries`` times).
+    The same free-node system
+    (:meth:`~repro.fem.poisson.PoissonProblem.free_system`: load,
+    Jacobi diagonal, lifted boundary data), the same CG recurrence
+    (:mod:`repro.solvers.krylov`) and the serial solve's ``atol`` and
+    ``maxiter = 20·n_free``; only the operator differs.  It applies a
+    free vector through :func:`distributed_matvec` in a zero-filled
+    full-length array and reads the result back on the free rows, so
+    one rank reproduces the serial solve bit for bit.
+
+    The Krylov state ``(x, r, p, rz, rnorm, it)`` (free-length vectors)
+    is checkpointed at the zero iterate — ``r = b``, before any
+    collective — and every ``ckpt_interval`` iterations.  An injected
+    rank crash shrinks the partition onto the survivors, reloads the
+    latest checkpoint from disk and resumes, up to ``max_recoveries``
+    times.
     """
     mesh = problem.mesh
-    n = mesh.n_nodes
-    ctx = operator_context(mesh)
-    bc, _, b, diag = problem.masked_system()
+    bc, op, b = problem.free_system()
+    free = bc.free_idx
 
     ckpt_dir = Path(ckpt_dir)
-    splits = partition_mesh(mesh, ranks, load_tol=0.1)
-    layout = analyze_partition(mesh, splits)
+    layout = analyze_partition(mesh, partition_mesh(mesh, ranks, load_tol=0.1))
     plan = exchange_plan(mesh, layout)
     comm = SimComm(ranks)
     comm.install_faults(fault_schedule)
 
     if maxiter is None:
-        maxiter = 20 * n
-    bnorm = float(np.linalg.norm(b)) or 1.0
-    tol = max(rtol * bnorm, atol)
-
+        maxiter = 20 * len(free)
+    tol = _tolerance(b, rtol, atol)
     recoveries: list[RecoveryEvent] = []
     ckpts_written = 0
-    reason = "maxiter"
 
-    # reads layout / comm / plan at call time: a recovery rebinds them
-    apply_op = bc.masked_apply(
-        lambda v: distributed_matvec(mesh, layout, v, comm, plan=plan))
+    def apply_free(v):
+        # reads layout / comm / plan at call time: a recovery rebinds them
+        u = np.zeros(mesh.n_nodes)
+        u[free] = v
+        return distributed_matvec(mesh, layout, u, comm, plan=plan)[free]
 
-    def checkpoint(step):
+    def checkpoint():
         nonlocal ckpts_written
         save_checkpoint(
-            ckpt_dir / f"{name}_step{step:06d}.ckpt.json", mesh,
-            step=step, splits=layout.splits,
-            vectors={"x": x, "r": r, "p": p},
-            scalars={"rz": rz, "it": float(it), "rnorm": rnorm},
+            ckpt_dir / f"{name}_step{s.it:06d}.ckpt.json", mesh,
+            step=s.it, splits=layout.splits,
+            vectors={"x": s.x, "r": s.r, "p": s.p},
+            scalars={"rz": s.rz, "it": float(s.it), "rnorm": s.rnorm},
             name=name,
-            keep_last=keep_last,
         )
         ckpts_written += 1
 
     with span("resilience.solve", case=name) as osp:
-        x = np.zeros(n)
-        r = b.copy()          # r = b - A·0
-        z = r / diag
-        p = z.copy()
-        rz = float(r @ z)
-        rnorm = float(np.linalg.norm(r))
-        it = 0
-        checkpoint(0)
-
-        while True:
+        s = _CGState(apply_free, lambda r: r / op.diag,
+                     np.zeros(len(free)), b.copy())  # r = b − A·0, no apply
+        checkpoint()
+        reason = None
+        while reason is None and s.rnorm > tol and s.it < maxiter:
             try:
-                while rnorm > tol and it < maxiter:
-                    Ap = apply_op(p)
-                    pAp = float(p @ Ap)
-                    if not np.isfinite(pAp) or pAp == 0.0:
-                        reason = "nonfinite" if not np.isfinite(pAp) else "breakdown"
-                        break
-                    alpha = rz / pAp
-                    x = x + alpha * p
-                    r = r - alpha * Ap
-                    rnorm = float(np.linalg.norm(r))
-                    it += 1
-                    if not np.isfinite(rnorm):
-                        reason = "nonfinite"
-                        break
-                    if rnorm <= tol:
-                        reason = "converged"
-                        break
-                    z = r / diag
-                    rz_new = float(r @ z)
-                    beta = rz_new / rz
-                    p = z + beta * p
-                    rz = rz_new
-                    if it % ckpt_interval == 0:
-                        checkpoint(it)
-                if rnorm <= tol and reason == "maxiter":
-                    reason = "converged"
-                break
+                reason = s.step(tol)
             except RankFailure as exc:
                 if len(recoveries) >= max_recoveries:
                     raise
-                comm, layout, plan, ckpt, (failed, survivors, elapsed) = _recover(
-                    mesh, ctx, comm, layout, ckpt_dir, name
-                )
-                x = ckpt.vector("x")
-                r = ckpt.vector("r")
-                p = ckpt.vector("p")
-                rz = ckpt.scalars["rz"]
-                it = int(ckpt.scalars["it"])
-                rnorm = float(np.linalg.norm(r))
-                recoveries.append(RecoveryEvent(
-                    "rank_failure", exc.op_index, failed, survivors,
-                    ckpt.step, elapsed,
-                ))
-        osp.add("iterations", it)
+                comm, layout, plan, ckpt, event = _recover(
+                    mesh, comm, layout, ckpt_dir, name, exc)
+                recoveries.append(event)
+                s.x, s.r, s.p = (ckpt.vector(k) for k in ("x", "r", "p"))
+                s.rz, s.rnorm = ckpt.scalars["rz"], ckpt.scalars["rnorm"]
+                s.it = int(ckpt.scalars["it"])
+                continue
+            if reason is None and s.it % ckpt_interval == 0:
+                checkpoint()
+        reason = reason or ("converged" if s.rnorm <= tol else "maxiter")
+        osp.add("iterations", s.it)
         osp.add("recoveries", len(recoveries))
 
     return ResilientSolveResult(
-        x=bc.expand(x[bc.free_idx]), iterations=it, residual=rnorm,
+        x=bc.expand(s.x), iterations=s.it, residual=s.rnorm,
         converged=(reason == "converged"), reason=reason,
         recoveries=recoveries, checkpoints_written=ckpts_written,
         ranks_final=comm.size,
@@ -289,21 +259,18 @@ class ResilientNSDriver:
         max_recoveries: int = 2,
         max_dt_halvings: int = 3,
         name: str = "ns",
-        keep_last: int | None = None,
     ):
         if not np.isfinite(problem.dt):
             raise ValueError("ResilientNSDriver requires a finite dt")
         self.problem = problem
         self.mesh = problem.mesh
-        self.ctx = operator_context(self.mesh)
         self.ckpt_dir = Path(ckpt_dir)
         self.ckpt_interval = max(int(ckpt_interval), 1)
         self.max_recoveries = int(max_recoveries)
         self.max_dt_halvings = int(max_dt_halvings)
         self.name = name
-        self.keep_last = keep_last
-        self.splits = partition_mesh(self.mesh, ranks, load_tol=0.1)
-        self.layout = analyze_partition(self.mesh, self.splits)
+        self.layout = analyze_partition(
+            self.mesh, partition_mesh(self.mesh, ranks, load_tol=0.1))
         self.comm = SimComm(ranks)
         self.comm.install_faults(fault_schedule)
         self.checkpoints_written = 0
@@ -317,7 +284,6 @@ class ResilientNSDriver:
             splits=self.layout.splits,
             vectors={"U": U, "P": P},
             name=self.name,
-            keep_last=self.keep_last,
         )
         self.checkpoints_written += 1
 
@@ -345,19 +311,13 @@ class ResilientNSDriver:
                 except RankFailure as exc:
                     if len(self.recoveries) >= self.max_recoveries:
                         raise
-                    (self.comm, self.layout, _plan, ckpt,
-                     (failed, survivors, elapsed)) = _recover(
-                        self.mesh, self.ctx, self.comm, self.layout,
-                        self.ckpt_dir, self.name,
-                    )
-                    self.splits = self.layout.splits
+                    self.comm, self.layout, _plan, ckpt, event = _recover(
+                        self.mesh, self.comm, self.layout,
+                        self.ckpt_dir, self.name, exc)
+                    self.recoveries.append(event)
                     U = ckpt.vector("U")
                     P = ckpt.vector("P")
                     step = ckpt.step
-                    self.recoveries.append(RecoveryEvent(
-                        "rank_failure", exc.op_index, failed,
-                        survivors, ckpt.step, elapsed,
-                    ))
             osp.add("recoveries", len(self.recoveries))
         return ResilientNSResult(
             velocity=U, pressure=P, steps=step, residual=float(residual),

@@ -64,6 +64,61 @@ def _vector_ops():
     return KERNELS.dot, KERNELS.axpy
 
 
+def _tolerance(b: np.ndarray, rtol: float, atol: float) -> float:
+    """The residual norm a solve stops at: ``max(rtol·‖b‖, atol)``, a
+    zero ``b`` counting as ``‖b‖ = 1``."""
+    return max(rtol * (float(np.linalg.norm(b)) or 1.0), atol)
+
+
+class _CGState:
+    """The one conjugate-gradient recurrence over ``(x, r, p, rz, rnorm,
+    it)``, started from an iterate ``x`` and its residual ``r``.
+
+    :func:`cg` steps it to the end; the resilient distributed solve
+    (:func:`repro.resilience.recovery.resilient_poisson_solve`) steps the
+    same state, checkpoints it between steps and reloads it after a
+    recovery.  ``x``, ``r`` and ``p`` are updated in place.
+    """
+
+    def __init__(self, op: Operator, M: Operator | None, x: np.ndarray,
+                 r: np.ndarray):
+        self.op, self.M = op, M
+        self.dot, self.axpy = _vector_ops()
+        z = M(r) if M else r
+        self.x, self.r, self.p = x, r, z.copy()
+        self.rz = self.dot(r, z)
+        self.rnorm = float(np.linalg.norm(r))
+        self.it = 0
+
+    def step(self, tol: float) -> str | None:
+        """One iteration (one apply): the reason the recurrence stops
+        (``"converged"``, ``"breakdown"`` or ``"nonfinite"``), or None.
+        A breakdown or non-finite ``pAp`` returns before ``it`` moves."""
+        with span("solver.iteration", merge=True) as isp:
+            Ap = self.op(self.p)
+            pAp = self.dot(self.p, Ap)
+            if not np.isfinite(pAp):
+                return "nonfinite"
+            if pAp == 0.0:
+                return "breakdown"
+            alpha = self.rz / pAp
+            self.axpy(alpha, self.p, self.x)
+            self.axpy(-alpha, Ap, self.r)
+            self.rnorm = float(np.linalg.norm(self.r))
+            isp.add("matvecs", 1)
+        self.it += 1
+        if not np.isfinite(self.rnorm):
+            return "nonfinite"
+        if self.rnorm <= tol:
+            return "converged"
+        z = self.M(self.r) if self.M else self.r
+        rz_new = self.dot(self.r, z)
+        self.p *= rz_new / self.rz  # p = z + beta p, in place
+        self.p += z
+        self.rz = rz_new
+        return None
+
+
 def cg(
     A,
     b: np.ndarray,
@@ -72,17 +127,15 @@ def cg(
     rtol: float = 1e-6,
     atol: float = 1e-12,
     maxiter: int | None = None,
-    callback: Callable[[int, float], None] | None = None,
 ) -> KrylovResult:
     """Preconditioned conjugate gradients for SPD operators.
 
-    ``callback(it, rnorm)`` is invoked after every iteration; the
-    per-iteration residual history is also attached to the
-    ``solver.cg`` trace span when :mod:`repro.obs` is enabled.
-    ``maxiter=None`` allows ``10·n`` iterations; ``maxiter=0`` is a zero
-    budget: ``x0`` comes back with ``iterations == 0``.  ``b`` is one
-    right-hand side; k multiples of one vector want one solve and a
-    scaling (what :mod:`repro.serve.batcher` does).
+    The per-iteration residual history is attached to the ``solver.cg``
+    trace span when :mod:`repro.obs` is enabled.  ``maxiter=None``
+    allows ``10·n`` iterations; ``maxiter=0`` is a zero budget: ``x0``
+    comes back with ``iterations == 0``.  ``b`` is one right-hand side;
+    k multiples of one vector want one solve and a scaling (what
+    :mod:`repro.serve.batcher` does).
     """
     if np.ndim(b) != 1:
         raise ValueError(
@@ -90,58 +143,26 @@ def cg(
             "expected (n,)")
     with span("solver.cg") as osp:
         op = _as_op(A)
-        dot, axpy = _vector_ops()
         n = len(b)
         if maxiter is None:
             maxiter = 10 * n
         x = np.zeros(n) if x0 is None else np.array(x0, float)
-        r = b - op(x)
+        s = _CGState(op, M, x, b - op(x))
         nmv = 1
-        z = M(r) if M else r
-        p = z.copy()
-        rz = dot(r, z)
-        bnorm = float(np.linalg.norm(b)) or 1.0
-        tol = max(rtol * bnorm, atol)
-        rnorm = float(np.linalg.norm(r))
-        residuals = [rnorm]
-        it = 0
-        fail: str | None = None if np.isfinite(rnorm) else "nonfinite"
-        while fail is None and rnorm > tol and it < maxiter:
-            with span("solver.iteration", merge=True) as isp:
-                Ap = op(p)
-                nmv += 1
-                pAp = dot(p, Ap)
-                if not np.isfinite(pAp):
-                    fail = "nonfinite"
-                    break
-                if pAp == 0.0:
-                    fail = "breakdown"
-                    break
-                alpha = rz / pAp
-                axpy(alpha, p, x)
-                axpy(-alpha, Ap, r)
-                rnorm = float(np.linalg.norm(r))
-                isp.add("matvecs", 1)
-            it += 1
-            residuals.append(rnorm)
-            if callback is not None:
-                callback(it, rnorm)
-            if not np.isfinite(rnorm):
-                fail = "nonfinite"
-                break
-            if rnorm <= tol:
-                break
-            z = M(r) if M else r
-            rz_new = dot(r, z)
-            p *= rz_new / rz  # p = z + beta p, in place
-            p += z
-            rz = rz_new
-        reason = fail or ("converged" if rnorm <= tol else "maxiter")
-        osp.add("iterations", it)
+        tol = _tolerance(b, rtol, atol)
+        residuals = [s.rnorm]
+        reason = None if np.isfinite(s.rnorm) else "nonfinite"
+        while reason is None and s.rnorm > tol and s.it < maxiter:
+            reason = s.step(tol)
+            nmv += 1
+            if s.it == len(residuals):  # the step got past its pAp
+                residuals.append(s.rnorm)
+        reason = reason or ("converged" if s.rnorm <= tol else "maxiter")
+        osp.add("iterations", s.it)
         osp.add("matvecs", nmv)
         osp.set("residual_history", residuals)
         osp.set("reason", reason)
-    return KrylovResult(x, it, rnorm, reason == "converged", nmv, reason)
+    return KrylovResult(s.x, s.it, s.rnorm, reason == "converged", nmv, reason)
 
 
 def bicgstab(
@@ -152,12 +173,10 @@ def bicgstab(
     rtol: float = 1e-6,
     atol: float = 1e-12,
     maxiter: int | None = None,
-    callback: Callable[[int, float], None] | None = None,
 ) -> KrylovResult:
     """Preconditioned BiCGStab for general (nonsymmetric) operators.
 
-    ``callback(it, rnorm)`` is invoked after every iteration; the
-    per-iteration residual history is also attached to the
+    The per-iteration residual history is attached to the
     ``solver.bicgstab`` trace span when :mod:`repro.obs` is enabled.
     """
     with span("solver.bicgstab") as osp:
@@ -173,8 +192,7 @@ def bicgstab(
         rho = alpha = omega = 1.0
         v = np.zeros(n)
         p = np.zeros(n)
-        bnorm = float(np.linalg.norm(b)) or 1.0
-        tol = max(rtol * bnorm, atol)
+        tol = _tolerance(b, rtol, atol)
         rnorm = float(np.linalg.norm(r))
         residuals = [rnorm]
         it = 0
@@ -212,8 +230,6 @@ def bicgstab(
                     rnorm = float(np.linalg.norm(r))
                     it += 1
                     residuals.append(rnorm)
-                    if callback is not None:
-                        callback(it, rnorm)
                     break
                 shat = M(s) if M else s
                 t = op(shat)
@@ -227,8 +243,6 @@ def bicgstab(
                 rnorm = float(np.linalg.norm(r))
             it += 1
             residuals.append(rnorm)
-            if callback is not None:
-                callback(it, rnorm)
             if not np.isfinite(rnorm):
                 fail = "nonfinite"
                 break

@@ -201,3 +201,34 @@ def test_fleet_demo_kill_wants_an_integer_tick():
         with pytest.raises(SystemExit, match="--kill wants TICK:SHARD_ID"):
             main(["fleet-demo", "--shards", "2", "--requests", "4",
                   "--kill", bad])
+
+
+# -- ckpt-info ----------------------------------------------------------
+
+
+def test_ckpt_info_prints_a_checkpoint(tmp_path):
+    from repro import Domain
+    from repro.core.mesh import build_uniform_mesh
+    from repro.geometry import SphereCarve
+    from repro.resilience import save_checkpoint
+
+    mesh = build_uniform_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3)
+    path = save_checkpoint(tmp_path / "a.ckpt.json", mesh, step=2,
+                           vectors={"x": np.ones(4)}, scalars={"rz": 0.5})
+    out = tmp_path / "info.txt"
+    assert main(["ckpt-info", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "step:        2" in text and "vector 'x': shape (4,)" in text
+
+
+@pytest.mark.parametrize("text,reason", [
+    ('{"schema": "x"}', "schema tag must be 'repro.resilience/ckpt.v1', "
+                        "got 'x'"),
+    ("[1, 2]", "a checkpoint is a JSON object, got list"),
+])
+def test_ckpt_info_names_a_foreign_or_corrupt_file(tmp_path, text, reason):
+    path = tmp_path / "bad.ckpt.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["ckpt-info", str(path)])
+    assert exc.value.code == f"ckpt-info: {path}: {reason}"

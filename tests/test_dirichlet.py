@@ -8,7 +8,8 @@ the serve factors of all four pde kinds on the ``cold_solve`` sphere
 (bytes held and unit responses), ``TransportProblem.A`` against the
 per-row ``lil`` loop, and the direct / CG Poisson solves.  The
 matrix-free solve iterates on the compiled free-node operator; it is
-checked against the masked form it replaced: the apply bit for bit on
+checked against the masked form it replaced, kept here as a test-local
+copy (``_masked_apply`` / ``_masked_system``): the apply bit for bit on
 the free rows, the solve to 1e-12 in as many iterations.
 """
 
@@ -228,7 +229,7 @@ def test_constrained_apply_is_the_masked_apply_on_the_free_rows(case, monkeypatc
     assert fixed.any() != (case == "no-fixed-node")
     op = operator_context(mesh).constrained_stiffness()
     assert np.array_equal(op.free_idx, np.flatnonzero(~fixed))
-    masked = Dirichlet(fixed).masked_apply(TraversalMatVec(mesh))
+    masked = _masked_apply(fixed, TraversalMatVec(mesh))
     rng = np.random.default_rng(0)
     for _ in range(3):
         u = rng.standard_normal(mesh.n_nodes)
@@ -242,9 +243,42 @@ def test_constrained_apply_is_the_masked_apply_on_the_free_rows(case, monkeypatc
         assert not table.flags.writeable
 
 
+def _masked_apply(fixed, apply):
+    """``apply`` with identity on the fixed rows and columns — the masked
+    form ``Dirichlet.masked_apply`` had, before every matrix-free solve
+    iterated on the free nodes."""
+    fixed = np.flatnonzero(fixed)
+
+    def op(u):
+        v = np.array(u, float)
+        v[fixed] = 0.0
+        w = apply(v)
+        w[fixed] = u[fixed]
+        return w
+
+    return op
+
+
+def _masked_system(prob):
+    """``PoissonProblem.masked_system`` as it was: ``(bc, op, b, diag)``
+    on full-length vectors, the lifted load 0 and the diagonal 1 where
+    fixed."""
+    mesh = prob.mesh
+    ctx = operator_context(mesh)
+    bc = Dirichlet(mesh.dirichlet_mask, prob._g_nodes())
+    apply = TraversalMatVec(mesh, plan=ctx.traversal)
+    b = poisson.load_vector(mesh, prob.f)
+    if bc.u_fix.any():
+        b = b - apply(bc.u_fix)
+    b = np.where(bc.free, b, 0.0)
+    diag = ctx.jacobi_diagonal()
+    diag = np.where(bc.free & (diag > 0), diag, 1.0)
+    return bc, _masked_apply(bc.fixed, apply), b, diag
+
+
 def _masked_solve(prob, rtol, x0):
     """The matrix-free solve on full-length vectors: the masked system."""
-    bc, op, b, diag = prob.masked_system()
+    bc, op, b, diag = _masked_system(prob)
     start = None if x0 is None else np.where(bc.free, x0, 0.0)
     res = cg(op, b, x0=start, M=lambda r: r / diag, rtol=rtol,
              maxiter=20 * prob.mesh.n_nodes)

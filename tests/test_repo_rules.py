@@ -6,6 +6,7 @@ place) under ``src/repro``; a failure prints the offending
 a fresh interpreter instead: which modules a process loads.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -132,3 +133,28 @@ def test_one_operator_plan_path():
     rebuild the e2e harness resolves by name; nothing imports it."""
     assert _grep(r"\bg_loc|_plan_update|update_exchange_plan") == []
     assert _grep(r"plan_delta import|import .*plan_delta") == []
+
+
+def test_one_krylov_recurrence():
+    """The CG recurrence is written once, in ``solvers/krylov.py``: its
+    ``pAp`` / ``rz_new`` appear nowhere else (the resilient distributed
+    solve steps the same state), the masked full-length Poisson forms
+    are gone, and no solver takes a ``callback``."""
+    assert _files(_grep(r"\b(pAp|rz_new)\b")) == {"solvers/krylov.py"}
+    assert _grep(r"masked_system|masked_apply|masked_rhs") == []
+    assert _grep(r"\bcallback\b") == []
+
+
+def test_one_sealed_document():
+    """Both checkpoint schemas are sealed by one writer and verified by
+    one reader: ``_digest`` is the only sha256 in ``resilience/``, and
+    it is called from exactly those two functions."""
+    assert _files(_grep(r"sha256\(", "resilience")) == {
+        "resilience/checkpoint.py"}
+    assert len(_grep(r"sha256\(", "resilience")) == 1
+    tree = ast.parse((SRC / "resilience" / "checkpoint.py").read_text())
+    callers = sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_digest")
+    assert callers == ["_read_sealed", "_write_sealed"], callers

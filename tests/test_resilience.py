@@ -5,6 +5,7 @@ fault-injection suite standalone (``pytest -m resilience``).
 """
 
 import functools
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro import Domain, build_mesh
 from repro.core.mesh import build_uniform_mesh
+from repro.fem import poisson
 from repro.fem.navier_stokes import NavierStokesProblem
 from repro.fem.poisson import PoissonProblem
 from repro.geometry import BoxRetain, SphereCarve
@@ -29,9 +31,11 @@ from repro.resilience import (
     corrupt_buffer,
     latest_checkpoint,
     load_checkpoint,
+    load_state_checkpoint,
     prune_checkpoints,
     resilient_poisson_solve,
     save_checkpoint,
+    save_state_checkpoint,
 )
 from repro.resilience.faults import KINDS
 from repro.solvers import bicgstab, cg, newton_ls
@@ -417,6 +421,46 @@ def test_checkpoint_schema_tag_enforced(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("load", [load_checkpoint, load_state_checkpoint])
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "3"])
+def test_a_document_that_is_not_an_object_is_corruption(tmp_path, load, text):
+    # valid JSON that is not an object used to raise AttributeError from
+    # inside the schema-tag message
+    path = tmp_path / "w.ckpt.json"
+    path.write_text(text)
+    kind = type(json.loads(text)).__name__
+    with pytest.raises(CheckpointCorruption,
+                       match=f"is a JSON object, got {kind}$"):
+        load(path)
+
+
+def test_sealed_documents_keep_their_bytes(tmp_path):
+    """Both schemas go through one writer; the files are byte for byte
+    what the two writers it replaced produced (sha256 pinned then)."""
+    mesh = build_uniform_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3)
+    x = np.linspace(-1.0, 1.0, mesh.n_nodes)
+    ckpt = save_checkpoint(
+        tmp_path / "pin_step000003.ckpt.json", mesh, step=3, t=0.5, dt=0.25,
+        splits=np.array([0, 7, mesh.n_elem]),
+        vectors={"x": x, "r": x[::-1].copy()},
+        scalars={"rz": 0.125, "it": 3.0}, name="pin", meta={"case": "pin"})
+    state = save_state_checkpoint(
+        tmp_path / "s0_step000002.ckpt.json", name="s0", step=2,
+        state={"pending": [1, 2, 3], "tick": 40}, meta={"shard": "s0"})
+    sha = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (ckpt, state)}
+    assert sha == {
+        "pin_step000003.ckpt.json":
+            "0db013f345d00a9d7e4993342b55e8bd3d1ac9aff13cf7b9ac0381dbdc00dfcc",
+        "s0_step000002.ckpt.json":
+            "6e2bb4e89f9a10d80a8110523a3154cebc08a99647f6b6b6f1ae48ed1f610246",
+    }
+    ck, st = load_checkpoint(ckpt), load_state_checkpoint(state)
+    assert (ck.name, ck.step, ck.meta) == ("pin", 3, {"case": "pin"})
+    assert (st.name, st.step, st.meta) == ("s0", 2, {"shard": "s0"})
+    assert st.state == {"pending": [1, 2, 3], "tick": 40}
+
+
 def test_latest_checkpoint_orders_by_step(tmp_path):
     (tmp_path / "run_step000002.ckpt.json").write_text("{}")
     (tmp_path / "run_step000010.ckpt.json").write_text("{}")
@@ -531,6 +575,78 @@ def test_resilient_poisson_respects_max_recoveries(sphere_mesh, tmp_path):
             prob, ranks=6, ckpt_dir=tmp_path, ckpt_interval=3,
             fault_schedule=sched, max_recoveries=1,
         )
+
+
+# -- one solve: the resilient solve is cg on the free-node system -------
+
+
+_ONE_SOLVE_MESHES = {
+    "2d-p1": lambda: build_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3, 5,
+                                p=1),
+    "3d-p2": lambda: build_mesh(Domain(SphereCarve([0.5, 0.5, 0.5], 0.3)), 2,
+                                3, p=2),
+}
+_G = {"zero": 0.0, "constant": 0.75,
+      "callable": lambda pts: 1.0 + pts[:, 0] - 2.0 * pts[:, 1]}
+
+
+@functools.cache
+def _matrix_free(mesh_case: str, g: str):
+    """``(problem, x, iterations)`` of the serial matrix-free solve."""
+    prob = PoissonProblem(_ONE_SOLVE_MESHES[mesh_case](), f=2.5,
+                          dirichlet=_G[g])
+    iterations = []
+
+    def counted_cg(*args, **kwargs):
+        res = cg(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poisson, "cg", counted_cg)
+        x = prob.solve(solver="matrix-free", rtol=1e-12)
+    return prob, x, iterations.pop()
+
+
+@pytest.mark.parametrize("ranks", [1, 3, 6])
+@pytest.mark.parametrize("g", list(_G))
+@pytest.mark.parametrize("mesh_case", list(_ONE_SOLVE_MESHES))
+def test_the_resilient_solve_is_the_matrix_free_solve(mesh_case, g, ranks,
+                                                      tmp_path):
+    """One rank reproduces ``solve(solver="matrix-free")`` bit for bit;
+    k ranks reorder only the bottom-up sums of the apply."""
+    prob, want, iterations = _matrix_free(mesh_case, g)
+    res = resilient_poisson_solve(prob, ranks=ranks, ckpt_dir=tmp_path,
+                                  rtol=1e-12)
+    assert res.converged and not res.recoveries
+    assert res.iterations == iterations
+    if ranks == 1:
+        assert res.x.tobytes() == want.tobytes()
+    else:
+        assert np.abs(res.x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("at_op", [0, 1])
+def test_a_crash_in_the_first_apply_recovers(sphere_mesh, at_op, tmp_path):
+    """The step-0 checkpoint is written from the zero iterate before any
+    collective, so a crash in either exchange leg of the first apply
+    resumes from it."""
+    _, mesh = sphere_mesh
+    prob = PoissonProblem(mesh, f=1.0)
+    ref = resilient_poisson_solve(prob, ranks=4, ckpt_dir=tmp_path / "ref",
+                                  ckpt_interval=5)
+    res = resilient_poisson_solve(
+        prob, ranks=4, ckpt_dir=tmp_path / "faulted", ckpt_interval=5,
+        fault_schedule=FaultSchedule(seed=0).crash_rank(1, at_op=at_op))
+    assert res.converged and res.ranks_final == 3
+    [ev] = res.recoveries
+    assert (ev.op_index, ev.restored_step) == (at_op, 0)
+    assert float(np.abs(res.x - ref.x).max()) <= 1e-12
+    # the checkpointed Krylov state is free-length
+    n_free = int((~mesh.dirichlet_mask).sum())
+    ck = load_checkpoint(latest_checkpoint(tmp_path / "faulted", "poisson"))
+    assert {k: v.shape for k, v in ck.vectors().items()} == {
+        k: (n_free,) for k in ("x", "r", "p")}
 
 
 def test_resilient_ns_crash_recovery_bit_identical(channel, tmp_path):
