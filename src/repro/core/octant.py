@@ -30,7 +30,6 @@ __all__ = [
     "ancestor_at_level",
     "contains",
     "is_ancestor",
-    "cell_bounds",
 ]
 
 
@@ -283,8 +282,3 @@ def contains(oset: OctantSet, points: np.ndarray) -> np.ndarray:
     lo, hi = oset.bounds()
     p = np.asarray(points, dtype=np.int64)
     return np.all((p[None] >= lo[:, None]) & (p[None] <= hi[:, None]), axis=2)
-
-
-def cell_bounds(oset: OctantSet, domain_scale=1.0):
-    """Convenience alias for :meth:`OctantSet.physical_bounds`."""
-    return oset.physical_bounds(domain_scale)

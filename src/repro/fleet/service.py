@@ -155,11 +155,14 @@ class FleetShard(SolverService):
     dropped, so each discretization is built at most once fleet-wide.
 
     The shard runs on a :class:`ShardClock` and counts its L1 lookups;
-    a ``corrupt_cache`` fault flips one bit of the due entry's payload
-    *before* the lookup — the digest re-verification inside
-    :class:`ArtifactCache` then catches the damage, quarantines the
-    entry and degrades to a rebuild.  Both tiers verify: a fetched L2 entry that fails its
-    digest is quarantined from L2 and rebuilt as well.
+    a ``corrupt_cache`` fault flips one bit of the first array the due
+    lookup will read (:meth:`~repro.serve.cache.CacheEntry.reads`: a
+    sealed unit response or the base) *before* the lookup — the L1
+    re-verification of that read set then catches the damage,
+    quarantines the entry and degrades to a rebuild.  An L2 fetch
+    re-hashes the whole entry, base and every sealed unit, since the
+    tiers share entry objects: one that fails is quarantined from L2
+    and rebuilt as well.
     """
 
     def __init__(self, shard_id: str, l2: TierCache, *, chaos=None, **kwargs):
@@ -178,7 +181,13 @@ class FleetShard(SolverService):
         if self.chaos.take("corrupt_cache", self._lookups, self.shard_id):
             victim = self.cache.peek(request.mesh_digest)
             if victim is not None:
-                corrupt_in_place(victim.ctx.h, (self.chaos.seed, self._lookups))
+                # the first array this lookup will read; a sealed unit
+                # is read-only, so lift the flag for the flip only
+                arr = victim.reads(request.batch_key)[0].arrays[0]
+                writeable = arr.flags.writeable
+                arr.flags.writeable = True
+                corrupt_in_place(arr, (self.chaos.seed, self._lookups))
+                arr.flags.writeable = writeable
         return super()._resolve_entry(request, bid)
 
     def _cold_entry(self, request: SolveRequest, bid: str):

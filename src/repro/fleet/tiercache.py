@@ -45,6 +45,8 @@ class TierCache:
                  window: int = 32, fetch_cost_divisor: int = 16):
         if promote_after < 1 or window < 1:
             raise ValueError("promote_after and window must be >= 1")
+        if byte_budget < 0:
+            raise ValueError(f"byte_budget must be >= 0 (got {byte_budget})")
         self.byte_budget = int(byte_budget)
         self.promote_after = int(promote_after)
         self.demote_below = int(demote_below)

@@ -50,12 +50,11 @@ from .events import (
     load_events,
     save_events,
 )
-from .trace import TRACER, current_span, is_enabled, record, set_enabled, span
+from .trace import TRACER, is_enabled, record, set_enabled, span
 
 __all__ = [
     "span",
     "record",
-    "current_span",
     "add",
     "set_gauge",
     "observe",

@@ -32,8 +32,8 @@ import os
 import threading
 import time
 
-__all__ = ["Span", "Tracer", "TRACER", "span", "record", "current_span",
-           "set_enabled", "is_enabled"]
+__all__ = ["Span", "Tracer", "TRACER", "span", "record", "set_enabled",
+           "is_enabled"]
 
 
 class Span:
@@ -244,14 +244,6 @@ def span(name: str, merge: bool = False, **attrs):
 def record(name: str, seconds: float, merge: bool = True, **counters) -> Span | None:
     """Module-level shortcut for :meth:`Tracer.record`."""
     return TRACER.record(name, seconds, merge=merge, **counters)
-
-
-def current_span() -> Span | None:
-    """The innermost open span of this thread (None when disabled or
-    no span is open) — the anchor point for :meth:`Span.event`."""
-    if not TRACER.enabled:
-        return None
-    return TRACER.current()
 
 
 def set_enabled(flag: bool) -> None:

@@ -27,14 +27,18 @@ such batch only — and forms every member from the units it rides by
 element-wise multiply/add, so a response's bits are a function of the
 request, not of the batch it rode in, and a hot batch is k scaled adds.
 The memo lives and dies with the factor and its bytes are in
-``factor.nbytes`` from build.  The nominal ``rtol`` is a function of the
-batch key; brownout loosens it per batch, so a degraded batch solves per
-batch and never touches the memo.  The outcome's ``matvecs`` are the
-stored unit's: the virtual clock (``cost_solve``) keeps charging a solve
-per batch — it models a server without the memo.  A Krylov ``breakdown``
-or non-finite unit response raises
-:class:`repro.resilience.faults.SolverBreakdown` for the whole batch and
-stores nothing — the scheduler's retry-with-backoff re-solves it.
+``factor.nbytes`` from build.  A stored unit is read-only and sealed
+with its :func:`~repro.serve.api.solution_digest`; ``factor.sealed()``
+hands the cache those ``(u, seal)`` pairs, which every hit on the batch
+key re-hashes before the units are served.  The nominal ``rtol`` is a
+function of the batch key; brownout loosens it per batch, so a degraded
+batch solves per batch and never touches — or seals into — the memo.
+The outcome's ``matvecs`` are the stored unit's: the virtual clock
+(``cost_solve``) keeps charging a solve per batch — it models a server
+without the memo.  A Krylov ``breakdown`` or non-finite unit response
+raises :class:`repro.resilience.faults.SolverBreakdown` for the whole
+batch and stores nothing — the scheduler's retry-with-backoff re-solves
+it.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ class UnitResponse:
     residual: float
     reason: str
     matvecs: int                   # operator applications / LU sweeps
+    seal: str = ""                 # solution_digest(u) when the memo stores it
 
 
 @dataclass
@@ -103,7 +108,16 @@ def _csr_nbytes(A) -> int:
     return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
-class _PoissonFactor:
+class _Factor:
+    """What every factor kind shares: the memo's sealed arrays."""
+
+    def sealed(self) -> list[tuple[np.ndarray, str]]:
+        """``(u, seal)`` of every unit response the memo holds — what a
+        hot hit on this factor's batch key reads."""
+        return [(unit.u, unit.seal) for unit in self.units.values()]
+
+
+class _PoissonFactor(_Factor):
     """Nodal-Dirichlet Poisson: the system, sliced, inverted by Jacobi-CG."""
 
     kind = "poisson"
@@ -129,7 +143,7 @@ class _PoissonFactor:
                             res.residual, res.reason, res.matvecs)
 
 
-class _SbmFactor:
+class _SbmFactor(_Factor):
     """Shifted-Boundary-Method Poisson: the system, sliced, LU once."""
 
     kind = "sbm"
@@ -159,7 +173,7 @@ class _SbmFactor:
                             "direct", 1)
 
 
-class _TransportFactor:
+class _TransportFactor(_Factor):
     """Implicit-Euler SUPG transport, one LU shared by the batch.
 
     velocity/kappa/dt/steps are in the batch key and every member starts
@@ -192,7 +206,7 @@ class _TransportFactor:
         return UnitResponse(c, self.steps, 0.0, "direct", self.steps)
 
 
-class _AmrFactor:
+class _AmrFactor(_Factor):
     """One cached adaptive-refinement trajectory per batch key.
 
     The loop is driven with the *unit* source (f=1, g=0).  Dörfler and
@@ -270,7 +284,8 @@ def solve_batch(factor, requests: list[SolveRequest],
     with span("serve.solve", pde=factor.kind) as osp:
         # tol is in the batch key: equal across the members
         rtol = min(requests[0].tol * tol_scale, 1e-2)
-        memo = factor.units if tol_scale == 1.0 else {}
+        nominal = tol_scale == 1.0
+        memo = factor.units if nominal else {}
         k = len(requests)
         rows = np.zeros((k, factor.n_nodes))
         its, res, worst = [0] * k, [0.0] * k, [0] * k
@@ -291,7 +306,9 @@ def solve_batch(factor, requests: list[SolveRequest],
                         "serve.batch", reason,
                         f"{factor.kind} unit response for {term!r} broke down")
                 unit.u.flags.writeable = False
-                memo[term] = unit
+                if nominal:
+                    unit.seal = solution_digest(unit.u)
+                    memo[term] = unit
             severity = _REASONS.index(unit.reason)
             matvecs += unit.matvecs
             for j, c in enumerate(coef):

@@ -26,6 +26,14 @@ on the entry), so one :class:`CacheEntry` object can be shared by
 several caches — the fleet layer keeps the same entry in a shard's L1
 and the shared second tier simultaneously.
 
+Integrity is checked where the bytes are read.  An entry seals its
+base arrays at construction and every factor seals each unit response
+it stores; a hit re-hashes exactly what the request's batch key will
+read (:meth:`CacheEntry.reads`) — the sealed units of a hot key, the
+base arrays of a key whose factor has yet to be built or solved.  The
+fleet's L2 fetch re-hashes everything (:meth:`CacheEntry.verify`),
+since the tiers share entry objects.
+
 Metrics: ``serve.cache.{hits,misses,evictions}`` counters and
 ``serve.cache.{bytes,entries}`` gauges.  A *named* cache (the fleet
 gives each shard's L1 its shard id) labels every metric with
@@ -41,12 +49,15 @@ shared second tier instead of being dropped.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
+from typing import NamedTuple
 
 import scipy.sparse as sp
 
 from ..obs import add as obs_add
 from ..obs import set_gauge
 from ..resilience.faults import ArtifactCorruption
+from .api import solution_digest
 
 __all__ = ["CacheEntry", "ArtifactCache", "ArtifactCorruption"]
 
@@ -67,27 +78,43 @@ def _obj_nbytes(obj) -> int:
 
 
 def _entry_base_nbytes(mesh, ctx) -> int:
-    total = mesh.leaves.anchors.nbytes + mesh.leaves.levels.nbytes
-    total += mesh.nodes.coords.nbytes
-    total += _obj_nbytes(ctx.gather)
-    total += ctx.h.nbytes + ctx.levels.nbytes
-    return int(total)
+    total = sum(a.nbytes for a in _base_arrays(mesh, ctx))
+    return int(total + _obj_nbytes(ctx.gather))
+
+
+def _base_arrays(mesh, ctx) -> tuple:
+    """The entry's base arrays, in sealing order: the leaf octants,
+    nodal coordinates and the operator context's per-node metadata."""
+    return (mesh.leaves.anchors, mesh.leaves.levels, mesh.nodes.coords,
+            ctx.h, ctx.levels)
 
 
 def _entry_content_digest(mesh, ctx) -> str:
     """sha256 over the entry's base arrays — its birth certificate.
 
-    Covers exactly the data a corrupted artifact would damage: the leaf
-    octants, nodal coordinates and the operator context's per-node
-    metadata.  Factors are rebuilt from these, so verifying the base is
-    what guards every downstream solve.
+    Factors are built from these, so verifying the base before a factor
+    build is what guards every solve the factor will serve.
     """
     h = hashlib.sha256()
-    for arr in (mesh.leaves.anchors, mesh.leaves.levels,
-                mesh.nodes.coords, ctx.h, ctx.levels):
+    for arr in _base_arrays(mesh, ctx):
         h.update(f"{arr.dtype.str}|{arr.shape}|".encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+class Sealed(NamedTuple):
+    """Arrays a cache hit reads and the sha256 they were sealed under."""
+
+    arrays: tuple
+    digest: str
+    rehash: Callable[[], str]   # the digest of the arrays as they are now
+
+
+def _unit_seals(factor) -> list[Sealed]:
+    """A factor's sealed unit responses, each under its
+    :func:`~repro.serve.api.solution_digest`."""
+    return [Sealed((u,), seal, lambda u=u: solution_digest(u))
+            for u, seal in factor.sealed()]
 
 
 class CacheEntry:
@@ -97,8 +124,10 @@ class CacheEntry:
     (:attr:`repro.serve.api.SolveRequest.batch_key`) to a factor object
     built by :mod:`repro.serve.batcher`; each factor reports its own
     byte estimate so the cache can account for it.  ``content_digest``
-    is sealed at construction; :meth:`verify` recomputes it so every
-    cache get can prove the artifact is still the one that was built.
+    seals the base arrays at construction, and each factor seals the
+    unit responses it stores: :meth:`reads` names what a hit on one
+    batch key reads and :meth:`verify` re-hashes everything the entry
+    holds.
     """
 
     __slots__ = ("fingerprint", "mesh", "ctx", "factors", "nbytes",
@@ -117,21 +146,45 @@ class CacheEntry:
         self.factors[key] = factor
         self.nbytes += int(nbytes)
 
+    def _base(self) -> Sealed:
+        mesh, ctx = self.mesh, self.ctx
+        return Sealed(_base_arrays(mesh, ctx), self.content_digest,
+                      lambda: _entry_content_digest(mesh, ctx))
+
+    def reads(self, batch_key: str) -> list[Sealed]:
+        """What a hit on ``batch_key`` reads, piece by piece.
+
+        A hot hit serves the sealed unit responses of the key's factor
+        and touches nothing else; a key with no factor yet, or with an
+        empty memo, reads the base arrays its factor solves from.
+        """
+        factor = self.factors.get(batch_key)
+        units = _unit_seals(factor) if factor is not None else []
+        return units or [self._base()]
+
+    def check(self, pieces: list[Sealed], *, tier: str = "l1") -> None:
+        """Re-hash each piece; raise on the first mismatch."""
+        for piece in pieces:
+            actual = piece.rehash()
+            if actual != piece.digest:
+                raise ArtifactCorruption(
+                    self.fingerprint, tier=tier,
+                    detail=f"stored {piece.digest[:12]}… "
+                           f"recomputed {actual[:12]}…",
+                )
+
     def verify(self, *, tier: str = "l1") -> None:
-        """Recompute the content digest; raise on mismatch."""
-        actual = _entry_content_digest(self.mesh, self.ctx)
-        if actual != self.content_digest:
-            raise ArtifactCorruption(
-                self.fingerprint, tier=tier,
-                detail=f"stored {self.content_digest[:12]}… "
-                       f"recomputed {actual[:12]}…",
-            )
+        """Re-hash the base and every sealed unit of every factor."""
+        self.check([self._base(), *(s for f in self.factors.values()
+                                     for s in _unit_seals(f))], tier=tier)
 
 
 class ArtifactCache:
     """Deterministic byte-budgeted LRU over :class:`CacheEntry` objects."""
 
     def __init__(self, byte_budget: int = 256 << 20, name: str | None = None):
+        if byte_budget < 0:
+            raise ValueError(f"byte_budget must be >= 0 (got {byte_budget})")
         self.byte_budget = int(byte_budget)
         self.name = name
         self._labels = {} if name is None else {"cache": name}
@@ -169,11 +222,13 @@ class ArtifactCache:
         fp = self._alias.get(mesh_digest)
         return self._entries.get(fp) if fp is not None else None
 
-    def lookup(self, mesh_digest: str) -> CacheEntry | None:
+    def lookup(self, mesh_digest: str, batch_key: str) -> CacheEntry | None:
         """Resolve a request-side mesh digest; publishes hit/miss.
 
-        Every hit re-verifies the entry's content digest.  A mismatch
-        evicts + quarantines the artifact and raises
+        Every hit re-verifies what it will read for ``batch_key``
+        (:meth:`CacheEntry.reads`): the sealed unit responses a hot batch
+        is formed from, or the base arrays a factor is built from.  A
+        mismatch evicts + quarantines the artifact and raises
         :class:`ArtifactCorruption` — the owning service treats it as a
         miss and rebuilds, so a flipped byte costs one rebuild, never a
         wrong solve.
@@ -185,7 +240,7 @@ class ArtifactCache:
             obs_add("serve.cache.misses", 1, **self._labels)
             return None
         try:
-            entry.verify()
+            entry.check(entry.reads(batch_key))
         except ArtifactCorruption:
             self.misses += 1
             obs_add("serve.cache.misses", 1, **self._labels)

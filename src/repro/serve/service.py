@@ -224,7 +224,7 @@ class SolverService:
         id; cache/build events are batch-scoped and join every member's
         timeline through it."""
         try:
-            entry = self.cache.lookup(request.mesh_digest)
+            entry = self.cache.lookup(request.mesh_digest, request.batch_key)
         except ArtifactCorruption as exc:
             # the cache already evicted + quarantined the entry: record
             # the detection and take the miss path, so corruption costs

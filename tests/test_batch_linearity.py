@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.resilience.faults import FaultSchedule, SolverBreakdown
 from repro.serve import SolverService, SolveRequest, batcher
+from repro.serve.api import solution_digest
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
 from repro.solvers.krylov import KrylovResult
 
@@ -349,6 +350,10 @@ def test_a_degraded_batch_solves_per_batch_and_leaves_the_memo_alone(
     before = solve_batch(factor, reqs)
     stored = {t: id(u) for t, u in factor.units.items()}
     assert calls == terms * 2 and list(stored) == terms
+    # only the nominal batch seals what it stores, each unit under its digest
+    sealed = factor.sealed()
+    assert len(sealed) == len(terms)
+    assert all(seal == solution_digest(u) for u, seal in sealed)
     for _ in range(2):
         assert _columns(solve_batch(factor, reqs, tol_scale=1e6)) == (
             _columns(loose))
@@ -431,7 +436,10 @@ def test_the_memo_survives_a_demotion_to_l2_and_dies_with_a_quarantine(
     # evicted to L2 and fetched back: the same entry, the same factor, no solve
     assert serve(_req("poisson", 2.0)).cache_hit and shard.l2_fetches == 1
     assert solved == ["f", "f"]
-    # a flipped bit: both tiers quarantine it, the rebuilt key starts empty
-    corrupt_in_place(shard.cache.peek(a.mesh_digest).ctx.h, (0,))
+    # a flipped bit in the stored u_f: both tiers quarantine it, the
+    # rebuilt key starts empty
+    (u, _), = shard.cache.peek(a.mesh_digest).factors[a.batch_key].sealed()
+    u.flags.writeable = True
+    corrupt_in_place(u, (0,))
     assert not serve(_req("poisson", 3.0)).cache_hit
     assert solved == ["f", "f", "f"] and len(shard.cache.quarantined) == 1

@@ -2,13 +2,16 @@
 circuit breakers, deadline-aware brownout, artifact-corruption
 quarantine and torn-checkpoint detection."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from repro.fleet import FleetService, synthetic_workload
+from repro.fleet import service as fleet_service
 from repro.fleet.defense import BreakerPolicy, CircuitBreaker, HedgePolicy
+from repro.fleet.workload import Arrival
 from repro.obs import EventLog
 from repro.resilience.checkpoint import (
     CheckpointCorruption,
@@ -22,7 +25,13 @@ from repro.resilience.faults import (
     FaultSchedule,
     corrupt_in_place,
 )
-from repro.serve import SolverService, demo_workload
+from repro.serve import (
+    SolveRequest,
+    SolverClient,
+    SolverService,
+    demo_workload,
+)
+from repro.serve import cache as serve_cache
 from repro.serve.scheduler import BrownoutPolicy
 
 pytestmark = pytest.mark.chaos
@@ -239,8 +248,11 @@ def test_cache_get_reverifies_quarantines_and_rebuilds():
     assert entry is not None
     corrupt_in_place(entry.ctx.h, (1, 2))  # flip one bit
     before = len(svc.cache.quarantined)
+    # a key with no factor yet reads the base arrays its factor solves from
+    fresh = dataclasses.replace(reqs[0], tol=reqs[0].tol / 10)
+    assert fresh.batch_key not in entry.factors
     with pytest.raises(ArtifactCorruption) as exc:
-        svc.cache.lookup(key)
+        svc.cache.lookup(key, fresh.batch_key)
     assert exc.value.tier == "l1"
     assert len(svc.cache.quarantined) == before + 1
     assert svc.cache.stats()["quarantined"] == before + 1
@@ -269,6 +281,130 @@ def test_chaos_cache_corruption_detected_end_to_end():
     assert all(r.status == "ok" for r in fleet.responses)
     kinds = [ev.kind for ev in log.events]
     assert "corrupt_detect" in kinds and "quarantine" in kinds
+
+
+# -- the read set: a hit verifies what it serves --------------------------
+
+DISK = {"shape": "sphere", "center": (0.5, 0.5), "radius": 0.3}
+_CORRUPTION_PATH = {"corrupt_detect", "quarantine", "cache_miss", "build"}
+
+
+def _poisson(f=1.0, **kw):
+    return SolveRequest(**{**dict(geometry=DISK, pde="poisson", base_level=2,
+                                  boundary_level=3, f=f), **kw})
+
+
+def _flip_unit(entry, batch_key):
+    """Flip one bit of the one unit response the key's factor has sealed."""
+    (u, _), = entry.factors[batch_key].sealed()
+    u.flags.writeable = True
+    corrupt_in_place(u, (0,))
+    u.flags.writeable = False
+
+
+def _clean_digest(req):
+    return SolverClient(SolverService()).solve(req).solution_digest
+
+
+def test_a_flipped_unit_is_caught_rebuilt_and_never_served():
+    a, b = _poisson(1.0), _poisson(2.5)
+    log = EventLog()
+    svc = SolverService(recorder=log)
+    client = SolverClient(svc)
+    assert client.solve(a).ok
+    entry = svc.cache.peek(a.mesh_digest)
+    _flip_unit(entry, a.batch_key)
+    resp = client.solve(b)
+    path = [ev.kind for ev in log.events
+            if ev.rid == b.digest and ev.kind in _CORRUPTION_PATH]
+    assert path == ["corrupt_detect", "quarantine", "cache_miss", "build"]
+    assert svc.cache.quarantined == {entry.fingerprint}
+    assert resp.ok and not resp.cache_hit
+    assert resp.solution_digest == _clean_digest(b)
+
+
+@pytest.mark.fleet
+def test_a_flipped_unit_is_quarantined_in_both_tiers():
+    a, b = _poisson(1.0), _poisson(2.5)
+    log = EventLog()
+    fleet = FleetService(2, stealing=False, recorder=log)
+    fleet.run([Arrival(1, a)])
+    shard = fleet.shards[fleet.ring.route(a.mesh_digest)]
+    entry = shard.cache.peek(a.mesh_digest)
+    _flip_unit(entry, a.batch_key)  # L1 and L2 hold this one object
+    resp = fleet.run([Arrival(fleet.now + 1, b)])[-1]
+    tiers = [ev.attrs["tier"] for ev in log.events
+             if ev.kind == "corrupt_detect"]
+    assert tiers == ["l1", "l2"]
+    assert shard.cache.quarantined == fleet.l2.quarantined == {
+        entry.fingerprint}
+    assert resp.ok and not resp.cache_hit
+    assert resp.solution_digest == _clean_digest(b)
+
+
+@pytest.mark.fleet
+def test_a_hot_hit_never_rehashes_the_base(monkeypatch):
+    calls = []
+    real = serve_cache._entry_content_digest
+    monkeypatch.setattr(serve_cache, "_entry_content_digest",
+                        lambda mesh, ctx: calls.append(1) or real(mesh, ctx))
+    a = _poisson(1.0)
+    client = SolverClient(SolverService())
+    client.solve(a)
+    assert len(calls) == 1  # sealed once, at build
+    assert client.solve(_poisson(2.0)).cache_hit
+    assert len(calls) == 1  # the hot hit re-hashed u_f only
+    client.solve(_poisson(2.0, tol=a.tol / 10))
+    assert len(calls) == 2  # a fresh key: the base, before its factor build
+    # an L2 fetch re-hashes the whole entry
+    fleet = FleetService(2, cache_bytes=1, stealing=False)  # L1 holds one
+    home = fleet.ring.route(a.mesh_digest)
+    b = next(r for r in (_poisson(geometry={**DISK, "radius": 0.1 + i / 100})
+                         for i in range(19))
+             if fleet.ring.route(r.mesh_digest) == home)
+    for req in (a, b):
+        fleet.run([Arrival(fleet.now + 1, req)])
+    before = len(calls)
+    assert fleet.run([Arrival(fleet.now + 1, _poisson(3.0))])[-1].cache_hit
+    assert fleet.shards[home].l2_fetches == 1 and len(calls) == before + 1
+
+
+@pytest.mark.fleet
+@pytest.mark.parametrize("branch", ["unit", "base"])
+def test_corrupt_cache_damages_the_first_array_the_lookup_reads(
+        branch, monkeypatch):
+    if branch == "unit":
+        # shard0's 5th lookup is a hot hit on a sealed u_f
+        def workload():
+            return synthetic_workload(32, seed=0)
+        due = ("shard0", 5)
+    else:
+        # the sbm key's first lookup hits the poisson key's entry: no
+        # factor yet, so it reads the base
+        a, b = _poisson(1.0), _poisson(1.5, pde="sbm")
+        assert a.mesh_digest == b.mesh_digest
+
+        def workload():
+            return [Arrival(1, a), Arrival(100_000, b)]
+        due = (_fleet(2).ring.route(a.mesh_digest), 2)
+    damaged = []
+    real = fleet_service.corrupt_in_place
+    monkeypatch.setattr(fleet_service, "corrupt_in_place",
+                        lambda arr, key: damaged.append(arr) or real(arr, key))
+    log = EventLog()
+    fleet = _fleet(2, stealing=False, recorder=log,
+                   chaos=FaultSchedule().corrupt_cache(*due))
+    fleet.run(workload())
+    clean = _fleet(2, stealing=False)
+    clean.run(workload())
+    assert len(damaged) == 1
+    # a unit is read-only again once the flip is done
+    assert damaged[0].flags.writeable == (branch == "base")
+    detects = [ev for ev in log.events if ev.kind == "corrupt_detect"]
+    assert detects and detects[0].attrs["tier"] == "l1"
+    assert detects[0].shard == due[0]
+    assert all(r.status == "ok" for r in fleet.responses)
+    assert fleet.fleet_digest == clean.fleet_digest
 
 
 # -- torn checkpoints ----------------------------------------------------

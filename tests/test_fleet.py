@@ -23,7 +23,7 @@ from repro.resilience.checkpoint import (
     load_state_checkpoint,
     save_state_checkpoint,
 )
-from repro.serve import SolveRequest
+from repro.serve import SolveRequest, SolverService
 
 pytestmark = pytest.mark.fleet
 
@@ -33,6 +33,19 @@ def _fleet(n, **kw):
     kw.setdefault("steal_threshold", 4)
     kw.setdefault("steal_latency", 100)
     return FleetService(n, **kw)
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: SolverService(cache_bytes=b),
+    lambda b: FleetService(2, cache_bytes=b),
+    lambda b: FleetService(2, l2_bytes=b),
+], ids=["service-cache_bytes", "fleet-cache_bytes", "fleet-l2_bytes"])
+def test_a_negative_byte_budget_is_refused(make):
+    """A negative budget would evict every entry but the one being
+    served; the smallest budget the tests run with stays legal."""
+    with pytest.raises(ValueError, match="byte_budget must be >= 0"):
+        make(-1)
+    make(1)
 
 
 def _busy_workload(n=48, seed=3):

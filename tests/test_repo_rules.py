@@ -158,3 +158,45 @@ def test_one_sealed_document():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_digest")
     assert callers == ["_read_sealed", "_write_sealed"], callers
+
+
+def _method(rel: str, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / rel).read_text())
+    owner = next(n for n in tree.body
+                 if isinstance(n, ast.ClassDef) and n.name == cls)
+    return next(n for n in owner.body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _callers(rel: str, callee: str) -> list[str]:
+    """Names of the functions in ``rel`` whose bodies call ``callee``."""
+    tree = ast.parse((SRC / rel).read_text())
+    return sorted(
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == callee)
+
+
+def test_one_read_set():
+    """What a cache hit reads is named in one place, ``CacheEntry.reads``:
+    an L1 hit re-hashes exactly that read set and the ``corrupt_cache``
+    fault damages its first array.  The base digest is taken at build
+    and for the read set's base piece only — never a second time on the
+    lookup path."""
+    assert _files(_grep(r"def reads\(")) == {"serve/cache.py"}
+    assert _files(_grep(r"\.reads\(")) == {"serve/cache.py", "fleet/service.py"}
+    lookup = ast.unparse(_method("serve/cache.py", "ArtifactCache", "lookup"))
+    assert "entry.check(entry.reads(batch_key))" in lookup, lookup
+    assert "verify(" not in lookup and "digest(" not in lookup, lookup
+    assert _callers("serve/cache.py", "_entry_content_digest") == [
+        "__init__", "_base"]
+    resolve = _method("fleet/service.py", "FleetShard", "_resolve_entry")
+    (damage,) = [n for n in ast.walk(resolve) if isinstance(n, ast.Call)
+                 and getattr(n.func, "id", "") == "corrupt_in_place"]
+    target = ast.unparse(damage.args[0])
+    (source,) = [ast.unparse(n.value) for n in ast.walk(resolve)
+                 if isinstance(n, ast.Assign)
+                 and [ast.unparse(t) for t in n.targets] == [target]]
+    assert source == "victim.reads(request.batch_key)[0].arrays[0]", source
+    assert _files(_grep(r"corrupt_in_place\(")) == {
+        "fleet/service.py", "resilience/faults.py"}
