@@ -10,7 +10,6 @@ multigrid.
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, assemble, build_mesh
 from repro.fem.dirichlet import Dirichlet

@@ -9,9 +9,6 @@ gap with channel elongation.
 
 import time
 
-import numpy as np
-import pytest
-
 from repro import Domain
 from repro.baselines import dendro_style_pipeline
 from repro.core.construct import construct_adaptive

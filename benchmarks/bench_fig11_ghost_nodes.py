@@ -9,7 +9,6 @@ linear ones — reproduced here from real partitions of real meshes.
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_mesh
 from repro.geometry import SphereCarve

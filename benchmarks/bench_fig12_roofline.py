@@ -8,8 +8,6 @@ rate both *grow with p* because compute scales as O(d(p+1)^(d+1))
 while data scales as O((p+1)^d) — is asserted.
 """
 
-import pytest
-
 from repro import Domain, build_mesh, obs
 from repro.analysis import (
     analyze_kernel,

@@ -16,7 +16,6 @@ at those Reynolds numbers (DESIGN.md substitution), so this bench
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_mesh
 from repro.analysis import (

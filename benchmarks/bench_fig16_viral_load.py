@@ -9,7 +9,6 @@ transmission at the other seats.
 """
 
 import numpy as np
-import pytest
 
 from repro import build_mesh
 from repro.fem import NavierStokesProblem, TransportProblem

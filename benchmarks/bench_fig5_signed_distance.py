@@ -10,7 +10,6 @@ in-repo trimesh substrate (Eq. 3 of the paper's Appendix B.1).
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_mesh
 from repro.analysis import fit_rate

@@ -15,7 +15,6 @@ N^{-1} error-vs-DoF rate.
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_uniform_mesh
 from repro.amr import amr_solve

@@ -17,7 +17,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro import Domain, build_mesh

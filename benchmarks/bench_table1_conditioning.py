@@ -14,14 +14,13 @@ pipeline (channel of height 1 in a length×length square).
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, assemble, build_uniform_mesh
 from repro.fem.basis import LagrangeBasis
 from repro.fem.dirichlet import Dirichlet
 from repro.fem.quadrature import tensor_rule
 from repro.geometry import BoxRetain
-from repro.solvers import cond_dense, condest_1norm
+from repro.solvers import condest_1norm
 
 from _util import ResultTable
 

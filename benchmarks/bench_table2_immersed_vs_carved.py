@@ -10,9 +10,6 @@ paper's range, with f_DOF markedly smaller than f_elem (the paper's CG
 node-sharing argument).
 """
 
-import numpy as np
-import pytest
-
 from repro import Domain
 from repro.baselines import compare_carved_immersed
 from repro.geometry import SphereCarve, TriMeshCarve, dragon_blob

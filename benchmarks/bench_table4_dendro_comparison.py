@@ -15,7 +15,6 @@ analysis in :mod:`repro.baselines.complete_octree` provides:
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_mesh
 from repro.baselines import dendro_style_pipeline

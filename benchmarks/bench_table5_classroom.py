@@ -12,7 +12,6 @@ channel case — the paper's ≈1.5× element excess and ≈2-3× time gap).
 import time
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_mesh
 from repro.baselines import ImmersedPredicate

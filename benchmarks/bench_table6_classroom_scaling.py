@@ -6,9 +6,6 @@ MATVEC-dominated) gives the efficiency column.  Paper: ≈0.90 efficiency
 over a 16× rank increase for both meshes.
 """
 
-import numpy as np
-import pytest
-
 from repro import build_mesh
 from repro.geometry import ClassroomScene
 from repro.parallel import FRONTERA, analyze_partition, model_matvec, partition_mesh, rank_statistics

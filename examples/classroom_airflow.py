@@ -47,7 +47,6 @@ def run_scenario(with_monitors: bool, fast: bool):
           f"flow solved ({flow.iterations} picard iters, dU={flow.residual:.1e})")
 
     # statistically-steady flow advects the cough-released viral load
-    pts = mesh.node_coords()
     inlet_nodes = mask[:, 2] & (vals[:, 2] < 0)
     tp = TransportProblem(
         mesh, flow.velocity, kappa=1e-2, dt=0.1,

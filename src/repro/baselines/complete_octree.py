@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.construct import construct_adaptive
 from ..core.domain import Domain
 from ..core.octant import OctantSet, children, max_level
 from ..core.sfc import cached_keys, get_curve

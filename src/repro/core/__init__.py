@@ -1,6 +1,6 @@
 """Core incomplete-octree algorithms (the paper's primary contribution)."""
 
-from .adapt import AdaptMap, coarsen_leaves, leaf_correspondence, refine_leaves
+from .adapt import coarsen_leaves, refine_leaves
 from .balance import balance_2to1, is_balanced
 from .construct import construct_adaptive, construct_constrained, construct_uniform
 from .distributed import dist_tree_sort, distributed_construct_constrained
@@ -43,10 +43,8 @@ __all__ = [
     "TraversalPlan",
     "operator_context",
     "mesh_fingerprint",
-    "AdaptMap",
     "refine_leaves",
     "coarsen_leaves",
-    "leaf_correspondence",
     "dist_tree_sort",
     "distributed_construct_constrained",
 ]

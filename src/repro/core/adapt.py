@@ -21,8 +21,6 @@ All three return SFC-sorted linear octrees; callers re-balance with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..geometry.predicate import RegionLabel
@@ -31,110 +29,7 @@ from .octant import OctantSet, children, max_level, parent
 from .sfc import cached_keys, get_curve
 from .treesort import block_ends, remove_duplicates, tree_sort
 
-__all__ = [
-    "AdaptMap",
-    "refine_leaves",
-    "coarsen_leaves",
-    "leaf_correspondence",
-    "construct_from_points",
-]
-
-
-@dataclass(frozen=True)
-class AdaptMap:
-    """Old ↔ new leaf correspondence across a refine/coarsen step.
-
-    Stored as a CSR new→old map: new leaf ``i`` derives from old leaves
-    ``src_idx[src_ptr[i]:src_ptr[i+1]]`` — exactly one entry when the
-    leaf is unchanged or a refinement child, the full sibling group when
-    it is a coarsening parent.  The map is total (every new leaf has at
-    least one source) and the images are disjoint except for coarsening
-    parents sharing their sibling sources.
-    """
-
-    n_old: int
-    n_new: int
-    src_ptr: np.ndarray
-    src_idx: np.ndarray
-
-    def sources(self, i: int) -> np.ndarray:
-        """Old leaf indices that new leaf ``i`` derives from."""
-        return self.src_idx[self.src_ptr[i] : self.src_ptr[i + 1]]
-
-    def single_source(self) -> np.ndarray:
-        """Per-new-leaf old index where unique, else -1 (coarsened)."""
-        cnt = np.diff(self.src_ptr)
-        out = np.full(self.n_new, -1, np.int64)
-        one = cnt == 1
-        out[one] = self.src_idx[self.src_ptr[:-1][one]]
-        return out
-
-    def old_to_new(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse CSR: per-old-leaf list of derived new leaves."""
-        order = np.argsort(self.src_idx, kind="stable")
-        cnt = np.bincount(self.src_idx, minlength=self.n_old)
-        ptr = np.zeros(self.n_old + 1, np.int64)
-        np.cumsum(cnt, out=ptr[1:])
-        rows = np.repeat(
-            np.arange(self.n_new, dtype=np.int64), np.diff(self.src_ptr)
-        )
-        return ptr, rows[order]
-
-    def is_total(self) -> bool:
-        """Every new leaf has at least one old source."""
-        return bool((np.diff(self.src_ptr) >= 1).all())
-
-
-def leaf_correspondence(
-    old_leaves: OctantSet, new_leaves: OctantSet, curve: str = "morton"
-) -> AdaptMap:
-    """Match two SFC-sorted linear octrees of the same domain leaf-wise.
-
-    Each new leaf is equal to, a descendant of, or an ancestor of the
-    old leaves covering its SFC block, so its sources are either the
-    single containing old leaf or the contiguous run of old descendants
-    inside its block.  Works across any refine/coarsen/balance
-    combination, including carved-child pruning.
-    """
-    dim = old_leaves.dim
-    oracle = get_curve(curve)
-    ok = cached_keys(old_leaves, oracle)
-    oe = block_ends(ok, old_leaves.levels, dim)
-    nk = cached_keys(new_leaves, oracle)
-    ne = block_ends(nk, new_leaves.levels, dim)
-    n_new = len(new_leaves)
-    j = np.searchsorted(ok, nk, side="right") - 1
-    jc = np.clip(j, 0, max(len(old_leaves) - 1, 0))
-    contained = (j >= 0) & (nk >= ok[jc]) & (ne <= oe[jc])
-    lo = np.searchsorted(ok, nk, side="left")
-    hi = np.searchsorted(ok, ne, side="left")
-    cnt = np.where(contained, 1, hi - lo)
-    ptr = np.zeros(n_new + 1, np.int64)
-    np.cumsum(cnt, out=ptr[1:])
-    idx = np.empty(int(ptr[-1]), np.int64)
-    ci = np.flatnonzero(contained)
-    idx[ptr[:-1][ci]] = jc[ci]
-    di = np.flatnonzero(~contained)
-    if len(di):
-        total = int((hi[di] - lo[di]).sum())
-        rep = np.repeat(lo[di], hi[di] - lo[di])
-        offs = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(hi[di] - lo[di])[:-1]]).astype(
-                np.int64
-            ),
-            hi[di] - lo[di],
-        )
-        dest = np.repeat(ptr[:-1][di], hi[di] - lo[di]) + offs
-        idx[dest] = rep + offs
-    amap = AdaptMap(
-        n_old=len(old_leaves), n_new=n_new, src_ptr=ptr, src_idx=idx
-    )
-    if not amap.is_total():
-        raise RuntimeError(
-            "leaf correspondence is not total — are both octrees "
-            "linearizations of the same domain?"
-        )
-    return amap
+__all__ = ["refine_leaves", "coarsen_leaves", "construct_from_points"]
 
 
 def refine_leaves(
@@ -175,7 +70,6 @@ def coarsen_leaves(
     marks = np.asarray(marks, bool)
     if len(marks) != len(leaves):
         raise ValueError("one mark per leaf required")
-    dim = leaves.dim
     oracle = get_curve(curve)
     cand = np.flatnonzero(marks & (leaves.levels > min_level))
     if len(cand) == 0:
@@ -247,8 +141,6 @@ def construct_from_points(
         (pts / domain.scale * (1 << m)).astype(np.int64), 0, (1 << m) - 1
     ).astype(np.uint32)
     pkeys = np.sort(oracle.keys_from_coords(ipts, dim))
-
-    from .treesort import block_ends
 
     frontier = OctantSet.root(dim)
     out = []

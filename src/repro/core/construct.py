@@ -167,7 +167,6 @@ def construct_constrained_recursive(
     oracle = get_curve(curve)
     dim = domain.dim
     m = max_level(dim)
-    nch = 1 << dim
     seeds_sorted, _ = tree_sort(seeds, oracle)
     out: list[OctantSet] = []
 

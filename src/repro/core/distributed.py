@@ -18,14 +18,9 @@ from .construct import construct_constrained
 from .domain import Domain
 from .octant import OctantSet
 from .sfc import cached_keys, get_curve
-from .treesort import block_ends, linearize, remove_duplicates, tree_sort
+from .treesort import block_ends, linearize, tree_sort
 
-__all__ = [
-    "dist_tree_sort",
-    "distributed_construct_constrained",
-    "distributed_balance_2to1",
-    "gather_global",
-]
+__all__ = ["dist_tree_sort", "distributed_construct_constrained"]
 
 
 def _pack(oset: OctantSet) -> np.ndarray:
@@ -134,30 +129,3 @@ def distributed_construct_constrained(
         keep = ends <= nxt
         out.append(t[np.flatnonzero(keep)])
     return out
-
-
-def distributed_balance_2to1(
-    domain: Domain,
-    seed_parts: list[OctantSet],
-    comm: SimComm,
-    load_tol: float = 0.1,
-    curve: str = "morton",
-) -> list[OctantSet]:
-    """Algorithm 4, distributed: balance via neighbour-of-parent seeds.
-
-    The bottom-up seed propagation runs rank-locally; the generated
-    auxiliary seeds are globally merged by the constrained construction
-    (which already deduplicates through DistTreeSort).
-    """
-    from .balance import bottom_up_constrain_neighbors
-
-    aux = [
-        bottom_up_constrain_neighbors(p) if len(p) else p for p in seed_parts
-    ]
-    return distributed_construct_constrained(domain, aux, comm, load_tol, curve)
-
-
-def gather_global(parts: list[OctantSet], curve: str = "morton") -> OctantSet:
-    """Concatenate per-rank octants into one deduplicated global set."""
-    merged = OctantSet.concatenate([p for p in parts if len(p)])
-    return remove_duplicates(merged, get_curve(curve))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry.predicate import EverywhereRetained, RegionLabel, SubdomainPredicate
+from ..geometry.predicate import EverywhereRetained, SubdomainPredicate
 from .octant import OctantSet, max_level
 
 __all__ = ["Domain"]
@@ -63,10 +63,6 @@ class Domain:
     def h_unit(self) -> float:
         """Physical length of one anchor unit."""
         return self.scale / (1 << max_level(self.dim))
-
-    def to_physical(self, coords: np.ndarray, denom: float = 1.0) -> np.ndarray:
-        """Map integer coordinates (anchor units / ``denom``) to physical."""
-        return np.asarray(coords, np.float64) * (self.h_unit / denom)
 
     def classify_octants(self, oset: OctantSet) -> np.ndarray:
         """Apply F to every octant; returns RegionLabel uint8 array."""

@@ -21,7 +21,7 @@ from .mesh import IncompleteMesh
 from .octant import max_level
 from .plan import operator_context
 
-__all__ = ["locate_points", "evaluation_matrix", "evaluate_field", "transfer_field"]
+__all__ = ["locate_points", "evaluation_matrix", "transfer_field"]
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -116,14 +116,6 @@ def evaluation_matrix(
     )
     E.sum_duplicates()
     return E, found
-
-
-def evaluate_field(
-    mesh: IncompleteMesh, u: np.ndarray, pts: np.ndarray, strict: bool = True
-) -> np.ndarray:
-    """Evaluate the conforming FE function at arbitrary points."""
-    E, _ = evaluation_matrix(mesh, pts, strict)
-    return E @ u
 
 
 def transfer_field(

@@ -25,11 +25,8 @@ __all__ = [
     "OctantSet",
     "parent",
     "children",
-    "child_number",
     "neighbors",
-    "ancestor_at_level",
     "contains",
-    "is_ancestor",
 ]
 
 
@@ -193,18 +190,6 @@ def children(oset: OctantSet) -> OctantSet:
     return OctantSet(anchors.astype(np.uint32), levels, dim)
 
 
-def child_number(oset: OctantSet) -> np.ndarray:
-    """Morton child index of each octant within its parent (root -> 0)."""
-    dim = oset.dim
-    m = max_level(dim)
-    shift = (m - oset.levels.astype(np.int64)).astype(np.uint32)
-    bits = (oset.anchors.astype(np.uint64) >> shift[:, None].astype(np.uint64)) & 1
-    weights = (np.uint64(1) << np.arange(dim, dtype=np.uint64))
-    out = (bits * weights[None, :]).sum(axis=1).astype(np.int64)
-    out[oset.levels == 0] = 0
-    return out
-
-
 _NEIGHBOR_OFFSETS_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -244,32 +229,6 @@ def neighbors(
     if return_source:
         return out, np.repeat(np.arange(len(oset)), len(offs))[ok]
     return out
-
-
-def ancestor_at_level(oset: OctantSet, level: int) -> OctantSet:
-    """Ancestors of every octant at a fixed coarser ``level``."""
-    if np.any(oset.levels < level):
-        raise ValueError("requested ancestor level finer than octant level")
-    size = np.uint32(octant_size(level, oset.dim))
-    mask = ~(size - np.uint32(1))
-    return OctantSet(
-        oset.anchors & mask, np.full(len(oset), level, np.uint8), oset.dim
-    )
-
-
-def is_ancestor(a: OctantSet, b: OctantSet) -> np.ndarray:
-    """Elementwise: is ``a[i]`` a strict ancestor of ``b[i]``?"""
-    if len(a) != len(b):
-        raise ValueError("is_ancestor requires equal-length sets")
-    coarser = a.levels < b.levels
-    sizes = a.sizes.astype(np.int64)
-    lo = a.anchors.astype(np.int64)
-    inside = np.all(
-        (b.anchors.astype(np.int64) >= lo)
-        & (b.anchors.astype(np.int64) < lo + sizes[:, None]),
-        axis=1,
-    )
-    return coarser & inside
 
 
 def contains(oset: OctantSet, points: np.ndarray) -> np.ndarray:

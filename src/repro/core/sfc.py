@@ -30,7 +30,6 @@ __all__ = [
     "SFCOracle",
     "MortonOrder",
     "HilbertOrder",
-    "sfc_sort_order",
     "get_curve",
     "cached_keys",
 ]
@@ -187,9 +186,3 @@ def cached_keys(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> np.ndar
         keys.flags.writeable = False
         oset._sfc_keys[oracle.name] = keys
     return keys
-
-
-def sfc_sort_order(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> np.ndarray:
-    """Permutation putting octants in SFC order (ancestors before
-    descendants that start the same block; ties broken coarse-first)."""
-    return np.lexsort((oset.levels, cached_keys(oset, curve)))

@@ -24,7 +24,6 @@ __all__ = [
     "tree_sort_msd",
     "remove_duplicates",
     "linearize",
-    "is_sorted_linear",
     "block_ends",
 ]
 
@@ -135,14 +134,3 @@ def linearize(
     else:
         raise ValueError("prefer must be 'finer' or 'coarser'")
     return oset[np.flatnonzero(keep)]
-
-
-def is_sorted_linear(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> bool:
-    """True if the set is SFC-sorted, duplicate-free and overlap-free."""
-    keys = cached_keys(oset, curve)
-    if len(oset) <= 1:
-        return True
-    if not np.all(keys[:-1] <= keys[1:]):
-        return False
-    ends = block_ends(keys, oset.levels, oset.dim)
-    return bool(np.all(keys[1:] >= ends[:-1]))

@@ -47,26 +47,5 @@ __all__ = [
     "FleetService",
     "core_doc",
     "core_digest",
-    "demo_fleet",
 ]
 
-
-def demo_fleet(n_shards: int = 4, *, seed: int = 0, n_requests: int = 60,
-               stealing: bool = True, ckpt_dir=None, chaos=None,
-               recorder=None) -> FleetService:
-    """Build and run the canonical demo fleet (CLI / CI smoke entry).
-
-    Small meshes, a zipf-skewed bursty workload, and parameters tuned
-    so stealing actually fires.  Returns the finished
-    :class:`FleetService` for digest/stats inspection.  ``chaos`` is
-    its fault schedule (``FaultSchedule().crash(2500, "shard0")`` kills
-    a shard mid-run).  Pass a :class:`repro.obs.EventLog` as
-    ``recorder`` to capture the run's full causal event stream.
-    """
-    fleet = FleetService(
-        n_shards, cache_bytes=8 << 20, steal_threshold=4,
-        steal_latency=100, stealing=stealing, ckpt_dir=ckpt_dir,
-        ckpt_interval=6, recorder=recorder, chaos=chaos,
-    )
-    fleet.run(synthetic_workload(n_requests, seed=seed))
-    return fleet

@@ -7,8 +7,6 @@ from .primitives import (
     BoxRetain,
     CapsuleCarve,
     CarveUnion,
-    CylinderCarve,
-    HalfSpaceCarve,
     SphereCarve,
     SphereRetain,
 )
@@ -22,9 +20,7 @@ __all__ = [
     "SphereRetain",
     "BoxCarve",
     "BoxRetain",
-    "CylinderCarve",
     "CapsuleCarve",
-    "HalfSpaceCarve",
     "CarveUnion",
     "TriMesh",
     "TriMeshCarve",

@@ -13,7 +13,7 @@ CSG predicate, which is the paper's central interface claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

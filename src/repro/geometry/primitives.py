@@ -24,9 +24,7 @@ __all__ = [
     "SphereRetain",
     "BoxCarve",
     "BoxRetain",
-    "CylinderCarve",
     "CapsuleCarve",
-    "HalfSpaceCarve",
     "CarveUnion",
 ]
 
@@ -215,60 +213,6 @@ class BoxRetain(SubdomainPredicate):
         return box.boundary_projection(pts)
 
 
-class CylinderCarve(SubdomainPredicate):
-    """C = closed finite cylinder along coordinate ``axis``.
-
-    Defined by the circle (``center`` in the cross-section plane,
-    ``radius``) extruded over ``span = (a, b)`` along ``axis``.
-    """
-
-    def __init__(self, center, radius: float, axis: int, span, dim: int = 3):
-        self.dim = dim
-        self.axis = int(axis)
-        self.span = (float(span[0]), float(span[1]))
-        self.radius = float(radius)
-        self.cross_axes = [i for i in range(dim) if i != self.axis]
-        self.center = np.asarray(center, dtype=np.float64)
-        if len(self.center) != len(self.cross_axes):
-            raise ValueError("center must be given in the cross-section plane")
-
-    def _cross_dists(self, lo, hi):
-        clo, chi = lo[:, self.cross_axes], hi[:, self.cross_axes]
-        near = np.clip(self.center[None], clo, chi)
-        far = np.where(self.center[None] - clo > chi - self.center[None], clo, chi)
-        dnear = np.linalg.norm(near - self.center, axis=1)
-        dfar = np.linalg.norm(far - self.center, axis=1)
-        return dnear, dfar
-
-    def classify_cells(self, lo, hi):
-        dnear, dfar = self._cross_dists(lo, hi)
-        a, b = self.span
-        ax_in = (lo[:, self.axis] >= a) & (hi[:, self.axis] <= b)
-        ax_out = (hi[:, self.axis] < a) | (lo[:, self.axis] > b)
-        carved = (dfar <= self.radius) & ax_in
-        internal = (dnear > self.radius) | ax_out
-        return _labels(carved, internal)
-
-    def carved_points(self, pts):
-        p = np.asarray(pts, float)
-        d = np.linalg.norm(p[:, self.cross_axes] - self.center, axis=1)
-        a, b = self.span
-        return (d <= self.radius) & (p[:, self.axis] >= a) & (p[:, self.axis] <= b)
-
-    def boundary_distance(self, pts):
-        p = np.asarray(pts, float)
-        d = np.linalg.norm(p[:, self.cross_axes] - self.center, axis=1)
-        a, b = self.span
-        rad_in = self.radius - d
-        ax_in = np.minimum(p[:, self.axis] - a, b - p[:, self.axis])
-        # signed distance to the closed cylinder (positive inside)
-        inside = np.minimum(rad_in, ax_in)
-        rad_out = np.maximum(d - self.radius, 0.0)
-        ax_out = np.maximum(np.maximum(a - p[:, self.axis], p[:, self.axis] - b), 0.0)
-        outside = np.hypot(rad_out, ax_out)
-        return np.where((rad_in >= 0) & (ax_in >= 0), inside, -outside)
-
-
 class CapsuleCarve(SubdomainPredicate):
     """C = closed capsule (segment p0–p1 inflated by ``radius``).
 
@@ -305,34 +249,6 @@ class CapsuleCarve(SubdomainPredicate):
 
     def boundary_distance(self, pts):
         return self.radius - self._seg_dist(pts)
-
-
-class HalfSpaceCarve(SubdomainPredicate):
-    """C = closed half-space  n·x ≥ c."""
-
-    def __init__(self, normal, offset: float):
-        self.normal = np.asarray(normal, dtype=np.float64)
-        self.normal /= np.linalg.norm(self.normal)
-        self.offset = float(offset)
-        self.dim = len(self.normal)
-
-    def classify_cells(self, lo, hi):
-        corners_min = np.where(self.normal > 0, lo, hi) @ self.normal
-        corners_max = np.where(self.normal > 0, hi, lo) @ self.normal
-        carved = corners_min >= self.offset
-        internal = corners_max < self.offset
-        return _labels(carved, internal)
-
-    def carved_points(self, pts):
-        return np.asarray(pts, float) @ self.normal >= self.offset
-
-    def boundary_distance(self, pts):
-        return np.asarray(pts, float) @ self.normal - self.offset
-
-    def boundary_projection(self, pts):
-        p = np.asarray(pts, float)
-        d = p @ self.normal - self.offset
-        return p - d[:, None] * self.normal[None]
 
 
 class CarveUnion(SubdomainPredicate):

@@ -37,8 +37,6 @@ __all__ = [
     "write_artifact",
     "load_artifact",
     "validate_artifact",
-    "canonical_metrics",
-    "canonical_spans",
     "summary",
     "render_report",
     "to_chrome_trace",
@@ -199,48 +197,6 @@ def _validate_span(s, path: str = "spans") -> list[str]:
     for c in s.get("children", []):
         errors.extend(_validate_span(c, f"{path}.{s.get('name')}"))
     return errors
-
-
-def canonical_spans(doc_or_spans) -> list[dict]:
-    """Timing-free canonical form of a span forest: names, structure,
-    counts and counters only — the fields that must be bit-identical
-    across repeated runs of a deterministic pipeline."""
-    spans = doc_or_spans.get("spans") if isinstance(doc_or_spans, dict) else doc_or_spans
-
-    def strip(s: dict) -> dict:
-        out = {"name": s["name"], "count": s.get("count", 0)}
-        if s.get("attrs"):
-            out["attrs"] = s["attrs"]
-        if s.get("counters"):
-            out["counters"] = s["counters"]
-        if s.get("children"):
-            out["children"] = [strip(c) for c in s["children"]]
-        return out
-
-    return [strip(s) for s in spans]
-
-
-def canonical_metrics(doc_or_metrics) -> dict:
-    """Timing-free canonical form of the flat metrics dump: wall-clock
-    counters (base name ending in ``.seconds``, e.g. the kernel layer's
-    ``kernels.seconds{...}``) are dropped, mirroring how
-    :func:`canonical_spans` strips span clock fields."""
-    metrics = (
-        doc_or_metrics.get("metrics", doc_or_metrics)
-        if isinstance(doc_or_metrics, dict)
-        else doc_or_metrics
-    )
-    out: dict = {}
-    for grp, vals in metrics.items():
-        if not isinstance(vals, dict):
-            out[grp] = vals
-            continue
-        out[grp] = {
-            k: v
-            for k, v in vals.items()
-            if not k.split("{", 1)[0].endswith(".seconds")
-        }
-    return out
 
 
 def summary() -> dict:

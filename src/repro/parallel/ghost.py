@@ -60,10 +60,6 @@ class PartitionLayout:
         own_ref = np.maximum(own_ref, 1)
         return self.ghost_counts / own_ref
 
-    def ghost_bytes(self, dofs_per_node: int = 1) -> np.ndarray:
-        """Bytes exchanged per rank per direction of one ghost exchange."""
-        return self.ghost_counts * 8 * dofs_per_node
-
     def message_counts(self) -> np.ndarray:
         return np.array([len(nr) for nr in self.neighbor_ranks], np.int64)
 

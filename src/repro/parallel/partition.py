@@ -26,7 +26,6 @@ from ..core.sfc import cached_keys
 __all__ = [
     "partition_weights",
     "partition_mesh",
-    "splitter_block_levels",
     "shrink_splits",
 ]
 
@@ -125,11 +124,3 @@ def shrink_splits(splits: np.ndarray, failed_ranks) -> np.ndarray:
         out[i] = splits[r]
     out[-1] = splits[-1]
     return out
-
-
-def splitter_block_levels(mesh: IncompleteMesh, splits: np.ndarray) -> np.ndarray:
-    """Diagnostic: the block-alignment level at each interior splitter
-    (coarser alignment = fewer split subtrees)."""
-    keys = cached_keys(mesh.leaves, mesh.curve)
-    align = _boundary_alignment(keys, mesh.dim)
-    return align[splits[1:-1]]

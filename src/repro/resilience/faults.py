@@ -23,7 +23,8 @@ Faults surface as typed exceptions:
   *and detected* (the transport-CRC model); a ``silent`` fault
   delivers the damage instead, exercising the NaN/Inf guards.
 * :class:`SolverBreakdown` — a solver-level failure (non-finite state,
-  exhausted retry budget) raised by the hardened Newton / NS drivers.
+  exhausted retry budget) raised by the NS stepper, the serve batcher
+  and the rank-failure recovery.
 
 Every injected rank fault is recorded as a ``resilience.faults_injected``
 counter and a span event on the innermost open :mod:`repro.obs` span;

@@ -17,7 +17,6 @@ from .api import (
     Rejected,
     SolveRequest,
     SolveResponse,
-    build_domain,
     canonical_geometry,
     solution_digest,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "SolveResponse",
     "Rejected",
     "canonical_geometry",
-    "build_domain",
     "solution_digest",
     "ArtifactCache",
     "CacheEntry",

@@ -55,7 +55,6 @@ __all__ = [
     "SolveResponse",
     "Rejected",
     "canonical_geometry",
-    "build_domain",
     "solution_digest",
 ]
 
@@ -153,11 +152,6 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except TypeError:
         return False
-
-
-def build_domain(geometry: dict):
-    """Instantiate the :class:`repro.core.domain.Domain` of a spec."""
-    return _canonical_domain(canonical_geometry(geometry))
 
 
 def _canonical_domain(geo: dict):

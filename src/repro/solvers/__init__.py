@@ -1,23 +1,17 @@
-"""Linear/nonlinear solver substrate (the PETSc-equivalent layer)."""
+"""Linear solver substrate (the PETSc-equivalent layer)."""
 
-from .condest import cond_dense, cond_spd_extremes, condest_1norm
-from .krylov import KrylovResult, bicgstab, cg
+from .condest import condest_1norm
+from .krylov import KrylovResult, cg
 from .multigrid import MultigridPoisson, prolongation
-from .newton import NewtonResult, newton_ls
 from .precond import BlockJacobi, JacobiPreconditioner, jacobi
 
 __all__ = [
     "cg",
-    "bicgstab",
     "KrylovResult",
     "jacobi",
     "JacobiPreconditioner",
     "BlockJacobi",
-    "newton_ls",
     "MultigridPoisson",
     "prolongation",
-    "NewtonResult",
-    "cond_dense",
     "condest_1norm",
-    "cond_spd_extremes",
 ]

@@ -1,9 +1,8 @@
 """Condition-number estimation (Matlab ``condest`` substitute).
 
-Table 1 compares 2-norm-ish conditioning of small Laplace systems; for
-those we use exact dense conditioning.  For larger sparse systems a
-Hager-style 1-norm estimator combined with a sparse LU gives the
-condest quantity Matlab reports (κ₁ = ‖A‖₁·‖A⁻¹‖₁).
+A Hager-style 1-norm estimator combined with a sparse LU gives the
+condest quantity Matlab reports (κ₁ = ‖A‖₁·‖A⁻¹‖₁), the number Table 1
+compares.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["cond_dense", "condest_1norm", "cond_spd_extremes"]
-
-
-def cond_dense(A) -> float:
-    """Exact 2-norm condition number via dense SVD (small systems)."""
-    M = A.toarray() if sp.issparse(A) else np.asarray(A)
-    return float(np.linalg.cond(M))
+__all__ = ["condest_1norm"]
 
 
 def condest_1norm(A: sp.spmatrix) -> float:
@@ -42,15 +35,3 @@ def condest_1norm(A: sp.spmatrix) -> float:
         gamma_prev = gamma
     return norm_a * gamma
 
-
-def cond_spd_extremes(A: sp.spmatrix, tol: float = 1e-8) -> float:
-    """κ₂ for SPD matrices via extreme eigenvalues (Lanczos)."""
-    A = A.tocsr()
-    n = A.shape[0]
-    if n < 200:
-        return cond_dense(A)
-    lmax = spla.eigsh(A, k=1, which="LA", return_eigenvectors=False, tol=tol)[0]
-    lmin = spla.eigsh(
-        A, k=1, sigma=0, which="LM", return_eigenvectors=False, tol=tol
-    )[0]
-    return float(lmax / lmin)

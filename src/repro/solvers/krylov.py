@@ -1,9 +1,7 @@
-"""Matrix-free Krylov solvers: CG and BiCGStab.
+"""Matrix-free Krylov solver: preconditioned CG.
 
-These mirror the PETSc KSP configurations the paper uses
-(``-ksp_type bcgs`` with an additive-Schwarz preconditioner); both
-accept any callable operator, so they compose with the matrix-free
-traversal MATVEC as well as assembled matrices.
+It accepts any callable operator, so it composes with the matrix-free
+MATVEC as well as with assembled matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from ..kernels.numpy_backend import KERNELS
 from ..obs import span
 from ..obs.trace import TRACER
 
-__all__ = ["KrylovResult", "cg", "bicgstab"]
+__all__ = ["KrylovResult", "cg"]
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
@@ -164,96 +162,3 @@ def cg(
         osp.set("reason", reason)
     return KrylovResult(s.x, s.it, s.rnorm, reason == "converged", nmv, reason)
 
-
-def bicgstab(
-    A,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    M: Operator | None = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-12,
-    maxiter: int | None = None,
-) -> KrylovResult:
-    """Preconditioned BiCGStab for general (nonsymmetric) operators.
-
-    The per-iteration residual history is attached to the
-    ``solver.bicgstab`` trace span when :mod:`repro.obs` is enabled.
-    """
-    with span("solver.bicgstab") as osp:
-        op = _as_op(A)
-        dot, _ = _vector_ops()
-        n = len(b)
-        if maxiter is None:
-            maxiter = 10 * n
-        x = np.zeros(n) if x0 is None else np.array(x0, float)
-        r = b - op(x)
-        nmv = 1
-        r_hat = r.copy()
-        rho = alpha = omega = 1.0
-        v = np.zeros(n)
-        p = np.zeros(n)
-        tol = _tolerance(b, rtol, atol)
-        rnorm = float(np.linalg.norm(r))
-        residuals = [rnorm]
-        it = 0
-        fail: str | None = None if np.isfinite(rnorm) else "nonfinite"
-        while fail is None and rnorm > tol and it < maxiter:
-            with span("solver.iteration", merge=True) as isp:
-                rho_new = dot(r_hat, r)
-                if not np.isfinite(rho_new):
-                    fail = "nonfinite"
-                    break
-                if rho_new == 0.0:
-                    fail = "breakdown"  # Lanczos breakdown: ⟨r̂, r⟩ = 0
-                    break
-                if it == 0:
-                    p = r.copy()
-                else:
-                    beta = (rho_new / rho) * (alpha / omega)
-                    p = r + beta * (p - omega * v)
-                phat = M(p) if M else p
-                v = op(phat)
-                nmv += 1
-                isp.add("matvecs", 1)
-                denom = dot(r_hat, v)
-                if not np.isfinite(denom):
-                    fail = "nonfinite"
-                    break
-                if denom == 0.0:
-                    fail = "breakdown"  # pivot breakdown: ⟨r̂, Ap̂⟩ = 0
-                    break
-                alpha = rho_new / denom
-                s = r - alpha * v
-                if np.linalg.norm(s) <= tol:
-                    x += alpha * phat
-                    r = s
-                    rnorm = float(np.linalg.norm(r))
-                    it += 1
-                    residuals.append(rnorm)
-                    break
-                shat = M(s) if M else s
-                t = op(shat)
-                nmv += 1
-                isp.add("matvecs", 1)
-                tt = dot(t, t)
-                omega = dot(t, s) / tt if tt > 0 else 0.0
-                x += alpha * phat + omega * shat
-                r = s - omega * t
-                rho = rho_new
-                rnorm = float(np.linalg.norm(r))
-            it += 1
-            residuals.append(rnorm)
-            if not np.isfinite(rnorm):
-                fail = "nonfinite"
-                break
-            if omega == 0.0:
-                # stabiliser breakdown — terminal unless already converged
-                if rnorm > tol:
-                    fail = "breakdown"
-                break
-        reason = fail or ("converged" if rnorm <= tol else "maxiter")
-        osp.add("iterations", it)
-        osp.add("matvecs", nmv)
-        osp.set("residual_history", residuals)
-        osp.set("reason", reason)
-    return KrylovResult(x, it, rnorm, reason == "converged", nmv, reason)

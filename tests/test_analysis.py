@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Domain, build_mesh, build_uniform_mesh
+from repro import Domain, build_mesh
 from repro.analysis import (
     ACHENBACH_ANCHORS,
     CYLINDER_CD_REFERENCE,

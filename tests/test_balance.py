@@ -1,7 +1,6 @@
 """Tests for 2:1 balancing (Algorithms 4-5)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +13,9 @@ from repro.core.balance import (
 from repro.core.construct import construct_adaptive, construct_uniform
 from repro.core.domain import Domain
 from repro.core.octant import OctantSet, max_level
-from repro.core.treesort import is_sorted_linear
 from repro.geometry.primitives import SphereCarve, SphereRetain
+
+from .test_treesort import is_sorted_linear
 
 
 def _point_seed(dim, level, cell_index):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import Domain, build_mesh
+from repro import Domain
 from repro.baselines import (
     CompleteTreeReport,
     ImmersedPredicate,

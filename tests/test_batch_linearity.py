@@ -17,6 +17,8 @@ from repro.serve.api import solution_digest
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
 from repro.solvers.krylov import KrylovResult
 
+from .test_flightrec import demo_fleet
+
 pytestmark = pytest.mark.serve
 
 DISK = {"shape": "sphere", "center": (0.5, 0.5), "radius": 0.3}
@@ -392,8 +394,6 @@ def test_cache_bytes_do_not_depend_on_what_has_been_solved(pde):
 def test_fleet_digest_does_not_depend_on_how_requests_were_batched():
     """Shard count, stealing and a mid-run kill all change which requests
     share a batch; none of them changes a response's core any more."""
-    from repro.fleet import demo_fleet
-
     runs = [demo_fleet(4, seed=0, n_requests=40),
             demo_fleet(4, seed=0, n_requests=40,
                        chaos=FaultSchedule().crash(2500, "shard0")),

@@ -9,7 +9,6 @@ validator and, when available, the real ``jsonschema`` package.
 
 import functools
 import json
-import sys
 from pathlib import Path
 
 import pytest

@@ -34,13 +34,14 @@ from repro.core.octant import (
 from repro.core.plan import operator_context
 from repro.core.sfc import MortonOrder, cached_keys, get_curve
 from repro.core.treesort import (
-    is_sorted_linear,
     linearize,
     remove_duplicates,
     tree_sort,
 )
 from repro.fem.basis import LagrangeBasis, local_node_offsets
 from repro.geometry import BoxCarve, CarveUnion, SphereCarve
+
+from .test_treesort import is_sorted_linear
 
 CURVES = ["morton", "hilbert"]
 
@@ -537,10 +538,11 @@ def test_amr_request_meshes_its_geometry_once(monkeypatch):
     assert (resp.status, resp.reason) == ("ok", "converged")
     assert calls == [(3, 4)]
     # same answer as the stand-alone loop, which builds its own mesh
-    from repro.serve.api import build_domain, solution_digest
+    from repro.serve.api import solution_digest
 
     alone = amr_solve(
-        build_domain(geometry), f=1.0, base_level=3, boundary_level=4,
+        Domain(SphereCarve(geometry["center"], geometry["radius"])), f=1.0,
+        base_level=3, boundary_level=4,
         max_cycles=1, rtol=request.tol,
     )
     assert resp.solution_digest == solution_digest(alone.u * 1.5)

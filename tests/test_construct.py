@@ -13,9 +13,10 @@ from repro.core.construct import (
 )
 from repro.core.domain import Domain
 from repro.core.octant import OctantSet, max_level, octant_size
-from repro.core.treesort import is_sorted_linear
 from repro.geometry.predicate import RegionLabel
 from repro.geometry.primitives import BoxRetain, SphereCarve, SphereRetain
+
+from .test_treesort import is_sorted_linear
 
 
 def test_uniform_complete_counts():
@@ -119,7 +120,6 @@ def test_constrained_no_coarser_than_seeds():
     assert is_sorted_linear(t)
     # the leaf covering each seed anchor must be at level >= 4
     from repro.core.sfc import get_curve
-    from repro.core.treesort import block_ends
 
     keys = get_curve("morton").keys(t)
     skeys = get_curve("morton").keys(seeds)

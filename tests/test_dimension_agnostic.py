@@ -9,15 +9,15 @@ benches touch.
 """
 
 import numpy as np
-import pytest
 
 from repro import Domain, build_mesh, build_uniform_mesh
 from repro.core.balance import balance_2to1, is_balanced
 from repro.core.construct import construct_adaptive, construct_uniform
 from repro.core.octant import OctantSet, children, max_level, parent
-from repro.core.treesort import is_sorted_linear, linearize, tree_sort
 from repro.fem.basis import LagrangeBasis, local_node_offsets
 from repro.geometry import SphereCarve
+
+from .test_treesort import is_sorted_linear
 
 
 # -- 4D trees ---------------------------------------------------------------

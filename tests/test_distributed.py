@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.balance import balance_2to1, is_balanced
-from repro.core.construct import construct_adaptive, construct_constrained
-from repro.core.distributed import (
-    dist_tree_sort,
-    distributed_balance_2to1,
-    distributed_construct_constrained,
-    gather_global,
+from repro.core.balance import (
+    balance_2to1,
+    bottom_up_constrain_neighbors,
+    is_balanced,
 )
+from repro.core.construct import construct_adaptive, construct_constrained
+from repro.core.distributed import dist_tree_sort, distributed_construct_constrained
 from repro.core.domain import Domain
 from repro.core.octant import OctantSet, max_level
-from repro.core.treesort import is_sorted_linear, tree_sort
+from repro.core.sfc import get_curve
+from repro.core.treesort import remove_duplicates, tree_sort
 from repro.geometry import SphereCarve
 from repro.parallel import SimComm
+
+from .test_treesort import is_sorted_linear
 
 
 def _random_seeds(rng, n, dim=2, levels=(2, 6)):
@@ -27,6 +29,12 @@ def _random_seeds(rng, n, dim=2, levels=(2, 6)):
     for i, l in enumerate(lv):
         anchors[i] = rng.integers(0, 1 << l, dim) * (1 << (m - l))
     return OctantSet(anchors, lv.astype(np.uint8), dim)
+
+
+def gather_global(parts: list[OctantSet], curve: str = "morton") -> OctantSet:
+    """Concatenate per-rank octants into one deduplicated global set."""
+    merged = OctantSet.concatenate([p for p in parts if len(p)])
+    return remove_duplicates(merged, get_curve(curve))
 
 
 def _scatter(oset, nranks, rng):
@@ -44,8 +52,6 @@ def test_dist_tree_sort_global_order():
     assert np.array_equal(merged.anchors, ref.anchors)
     assert np.array_equal(merged.levels, ref.levels)
     # rank ranges are globally ordered
-    from repro.core.sfc import get_curve
-
     keys = [get_curve("morton").keys(p) for p in parts if len(p)]
     for a, b in zip(keys[:-1], keys[1:]):
         assert a[-1] <= b[0]
@@ -81,7 +87,11 @@ def test_distributed_balance_matches_serial():
     raw = construct_adaptive(dom, 2, 6)
     rng = np.random.default_rng(2)
     comm = SimComm(4)
-    parts = distributed_balance_2to1(dom, _scatter(raw, 4, rng), comm)
+    # Algorithm 4, distributed: each rank propagates its neighbour-of-
+    # parent seeds; the constrained construction merges them globally
+    aux = [bottom_up_constrain_neighbors(p) if len(p) else p
+           for p in _scatter(raw, 4, rng)]
+    parts = distributed_construct_constrained(dom, aux, comm)
     glob = gather_global(parts)
     ref = balance_2to1(dom, raw)
     assert np.array_equal(glob.anchors, ref.anchors)

@@ -9,7 +9,6 @@ from repro import Domain, build_mesh, build_uniform_mesh
 from repro.core.adapt import coarsen_leaves, construct_from_points, refine_leaves
 from repro.core.balance import balance_2to1, is_balanced
 from repro.core.construct import construct_uniform
-from repro.core.treesort import is_sorted_linear
 from repro.fem import (
     DGPoissonProblem,
     FDPoissonProblem,
@@ -20,6 +19,8 @@ from repro.fem import (
 from repro.fem.dg import interior_faces
 from repro.geometry import SphereCarve, SphereRetain
 from repro.io import write_vtu
+
+from .test_treesort import is_sorted_linear
 
 
 # -- DG -------------------------------------------------------------------

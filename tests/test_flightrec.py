@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.fleet import FleetService, demo_fleet, synthetic_workload
+from repro.fleet import FleetService, synthetic_workload
 from repro.obs import (
     EVENT_KINDS,
     EventLog,
@@ -32,6 +32,27 @@ from repro.serve import Rejected, SolverService, SolveRequest, demo_workload
 
 DISK = {"shape": "sphere", "center": (0.5, 0.5), "radius": 0.3}
 SMALL_DISK = {"shape": "sphere", "center": (0.5, 0.5), "radius": 0.2}
+
+
+def demo_fleet(n_shards: int = 4, *, seed: int = 0, n_requests: int = 60,
+               stealing: bool = True, chaos=None,
+               recorder=None) -> FleetService:
+    """Build and run the canonical demo fleet.
+
+    Small meshes, a zipf-skewed bursty workload, and parameters tuned
+    so stealing actually fires.  Returns the finished
+    :class:`FleetService` for digest/stats inspection.  ``chaos`` is
+    its fault schedule (``FaultSchedule().crash(2500, "shard0")`` kills
+    a shard mid-run).  Pass a :class:`repro.obs.EventLog` as
+    ``recorder`` to capture the run's full causal event stream.
+    """
+    fleet = FleetService(
+        n_shards, cache_bytes=8 << 20, steal_threshold=4,
+        steal_latency=100, stealing=stealing, ckpt_interval=6,
+        recorder=recorder, chaos=chaos,
+    )
+    fleet.run(synthetic_workload(n_requests, seed=seed))
+    return fleet
 
 
 def _req(**kw):

@@ -10,8 +10,6 @@ from repro.geometry import (
     BoxRetain,
     CapsuleCarve,
     CarveUnion,
-    CylinderCarve,
-    HalfSpaceCarve,
     RegionLabel,
     SphereCarve,
     SphereRetain,
@@ -89,32 +87,11 @@ def test_box_retain_rejects_nothing_without_domain():
     assert ch.carved_points(np.array([[0.0, 0.5]]))[0]  # x=0 face carved
 
 
-def test_cylinder_carve():
-    cyl = CylinderCarve(center=[0.5, 0.5], radius=0.2, axis=2, span=(0.0, 0.5))
-    pts = np.array(
-        [[0.5, 0.5, 0.25], [0.5, 0.5, 0.75], [0.9, 0.5, 0.25], [0.5, 0.69, 0.49]]
-    )
-    c = cyl.carved_points(pts)
-    assert list(c) == [True, False, False, True]
-    lab = cyl.classify_cells(
-        np.array([[0.45, 0.45, 0.1]]), np.array([[0.55, 0.55, 0.2]])
-    )
-    assert lab[0] == RegionLabel.CARVED
-
-
 def test_capsule_carve():
     cap = CapsuleCarve([0.5, 0.5, 0.2], [0.5, 0.5, 0.8], 0.1)
     pts = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.05], [0.59, 0.5, 0.2]])
     c = cap.carved_points(pts)
     assert list(c) == [True, False, True]
-
-
-def test_halfspace_carve():
-    h = HalfSpaceCarve([1.0, 0.0], 0.5)
-    pts = np.array([[0.6, 0.0], [0.4, 0.0], [0.5, 0.3]])
-    assert list(h.carved_points(pts)) == [True, False, True]
-    proj = h.boundary_projection(np.array([[0.8, 0.2]]))
-    assert np.allclose(proj, [[0.5, 0.2]])
 
 
 def test_carve_union():
@@ -157,7 +134,8 @@ def test_classification_consistency_property(seed):
     preds = [
         SphereCarve(rng.uniform(0.3, 0.7, 2), rng.uniform(0.1, 0.3)),
         BoxCarve([0.2, 0.3], [0.7, 0.8]),
-        HalfSpaceCarve(rng.standard_normal(2), 0.2),
+        CapsuleCarve(rng.uniform(0.2, 0.8, 2), rng.uniform(0.2, 0.8, 2),
+                     rng.uniform(0.05, 0.2)),
     ]
     lo, hi = _cells(rng, 20, 2)
     for p in preds:

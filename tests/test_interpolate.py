@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import Domain, build_mesh, build_uniform_mesh
-from repro.core.interpolate import (
-    evaluate_field,
-    evaluation_matrix,
-    locate_points,
-    transfer_field,
-)
+from repro import Domain, build_mesh
+from repro.core import balance_2to1, construct_adaptive
+from repro.core.adapt import refine_leaves
+from repro.core.interpolate import evaluation_matrix, locate_points, transfer_field
+from repro.core.mesh import mesh_from_leaves
 from repro.geometry import SphereCarve
 
 
@@ -41,13 +39,13 @@ def test_evaluate_linear_exact(mesh):
     rng = np.random.default_rng(1)
     q = rng.uniform(0.02, 0.98, (200, 2))
     q = q[~mesh.domain.carved_points(q)]
-    vals = evaluate_field(mesh, u, q)
+    vals = evaluation_matrix(mesh, q)[0] @ u
     assert np.abs(vals - (3.0 * q[:, 0] + q[:, 1])).max() < 1e-12
 
 
 def test_evaluate_strict_raises_outside(mesh):
     with pytest.raises(ValueError):
-        evaluate_field(mesh, np.zeros(mesh.n_nodes), np.array([[0.5, 0.5]]))
+        evaluation_matrix(mesh, np.array([[0.5, 0.5]]))
 
 
 def test_evaluation_matrix_rows_partition_of_unity(mesh):
@@ -65,7 +63,7 @@ def test_evaluate_at_nodes_is_identity(mesh):
     pts = mesh.node_coords()
     rng = np.random.default_rng(3)
     u = rng.standard_normal(mesh.n_nodes)
-    vals = evaluate_field(mesh, u, pts)
+    vals = evaluation_matrix(mesh, pts)[0] @ u
     assert np.abs(vals - u).max() < 1e-10
 
 
@@ -105,3 +103,45 @@ def test_transfer_p2_quadratic_exact():
     expect = pd[:, 0] ** 2 - pd[:, 0] * pd[:, 1]
     exact_frac = (np.abs(ud - expect) < 1e-9).mean()
     assert exact_frac > 0.95
+
+
+@pytest.fixture(scope="module")
+def adaptive_disk():
+    dom = Domain(SphereCarve([0.5, 0.5], 0.27), dim=2, scale=1.0)
+    return dom, construct_adaptive(dom, 5, 7)
+
+
+def _refined(domain, leaves, seed, k=40):
+    rng = np.random.default_rng(seed)
+    marks = np.zeros(len(leaves), bool)
+    marks[rng.choice(len(leaves), k, replace=False)] = True
+    return balance_2to1(domain, refine_leaves(domain, leaves, marks))
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_transfer_exact_for_polynomials(adaptive_disk, p):
+    """Refinement transfer reproduces degree-p polynomials exactly."""
+    domain, leaves = adaptive_disk
+    src = mesh_from_leaves(domain, leaves, p=p, balance=False)
+    dst = mesh_from_leaves(domain, _refined(domain, leaves, seed=2), p=p)
+
+    def poly(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        if p == 1:
+            return 1.0 + 2.0 * x - 3.0 * y + 0.5 * x * y
+        return 1.0 + x - y + x * y + 0.25 * x**2 - 0.5 * y**2 + x**2 * y**2
+
+    u_dst = transfer_field(src, dst, poly(src.node_coords()))
+    assert np.allclose(u_dst, poly(dst.node_coords()), atol=1e-12)
+
+
+def test_transfer_total_after_coarsening(adaptive_disk):
+    # coarsening shifts nodes; the transfer must still cover every
+    # destination node (kNN fallback for nodes off the source mesh)
+    domain, leaves = adaptive_disk
+    fine = _refined(domain, leaves, seed=3)
+    src = mesh_from_leaves(domain, fine, p=1, balance=False)
+    dst = mesh_from_leaves(domain, leaves, p=1, balance=False)
+    out = transfer_field(src, dst, np.sin(src.node_coords().sum(axis=1)))
+    assert out.shape == (dst.n_nodes,)
+    assert np.isfinite(out).all()

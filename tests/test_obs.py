@@ -15,8 +15,6 @@ from repro.obs.regress import diff_artifacts, flatten_spans
 from repro.obs.report import (
     ARTIFACT_SCHEMA,
     BENCH_SCHEMA,
-    canonical_metrics,
-    canonical_spans,
     collect,
     load_artifact,
     render_report,
@@ -26,6 +24,36 @@ from repro.obs.report import (
 )
 from repro.obs.trace import _NULL
 from repro.parallel.simmpi import SimComm, _nbytes
+
+
+def canonical_spans(doc: dict) -> list[dict]:
+    """Timing-free canonical form of an artifact's span forest: names,
+    structure, counts and counters only — the fields that must be
+    bit-identical across repeated runs of a deterministic pipeline."""
+
+    def strip(s: dict) -> dict:
+        out = {"name": s["name"], "count": s.get("count", 0)}
+        if s.get("attrs"):
+            out["attrs"] = s["attrs"]
+        if s.get("counters"):
+            out["counters"] = s["counters"]
+        if s.get("children"):
+            out["children"] = [strip(c) for c in s["children"]]
+        return out
+
+    return [strip(s) for s in doc["spans"]]
+
+
+def canonical_metrics(doc: dict) -> dict:
+    """Timing-free canonical form of an artifact's flat metrics dump:
+    wall-clock counters (base name ending in ``.seconds``, e.g. the
+    kernel layer's ``kernels.seconds{...}``) are dropped."""
+    return {
+        grp: {k: v for k, v in vals.items()
+              if not k.split("{", 1)[0].endswith(".seconds")}
+        if isinstance(vals, dict) else vals
+        for grp, vals in doc["metrics"].items()
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.octant import (
     OctantSet,
-    ancestor_at_level,
-    child_number,
     children,
     contains,
-    is_ancestor,
     max_level,
     neighbors,
     octant_size,
@@ -100,13 +97,6 @@ def test_parent_of_root_is_root():
     assert np.all(pr.anchors == 0)
 
 
-def test_child_number_roundtrip():
-    ch = children(children(OctantSet.root(3)))
-    nums = child_number(ch)
-    # children are generated in Morton child order within each parent
-    assert np.array_equal(nums.reshape(-1, 8), np.tile(np.arange(8), (8, 1)))
-
-
 def test_neighbors_of_corner_octant():
     ch = children(OctantSet.root(2))
     corner = ch[0]  # anchor (0,0): only 3 of 8 neighbours are in-domain
@@ -121,27 +111,6 @@ def test_neighbors_interior_full_count():
     o = OctantSet(np.array([[s, s]], np.uint32), np.array([2], np.uint8))
     assert len(neighbors(o)) == 8
     assert len(neighbors(o, include_self=True)) == 9
-
-
-def test_ancestor_at_level():
-    ch = children(children(OctantSet.root(2)))
-    anc = ancestor_at_level(ch, 1)
-    assert np.all(anc.levels == 1)
-    assert np.all(is_ancestor(anc, ch) | (anc.levels == ch.levels))
-
-
-def test_ancestor_level_too_fine_raises():
-    r = OctantSet.root(2)
-    with pytest.raises(ValueError):
-        ancestor_at_level(r, 1)
-
-
-def test_is_ancestor_basic():
-    r = OctantSet.root(2)
-    ch = children(r)
-    roots = OctantSet.concatenate([r, r, r, r])
-    assert np.all(is_ancestor(roots, ch))
-    assert not np.any(is_ancestor(ch, OctantSet.concatenate([r] * 4)))
 
 
 def test_contains_closed():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro import Domain, build_mesh
 from repro.core.matvec import traversal_matvec
+from repro.core.octant import max_level
 from repro.core.plan import ApplyProgram, operator_context
+from repro.core.sfc import cached_keys
 from repro.geometry import SphereCarve
 from repro.parallel import (
     FRONTERA,
@@ -99,13 +101,18 @@ def test_partition_mesh_covers_all(mesh):
 
 
 def test_partition_load_tolerance_snaps_to_blocks(mesh):
-    from repro.parallel.partition import splitter_block_levels
+    # block-alignment level at each interior splitter: the number of
+    # trailing zero digit groups (dim bits each) of its SFC key
+    keys = np.append(cached_keys(mesh.leaves, mesh.curve), np.uint64(0))
+    groups = range(1, max_level(mesh.dim) + 1)
+
+    def block_levels(splits):
+        k = keys[splits[1:-1]]
+        return sum((k & np.uint64((1 << mesh.dim * g) - 1)) == 0 for g in groups)
 
     tight = partition_mesh(mesh, 8, load_tol=0.0)
     loose = partition_mesh(mesh, 8, load_tol=0.5)
-    assert splitter_block_levels(mesh, loose).mean() >= splitter_block_levels(
-        mesh, tight
-    ).mean()
+    assert block_levels(loose).mean() >= block_levels(tight).mean()
 
 
 # -- ghost analysis -----------------------------------------------------

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from repro import Domain, assemble, build_mesh
 from repro.core.balance import is_balanced
 from repro.core.matvec import MapBasedMatVec, traversal_matvec
-from repro.core.treesort import is_sorted_linear
 from repro.geometry import BoxCarve, CarveUnion, SphereCarve
+
+from .test_treesort import is_sorted_linear
 
 
 def _random_domain(rng, dim):

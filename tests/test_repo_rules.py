@@ -11,9 +11,11 @@ import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _grep(pattern: str, *subdirs: str) -> list[str]:
@@ -200,3 +202,68 @@ def test_one_read_set():
     assert source == "victim.reads(request.batch_key)[0].arrays[0]", source
     assert _files(_grep(r"corrupt_in_place\(")) == {
         "fleet/service.py", "resilience/faults.py"}
+
+
+#: public names that nothing under ``src/``, ``benchmarks/`` or
+#: ``examples/`` references, each with the reason it stays
+NO_CALLER_NEEDED = {
+    "fem/dg.py:DGPoissonProblem": "the paper's method-agnostic claim (DG)",
+    "fem/dg.py:dg_dof_count": "the §4.4 DG DOF count the DG tests check",
+    "fem/fdm.py:FDPoissonProblem": "the paper's method-agnostic claim (FD)",
+    "fem/fvm.py:FVAdvectionProblem": "the paper's method-agnostic claim (FV)",
+    "core/assembly.py:assemble_traversal":
+        "§3.6 traversal assembly, the oracle tests compare assemble to",
+    "core/construct.py:construct_constrained_recursive":
+        "Algorithm 2 as written, the oracle for construct_constrained",
+    "core/distributed.py:distributed_construct_constrained":
+        "§3.1 distributed construction (Alg. 3) that tests run on SimComm",
+}
+
+#: a ``"module:Qual.name"`` string, as the e2e harness resolves them
+_QUALIFIED = re.compile(r"[\w.]+:([\w.]+)")
+
+
+def _names(node: ast.AST):
+    """Every name ``node`` refers to, skipping import statements and
+    ``__all__`` lists."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, (ast.Import, ast.ImportFrom)) or (
+                isinstance(n, ast.Assign) and any(
+                    getattr(t, "id", "") == "__all__" for t in n.targets)):
+            continue
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            m = _QUALIFIED.fullmatch(n.value)
+            if m:
+                yield from m[1].split(".")
+        stack.extend(ast.iter_child_nodes(n))
+
+
+def test_every_public_def_has_a_caller():
+    """Every module-level public ``def``/``class`` under ``src/repro``
+    is referenced by code under ``src/``, ``benchmarks/`` or
+    ``examples/`` outside its own body, or is on
+    :data:`NO_CALLER_NEEDED` — whose entries must still exist and still
+    have no caller."""
+    refs = defaultdict(set)  # name -> the top-level statements using it
+    for tree_dir in ("src", "benchmarks", "examples"):
+        for path in sorted((ROOT / tree_dir).rglob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for name in _names(top):
+                    refs[name].add((path, top.lineno))
+    uncalled = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+                    and not top.name.startswith("_")
+                    and not refs[top.name] - {(path, top.lineno)}):
+                uncalled.add(f"{path.relative_to(SRC).as_posix()}:{top.name}")
+    assert sorted(uncalled - NO_CALLER_NEEDED.keys()) == [], "no caller"
+    assert sorted(NO_CALLER_NEEDED.keys() - uncalled) == [], (
+        "allow-listed but called or gone")

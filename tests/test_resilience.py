@@ -38,7 +38,7 @@ from repro.resilience import (
     save_state_checkpoint,
 )
 from repro.resilience.faults import KINDS
-from repro.solvers import bicgstab, cg, newton_ls
+from repro.solvers import cg
 
 pytestmark = pytest.mark.resilience
 
@@ -313,49 +313,25 @@ def test_alltoallv_rejects_aliased_buffers():
 # -- solver breakdown taxonomy (satellite) -----------------------------
 
 
-def test_bicgstab_breakdown_reason_never_converged():
-    # r_hat ⟂ A r for the antisymmetric operator: pivot breakdown at it 0
+def test_krylov_breakdown_reason_never_converged():
+    # p ⟂ A p for the antisymmetric operator: pAp = 0 at the first step
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    res = bicgstab(A, np.array([1.0, 1.0]), rtol=1e-12)
+    res = cg(A, np.array([1.0, 1.0]), rtol=1e-12)
     assert res.reason == "breakdown"
     assert not res.converged
 
 
 def test_krylov_nonfinite_reason():
     bad = np.full((2, 2), np.nan)
-    for solver in (cg, bicgstab):
-        res = solver(bad, np.ones(2))
-        assert res.reason == "nonfinite"
-        assert not res.converged
+    res = cg(bad, np.ones(2))
+    assert res.reason == "nonfinite"
+    assert not res.converged
 
 
 def test_krylov_converged_reason():
     A = np.diag([2.0, 3.0, 4.0])
-    for solver in (cg, bicgstab):
-        res = solver(A, np.ones(3), rtol=1e-10)
-        assert res.reason == "converged" and res.converged
-
-
-def test_newton_nonfinite_reason():
-    res = newton_ls(
-        lambda x: np.full_like(x, np.nan), lambda x, r: r, np.array([1.0])
-    )
-    assert res.reason == "nonfinite" and not res.converged
-
-
-def test_newton_retry_backoff_recovers_bad_step_scaling():
-    # the "Jacobian solve" overshoots 100x: every full/halved step within
-    # one short line search increases |F|, so only the lam_cap backoff
-    # (retry budget) finds the decreasing step
-    def residual(x):
-        return x
-
-    def solve_jac(x, rhs):
-        return 100.0 * rhs
-
-    res = newton_ls(residual, solve_jac, np.array([1.0]), rtol=1e-8,
-                    max_backtracks=2, retry_budget=8)
-    assert res.converged and res.retries > 0
+    res = cg(A, np.ones(3), rtol=1e-10)
+    assert res.reason == "converged" and res.converged
 
 
 # -- checkpoint/restart (satellite) ------------------------------------

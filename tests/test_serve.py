@@ -104,12 +104,13 @@ ALL_CARVED = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 2.0}
 
 
 def test_empty_mesh_is_a_typed_failure_not_a_lost_request():
-    from repro.core import EmptyMeshError, build_mesh
+    from repro.core import Domain, EmptyMeshError, build_mesh
+    from repro.geometry import SphereCarve
     from repro.obs.events import EventLog
-    from repro.serve.api import build_domain
 
     with pytest.raises(EmptyMeshError, match="empty mesh"):
-        build_mesh(build_domain(ALL_CARVED), 2, 3)
+        build_mesh(Domain(SphereCarve(ALL_CARVED["center"],
+                                      ALL_CARVED["radius"])), 2, 3)
     assert issubclass(EmptyMeshError, ValueError)
 
     log = EventLog()

@@ -1,5 +1,5 @@
-"""Tests for the solver substrate (Krylov, preconditioners, Newton,
-condition estimation)."""
+"""Tests for the solver substrate (Krylov, preconditioners, condition
+estimation)."""
 
 import numpy as np
 import pytest
@@ -7,16 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solvers import (
-    BlockJacobi,
-    bicgstab,
-    cg,
-    cond_dense,
-    cond_spd_extremes,
-    condest_1norm,
-    jacobi,
-    newton_ls,
-)
+from repro.solvers import BlockJacobi, cg, condest_1norm, jacobi
 
 
 def _spd(n, seed=0):
@@ -58,23 +49,6 @@ def test_cg_x0_start():
     assert cg(A, b, x0=x_star.tolist()).x.tobytes() == res.x.tobytes()
 
 
-def test_bicgstab_nonsymmetric():
-    rng = np.random.default_rng(3)
-    A = sp.random(80, 80, density=0.1, random_state=3).tocsr() + 10 * sp.eye(80)
-    b = rng.standard_normal(80)
-    res = bicgstab(A, b, rtol=1e-10, maxiter=500)
-    assert res.converged
-    assert np.linalg.norm(A @ res.x - b) < 1e-6
-
-
-def test_bicgstab_with_preconditioner():
-    A = sp.diags([np.full(199, -1.2), np.full(200, 3.0), np.full(199, -0.8)],
-                 [-1, 0, 1]).tocsr()
-    b = np.ones(200)
-    res = bicgstab(A, b, M=jacobi(A), rtol=1e-10)
-    assert res.converged
-
-
 def test_block_jacobi_solves_block_diagonal_exactly():
     blocks = [np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([[4.0]])]
     A = sp.block_diag(blocks).tocsr()
@@ -93,37 +67,6 @@ def test_block_jacobi_accelerates_cg():
     assert precond.iterations < plain.iterations
 
 
-def test_newton_scalar_like_system():
-    def residual(x):
-        return np.array([x[0] ** 3 - 8.0, x[1] ** 2 - 4.0])
-
-    def solve_jac(x, rhs):
-        J = np.diag([3 * x[0] ** 2, 2 * x[1]])
-        return np.linalg.solve(J, rhs)
-
-    res = newton_ls(residual, solve_jac, np.array([3.0, 3.0]), rtol=1e-12)
-    assert res.converged
-    assert np.allclose(res.x, [2.0, 2.0], atol=1e-6)
-
-
-def test_newton_needs_backtracking():
-    # steep residual where a full step overshoots
-    def residual(x):
-        return np.array([np.arctan(5 * x[0])])
-
-    def solve_jac(x, rhs):
-        return rhs / (5 / (1 + 25 * x[0] ** 2))
-
-    res = newton_ls(residual, solve_jac, np.array([1.2]), rtol=1e-10,
-                    max_iter=100)
-    assert res.converged
-    assert abs(res.x[0]) < 1e-8
-
-
-def test_cond_dense_identity():
-    assert cond_dense(np.eye(5)) == pytest.approx(1.0)
-
-
 def test_condest_1norm_diagonal():
     A = sp.diags([1.0, 2.0, 4.0, 8.0]).tocsc()
     # kappa_1 of a diagonal matrix = max/min
@@ -131,16 +74,10 @@ def test_condest_1norm_diagonal():
 
 
 def test_condest_tracks_dense_order_of_magnitude():
-    rng = np.random.default_rng(5)
     A = sp.csc_matrix(_spd(60, 7))
     est = condest_1norm(A)
-    exact = cond_dense(A.toarray())
-    assert exact / 10 < est < exact * 60  # 1-norm vs 2-norm bounded slack
-
-
-def test_cond_spd_extremes_small_matrix():
-    A = sp.csc_matrix(np.diag([1.0, 10.0, 100.0]))
-    assert cond_spd_extremes(A) == pytest.approx(100.0, rel=1e-4)
+    exact = np.linalg.cond(A.toarray(), 1)
+    assert exact / 10 < est <= exact * (1 + 1e-9)  # a lower bound on κ₁
 
 
 @settings(max_examples=20, deadline=None)
@@ -186,22 +123,20 @@ def test_cg_iterates_keep_their_bits():
     assert res.x.tobytes() == x.tobytes()
 
 
-@pytest.mark.parametrize("solver", ["cg", "bicgstab"])
-def test_maxiter_zero_is_a_zero_budget_not_the_default(solver):
+def test_maxiter_zero_is_a_zero_budget_not_the_default():
     """``maxiter=0`` used to read as "unset" and run 10·n iterations."""
     A = sp.csr_matrix(_spd(30, 5))
     b = np.random.default_rng(6).standard_normal(30)
     x0 = np.linspace(-1.0, 1.0, 30)
-    solve = bicgstab if solver == "bicgstab" else cg
     for start in (None, x0, x0.tolist()):  # any array-like x0
-        res = solve(A, b, x0=start, rtol=1e-10, maxiter=0)
+        res = cg(A, b, x0=start, rtol=1e-10, maxiter=0)
         assert res.iterations == 0 and res.matvecs == 1
         assert res.reason == "maxiter" and not res.converged
         want = np.zeros_like(b) if start is None else x0
         assert res.x.tobytes() == want.tobytes()
     # a start that already meets the tolerance needs no budget
-    exact = solve(A, b, rtol=1e-13).x
-    res = solve(A, b, x0=exact, rtol=1e-6, maxiter=0)
+    exact = cg(A, b, rtol=1e-13).x
+    res = cg(A, b, x0=exact, rtol=1e-6, maxiter=0)
     assert res.iterations == 0 and res.reason == "converged"
     # None still means 10·n
-    assert solve(A, b, rtol=1e-10, maxiter=None).converged
+    assert cg(A, b, rtol=1e-10, maxiter=None).converged

@@ -5,14 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.octant import OctantSet, ancestor_at_level, children, max_level
+from repro.core.octant import OctantSet, children, max_level
+from repro.core.sfc import cached_keys
 from repro.core.treesort import (
-    is_sorted_linear,
+    block_ends,
     linearize,
     remove_duplicates,
     tree_sort,
     tree_sort_msd,
 )
+
+
+def is_sorted_linear(oset: OctantSet, curve: str = "morton") -> bool:
+    """True if the set is SFC-sorted, duplicate-free and overlap-free."""
+    keys = cached_keys(oset, curve)
+    if len(oset) <= 1:
+        return True
+    if not np.all(keys[:-1] <= keys[1:]):
+        return False
+    ends = block_ends(keys, oset.levels, oset.dim)
+    return bool(np.all(keys[1:] >= ends[:-1]))
 
 
 def _random_octants(rng, dim, n, max_lv=6):
@@ -120,15 +132,11 @@ def test_linearize_coarser_covers_all_inputs(seed):
     rng = np.random.default_rng(seed)
     o = _random_octants(rng, 2, 60)
     lin = linearize(o, prefer="coarser")
-    # each input is a descendant-or-equal of a kept octant
+    # each input is a descendant-or-equal of a kept octant: one kept
+    # octant no finer than it has a block holding its anchor
+    size = np.int64(1) << (max_level(2) - lin.levels.astype(np.int64))
+    lo = lin.anchors.astype(np.int64)
     for i in range(len(o)):
-        anc_found = False
-        for lv in range(int(o.levels[i]), -1, -1):
-            anc = ancestor_at_level(o[i], lv)
-            match = (lin.levels == lv) & np.all(
-                lin.anchors == anc.anchors[0], axis=1
-            )
-            if match.any():
-                anc_found = True
-                break
-        assert anc_found
+        a = o.anchors[i].astype(np.int64)
+        inside = np.all((a >= lo) & (a < lo + size[:, None]), axis=1)
+        assert (inside & (lin.levels <= o.levels[i])).any()
