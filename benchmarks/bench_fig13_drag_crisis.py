@@ -25,7 +25,7 @@ from repro.analysis import (
     morrison_cd,
 )
 from repro.core.faces import extract_boundary_faces
-from repro.fem import NavierStokesProblem
+from repro.fem.navier_stokes import NavierStokesProblem
 from repro.geometry import SphereCarve
 
 from _util import ResultTable

@@ -21,7 +21,7 @@ from repro.amr import amr_solve
 from repro.analysis import fit_rate
 from repro.core import construct_adaptive
 from repro.core.mesh import mesh_from_leaves
-from repro.fem import PoissonProblem, l2_error, linf_error
+from repro.fem.poisson import PoissonProblem, l2_error, linf_error
 from repro.geometry import BoxCarve, SphereRetain
 
 from _util import ResultTable

@@ -30,12 +30,9 @@ from repro.parallel import (
     partition_mesh,
 )
 from repro.parallel.ghost import exchange_plan
-from repro.resilience import (
-    FaultSchedule,
-    load_checkpoint,
-    resilient_poisson_solve,
-    save_checkpoint,
-)
+from repro.resilience import FaultSchedule
+from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
+from repro.resilience.recovery import resilient_poisson_solve
 
 from _util import ResultTable
 

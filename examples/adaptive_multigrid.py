@@ -13,8 +13,8 @@ import numpy as np
 
 from repro import Domain, assemble, build_mesh, mesh_from_leaves
 from repro.core.adapt import coarsen_leaves, construct_from_points
-from repro.fem import PoissonProblem
 from repro.fem.dirichlet import Dirichlet
+from repro.fem.poisson import PoissonProblem
 from repro.geometry import SphereCarve
 from repro.io import write_vtu
 from repro.solvers import MultigridPoisson, cg, jacobi

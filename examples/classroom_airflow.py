@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from repro import build_mesh
-from repro.fem import NavierStokesProblem, TransportProblem
+from repro.fem.navier_stokes import NavierStokesProblem
+from repro.fem.transport import TransportProblem
 from repro.geometry import ClassroomScene
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro import Domain, build_mesh
 from repro.analysis import CYLINDER_CD_REFERENCE, drag_from_faces
 from repro.core.faces import extract_boundary_faces
-from repro.fem import NavierStokesProblem
+from repro.fem.navier_stokes import NavierStokesProblem
 from repro.geometry import SphereCarve
 
 D = 1.0  # cylinder diameter

@@ -19,7 +19,7 @@ import numpy as np
 from repro import Domain, build_mesh
 from repro.analysis import drag_from_faces, schiller_naumann_cd
 from repro.core.faces import extract_boundary_faces
-from repro.fem import NavierStokesProblem
+from repro.fem.navier_stokes import NavierStokesProblem
 from repro.geometry import SphereCarve
 
 D = 1.0

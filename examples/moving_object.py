@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import Domain, build_mesh
 from repro.core.interpolate import transfer_field
-from repro.fem import TransportProblem
+from repro.fem.transport import TransportProblem
 from repro.geometry import SphereCarve
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import Domain, build_uniform_mesh
 from repro.analysis import observed_rates
-from repro.fem import PoissonProblem, l2_error, linf_error
+from repro.fem.poisson import PoissonProblem, l2_error, linf_error
 from repro.geometry import SphereRetain
 
 R = 0.5

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro import Domain, build_mesh
 from repro.core.matvec import MapBasedMatVec, traversal_matvec
-from repro.fem import PoissonProblem
+from repro.fem.poisson import PoissonProblem
 from repro.geometry import SphereCarve
 
 

@@ -12,7 +12,7 @@ Quickstart::
     import numpy as np
     from repro import Domain, build_mesh
     from repro.geometry import SphereCarve
-    from repro.fem import PoissonProblem
+    from repro.fem.poisson import PoissonProblem
 
     domain = Domain(SphereCarve([5.0, 5.0, 5.0], 0.5), scale=10.0)
     mesh = build_mesh(domain, base_level=3, boundary_level=6, p=1)

@@ -223,7 +223,7 @@ def _resilience_sphere(args, sched):
     from .core.mesh import build_mesh
     from .fem.poisson import PoissonProblem
     from .geometry import SphereCarve
-    from .resilience import resilient_poisson_solve
+    from .resilience.recovery import resilient_poisson_solve
 
     domain = Domain(SphereCarve([0.5, 0.5, 0.5], 0.3))
     mesh = build_mesh(domain, args.base_level, args.boundary_level, p=1)
@@ -252,7 +252,7 @@ def _resilience_channel(args, sched):
     from .core.mesh import build_uniform_mesh
     from .fem.navier_stokes import NavierStokesProblem
     from .geometry import BoxRetain
-    from .resilience import ResilientNSDriver
+    from .resilience.recovery import ResilientNSDriver
 
     domain = Domain(
         BoxRetain([0, 0], [4, 1], domain=([0, 0], [4, 4])), scale=4.0
@@ -334,7 +334,7 @@ def cmd_resilience_demo(args) -> None:
 def cmd_ckpt_info(args) -> None:
     """Inspect a ckpt.v1 checkpoint file (integrity-checked on load); a
     foreign or corrupt file exits with one line naming it and why."""
-    from .resilience import CheckpointCorruption, load_checkpoint
+    from .resilience.checkpoint import CheckpointCorruption, load_checkpoint
 
     try:
         ck = load_checkpoint(args.path)

@@ -3,7 +3,6 @@
 from .adapt import coarsen_leaves, refine_leaves
 from .balance import balance_2to1, is_balanced
 from .construct import construct_adaptive, construct_constrained, construct_uniform
-from .distributed import dist_tree_sort, distributed_construct_constrained
 from .domain import Domain
 from .faces import extract_boundary_faces
 from .mesh import IncompleteMesh, build_mesh, build_uniform_mesh
@@ -16,7 +15,7 @@ from .plan import (
     operator_context,
 )
 from .sfc import HilbertOrder, MortonOrder, get_curve
-from .treesort import linearize, tree_sort
+from .treesort import tree_sort
 
 __all__ = [
     "OctantSet",
@@ -25,7 +24,6 @@ __all__ = [
     "HilbertOrder",
     "get_curve",
     "tree_sort",
-    "linearize",
     "construct_uniform",
     "construct_constrained",
     "construct_adaptive",
@@ -45,6 +43,4 @@ __all__ = [
     "mesh_fingerprint",
     "refine_leaves",
     "coarsen_leaves",
-    "dist_tree_sort",
-    "distributed_construct_constrained",
 ]

@@ -4,8 +4,8 @@ Construction proceeds top-down from the root; a subtree is pruned the
 moment F classifies it as carved ("proactive pruning" — the paper's key
 difference from build-complete-then-filter pipelines).  The production
 implementation advances a whole frontier of octants per level with
-vectorised classification; a faithful per-octant recursive version of
-Algorithm 2 is kept as a cross-checked reference.
+vectorised classification; tests cross-check it against a faithful
+per-octant recursion of Algorithm 2 (``tests/oracles/construct.py``).
 
 Refinement criteria supported (matching the paper's §3.2 list):
 
@@ -34,7 +34,6 @@ __all__ = [
     "construct_uniform",
     "construct_constrained",
     "construct_adaptive",
-    "construct_constrained_recursive",
 ]
 
 
@@ -153,48 +152,6 @@ def construct_adaptive(
         return frontier.levels.astype(np.int64) < target
 
     return _construct_frontier(domain, rule, curve, keep_labels=return_labels)
-
-
-def construct_constrained_recursive(
-    domain: Domain, seeds: OctantSet, curve: "str | SFCOracle" = "morton"
-) -> OctantSet:
-    """Faithful per-octant recursion of Algorithm 2 (reference only).
-
-    Children are visited in regional SFC order via the oracle; seeds are
-    bucketed to children with a counting pass exactly as in the paper.
-    Used in tests to cross-check the vectorised frontier driver.
-    """
-    oracle = get_curve(curve)
-    dim = domain.dim
-    m = max_level(dim)
-    seeds_sorted, _ = tree_sort(seeds, oracle)
-    out: list[OctantSet] = []
-
-    def recurse(region: OctantSet, bucket: OctantSet) -> None:
-        label = domain.classify_octants(region)[0]
-        if label == RegionLabel.CARVED:
-            return  # prune
-        lvl = int(region.levels[0])
-        finest = int(bucket.levels.max()) if len(bucket) else -1
-        if len(bucket) == 0 or lvl >= finest or lvl >= m:
-            out.append(region)
-            return
-        kids = children(region)
-        kid_keys = cached_keys(kids, oracle)
-        sfc_order = np.argsort(kid_keys)  # regional SFC ordering of children
-        # bucket seeds to children by key range
-        bkeys = cached_keys(bucket, oracle)
-        for c in sfc_order:
-            kid = kids[int(c)]
-            k0 = cached_keys(kid, oracle)[0]
-            k1 = k0 + _block_span(kid, dim)[0]
-            sel = np.flatnonzero((bkeys >= k0) & (bkeys < k1))
-            recurse(kid, bucket[sel])
-
-    recurse(OctantSet.root(dim), seeds_sorted)
-    merged = OctantSet.concatenate(out) if out else OctantSet.empty(dim)
-    merged, _ = tree_sort(merged, oracle)
-    return merged
 
 
 def _block_span(oset: OctantSet, dim: int) -> np.ndarray:

@@ -26,7 +26,6 @@ __all__ = [
     "parent",
     "children",
     "neighbors",
-    "contains",
 ]
 
 
@@ -65,8 +64,8 @@ class OctantSet:
     That is what lets the SFC keys computed for a set
     (:func:`repro.core.sfc.cached_keys`) travel with its octants: an
     index or a concatenation hands the result the matching entries of
-    every cached key array, so a sort → dedup → linearize pipeline
-    interleaves once.  A set built from new arrays starts without keys.
+    every cached key array, so a sort → dedup pipeline interleaves
+    once.  A set built from new arrays starts without keys.
     """
 
     anchors: np.ndarray
@@ -229,15 +228,3 @@ def neighbors(
     if return_source:
         return out, np.repeat(np.arange(len(oset)), len(offs))[ok]
     return out
-
-
-def contains(oset: OctantSet, points: np.ndarray) -> np.ndarray:
-    """Boolean ``(N, P)`` matrix: octant i contains (closed) point j.
-
-    ``points`` are integer anchor-unit coordinates, ``(P, dim)``.
-    Containment is in the *closed* cell (boundary points count), which is
-    what nodal-ownership queries need.
-    """
-    lo, hi = oset.bounds()
-    p = np.asarray(points, dtype=np.int64)
-    return np.all((p[None] >= lo[:, None]) & (p[None] <= hi[:, None]), axis=2)

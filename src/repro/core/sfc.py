@@ -175,9 +175,9 @@ def cached_keys(oset: OctantSet, curve: "str | SFCOracle" = "morton") -> np.ndar
     Octant sets are immutable (every operation returns a new set), so
     the keys are interleaved once per (set, curve), kept on the set and
     handed on to every set indexed or concatenated out of it (see
-    :class:`repro.core.octant.OctantSet`): sort, dedup, linearize,
-    constrained construction, the mesh fingerprint and the traversal
-    plan all read the same array.  It is marked read-only.
+    :class:`repro.core.octant.OctantSet`): sort, dedup, constrained
+    construction, the mesh fingerprint and the traversal plan all read
+    the same array.  It is marked read-only.
     """
     oracle = get_curve(curve)
     keys = oset._sfc_keys.get(oracle.name)

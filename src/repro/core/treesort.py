@@ -3,8 +3,8 @@
 The production sort argsorts the set's 64-bit SFC keys — the numpy
 analogue of a most-significant-digit radix sort.  The keys come from
 :func:`repro.core.sfc.cached_keys` and travel with the octants, so
-``tree_sort`` → ``remove_duplicates`` → ``linearize`` interleave once
-per input set, not once per stage.  A faithful recursive MSD bucketing
+``tree_sort`` → ``remove_duplicates`` interleave once per input set,
+not once per stage.  A faithful recursive MSD bucketing
 implementation (:func:`tree_sort_msd`) is kept as the reference (and as
 an ablation benchmark target): it buckets octants level by level,
 permuting buckets into the regional SFC order exactly as TreeSort in
@@ -23,7 +23,6 @@ __all__ = [
     "tree_sort",
     "tree_sort_msd",
     "remove_duplicates",
-    "linearize",
     "block_ends",
 ]
 
@@ -97,40 +96,4 @@ def remove_duplicates(
         return oset
     keep = np.ones(len(oset), bool)
     keep[1:] = (keys[1:] != keys[:-1]) | (oset.levels[1:] != oset.levels[:-1])
-    return oset[np.flatnonzero(keep)]
-
-
-def linearize(
-    oset: OctantSet,
-    curve: "str | SFCOracle" = "morton",
-    prefer: str = "finer",
-) -> OctantSet:
-    """Resolve overlaps in an octant set, producing a linear octree.
-
-    ``prefer='finer'`` deletes every octant that has a strict descendant
-    present (the Algorithm-3 rule: finer octants win, so depth
-    constraints hold globally).  ``prefer='coarser'`` deletes octants
-    contained in a coarser one.
-    """
-    if prefer not in ("finer", "coarser"):
-        raise ValueError("prefer must be 'finer' or 'coarser'")
-    oset, _ = tree_sort(oset, curve)
-    oset = remove_duplicates(oset, curve, assume_sorted=True)
-    n = len(oset)
-    if n <= 1:
-        return oset
-    keys = cached_keys(oset, curve)
-    ends = block_ends(keys, oset.levels, oset.dim)
-    if prefer == "finer":
-        # In (key, level) order an octant's first strict descendant, if
-        # any, is its immediate successor (SFC blocks are nested or
-        # disjoint), so one shifted comparison suffices.
-        keep = np.ones(n, bool)
-        keep[:-1] = keys[1:] >= ends[:-1]
-    elif prefer == "coarser":
-        cummax = np.maximum.accumulate(ends)
-        keep = np.ones(n, bool)
-        keep[1:] = keys[1:] >= cummax[:-1]
-    else:
-        raise ValueError("prefer must be 'finer' or 'coarser'")
     return oset[np.flatnonzero(keep)]

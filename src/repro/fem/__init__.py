@@ -1,8 +1,9 @@
 """Finite-element substrate: bases, elemental kernels, PDE problems.
 
-Problem classes are exported lazily (PEP 562): they import the core
-mesh machinery, which itself uses :mod:`repro.fem.basis`, so eager
-re-exports here would create an import cycle.
+The package re-exports only the mesh-independent pieces it imports
+here.  The problem classes import the core mesh machinery, which itself
+uses :mod:`repro.fem.basis`, so they are imported from the module that
+defines them: ``from repro.fem.poisson import PoissonProblem``.
 """
 
 from .basis import LagrangeBasis
@@ -15,38 +16,4 @@ __all__ = [
     "reference_element",
     "gauss_legendre_1d",
     "tensor_rule",
-    "PoissonProblem",
-    "load_vector",
-    "l2_error",
-    "linf_error",
-    "sbm_terms",
-    "TransportProblem",
-    "NavierStokesProblem",
-    "DGPoissonProblem",
-    "dg_dof_count",
-    "FDPoissonProblem",
-    "FVAdvectionProblem",
 ]
-
-_LAZY = {
-    "PoissonProblem": ("poisson", "PoissonProblem"),
-    "load_vector": ("poisson", "load_vector"),
-    "l2_error": ("poisson", "l2_error"),
-    "linf_error": ("poisson", "linf_error"),
-    "sbm_terms": ("sbm", "sbm_terms"),
-    "TransportProblem": ("transport", "TransportProblem"),
-    "NavierStokesProblem": ("navier_stokes", "NavierStokesProblem"),
-    "DGPoissonProblem": ("dg", "DGPoissonProblem"),
-    "dg_dof_count": ("dg", "dg_dof_count"),
-    "FDPoissonProblem": ("fdm", "FDPoissonProblem"),
-    "FVAdvectionProblem": ("fvm", "FVAdvectionProblem"),
-}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        import importlib
-
-        mod, attr = _LAZY[name]
-        return getattr(importlib.import_module(f".{mod}", __name__), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,17 +35,7 @@ from ..obs import add as obs_add
 from ..obs import span
 from .dirichlet import Dirichlet
 
-__all__ = ["NavierStokesProblem", "big_gather", "NSResult"]
-
-
-def big_gather(mesh: IncompleteMesh, nfields: int) -> sp.csr_matrix:
-    """Multi-field gather: global ``[f0 | f1 | ...]`` vectors to
-    element-local field-major slot vectors (hanging-aware).
-
-    Built and cached by the mesh's shared
-    :class:`repro.core.plan.OperatorContext`.
-    """
-    return operator_context(mesh).big_gather(nfields)
+__all__ = ["NavierStokesProblem", "NSResult"]
 
 
 @dataclass

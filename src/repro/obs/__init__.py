@@ -50,6 +50,7 @@ from .events import (
     load_events,
     save_events,
 )
+from .report import collect, summary, write_artifact
 from .trace import TRACER, is_enabled, record, set_enabled, span
 
 __all__ = [
@@ -97,21 +98,3 @@ def reset() -> None:
     """Drop all recorded spans and metrics (the enable flag is kept)."""
     TRACER.reset()
     REGISTRY.reset()
-
-
-def collect(name: str, meta: dict | None = None) -> dict:
-    from .report import collect as _collect
-
-    return _collect(name, meta)
-
-
-def write_artifact(path, name: str, meta: dict | None = None):
-    from .report import write_artifact as _write
-
-    return _write(path, name, meta)
-
-
-def summary() -> dict:
-    from .report import summary as _summary
-
-    return _summary()

@@ -21,9 +21,11 @@ Three pieces:
   survive injected rank crashes by shrinking the partition to the
   survivors and resuming from the latest checkpoint.
 
-Only :mod:`faults` is imported eagerly (it is dependency-light and is
-what :mod:`repro.parallel.simmpi` needs); the checkpoint/recovery
-symbols resolve lazily (PEP 562) to keep import cycles out.
+The package re-exports only :mod:`faults` (it is dependency-light and
+is what :mod:`repro.parallel.simmpi` needs).  Checkpoint and recovery
+names import the mesh and the simulated MPI, which would close a cycle
+through ``simmpi``, so they are imported from their defining modules:
+``from repro.resilience.recovery import resilient_poisson_solve``.
 """
 
 from .faults import (
@@ -44,46 +46,4 @@ __all__ = [
     "RankFailure",
     "SolverBreakdown",
     "corrupt_buffer",
-    "CKPT_SCHEMA_ID",
-    "STATE_SCHEMA_ID",
-    "Checkpoint",
-    "StateCheckpoint",
-    "CheckpointCorruption",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_state_checkpoint",
-    "load_state_checkpoint",
-    "latest_checkpoint",
-    "prune_checkpoints",
-    "ResilientSolveResult",
-    "RecoveryEvent",
-    "resilient_poisson_solve",
-    "ResilientNSDriver",
 ]
-
-_LAZY = {
-    "CKPT_SCHEMA_ID": ("checkpoint", "CKPT_SCHEMA_ID"),
-    "STATE_SCHEMA_ID": ("checkpoint", "STATE_SCHEMA_ID"),
-    "Checkpoint": ("checkpoint", "Checkpoint"),
-    "StateCheckpoint": ("checkpoint", "StateCheckpoint"),
-    "CheckpointCorruption": ("checkpoint", "CheckpointCorruption"),
-    "save_checkpoint": ("checkpoint", "save_checkpoint"),
-    "load_checkpoint": ("checkpoint", "load_checkpoint"),
-    "save_state_checkpoint": ("checkpoint", "save_state_checkpoint"),
-    "load_state_checkpoint": ("checkpoint", "load_state_checkpoint"),
-    "latest_checkpoint": ("checkpoint", "latest_checkpoint"),
-    "prune_checkpoints": ("checkpoint", "prune_checkpoints"),
-    "ResilientSolveResult": ("recovery", "ResilientSolveResult"),
-    "RecoveryEvent": ("recovery", "RecoveryEvent"),
-    "resilient_poisson_solve": ("recovery", "resilient_poisson_solve"),
-    "ResilientNSDriver": ("recovery", "ResilientNSDriver"),
-}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        import importlib
-
-        mod, attr = _LAZY[name]
-        return getattr(importlib.import_module(f".{mod}", __name__), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

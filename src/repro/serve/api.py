@@ -81,6 +81,12 @@ PDE_KINDS = tuple(LINEAR_TERMS)
 
 _SHAPES = ("sphere", "box")
 
+#: request fields that must be exactly ``int`` (``deadline`` may also be
+#: ``None``): a float crashes inside the solve, and a ``bool`` or an
+#: integral float solves under a second digest for the same discretisation
+_INT_FIELDS = ("base_level", "boundary_level", "p", "steps", "amr_cycles",
+               "priority", "deadline")
+
 
 #: what ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` runs,
 #: minus building a new encoder object per call
@@ -251,6 +257,10 @@ class SolveRequest:
                 pass  # not a sequence: validate() names it
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if type(v) is not int and not (v is None and name == "deadline"):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.pde not in PDE_KINDS:
             raise ValueError(f"pde must be one of {PDE_KINDS}, got {self.pde!r}")
         self._canonical_geometry()
@@ -268,14 +278,8 @@ class SolveRequest:
             self._raise_non_finite_parameter()
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.deadline is not None:
-            if not isinstance(self.deadline, int):
-                raise ValueError(
-                    "deadline must be an integer number of ticks, "
-                    f"got {self.deadline!r}"
-                )
-            if self.deadline < 0:
-                raise ValueError("deadline must be non-negative")
+        if self.deadline is not None and self.deadline < 0:
+            raise ValueError("deadline must be non-negative")
         if self.pde == "transport" and self.steps < 1:
             raise ValueError("transport needs steps >= 1")
         if self.g != 0.0 and "g" not in LINEAR_TERMS[self.pde]:

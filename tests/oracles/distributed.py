@@ -1,4 +1,6 @@
-"""Distributed octree construction (Algorithm 3) on the simulated MPI.
+"""Distributed octree construction (Algorithm 3) on the simulated MPI —
+the differential oracle for serial
+:func:`repro.core.construct.construct_constrained`.
 
 DistTreeSort partitions SFC-sorted octants across virtual ranks with a
 load tolerance; DistributedConstructConstrained lets every rank build a
@@ -12,15 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.partition import partition_weights
-from ..parallel.simmpi import SimComm
-from .construct import construct_constrained
-from .domain import Domain
-from .octant import OctantSet
-from .sfc import cached_keys, get_curve
-from .treesort import block_ends, linearize, tree_sort
+from repro.core.construct import construct_constrained
+from repro.core.domain import Domain
+from repro.core.octant import OctantSet
+from repro.core.sfc import cached_keys, get_curve
+from repro.core.treesort import block_ends, tree_sort
+from repro.parallel.partition import partition_weights
+from repro.parallel.simmpi import SimComm
 
-__all__ = ["dist_tree_sort", "distributed_construct_constrained"]
+from .treesort import linearize
 
 
 def _pack(oset: OctantSet) -> np.ndarray:

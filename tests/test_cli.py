@@ -210,7 +210,7 @@ def test_ckpt_info_prints_a_checkpoint(tmp_path):
     from repro import Domain
     from repro.core.mesh import build_uniform_mesh
     from repro.geometry import SphereCarve
-    from repro.resilience import save_checkpoint
+    from repro.resilience.checkpoint import save_checkpoint
 
     mesh = build_uniform_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3)
     path = save_checkpoint(tmp_path / "a.ckpt.json", mesh, step=2,

@@ -25,7 +25,6 @@ from repro.core.interpolate import evaluation_matrix, locate_points
 from repro.core.nodes import _sort_node_rows
 from repro.core.octant import (
     OctantSet,
-    contains,
     max_level,
     neighbors,
     octant_size,
@@ -33,14 +32,12 @@ from repro.core.octant import (
 )
 from repro.core.plan import operator_context
 from repro.core.sfc import MortonOrder, cached_keys, get_curve
-from repro.core.treesort import (
-    linearize,
-    remove_duplicates,
-    tree_sort,
-)
+from repro.core.treesort import remove_duplicates, tree_sort
 from repro.fem.basis import LagrangeBasis, local_node_offsets
 from repro.geometry import BoxCarve, CarveUnion, SphereCarve
 
+from .oracles.octant import contains
+from .oracles.treesort import linearize
 from .test_treesort import is_sorted_linear
 
 CURVES = ["morton", "hilbert"]

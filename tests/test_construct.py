@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.construct import (
     construct_adaptive,
     construct_constrained,
-    construct_constrained_recursive,
     construct_uniform,
 )
 from repro.core.domain import Domain
@@ -16,6 +15,7 @@ from repro.core.octant import OctantSet, max_level, octant_size
 from repro.geometry.predicate import RegionLabel
 from repro.geometry.primitives import BoxRetain, SphereCarve, SphereRetain
 
+from .oracles.construct import construct_constrained_recursive
 from .test_treesort import is_sorted_linear
 
 

@@ -123,7 +123,7 @@ def test_p3_cubic_reproduction_across_hanging():
 
 def test_p3_poisson_superconvergence():
     """p=3 beats p=1 by orders of magnitude on a smooth problem."""
-    from repro.fem import PoissonProblem, l2_error
+    from repro.fem.poisson import PoissonProblem, l2_error
 
     def exact(p):
         return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])

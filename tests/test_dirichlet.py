@@ -23,8 +23,9 @@ from repro.core.assembly import assemble
 from repro.core.matvec import TraversalMatVec
 from repro.core.mesh import IncompleteMesh, build_uniform_mesh
 from repro.core.plan import operator_context
-from repro.fem import PoissonProblem, poisson
+from repro.fem import poisson
 from repro.fem.dirichlet import Dirichlet
+from repro.fem.poisson import PoissonProblem
 from repro.fem.sbm import sbm_terms
 from repro.geometry import SphereCarve
 from repro.serve import SolveRequest

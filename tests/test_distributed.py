@@ -11,7 +11,6 @@ from repro.core.balance import (
     is_balanced,
 )
 from repro.core.construct import construct_adaptive, construct_constrained
-from repro.core.distributed import dist_tree_sort, distributed_construct_constrained
 from repro.core.domain import Domain
 from repro.core.octant import OctantSet, max_level
 from repro.core.sfc import get_curve
@@ -19,6 +18,7 @@ from repro.core.treesort import remove_duplicates, tree_sort
 from repro.geometry import SphereCarve
 from repro.parallel import SimComm
 
+from .oracles.distributed import dist_tree_sort, distributed_construct_constrained
 from .test_treesort import is_sorted_linear
 
 

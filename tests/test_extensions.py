@@ -1,4 +1,4 @@
-"""Tests for the extension modules: DG, FD, FV, adaptation, VTU output."""
+"""Tests for leaf adaptation, point-cloud construction and VTU output."""
 
 import xml.etree.ElementTree as ET
 
@@ -9,158 +9,11 @@ from repro import Domain, build_mesh, build_uniform_mesh
 from repro.core.adapt import coarsen_leaves, construct_from_points, refine_leaves
 from repro.core.balance import balance_2to1, is_balanced
 from repro.core.construct import construct_uniform
-from repro.fem import (
-    DGPoissonProblem,
-    FDPoissonProblem,
-    FVAdvectionProblem,
-    PoissonProblem,
-    dg_dof_count,
-)
-from repro.fem.dg import interior_faces
-from repro.geometry import SphereCarve, SphereRetain
+from repro.fem.poisson import PoissonProblem
+from repro.geometry import SphereCarve
 from repro.io import write_vtu
 
 from .test_treesort import is_sorted_linear
-
-
-# -- DG -------------------------------------------------------------------
-
-
-def test_dg_dof_count_scales_with_elements():
-    """The §4.4 remark: DG DOFs = n_elem * npe exactly."""
-    dom = Domain(SphereCarve([0.5, 0.5], 0.3))
-    mesh = build_uniform_mesh(dom, 4, p=1)
-    assert dg_dof_count(mesh) == mesh.n_elem * 4
-    assert dg_dof_count(mesh) > mesh.n_nodes  # no sharing
-
-
-def test_dg_interior_faces_counts():
-    mesh = build_uniform_mesh(Domain(dim=2), 3, p=1)
-    em, ep, ax = interior_faces(mesh)
-    # 8x8 grid: 7*8 vertical + 8*7 horizontal interior faces
-    assert len(em) == 2 * 7 * 8
-    assert np.all(em != ep)
-
-
-def test_dg_smooth_square_second_order():
-    def exact(pts):
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-
-    def f(pts):
-        return 2 * np.pi**2 * exact(pts)
-
-    errs = []
-    for lv in (3, 4, 5):
-        mesh = build_uniform_mesh(Domain(dim=2), lv, p=1)
-        prob = DGPoissonProblem(mesh, f=f, dirichlet=0.0)
-        errs.append(prob.l2_error(prob.solve(), exact))
-    assert np.log2(errs[0] / errs[1]) > 1.8
-    assert np.log2(errs[1] / errs[2]) > 1.8
-
-
-def test_dg_on_carved_disk_runs():
-    dom = Domain(SphereRetain([0.5, 0.5], 0.4))
-    mesh = build_uniform_mesh(dom, 5, p=1)
-    u = DGPoissonProblem(mesh, f=1.0, dirichlet=0.0).solve()
-    assert len(u) == dg_dof_count(mesh)
-    assert u.max() > 0 and u.min() > -1e-3  # DG: no discrete max principle
-
-
-def test_dg_rejects_graded_mesh():
-    dom = Domain(SphereCarve([0.5, 0.5], 0.3))
-    mesh = build_mesh(dom, 3, 5, p=1)
-    with pytest.raises(ValueError):
-        DGPoissonProblem(mesh)
-
-
-def test_dg_matches_cg_on_smooth_problem():
-    def exact(pts):
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-
-    def f(pts):
-        return 2 * np.pi**2 * exact(pts)
-
-    mesh = build_uniform_mesh(Domain(dim=2), 5, p=1)
-    dg = DGPoissonProblem(mesh, f=f, dirichlet=0.0)
-    e_dg = dg.l2_error(dg.solve(), exact)
-    from repro.fem.poisson import l2_error
-
-    e_cg = l2_error(mesh, PoissonProblem(mesh, f=f).solve(rtol=1e-12), exact)
-    assert e_dg < 3 * e_cg  # same asymptotic class
-
-
-# -- FD -------------------------------------------------------------------
-
-
-def test_fd_second_order_square():
-    def exact(pts):
-        return np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-
-    def f(pts):
-        return 2 * np.pi**2 * exact(pts)
-
-    errs = []
-    for lv in (4, 5):
-        mesh = build_uniform_mesh(Domain(dim=2), lv, p=1)
-        u = FDPoissonProblem(mesh, f=f, dirichlet=0.0).solve()
-        errs.append(np.abs(u - exact(mesh.node_coords())).max())
-    assert np.log2(errs[0] / errs[1]) > 1.9
-
-
-def test_fd_agrees_with_fem_on_carved_disk():
-    dom = Domain(SphereRetain([0.5, 0.5], 0.45))
-    mesh = build_uniform_mesh(dom, 5, p=1)
-    ufd = FDPoissonProblem(mesh, f=1.0).solve()
-    ufe = PoissonProblem(mesh, f=1.0).solve()
-    assert np.abs(ufd - ufe).max() < 0.05 * max(ufe.max(), 1e-12) + 2e-3
-
-
-def test_fd_rejects_graded_or_p2():
-    dom = Domain(SphereCarve([0.5, 0.5], 0.3))
-    graded = build_mesh(dom, 3, 5, p=1)
-    with pytest.raises(ValueError):
-        FDPoissonProblem(graded)
-    quad = build_uniform_mesh(Domain(dim=2), 3, p=2)
-    with pytest.raises(ValueError):
-        FDPoissonProblem(quad)
-
-
-# -- FV -------------------------------------------------------------------
-
-
-def test_fv_conserves_mass_without_outflow():
-    dom = Domain(SphereCarve([0.5, 0.5], 0.2))
-    mesh = build_uniform_mesh(dom, 5, p=1)
-    fv = FVAdvectionProblem(mesh, np.zeros((mesh.n_elem, 2)), kappa=0.02)
-    ctr = mesh.element_centers()
-    c0 = np.exp(-100 * ((ctr - [0.25, 0.5]) ** 2).sum(axis=1))
-    c1 = fv.run(c0, 0.05)
-    assert fv.total_mass(c1) == pytest.approx(fv.total_mass(c0), rel=1e-12)
-    assert c1.max() < c0.max()  # diffusion smooths
-
-
-def test_fv_advects_downstream():
-    dom = Domain(SphereCarve([0.5, 0.5], 0.2))
-    mesh = build_uniform_mesh(dom, 5, p=1)
-    fv = FVAdvectionProblem(mesh, np.tile([1.0, 0.0], (mesh.n_elem, 1)))
-    ctr = mesh.element_centers()
-    c0 = np.exp(-200 * ((ctr - [0.2, 0.5]) ** 2).sum(axis=1))
-    c1 = fv.run(c0, 0.15)
-    x0 = (ctr[:, 0] * c0).sum() / c0.sum()
-    x1 = (ctr[:, 0] * c1).sum() / c1.sum()
-    assert x1 > x0 + 0.05
-
-
-def test_fv_cfl_guard():
-    mesh = build_uniform_mesh(Domain(dim=2), 4, p=1)
-    fv = FVAdvectionProblem(mesh, np.tile([2.0, 0.0], (mesh.n_elem, 1)))
-    assert fv.max_dt() <= 0.5 * fv.h / 2.0 + 1e-15
-
-
-def test_fv_velocity_validation():
-    mesh = build_uniform_mesh(Domain(dim=2), 3, p=1)
-    with pytest.raises(ValueError):
-        FVAdvectionProblem(mesh, np.zeros((3, 2)))
 
 
 # -- adaptation -------------------------------------------------------------

@@ -13,11 +13,13 @@ import pytest
 
 from repro import Domain, build_mesh, obs
 from repro.analysis import measured_kernel_points
-from repro.core.assembly import assemble, assemble_traversal
+from repro.core.assembly import assemble
 from repro.core.matvec import MapBasedMatVec, traversal_matvec
 from repro.geometry import BoxRetain, SphereCarve
 from repro.kernels import available_backends, use_backend
 from repro.serve import SolveRequest
+
+from .oracles.assembly import assemble_traversal
 
 pytestmark = pytest.mark.kernels
 

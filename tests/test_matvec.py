@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assembly import assemble, assemble_traversal
+from repro.core.assembly import assemble
 from repro.core.domain import Domain
 from repro import obs
 from repro.core.matvec import (
@@ -22,6 +22,7 @@ from repro.geometry.primitives import SphereCarve
 from repro.fem.poisson import load_vector
 from repro.kernels import available_backends, use_backend
 
+from .oracles.assembly import assemble_traversal
 from .test_pipeline_properties import _random_domain
 
 BACKENDS = [name for name, ok in available_backends().items() if ok]

@@ -432,7 +432,7 @@ def test_registry_histograms_in_snapshot_and_report():
     assert "histograms" in snap
     assert snap["histograms"]["serve.latency_ticks"]["count"] == 4
     assert 'solve.residual{pde="poisson"}' in snap["histograms"]
-    doc = obs.collect("hist-run")
+    doc = collect("hist-run")
     from repro.obs.report import ARTIFACT_SCHEMA, render_report, validate_artifact
 
     assert validate_artifact(doc, ARTIFACT_SCHEMA) == []

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from repro.core.octant import (
     OctantSet,
     children,
-    contains,
     max_level,
     neighbors,
     octant_size,
     parent,
 )
+
+from .oracles.octant import contains
 
 
 def test_max_level_by_dim():

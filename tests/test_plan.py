@@ -13,6 +13,7 @@ from repro.core.matvec import MapBasedMatVec, traversal_matvec
 from repro.core.mesh import mesh_from_leaves
 from repro.core.plan import TraversalPlan, mesh_fingerprint, operator_context
 from repro.geometry import BoxRetain, SphereCarve
+from repro.obs.report import collect
 from repro.parallel import (
     SimComm,
     analyze_partition,
@@ -298,7 +299,7 @@ def test_matvec_spans_preserved(sphere_mesh):
         distributed_matvec(mesh, layout, u, SimComm(3))
         MapBasedMatVec(mesh)(u)
         traversal_matvec(mesh, u)
-        doc = obs.collect("span-preservation")
+        doc = collect("span-preservation")
     finally:
         obs.disable()
     paths = _span_paths(doc)
@@ -333,7 +334,7 @@ def test_trace_diff_no_counter_drift(sphere_mesh):
         try:
             distributed_matvec(mesh, layout, u, SimComm(3))
             traversal_matvec(mesh, u)
-            return obs.collect("drift-check")
+            return collect("drift-check")
         finally:
             obs.disable()
 

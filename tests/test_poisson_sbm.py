@@ -5,7 +5,7 @@ import pytest
 
 from repro import Domain, build_mesh, build_uniform_mesh
 from repro.core.faces import extract_boundary_faces
-from repro.fem import PoissonProblem, l2_error, linf_error, load_vector
+from repro.fem.poisson import PoissonProblem, l2_error, linf_error, load_vector
 from repro.fem.sbm import face_quadrature, sbm_terms
 from repro.geometry import SphereCarve, SphereRetain
 

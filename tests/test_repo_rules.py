@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,66 +203,151 @@ def test_one_read_set():
         "fleet/service.py", "resilience/faults.py"}
 
 
-#: public names that nothing under ``src/``, ``benchmarks/`` or
-#: ``examples/`` references, each with the reason it stays
-NO_CALLER_NEEDED = {
-    "fem/dg.py:DGPoissonProblem": "the paper's method-agnostic claim (DG)",
-    "fem/dg.py:dg_dof_count": "the §4.4 DG DOF count the DG tests check",
-    "fem/fdm.py:FDPoissonProblem": "the paper's method-agnostic claim (FD)",
-    "fem/fvm.py:FVAdvectionProblem": "the paper's method-agnostic claim (FV)",
-    "core/assembly.py:assemble_traversal":
-        "§3.6 traversal assembly, the oracle tests compare assemble to",
-    "core/construct.py:construct_constrained_recursive":
-        "Algorithm 2 as written, the oracle for construct_constrained",
-    "core/distributed.py:distributed_construct_constrained":
-        "§3.1 distributed construction (Alg. 3) that tests run on SimComm",
-}
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: a ``"module:Qual.name"`` string, as the e2e harness resolves them
-_QUALIFIED = re.compile(r"[\w.]+:([\w.]+)")
+_QUALIFIED = re.compile(r"([\w.]+):(\w+)(?:\.[\w.]+)?")
 
 
-def _names(node: ast.AST):
-    """Every name ``node`` refers to, skipping import statements and
-    ``__all__`` lists."""
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, (ast.Import, ast.ImportFrom)) or (
-                isinstance(n, ast.Assign) and any(
-                    getattr(t, "id", "") == "__all__" for t in n.targets)):
-            continue
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            m = _QUALIFIED.fullmatch(n.value)
-            if m:
-                yield from m[1].split(".")
-        stack.extend(ast.iter_child_nodes(n))
+class _Namespaces:
+    """The modules under ``src/repro`` and ``tests/oracles``: each one's
+    module-level defs and import table, and a resolver from a name (or
+    an attribute of a module, or a ``"module:Qual"`` string) to the def
+    it binds, following package re-exports to the defining module."""
+
+    def __init__(self):
+        self.trees, self.packages = {}, set()
+        for base, pkg in ((SRC.parent, SRC), (ROOT, ROOT / "tests" / "oracles")):
+            for path in sorted(pkg.rglob("*.py")):
+                parts = path.relative_to(base).with_suffix("").parts
+                if parts[-1] == "__init__":
+                    parts = parts[:-1]
+                    self.packages.add(".".join(parts))
+                self.trees[".".join(parts)] = ast.parse(path.read_text())
+        self.defs = {mod: {n.name: n for n in tree.body if isinstance(n, _DEF)}
+                     for mod, tree in self.trees.items()}
+        self.imports = {mod: self.import_table(mod, tree)
+                        for mod, tree in self.trees.items()}
+
+    def import_table(self, mod: str, tree: ast.AST) -> dict:
+        """``alias -> (module, attr)`` for every import in any scope of
+        ``tree`` (``attr`` is ``None`` for ``import module``)."""
+        table = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.asname:
+                        table[a.asname] = (a.name, None)
+                    else:
+                        head = a.name.split(".")[0]
+                        table[head] = (head, None)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    pkg = mod if mod in self.packages else mod.rpartition(".")[0]
+                    for _ in range(node.level - 1):
+                        pkg = pkg.rpartition(".")[0]
+                    base = ".".join(filter(None, [pkg, node.module]))
+                for a in node.names:
+                    table[a.asname or a.name] = (base, a.name)
+        return table
+
+    def resolve(self, mod: str, name: str, table=None, seen=()):
+        """``("def", "mod:name")``, ``("mod", module)`` or ``None``."""
+        if (mod, name) in seen:
+            return None
+        if table is None:
+            if mod not in self.trees:
+                return None
+            if name in self.defs[mod]:
+                return ("def", f"{mod}:{name}")
+            table = self.imports[mod]
+        if name in table:
+            target, attr = table[name]
+            if attr is None:
+                return ("mod", target) if target in self.trees else None
+            return self.resolve(target, attr, seen=(*seen, (mod, name)))
+        if f"{mod}.{name}" in self.trees:
+            return ("mod", f"{mod}.{name}")
+        return None
+
+    def refs(self, mod: str, node: ast.AST, table=None) -> set[str]:
+        """The defs ``node`` refers to, read in module ``mod``'s
+        namespace (or in a root file's import ``table``)."""
+        def expr(e):
+            if isinstance(e, ast.Name):
+                return self.resolve(mod, e.id, table)
+            if isinstance(e, ast.Attribute):
+                base = expr(e.value)
+                if base and base[0] == "mod":
+                    return self.resolve(base[1], e.attr)
+            return None
+
+        found = set()
+        for n in ast.walk(node):
+            hit = None
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                hit = expr(n)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                m = _QUALIFIED.fullmatch(n.value)
+                hit = m and self.resolve(m[1], m[2])
+            if hit and hit[0] == "def":
+                found.add(hit[1])
+        return found
+
+    def unreached(self, package: str, root_files) -> list[str]:
+        """The module-level defs under ``package`` (dunders aside) that
+        nothing reaches, through the defs' bodies, from the statements
+        of ``root_files`` (``(path, module name)`` pairs) or the
+        package's own top-level code (imports and ``__all__`` aside)."""
+        inside = [mod for mod in self.trees
+                  if f"{mod}.".startswith(f"{package}.")]
+        live = set()
+        for path, mod in root_files:
+            tree = ast.parse(path.read_text())
+            live |= self.refs(mod, tree, self.import_table(mod, tree))
+        for mod in inside:
+            for top in self.trees[mod].body:
+                if not isinstance(top, (*_DEF, ast.Import, ast.ImportFrom)) and not (
+                        isinstance(top, ast.Assign) and any(
+                            getattr(t, "id", "") == "__all__" for t in top.targets)):
+                    live |= self.refs(mod, top)
+        stack = list(live)
+        while stack:
+            mod, name = stack.pop().split(":")
+            for ref in self.refs(mod, self.defs[mod][name]) - live:
+                live.add(ref)
+                stack.append(ref)
+        return sorted(f"{mod}:{name}" for mod in inside for name in self.defs[mod]
+                      if not (name.startswith("__") and name.endswith("__"))
+                      and f"{mod}:{name}" not in live)
 
 
 def test_every_public_def_has_a_caller():
-    """Every module-level public ``def``/``class`` under ``src/repro``
-    is referenced by code under ``src/``, ``benchmarks/`` or
-    ``examples/`` outside its own body, or is on
-    :data:`NO_CALLER_NEEDED` — whose entries must still exist and still
-    have no caller."""
-    refs = defaultdict(set)  # name -> the top-level statements using it
-    for tree_dir in ("src", "benchmarks", "examples"):
-        for path in sorted((ROOT / tree_dir).rglob("*.py")):
-            for top in ast.parse(path.read_text()).body:
-                for name in _names(top):
-                    refs[name].add((path, top.lineno))
-    uncalled = set()
-    for path in sorted(SRC.rglob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-                    and not top.name.startswith("_")
-                    and not refs[top.name] - {(path, top.lineno)}):
-                uncalled.add(f"{path.relative_to(SRC).as_posix()}:{top.name}")
-    assert sorted(uncalled - NO_CALLER_NEEDED.keys()) == [], "no caller"
-    assert sorted(NO_CALLER_NEEDED.keys() - uncalled) == [], (
-        "allow-listed but called or gone")
+    """Every module-level ``def``/``class`` under ``src/repro`` (private
+    ones included) is reached, through the bodies of the defs that refer
+    to it, from a product root: any statement under ``benchmarks/`` or
+    ``examples/``, or a module's own top-level code (``__main__`` runs
+    ``cli.main``).  A name counts only where it resolves to the def —
+    through the module's defs and imports, an attribute of a module, or
+    a ``"module:Qual"`` string — so a method that shares a def's name
+    keeps nothing alive.  Oracles that only tests need live in
+    ``tests/oracles/``, and each of their defs is reached from a test."""
+    ns = _Namespaces()
+    product = [(path, f"{tree_dir}.{path.stem}")
+               for tree_dir in ("benchmarks", "examples")
+               for path in sorted((ROOT / tree_dir).rglob("*.py"))]
+    assert ns.unreached("repro", product) == [], "no product caller"
+    tests = [(path, f"tests.{path.stem}")
+             for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    assert ns.unreached("tests.oracles", tests) == [], "no test caller"
+
+
+def test_no_lazy_module_attributes():
+    """A package re-exports only what it imports at its top: no module
+    under ``src/repro`` defines a module-level ``__getattr__``."""
+    lazy = [path.relative_to(SRC).as_posix()
+            for path in sorted(SRC.rglob("*.py"))
+            for top in ast.parse(path.read_text()).body
+            if isinstance(top, _DEF) and top.name == "__getattr__"]
+    assert lazy == []

@@ -19,25 +19,26 @@ from repro.fem.poisson import PoissonProblem
 from repro.geometry import BoxRetain, SphereCarve
 from repro.parallel import SimComm, shrink_splits
 from repro.resilience import (
-    Checkpoint,
-    CheckpointCorruption,
     Fault,
     FaultError,
     FaultSchedule,
     MessageCorruption,
     RankFailure,
-    ResilientNSDriver,
     SolverBreakdown,
     corrupt_buffer,
+)
+from repro.resilience.checkpoint import (
+    Checkpoint,
+    CheckpointCorruption,
     latest_checkpoint,
     load_checkpoint,
     load_state_checkpoint,
     prune_checkpoints,
-    resilient_poisson_solve,
     save_checkpoint,
     save_state_checkpoint,
 )
 from repro.resilience.faults import KINDS
+from repro.resilience.recovery import ResilientNSDriver, resilient_poisson_solve
 from repro.solvers import cg
 
 pytestmark = pytest.mark.resilience

@@ -98,6 +98,23 @@ def test_box_needs_lo_below_hi_and_valid_digests_stand():
     assert _req(geometry=BOX, pde="transport").digest == _DIGEST_BOX
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("p", 1.0), ("p", True), ("base_level", 2.0), ("boundary_level", 3.5),
+    ("steps", 1.5), ("amr_cycles", 2.5), ("priority", "high"),
+    ("deadline", True), ("deadline", 10.0),
+])
+def test_integer_fields_refused_by_type(field, bad):
+    """A bool, a float or a string where an int is meant is refused up
+    front, naming the field — not solved under a second digest, not
+    crashed on inside the solve."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolverService().submit(_req(**{field: bad}))
+    doc = {**_req().to_doc(), field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SolveRequest.from_doc(doc)
+    assert _req().digest == _DIGEST_DISK  # valid digests stand
+
+
 # -- a carve that leaves no element ---------------------------------------
 
 ALL_CARVED = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 2.0}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Domain, build_mesh, build_uniform_mesh
-from repro.fem import NavierStokesProblem, TransportProblem
+from repro.fem.navier_stokes import NavierStokesProblem
+from repro.fem.transport import TransportProblem
 from repro.fem.transport import element_velocity
 from repro.geometry import BoxRetain, SphereCarve
 

@@ -9,11 +9,12 @@ from repro.core.octant import OctantSet, children, max_level
 from repro.core.sfc import cached_keys
 from repro.core.treesort import (
     block_ends,
-    linearize,
     remove_duplicates,
     tree_sort,
     tree_sort_msd,
 )
+
+from .oracles.treesort import linearize
 
 
 def is_sorted_linear(oset: OctantSet, curve: str = "morton") -> bool:
