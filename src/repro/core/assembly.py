@@ -4,10 +4,10 @@ The global matrix is Σ_e P_eᵀ K_e P_e where P_e is the element's
 interpolation row block (identity for ordinary slots, donor weights for
 hanging slots) — algebraically ``gatherᵀ · blockdiag(K_e) · gather``.
 
-:func:`assemble` forms the block diagonal as a BSR matrix (one dense
-block per element), and two sparse products give the global operator.
-For constant-coefficient kernels the blocks are a Kronecker product
-``diag(scale) ⊗ K_ref``.  The paper's §3.6 triplet-emitting traversal
+:func:`assemble` hands the blocks to :func:`repro.kernels.api.assemble`,
+the one kernel every element-block matrix goes through (SBM, transport
+and Navier–Stokes call it directly).  For constant-coefficient kernels
+the blocks are a Kronecker product ``diag(scale) ⊗ K_ref``.  The paper's §3.6 triplet-emitting traversal
 is the test oracle it is held to (``tests/oracles/assembly.py``).
 """
 
@@ -24,13 +24,11 @@ from .plan import operator_context
 __all__ = ["assemble", "elemental_blocks"]
 
 
-def elemental_blocks(mesh: IncompleteMesh, kind="stiffness", nquad=None) -> np.ndarray:
+def elemental_blocks(mesh: IncompleteMesh, kind="stiffness") -> np.ndarray:
     """Dense per-element matrices ``(n_elem, npe, npe)``."""
     ctx = operator_context(mesh)
-    ref = ctx.ref(nquad)
+    ref = ctx.ref()
     h = ctx.h
-    if callable(kind):
-        return kind(h)
     if kind == "stiffness":
         return ref.stiffness_blocks(h)
     if kind == "mass":
@@ -46,7 +44,8 @@ def assemble(mesh: IncompleteMesh, kind="stiffness", blocks=None) -> sp.csr_matr
     with span("assembly") as osp:
         if blocks is None:
             blocks = elemental_blocks(mesh, kind)
-        A = kernels.assemble(operator_context(mesh), blocks)
+        ctx = operator_context(mesh)
+        A = kernels.assemble(ctx.gather, ctx.scatter, blocks)
         osp.add("elements", blocks.shape[0])
         osp.add("nnz", int(A.nnz))
     return A

@@ -27,7 +27,7 @@ import numpy as np
 from ..kernels import api as kernels
 from ..obs import span
 from .mesh import IncompleteMesh
-from .plan import OperatorContext, TraversalPlan, operator_context
+from .plan import TraversalPlan, operator_context
 
 __all__ = ["MapBasedMatVec", "TraversalMatVec", "traversal_matvec", "TraversalPlan"]
 
@@ -35,25 +35,16 @@ __all__ = ["MapBasedMatVec", "TraversalMatVec", "traversal_matvec", "TraversalPl
 class MapBasedMatVec:
     """Element-to-node-map matrix-free operator for a scalar PDE term.
 
-    ``kind`` selects the elemental kernel: ``"stiffness"`` (Poisson),
-    ``"mass"``, or a callable ``f(u_loc, h) -> w_loc`` for custom
-    operators (e.g. the Navier–Stokes blocks).
+    ``kind`` selects the elemental kernel: ``"stiffness"`` (Poisson)
+    or ``"mass"``.
     """
 
-    def __init__(
-        self,
-        mesh: IncompleteMesh,
-        kind="stiffness",
-        nquad=None,
-        ctx: OperatorContext | None = None,
-    ):
+    def __init__(self, mesh: IncompleteMesh, kind: str = "stiffness"):
         self.mesh = mesh
-        self.ctx = ctx if ctx is not None else operator_context(mesh)
-        self.ref = self.ctx.ref(nquad)
+        self.ctx = operator_context(mesh)
+        self.ref = self.ctx.ref()
         self.h = self.ctx.h
-        if callable(kind):
-            self._apply_loc = kind
-        elif kind == "stiffness":
+        if kind == "stiffness":
             self._apply_loc = self.ref.apply_stiffness
         elif kind == "mass":
             self._apply_loc = self.ref.apply_mass

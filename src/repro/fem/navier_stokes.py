@@ -16,6 +16,11 @@ the viscous term drops for linear elements).  Nonlinearity is handled
 by Picard iteration; time integration is implicit Euler; the linear
 systems are solved with a sparse LU (the PETSc-equivalent role).
 
+The velocity-diagonal blocks are the one stabilised advection–diffusion
+form, :class:`repro.fem.transport.SupgForm` with κ = ν; the matrix is one
+:func:`repro.kernels.api.assemble` over the multi-field gather, and the
+old state is applied element by element, never assembled.
+
 Unknown layout: ``x = [u_0 | u_1 | (u_2) | p]``, each field of length
 ``n_nodes``.
 """
@@ -26,14 +31,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
+from ..kernels import api as kernels
 from ..obs import add as obs_add
 from ..obs import span
 from .dirichlet import Dirichlet
+from .transport import SupgForm, element_velocity
 
 __all__ = ["NavierStokesProblem", "NSResult"]
 
@@ -67,12 +73,13 @@ class NavierStokesProblem:
         velocity_bc: Callable,
         pressure_pin: np.ndarray | None = None,
         dt: float = np.inf,
-        grad_div: float = 1.0,
     ):
         self.mesh = mesh
         self.nu = float(nu)
         self.dt = float(dt)
-        self.grad_div = float(grad_div)
+        if not (np.isfinite(self.nu) and self.nu > 0):
+            raise ValueError(f"nu must be finite and > 0, got {nu!r}")
+        SupgForm.check(self.nu, self.dt)
         self.dim = mesh.dim
         self.n = mesh.n_nodes
         self.ctx = operator_context(mesh)
@@ -96,123 +103,69 @@ class NavierStokesProblem:
                            + [np.zeros(self.n)]),
         )
 
-    # -- elemental blocks ------------------------------------------------
+    # -- element blocks ----------------------------------------------------
 
-    def _element_advection(self, U: np.ndarray) -> np.ndarray:
-        g = self.ctx.gather
-        npe = self.mesh.npe
-        a = np.empty((self.mesh.n_elem, self.dim))
-        for k in range(self.dim):
-            a[:, k] = (g @ U[:, k]).reshape(-1, npe).mean(axis=1)
-        return a
-
-    def _taus(self, a: np.ndarray):
+    def _blocks(self, form: SupgForm) -> np.ndarray:
+        """Dense element blocks ``(n_elem, (dim+1)·npe, (dim+1)·npe)``:
+        the shared velocity block on each velocity component plus the
+        Navier–Stokes terms."""
+        ref, dim, npe, ne = self.ref, self.dim, self.mesh.npe, self.mesh.n_elem
+        h, a, tau_m = self.h, form.a, form.tau[:, None, None]
+        sc_k = (h ** (dim - 2))[:, None, None]
+        sc_c = (h ** (dim - 1))[:, None, None]
+        inv_dt = 1.0 / self.dt  # 0 when steady
         amag = np.linalg.norm(a, axis=1)
-        h = self.h
-        inv_dt = 0.0 if not np.isfinite(self.dt) else 2.0 / self.dt
-        tau_m = 1.0 / np.sqrt(
-            inv_dt**2 + (2.0 * amag / h) ** 2 + (12.0 * self.nu / h**2) ** 2
-        )
         re_h = amag * h / (2.0 * self.nu)
-        tau_c = self.grad_div * 0.5 * h * amag * np.minimum(re_h / 3.0, 1.0)
         # keep grad-div active in the Stokes limit for pressure robustness
-        tau_c = np.maximum(tau_c, 0.05 * self.nu)
-        return tau_m, tau_c
-
-    def _blocks(self, a: np.ndarray):
-        """Dense element blocks ((dim+1)npe)² and the old-state operator."""
-        ref, dim, npe = self.ref, self.dim, self.mesh.npe
-        ne = self.mesh.n_elem
-        h = self.h
-        ndof = (dim + 1) * npe
-        tau_m, tau_c = self._taus(a)
-        sc_m = h**dim        # mass scaling
-        sc_k = h ** (dim - 2)
-        sc_c = h ** (dim - 1)
-        inv_dt = 0.0 if not np.isfinite(self.dt) else 1.0 / self.dt
-
-        M = ref.M_ref[None] * sc_m[:, None, None]
-        K = ref.K_ref[None] * sc_k[:, None, None]
-        C = np.einsum("fk,kij->fij", a, ref.C_ref) * sc_c[:, None, None]
-        Daa = np.einsum("fk,fl,klij->fij", a, a, ref.D_ref) * sc_k[:, None, None]
-        CT = np.einsum("fk,kji->fij", a, ref.C_ref) * sc_c[:, None, None]
-
-        E = np.zeros((ne, ndof, ndof))
-        rhs_old = np.zeros((ne, ndof, ndof))  # multiplies old state vector
-
-        vel_diag = (
-            inv_dt * M
-            + C
-            + self.nu * K
-            + tau_m[:, None, None] * (Daa + inv_dt * CT)
-        )
+        tau_c = np.maximum(0.5 * h * amag * np.minimum(re_h / 3.0, 1.0),
+                           0.05 * self.nu)[:, None, None]
+        E = np.zeros((ne, dim + 1, npe, dim + 1, npe))  # [field, slot]²
+        vel_diag = form.lhs_blocks()
         for i in range(dim):
-            sl_i = slice(i * npe, (i + 1) * npe)
-            E[:, sl_i, sl_i] += vel_diag
-            rhs_old[:, sl_i, sl_i] += inv_dt * (M + tau_m[:, None, None] * CT)
+            CiT = ref.C_ref[i].T[None]
+            E[:, i, :, i] += vel_diag
             # grad-div: tau_c (∂_i w, ∂_j u)
             for j in range(dim):
-                sl_j = slice(j * npe, (j + 1) * npe)
-                E[:, sl_i, sl_j] += (
-                    tau_c[:, None, None] * ref.D_ref[i, j][None] * sc_k[:, None, None]
-                )
+                E[:, i, :, j] += tau_c * ref.D_ref[i, j][None] * sc_k
             # pressure gradient: −(∂_i w, p) ; SUPG τ (a·∇w, ∂_i p)
             # τ_m ∫ (a·∇φ_r) ∂_i φ_c = τ_m Σ_k a_k D_ref[k, i]
-            sl_p = slice(dim * npe, (dim + 1) * npe)
-            gradP = -np.transpose(ref.C_ref[i][None], (0, 2, 1)) * sc_c[:, None, None]
-            supgP = (
-                tau_m[:, None, None]
-                * np.einsum("fk,kij->fij", a, ref.D_ref[:, i])
-                * sc_k[:, None, None]
-            )
-            E[:, sl_i, sl_p] += gradP + supgP
+            E[:, i, :, dim] += -CiT * sc_c + tau_m * np.einsum(
+                "fk,kij->fij", a, ref.D_ref[:, i]) * sc_k
             # continuity: (q, ∂_i u_i) ; PSPG τ (∂_i q, u_t + a·∇u)
-            contQ = ref.C_ref[i][None] * sc_c[:, None, None]
-            pspgT = (
-                tau_m[:, None, None]
-                * inv_dt
-                * np.transpose(ref.C_ref[i][None], (0, 2, 1))
-                * sc_c[:, None, None]
-            )
-            pspgA = tau_m[:, None, None] * np.einsum(
-                "fk,kij->fij", a, ref.D_ref[i, :]
-            ) * sc_k[:, None, None]
-            E[:, sl_p, sl_i] += contQ + pspgT + pspgA
-            rhs_old[:, sl_p, sl_i] += (
-                tau_m[:, None, None]
-                * inv_dt
-                * np.transpose(ref.C_ref[i][None], (0, 2, 1))
-                * sc_c[:, None, None]
+            E[:, dim, :, i] += (
+                ref.C_ref[i][None] * sc_c
+                + tau_m * inv_dt * CiT * sc_c
+                + tau_m * np.einsum("fk,kij->fij", a, ref.D_ref[i, :]) * sc_k
             )
         # PSPG pressure block: τ_m (∇q, ∇p)
-        sl_p = slice(dim * npe, (dim + 1) * npe)
-        E[:, sl_p, sl_p] += tau_m[:, None, None] * K
-        return E, rhs_old
+        E[:, dim, :, dim] += tau_m * (ref.K_ref[None] * sc_k)
+        return E.reshape(ne, (dim + 1) * npe, (dim + 1) * npe)
+
+    def _old_state(self, form: SupgForm, x_old: np.ndarray) -> np.ndarray:
+        """The old-state right-hand side, applied element by element and
+        never formed as a matrix: the shared old-state block on each
+        velocity component, and into the pressure rows the PSPG term
+        τ/dt (∂_i q, u_i) as a scaled reference apply."""
+        dim, npe, ne = self.dim, self.mesh.npe, self.mesh.n_elem
+        x_loc = kernels.gather(self._G, x_old).reshape(ne, dim + 1, npe)
+        old = form.old_blocks()
+        pspg = form.tau / self.dt * self.h ** (dim - 1)
+        w = np.zeros((ne, dim + 1, npe))
+        for i in range(dim):
+            w[:, i] = np.matmul(old, x_loc[:, i, :, None])[..., 0]
+            w[:, dim] += kernels.elem_apply(x_loc[:, i], self.ref.C_ref[i].T, pspg)
+        return kernels.scatter(self._GT, w.reshape(-1))
 
     # -- assembly & solve -------------------------------------------------
 
     def _assemble(self, U: np.ndarray, x_old: np.ndarray | None):
         with span("ns.assemble", merge=True) as osp:
-            mesh = self.mesh
-            dim, npe = self.dim, mesh.npe
-            ndof = (dim + 1) * npe
-            a = self._element_advection(U)
-            E, R = self._blocks(a)
-            ne = mesh.n_elem
-            B = sp.bsr_matrix(
-                (E, np.arange(ne), np.arange(ne + 1)),
-                shape=(ne * ndof, ne * ndof),
-            )
-            A = (self._GT @ (B @ self._G)).tocsr()
-            if x_old is not None:
-                Bm = sp.bsr_matrix(
-                    (R, np.arange(ne), np.arange(ne + 1)),
-                    shape=(ne * ndof, ne * ndof),
-                )
-                b = self._GT @ (Bm @ (self._G @ x_old))
-            else:
-                b = np.zeros(A.shape[0])
-            osp.add("elements", ne)
+            form = SupgForm(self.ref, element_velocity(self.mesh, U), self.nu,
+                            self.h, self.dt)
+            A = kernels.assemble(self._G, self._GT, self._blocks(form))
+            b = (np.zeros(A.shape[0]) if x_old is None
+                 else self._old_state(form, x_old))
+            osp.add("elements", self.mesh.n_elem)
         A_bc, b = self._bc.masked(A, b)
         return A_bc.tocsc(), b
 
@@ -236,8 +189,6 @@ class NavierStokesProblem:
         x_old: np.ndarray | None = None,
         max_iter: int = 25,
         tol: float = 1e-6,
-        relax: float = 1.0,
-        verbose: bool = False,
     ) -> NSResult:
         """Picard iteration at fixed time level (steady if dt = inf)."""
         if U0 is None or P0 is None:
@@ -250,14 +201,10 @@ class NavierStokesProblem:
                 A, b = self._assemble(U, x_old)
                 with span("ns.linear_solve", merge=True):
                     x = spla.splu(A).solve(b)
-                U_new, P_new = self.unpack(x)
-                du = np.linalg.norm(U_new - U) / max(np.linalg.norm(U_new), 1e-12)
-                U = relax * U_new + (1 - relax) * U
-                P = relax * P_new + (1 - relax) * P
-                res = du
-                if verbose:
-                    print(f"  picard {it}: dU = {du:.3e}")
-                if du < tol:
+                U_new, P = self.unpack(x)
+                res = np.linalg.norm(U_new - U) / max(np.linalg.norm(U_new), 1e-12)
+                U = U_new
+                if res < tol:
                     break
             osp.add("iterations", it)
         return NSResult(U, P, it, res)
@@ -283,7 +230,6 @@ class NavierStokesProblem:
         P: np.ndarray,
         nsteps: int,
         picard_per_step: int = 2,
-        verbose: bool = False,
         max_dt_halvings: int = 0,
     ) -> NSResult:
         """Implicit-Euler time stepping (dt must be finite).
@@ -328,17 +274,6 @@ class NavierStokesProblem:
                                 ) from exc
                             obs_add("resilience.ns.dt_halvings", 1)
                             osp.add("dt_halvings", 1)
-                            if verbose:
-                                print(
-                                    f"step {s + 1}: retry with dt = "
-                                    f"{dt0 / 2 ** (halving + 1):.3e} ({exc})"
-                                )
-                    if verbose:
-                        umax = np.abs(out.velocity).max()
-                        print(
-                            f"step {s + 1}/{nsteps}: dU = {out.residual:.3e}, "
-                            f"|u|max = {umax:.3f}"
-                        )
                 osp.add("steps", nsteps)
             finally:
                 self.dt = dt0

@@ -24,6 +24,7 @@ from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..fem.basis import LagrangeBasis
 from ..fem.quadrature import tensor_rule
+from ..kernels import api as kernels
 
 __all__ = ["sbm_terms", "face_quadrature"]
 
@@ -76,7 +77,8 @@ def sbm_terms(
             np.concatenate([sub_faces.side, dom_faces.side]),
         )
     n_elem = mesh.n_elem
-    h_all = operator_context(mesh).h
+    ctx = operator_context(mesh)
+    h_all = ctx.h
     lo_all, _ = mesh.leaves.physical_bounds(mesh.domain.scale)
     pred = mesh.domain.predicate
 
@@ -126,16 +128,7 @@ def sbm_terms(
     if len(idx) == 0:
         n = mesh.n_nodes
         return sp.csr_matrix((n, n)), np.zeros(n)
-    # assemble through the gather operator (hanging-aware)
-    counts = np.zeros(n_elem, int)
-    counts[idx] = 1
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    Bface = sp.bsr_matrix(
-        (blocks[idx], idx, indptr),
-        shape=(n_elem * npe, n_elem * npe),
-        blocksize=(npe, npe),
-    )
-    gth = operator_context(mesh).gather
-    A_s = (gth.T @ (Bface @ gth)).tocsr()
-    b_s = gth.T @ rhs_loc.reshape(-1)
+    # assemble over the face elements only (hanging-aware gather)
+    A_s = kernels.assemble(ctx.gather, ctx.scatter, blocks[idx], idx)
+    b_s = ctx.gather.T @ rhs_loc.reshape(-1)
     return A_s, b_s

@@ -10,6 +10,9 @@ discretised with equal-order elements, SUPG stabilisation and implicit
 Euler.  The advection velocity is taken element-wise constant (the mean
 of the element's nodal velocities), which keeps all elemental matrices
 as contractions of cached reference tensors.
+
+:class:`SupgForm` is the one stabilised advection–diffusion element
+form: Navier–Stokes takes its velocity blocks from it with κ = ν.
 """
 
 from __future__ import annotations
@@ -17,15 +20,16 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..fem.poisson import load_vector
+from ..kernels import api as kernels
 from .dirichlet import Dirichlet, finite
+from .elemental import ReferenceElement
 
-__all__ = ["TransportProblem", "element_velocity"]
+__all__ = ["SupgForm", "TransportProblem", "element_velocity"]
 
 
 def element_velocity(mesh: IncompleteMesh, vel_nodes: np.ndarray) -> np.ndarray:
@@ -38,8 +42,69 @@ def element_velocity(mesh: IncompleteMesh, vel_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+class SupgForm:
+    """SUPG-stabilised implicit-Euler advection–diffusion element terms.
+
+    From the element-mean advection ``a`` ``(n_elem, dim)``, the
+    diffusivity ``kappa``, the element sizes ``h`` and the step ``dt``
+    (``inf`` for a steady form, whose old-state terms vanish):
+
+        lhs  = M/dt + κK + C(a) + τ (a·∇w, a·∇c) + τ/dt (a·∇w, c)
+        old  = M/dt + τ/dt (a·∇w, c)          (multiplies c_old)
+
+    with the SUPG intrinsic time τ = (4/dt² + 4|a|²/h² + 144κ²/h⁴)^-½.
+    ``kappa`` must be finite and ≥ 0, ``dt`` > 0: anything else is a
+    ``ValueError`` naming the field.
+    """
+
+    def __init__(self, ref: ReferenceElement, a: np.ndarray, kappa: float,
+                 h: np.ndarray, dt: float):
+        self.check(kappa, dt)
+        self.ref, self.a, self.kappa, self.h, self.dt = ref, a, kappa, h, dt
+        amag = np.linalg.norm(a, axis=1)
+        self.tau = 1.0 / np.sqrt(
+            (2.0 / dt) ** 2
+            + (2.0 * amag / h) ** 2
+            + (12.0 * kappa / h**2) ** 2
+        )
+
+    @staticmethod
+    def check(kappa: float, dt: float) -> None:
+        """The form's coefficient bounds: ``kappa`` finite and ≥ 0,
+        ``dt`` > 0 (``inf`` allowed)."""
+        if not (np.isfinite(kappa) and kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+        if not dt > 0:
+            raise ValueError(f"dt must be > 0 (inf: steady), got {dt!r}")
+
+    def _old_terms(self):
+        """M/dt and the SUPG mass term τ/dt (a·∇w, c)."""
+        ref, h = self.ref, self.h
+        M = ref.M_ref[None] * (h**ref.dim)[:, None, None]
+        CT = np.einsum("fk,kji->fij", self.a, ref.C_ref)  # ∫ (a·∇φ_i) φ_j
+        S_mass = ((self.tau / self.dt)[:, None, None] * CT
+                  * (h ** (ref.dim - 1))[:, None, None])
+        return M / self.dt, S_mass
+
+    def lhs_blocks(self) -> np.ndarray:
+        """The implicit-Euler element matrices, ``(n_elem, npe, npe)``."""
+        ref, h, a, dim = self.ref, self.h, self.a, self.ref.dim
+        M_dt, S_mass = self._old_terms()
+        K = ref.K_ref[None] * (self.kappa * h ** (dim - 2))[:, None, None]
+        C = np.einsum("fk,kij->fij", a, ref.C_ref) * (h ** (dim - 1))[:, None, None]
+        # SUPG: tau (a·∇w, a·∇c)
+        Daa = np.einsum("fk,fl,klij->fij", a, a, ref.D_ref)
+        S_adv = self.tau[:, None, None] * Daa * (h ** (dim - 2))[:, None, None]
+        return M_dt + K + C + S_adv + S_mass
+
+    def old_blocks(self) -> np.ndarray:
+        """The element matrices that multiply the old state."""
+        M_dt, S_mass = self._old_terms()
+        return M_dt + S_mass
+
+
 class TransportProblem:
-    """Implicit-Euler SUPG advection–diffusion.
+    """Implicit-Euler SUPG advection–diffusion (:class:`SupgForm`).
 
     Parameters
     ----------
@@ -47,9 +112,9 @@ class TransportProblem:
         ``(n_nodes, dim)`` nodal velocity field (e.g. a Navier–Stokes
         solution) or a callable ``f(points) -> (n, dim)``.
     kappa:
-        Diffusivity.
+        Diffusivity, finite and ≥ 0.
     dt:
-        Time-step size.
+        Time-step size, > 0.
     dirichlet_mask / dirichlet_value:
         Nodes with strong data (e.g. inlet c = 0), imposed row-replaced
         (:meth:`repro.fem.dirichlet.Dirichlet.replace_rows`).  Other
@@ -79,44 +144,11 @@ class TransportProblem:
         self._build()
 
     def _build(self) -> None:
-        mesh = self.mesh
-        ctx = operator_context(mesh)
-        ref = ctx.ref()
-        dim, npe = mesh.dim, mesh.npe
-        h = ctx.h
-        a = element_velocity(mesh, self.vel_nodes)  # (n_elem, dim)
-        amag = np.linalg.norm(a, axis=1)
-        kap = self.kappa
-        # SUPG intrinsic time
-        tau = 1.0 / np.sqrt(
-            (2.0 / self.dt) ** 2
-            + (2.0 * amag / h) ** 2
-            + (12.0 * kap / h**2) ** 2
-        )
-        self.tau = tau
-
-        M = ref.M_ref[None] * (h**dim)[:, None, None]
-        K = ref.K_ref[None] * (kap * h ** (dim - 2))[:, None, None]
-        C = np.einsum("fk,kij->fij", a, ref.C_ref) * (h ** (dim - 1))[:, None, None]
-        # SUPG: tau (a·∇w, a·∇c) and tau (a·∇w, c/dt)
-        Daa = np.einsum("fk,fl,klij->fij", a, a, ref.D_ref)
-        S_adv = tau[:, None, None] * Daa * (h ** (dim - 2))[:, None, None]
-        CT = np.einsum("fk,kji->fij", a, ref.C_ref)  # ∫ (a·∇φ_i) φ_j
-        S_mass = (tau / self.dt)[:, None, None] * CT * (h ** (dim - 1))[:, None, None]
-        self._blocks_lhs = M / self.dt + K + C + S_adv + S_mass
-        self._blocks_mass = M / self.dt + S_mass  # multiplies c_old
-
-        g = ctx.gather
-        B = sp.bsr_matrix(
-            (self._blocks_lhs, np.arange(mesh.n_elem), np.arange(mesh.n_elem + 1)),
-            shape=(mesh.n_elem * npe, mesh.n_elem * npe),
-        )
-        A = (g.T @ (B @ g)).tocsr()
-        Bm = sp.bsr_matrix(
-            (self._blocks_mass, np.arange(mesh.n_elem), np.arange(mesh.n_elem + 1)),
-            shape=(mesh.n_elem * npe, mesh.n_elem * npe),
-        )
-        self.M_old = (g.T @ (Bm @ g)).tocsr()
+        ctx = operator_context(self.mesh)
+        form = SupgForm(ctx.ref(), element_velocity(self.mesh, self.vel_nodes),
+                        self.kappa, ctx.h, self.dt)
+        A = kernels.assemble(ctx.gather, ctx.scatter, form.lhs_blocks())
+        self.M_old = kernels.assemble(ctx.gather, ctx.scatter, form.old_blocks())
         self.A = self.bc.replace_rows(A).tocsc()
         self._lu = spla.splu(self.A)
 

@@ -109,11 +109,11 @@ def _traversal_cost(out, prog, u, ker, pw):
     return traversal_cost(prog, pw, len(u))
 
 
-def _assemble_cost(A, ctx, blocks):
-    ne, npe, _ = blocks.shape
-    g = ctx.gather
-    return 2.0 * ne * npe * npe, (
-        blocks.nbytes + g.data.nbytes + g.indices.nbytes + 12.0 * A.nnz
+def _assemble_cost(A, gather, scatter, blocks, elems=None):
+    ne, bs, _ = blocks.shape
+    return 2.0 * ne * bs * bs, (
+        blocks.nbytes + gather.data.nbytes + gather.indices.nbytes
+        + 12.0 * A.nnz
     )
 
 
@@ -167,8 +167,12 @@ def traversal_apply(prog, u: np.ndarray, ker: np.ndarray,
                       prog, u, ker, pw)
 
 
-def assemble(ctx, blocks: np.ndarray) -> sp.csr_matrix:
-    """Global sparse assembly ``Σ_e P_eᵀ K_e P_e``."""
+def assemble(gather: sp.csr_matrix, scatter: sp.csr_matrix,
+             blocks: np.ndarray, elems: np.ndarray | None = None
+             ) -> sp.csr_matrix:
+    """Global sparse assembly ``Σ_e P_eᵀ K_e P_e`` over a gather/scatter
+    pair, over the elements ``elems`` only when given."""
     if not TRACER.enabled:
-        return _K.assemble(ctx, blocks)
-    return _timed("assemble", _K.assemble, _assemble_cost, ctx, blocks)
+        return _K.assemble(gather, scatter, blocks, elems)
+    return _timed("assemble", _K.assemble, _assemble_cost,
+                  gather, scatter, blocks, elems)

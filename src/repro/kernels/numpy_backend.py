@@ -122,23 +122,37 @@ class NumpyKernels:
 
     # -- global assembly ---------------------------------------------------
 
-    def assemble(self, ctx, blocks: np.ndarray) -> sp.csr_matrix:
-        """``gatherᵀ · blockdiag(K_e) · gather`` via one BSR product.
+    def assemble(
+        self,
+        gather: sp.csr_matrix,
+        scatter: sp.csr_matrix,
+        blocks: np.ndarray,
+        elems: np.ndarray | None = None,
+    ) -> sp.csr_matrix:
+        """``scatter · blockdiag(K_e) · gather`` via one BSR product: the
+        one place a global matrix is formed from element blocks.
 
-        The left factor is the context's cached CSR ``scatter``, so the
-        outer product is CSR × CSR: no CSC copy of the inner product and
-        no format conversion of the result.  The inner product is made
-        CSR before the outer one starts, so its BSR form is freed first.
-        Every entry sums its slot terms in ascending slot order, the
-        order ``gather.T @ (B @ gather)`` sums them in, so the two are
+        ``gather`` maps global vectors to ``bs`` slots per element (a
+        mesh's gather or a multi-field one), ``scatter`` is its CSR
+        transpose and ``blocks`` is ``(n, bs, bs)``.  With ``elems``
+        (ascending) the blocks are those elements' only, and the product
+        runs over their rows of the pair alone.
+
+        The outer product is CSR × CSR: no CSC copy of the inner product
+        and no format conversion of the result.  The inner product is
+        made CSR before the outer one starts, so its BSR form is freed
+        first.  Every entry sums its slot terms in ascending slot order,
+        the order ``gather.T @ (B @ gather)`` sums them in, so the two are
         the same to the bit.
         """
-        n_elem, npe, _ = blocks.shape
+        n, bs, _ = blocks.shape
+        if elems is not None:
+            rows = (elems[:, None] * bs + np.arange(bs)).ravel()
+            gather, scatter = gather[rows], scatter[:, rows]
         B = sp.bsr_matrix(
-            (blocks, np.arange(n_elem), np.arange(n_elem + 1)),
-            shape=(n_elem * npe, n_elem * npe),
+            (blocks, np.arange(n), np.arange(n + 1)), shape=(n * bs, n * bs)
         )
-        A = ctx.scatter @ (B @ ctx.gather).tocsr()
+        A = scatter @ (B @ gather).tocsr()
         A.sum_duplicates()
         return A
 

@@ -280,8 +280,8 @@ class SolveRequest:
             raise ValueError("tol must be positive")
         if self.deadline is not None and self.deadline < 0:
             raise ValueError("deadline must be non-negative")
-        if self.pde == "transport" and self.steps < 1:
-            raise ValueError("transport needs steps >= 1")
+        if self.pde == "transport":
+            self._validate_transport()
         if self.g != 0.0 and "g" not in LINEAR_TERMS[self.pde]:
             raise ValueError(
                 f"{self.pde} requests require g == 0: the solve imposes "
@@ -292,6 +292,21 @@ class SolveRequest:
                 raise ValueError("amr_cycles must be non-negative")
             if not (0.0 < self.amr_theta <= 1.0):
                 raise ValueError("amr_theta must be in (0, 1]")
+
+    def _validate_transport(self) -> None:
+        """The transport coefficients: the element form's bounds on
+        ``kappa`` / ``dt``, one velocity component per geometry axis."""
+        from ..fem.transport import SupgForm
+
+        if self.steps < 1:
+            raise ValueError("transport needs steps >= 1")
+        SupgForm.check(self.kappa, self.dt)
+        geo = self._canonical_geometry()
+        dim = len(geo["center"] if "center" in geo else geo["lo"])
+        if len(self.velocity) < dim:
+            raise ValueError(
+                f"velocity needs >= {dim} components for a {dim}-D "
+                f"geometry, got {self.velocity!r}")
 
     def _raise_non_finite_parameter(self) -> None:
         for name in ("f", "g", "tol", "kappa", "dt"):

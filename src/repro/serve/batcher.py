@@ -184,12 +184,8 @@ class _TransportFactor(_Factor):
     kind = "transport"
 
     def __init__(self, mesh, request: SolveRequest):
+        # validate() guarantees one component per axis
         vel = np.asarray(request.velocity, float)[: mesh.dim]
-        if len(vel) != mesh.dim:
-            raise ValueError(
-                f"velocity needs >= {mesh.dim} components for a "
-                f"{mesh.dim}-D mesh"
-            )
         self.problem = TransportProblem(
             mesh, np.tile(vel, (mesh.n_nodes, 1)), kappa=request.kappa,
             dt=request.dt, dirichlet_mask=mesh.dirichlet_mask,

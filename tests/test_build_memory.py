@@ -9,6 +9,11 @@ assembly (elemental blocks included) 2.6 kB; the bounds sit between
 those and the current 0.98 / 1.87 kB, so either coming back fails its
 gate.  The first solve (now about 0.91 kB peak, 0.47 kB held) may use
 no more than the masked whole-mesh solve did.
+
+One Navier–Stokes assembly is gated on the 1 544-element 3-D sphere of
+the drag example: building the dense old-state operator next to the
+element blocks read 41.5 kB per element, applying it element by element
+reads 29.0 kB.
 """
 
 import tracemalloc
@@ -25,6 +30,7 @@ from repro.core.octant import OctantSet, max_level
 from repro.core.plan import operator_context
 from repro.core.treesort import tree_sort
 from repro.fem.basis import local_node_offsets
+from repro.fem.navier_stokes import NavierStokesProblem
 from repro.fem.poisson import PoissonProblem
 from repro.geometry import SphereCarve
 
@@ -36,6 +42,8 @@ ASSEMBLE_BYTES_PER_ELEMENT = 2000
 #: program from that one read 1 327 / 1 072)
 FIRST_SOLVE_PEAK_BYTES_PER_ELEMENT = 1194
 FIRST_SOLVE_HELD_BYTES_PER_ELEMENT = 818
+#: one Navier–Stokes ``_assemble`` with an old state, 3-D, p = 1
+NS_ASSEMBLE_BYTES_PER_ELEMENT = 32_000
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +87,30 @@ def test_first_matrix_free_solve_per_element(sphere):
     assert peak <= FIRST_SOLVE_PEAK_BYTES_PER_ELEMENT * mesh.n_elem, peak / mesh.n_elem
     assert held <= FIRST_SOLVE_HELD_BYTES_PER_ELEMENT * mesh.n_elem, held / mesh.n_elem
     assert operator_context(mesh).traversal._program is None
+
+
+def test_ns_assemble_peak_per_element():
+    """An implicit-Euler Navier–Stokes assembly forms the element blocks
+    and the global matrix; the old state is applied, not assembled."""
+    mesh = build_mesh(Domain(SphereCarve([3.0, 5.0, 5.0], 0.5), scale=10.0),
+                      3, 6, p=1)
+    assert mesh.n_elem == 1_544
+
+    def bc(pts):
+        mask = np.zeros((len(pts), 3), bool)
+        vals = np.zeros((len(pts), 3))
+        inlet = np.isclose(pts[:, 0], 0.0)
+        mask[inlet], vals[inlet, 0] = True, 1.0
+        mask[mesh.nodes.carved_node] = True
+        return mask, vals
+
+    outlet = np.isclose(mesh.node_coords()[:, 0], 10.0)
+    ns = NavierStokesProblem(mesh, nu=0.01, velocity_bc=bc,
+                             pressure_pin=outlet, dt=0.1)
+    U, P = ns.initial_state()
+    x_old = ns.pack(U, P)
+    peak, _ = _traced_bytes(lambda: ns._assemble(U, x_old))
+    assert peak <= NS_ASSEMBLE_BYTES_PER_ELEMENT * mesh.n_elem, peak / mesh.n_elem
 
 
 def _overlapping_leaves():

@@ -27,6 +27,7 @@ from repro.fem import poisson
 from repro.fem.dirichlet import Dirichlet
 from repro.fem.poisson import PoissonProblem
 from repro.fem.sbm import sbm_terms
+from repro.fem.transport import SupgForm, element_velocity
 from repro.geometry import SphereCarve
 from repro.serve import SolveRequest
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
@@ -120,8 +121,11 @@ def _transport_reference(factor, steps):
     prob = factor.problem
     mesh = prob.mesh
     ne, npe = mesh.n_elem, mesh.npe
-    g = operator_context(mesh).gather
-    B = sp.bsr_matrix((prob._blocks_lhs, np.arange(ne), np.arange(ne + 1)),
+    ctx = operator_context(mesh)
+    g = ctx.gather
+    blocks = SupgForm(ctx.ref(), element_velocity(mesh, prob.vel_nodes),
+                      prob.kappa, ctx.h, prob.dt).lhs_blocks()
+    B = sp.bsr_matrix((blocks, np.arange(ne), np.arange(ne + 1)),
                       shape=(ne * npe, ne * npe))
     A = _lil_rows((g.T @ (B @ g)).tocsr(), mesh.dirichlet_mask)
     lu = spla.splu(A)

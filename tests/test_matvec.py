@@ -182,19 +182,6 @@ def test_unknown_kind_raises(carved_mesh_2d):
         )
 
 
-def test_custom_elemental_callable(carved_mesh_2d):
-    mesh = carved_mesh_2d
-    mv_st = MapBasedMatVec(mesh, kind="stiffness")
-    ref = mv_st.ref
-
-    def my_stiffness(u_loc, h):
-        return ref.apply_stiffness(u_loc, h)
-
-    mv_c = MapBasedMatVec(mesh, kind=my_stiffness)
-    u = np.linspace(-1, 1, mesh.n_nodes)
-    assert np.allclose(mv_c(u), mv_st(u))
-
-
 def test_stiffness_spd_properties(carved_mesh_2d):
     A = assemble(carved_mesh_2d)
     assert abs(A - A.T).max() < 1e-12

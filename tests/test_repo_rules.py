@@ -90,6 +90,23 @@ def test_one_dirichlet_elimination():
     assert _files(_grep(idioms[0])) == {"fem/dirichlet.py"}
 
 
+def test_one_assembly_path():
+    """Every ``Σ P_eᵀ K_e P_e`` goes through ``kernels.assemble``: a
+    ``bsr_matrix`` is built in ``kernels/numpy_backend.py`` and nowhere
+    else.  The stabilised advection–diffusion form is written once, in
+    ``fem/transport.py``: the SUPG intrinsic time τ, the element-mean
+    advection and the SUPG contractions of the reference tensors;
+    Navier–Stokes takes its velocity blocks from it."""
+    assert _files(_grep(r"bsr_matrix")) == {"kernels/numpy_backend.py"}
+    for pattern in (r"12\.0 \* [\w.]+ / h",   # τ's diffusive term
+                    r"npe\)\.mean\(axis=1\)",  # element-mean advection
+                    r'"fk,fl,klij->fij"',      # (a·∇w, a·∇c)
+                    r'"fk,kji->fij"'):         # (a·∇w, c)
+        hits = _grep(pattern)
+        assert len(hits) == 1 and hits[0].startswith("fem/transport.py:"), (
+            pattern, hits)
+
+
 def test_one_fault_model():
     """Every fault, rank or shard, is an entry of the one
     ``FaultSchedule`` in ``resilience/faults.py``, and every consumer

@@ -115,6 +115,32 @@ def test_integer_fields_refused_by_type(field, bad):
     assert _req().digest == _DIGEST_DISK  # valid digests stand
 
 
+BALL = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 0.3}
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("dt", {"dt": 0.0}), ("dt", {"dt": -0.1}), ("kappa", {"kappa": -0.01}),
+    ("velocity", {"velocity": (1.0,)}),
+    ("velocity", {"velocity": (1.0, 0.0), "geometry": BALL}),
+])
+def test_ill_posed_transport_refused_by_field(field, bad):
+    """A transport step with dt <= 0, kappa < 0 or fewer velocity
+    components than axes is refused at submit, naming the field: it
+    never reaches a factor build inside drain(), where it would take the
+    requests queued behind it down.  Other pdes do not read the fields."""
+    svc = SolverService()
+    with pytest.raises(ValueError, match=field):
+        svc.submit(_req(pde="transport", **bad))
+    doc = {**_req(pde="transport").to_doc(), **bad}
+    with pytest.raises(ValueError, match=field):
+        SolveRequest.from_doc(doc)
+    _req(**bad).validate()
+    svc.submit(_req())
+    (resp,) = svc.drain()
+    assert resp.status == "ok"
+    assert _req(geometry=BOX, pde="transport").digest == _DIGEST_BOX
+
+
 # -- a carve that leaves no element ---------------------------------------
 
 ALL_CARVED = {"shape": "sphere", "center": (0.5, 0.5, 0.5), "radius": 2.0}

@@ -5,9 +5,9 @@ import pytest
 
 from repro import Domain, build_mesh, build_uniform_mesh
 from repro.fem.navier_stokes import NavierStokesProblem
-from repro.fem.transport import TransportProblem
-from repro.fem.transport import element_velocity
+from repro.fem.transport import SupgForm, TransportProblem, element_velocity
 from repro.geometry import BoxRetain, SphereCarve
+from repro.kernels import api as kernels
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +212,64 @@ def test_transport_refuses_non_finite_data(square_mesh):
     tp = TransportProblem(square_mesh, vel, kappa=0.1, dt=0.1)
     with pytest.raises(ValueError, match="source"):
         tp.step(np.zeros(square_mesh.n_nodes), source=np.inf)
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"dt": 0.0}, "dt"), ({"dt": -0.1}, "dt"), ({"kappa": -0.01}, "kappa"),
+    ({"kappa": np.inf}, "kappa"),
+])
+def test_transport_refuses_an_ill_posed_form(square_mesh, kw, field):
+    vel = np.zeros((square_mesh.n_nodes, 2))
+    with pytest.raises(ValueError, match=field):
+        TransportProblem(square_mesh, vel, **{"kappa": 0.1, "dt": 0.1, **kw})
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"nu": 0.0}, "nu"), ({"nu": -0.1}, "nu"), ({"dt": 0.0}, "dt"),
+    ({"dt": -0.2}, "dt"),
+])
+def test_ns_refuses_an_ill_posed_form(kw, field):
+    mesh, bc, outlet, _ = _poiseuille_setup(level=3)
+    with pytest.raises(ValueError, match=field):
+        NavierStokesProblem(mesh, velocity_bc=bc, pressure_pin=outlet,
+                            **{"nu": 0.1, **kw})
+
+
+def _free_bc(dim):
+    return lambda p: (np.zeros((len(p), dim), bool), np.zeros((len(p), dim)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ns_old_state_equals_the_assembled_operator(dim, monkeypatch):
+    """The old-state right-hand side, applied element by element, equals
+    the old-state operator assembled from the same element terms: the
+    shared old-state block on each velocity component and the PSPG term
+    τ/dt (∂_i q, u_i) in the pressure rows.  A steady solve builds no
+    old-state term at all."""
+    mesh = build_mesh(Domain(SphereCarve([0.4] + [0.5] * (dim - 1), 0.15)),
+                      2, 4, p=1)
+    ns = NavierStokesProblem(mesh, nu=0.02, dt=0.05, velocity_bc=_free_bc(dim))
+    rng = np.random.default_rng(dim)
+    U = rng.standard_normal((mesh.n_nodes, dim))
+    x_old = rng.standard_normal(mesh.n_nodes * (dim + 1))
+    form = SupgForm(ns.ref, element_velocity(mesh, U), ns.nu, ns.h, ns.dt)
+    npe = mesh.npe
+    R = np.zeros((mesh.n_elem, (dim + 1) * npe, (dim + 1) * npe))
+    sl_p = slice(dim * npe, None)
+    for i in range(dim):
+        sl_i = slice(i * npe, (i + 1) * npe)
+        R[:, sl_i, sl_i] = form.old_blocks()
+        R[:, sl_p, sl_i] = (
+            (form.tau / ns.dt * ns.h ** (dim - 1))[:, None, None]
+            * ns.ref.C_ref[i].T[None])
+    G = ns.ctx.big_gather(dim + 1)
+    expect = kernels.assemble(G, G.T.tocsr(), R) @ x_old
+    got = ns._old_state(form, x_old)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def refuse(self):
+        raise AssertionError("old-state term built for a steady solve")
+
+    monkeypatch.setattr(SupgForm, "old_blocks", refuse)
+    steady = NavierStokesProblem(mesh, nu=0.02, velocity_bc=_free_bc(dim))
+    assert not steady._assemble(U, None)[1].any()
