@@ -70,21 +70,12 @@ class ReferenceElement:
     def apply_mass(self, u_loc: np.ndarray, h: np.ndarray) -> np.ndarray:
         return kernels.elem_apply(u_loc, self.M_ref, h**self.dim)
 
-    def apply_advection(
-        self, u_loc: np.ndarray, h: np.ndarray, vel: np.ndarray
-    ) -> np.ndarray:
-        """C_e(v) u_e with per-element constant velocity ``vel (n_elem, dim)``."""
-        scale = h ** (self.dim - 1)
-        out = np.zeros_like(u_loc)
-        for k in range(self.dim):
-            out += kernels.elem_apply(u_loc, self.C_ref[k], vel[:, k])
-        return out * scale[:, None]
-
     def stiffness_blocks(self, h: np.ndarray) -> np.ndarray:
-        """Dense K_e blocks, ``(n_elem, npe, npe)``."""
+        """Dense K_e blocks of the elements of sides ``h``, ``(len(h), npe, npe)``."""
         return h[:, None, None] ** (self.dim - 2) * self.K_ref[None]
 
     def mass_blocks(self, h: np.ndarray) -> np.ndarray:
+        """Dense M_e blocks of the elements of sides ``h``."""
         return h[:, None, None] ** self.dim * self.M_ref[None]
 
     # -- FLOP/byte accounting for the roofline study --------------------
@@ -97,12 +88,6 @@ class ReferenceElement:
         the tensorised kernel; we count our actual dense kernel.
         """
         return 2 * self.npe * self.npe + self.npe
-
-    def matvec_bytes_per_element(self) -> int:
-        """Bytes moved per element: read u_loc, write w_loc (8 B doubles),
-        amortised elemental matrix reads (shared K_ref stays in cache, so
-        count only vector traffic plus the h scale)."""
-        return 8 * (2 * self.npe + 1)
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,9 @@ systems are solved with a sparse LU (the PETSc-equivalent role).
 
 The velocity-diagonal blocks are the one stabilised advection–diffusion
 form, :class:`repro.fem.transport.SupgForm` with κ = ν; the matrix is one
-:func:`repro.kernels.api.assemble` over the multi-field gather, and the
-old state is applied element by element, never assembled.
+:func:`repro.kernels.api.assemble` over the multi-field gather, which
+forms the blocks chunk by chunk, and the old state is applied element
+by element, never assembled.
 
 Unknown layout: ``x = [u_0 | u_1 | (u_2) | p]``, each field of length
 ``n_nodes``.
@@ -105,12 +106,12 @@ class NavierStokesProblem:
 
     # -- element blocks ----------------------------------------------------
 
-    def _blocks(self, form: SupgForm) -> np.ndarray:
-        """Dense element blocks ``(n_elem, (dim+1)·npe, (dim+1)·npe)``:
-        the shared velocity block on each velocity component plus the
-        Navier–Stokes terms."""
-        ref, dim, npe, ne = self.ref, self.dim, self.mesh.npe, self.mesh.n_elem
-        h, a, tau_m = self.h, form.a, form.tau[:, None, None]
+    def _blocks(self, form: SupgForm, e: np.ndarray) -> np.ndarray:
+        """Dense blocks ``(len(e), (dim+1)·npe, (dim+1)·npe)`` of the
+        ascending element ids ``e``: the shared velocity block on each
+        velocity component plus the Navier–Stokes terms."""
+        ref, dim, npe, ne = self.ref, self.dim, self.mesh.npe, len(e)
+        h, a, tau_m = self.h[e], form.a[e], form.tau[e][:, None, None]
         sc_k = (h ** (dim - 2))[:, None, None]
         sc_c = (h ** (dim - 1))[:, None, None]
         inv_dt = 1.0 / self.dt  # 0 when steady
@@ -120,7 +121,7 @@ class NavierStokesProblem:
         tau_c = np.maximum(0.5 * h * amag * np.minimum(re_h / 3.0, 1.0),
                            0.05 * self.nu)[:, None, None]
         E = np.zeros((ne, dim + 1, npe, dim + 1, npe))  # [field, slot]²
-        vel_diag = form.lhs_blocks()
+        vel_diag = form.lhs_blocks(e)
         for i in range(dim):
             CiT = ref.C_ref[i].T[None]
             E[:, i, :, i] += vel_diag
@@ -148,7 +149,7 @@ class NavierStokesProblem:
         τ/dt (∂_i q, u_i) as a scaled reference apply."""
         dim, npe, ne = self.dim, self.mesh.npe, self.mesh.n_elem
         x_loc = kernels.gather(self._G, x_old).reshape(ne, dim + 1, npe)
-        old = form.old_blocks()
+        old = form.old_blocks(np.arange(ne))
         pspg = form.tau / self.dt * self.h ** (dim - 1)
         w = np.zeros((ne, dim + 1, npe))
         for i in range(dim):
@@ -162,7 +163,8 @@ class NavierStokesProblem:
         with span("ns.assemble", merge=True) as osp:
             form = SupgForm(self.ref, element_velocity(self.mesh, U), self.nu,
                             self.h, self.dt)
-            A = kernels.assemble(self._G, self._GT, self._blocks(form))
+            A = kernels.assemble(self._G, self._GT,
+                                 lambda e: self._blocks(form, e))
             b = (np.zeros(A.shape[0]) if x_old is None
                  else self._old_state(form, x_old))
             osp.add("elements", self.mesh.n_elem)

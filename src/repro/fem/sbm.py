@@ -82,9 +82,12 @@ def sbm_terms(
     lo_all, _ = mesh.leaves.physical_bounds(mesh.domain.scale)
     pred = mesh.domain.predicate
 
-    blocks = np.zeros((n_elem, npe, npe))
+    idx = np.unique(sub_faces.elem)  # the face elements, ascending
+    if len(idx) == 0:
+        n = mesh.n_nodes
+        return sp.csr_matrix((n, n)), np.zeros(n)
+    blocks = np.zeros((len(idx), npe, npe))
     rhs_loc = np.zeros((n_elem, npe))
-    touched = np.zeros(n_elem, bool)
 
     for axis in range(dim):
         for side in (0, 1):
@@ -92,7 +95,6 @@ def sbm_terms(
             if len(sel) == 0:
                 continue
             es = sub_faces.elem[sel]
-            touched[es] = True
             rpts, rwts = face_quadrature(p, dim, axis, side, nq1)
             N = basis.eval(rpts)               # (nqf, npe)
             G = basis.eval_grad(rpts)          # (nqf, npe, dim)
@@ -121,14 +123,11 @@ def sbm_terms(
             r = -np.einsum("fq,fqi,fq->fi", wq, gn, uD) + np.einsum(
                 "fq,fqi,fq->fi", wpen, shifted, uD
             )
-            np.add.at(blocks, es, S)
+            np.add.at(blocks, np.searchsorted(idx, es), S)
             np.add.at(rhs_loc, es, r)
 
-    idx = np.flatnonzero(touched)
-    if len(idx) == 0:
-        n = mesh.n_nodes
-        return sp.csr_matrix((n, n)), np.zeros(n)
     # assemble over the face elements only (hanging-aware gather)
-    A_s = kernels.assemble(ctx.gather, ctx.scatter, blocks[idx], idx)
+    A_s = kernels.assemble(ctx.gather, ctx.scatter,
+                           lambda e: blocks[np.searchsorted(idx, e)], idx)
     b_s = ctx.gather.T @ rhs_loc.reshape(-1)
     return A_s, b_s

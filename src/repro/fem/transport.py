@@ -77,30 +77,41 @@ class SupgForm:
         if not dt > 0:
             raise ValueError(f"dt must be > 0 (inf: steady), got {dt!r}")
 
-    def _old_terms(self):
-        """M/dt and the SUPG mass term τ/dt (a·∇w, c)."""
-        ref, h = self.ref, self.h
+    def _old_terms(self, e: np.ndarray):
+        """M/dt and the SUPG mass term τ/dt (a·∇w, c) of the elements ``e``."""
+        ref, h = self.ref, self.h[e]
         M = ref.M_ref[None] * (h**ref.dim)[:, None, None]
-        CT = np.einsum("fk,kji->fij", self.a, ref.C_ref)  # ∫ (a·∇φ_i) φ_j
-        S_mass = ((self.tau / self.dt)[:, None, None] * CT
-                  * (h ** (ref.dim - 1))[:, None, None])
-        return M / self.dt, S_mass
+        M /= self.dt
+        S_mass = np.einsum("fk,kji->fij", self.a[e], ref.C_ref)  # ∫ (a·∇φ_i) φ_j
+        S_mass *= (self.tau[e] / self.dt)[:, None, None]
+        S_mass *= (h ** (ref.dim - 1))[:, None, None]
+        return M, S_mass
 
-    def lhs_blocks(self) -> np.ndarray:
-        """The implicit-Euler element matrices, ``(n_elem, npe, npe)``."""
-        ref, h, a, dim = self.ref, self.h, self.a, self.ref.dim
-        M_dt, S_mass = self._old_terms()
-        K = ref.K_ref[None] * (self.kappa * h ** (dim - 2))[:, None, None]
-        C = np.einsum("fk,kij->fij", a, ref.C_ref) * (h ** (dim - 1))[:, None, None]
+    def lhs_blocks(self, e: np.ndarray) -> np.ndarray:
+        """The implicit-Euler element matrices of the ascending element
+        ids ``e``, ``(len(e), npe, npe)``; the terms are added in place
+        in the order the form lists them."""
+        ref, h, a, dim = self.ref, self.h[e], self.a[e], self.ref.dim
+        out, S_mass = self._old_terms(e)
+        out += ref.K_ref[None] * (self.kappa * h ** (dim - 2))[:, None, None]
+        C = np.einsum("fk,kij->fij", a, ref.C_ref)
+        C *= (h ** (dim - 1))[:, None, None]
+        out += C
+        del C
         # SUPG: tau (a·∇w, a·∇c)
-        Daa = np.einsum("fk,fl,klij->fij", a, a, ref.D_ref)
-        S_adv = self.tau[:, None, None] * Daa * (h ** (dim - 2))[:, None, None]
-        return M_dt + K + C + S_adv + S_mass
+        S_adv = np.einsum("fk,fl,klij->fij", a, a, ref.D_ref)
+        S_adv *= self.tau[e][:, None, None]
+        S_adv *= (h ** (dim - 2))[:, None, None]
+        out += S_adv
+        del S_adv
+        out += S_mass
+        return out
 
-    def old_blocks(self) -> np.ndarray:
-        """The element matrices that multiply the old state."""
-        M_dt, S_mass = self._old_terms()
-        return M_dt + S_mass
+    def old_blocks(self, e: np.ndarray) -> np.ndarray:
+        """The element matrices of ``e`` that multiply the old state."""
+        out, S_mass = self._old_terms(e)
+        out += S_mass
+        return out
 
 
 class TransportProblem:
@@ -147,8 +158,8 @@ class TransportProblem:
         ctx = operator_context(self.mesh)
         form = SupgForm(ctx.ref(), element_velocity(self.mesh, self.vel_nodes),
                         self.kappa, ctx.h, self.dt)
-        A = kernels.assemble(ctx.gather, ctx.scatter, form.lhs_blocks())
-        self.M_old = kernels.assemble(ctx.gather, ctx.scatter, form.old_blocks())
+        A = kernels.assemble(ctx.gather, ctx.scatter, form.lhs_blocks)
+        self.M_old = kernels.assemble(ctx.gather, ctx.scatter, form.old_blocks)
         self.A = self.bc.replace_rows(A).tocsc()
         self._lu = spla.splu(self.A)
 

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 from ..obs.counters import REGISTRY
 from ..obs.trace import TRACER, span
 from .numpy_backend import KERNELS as _K
+from .numpy_backend import block_size
 
 __all__ = [
     "gather",
@@ -110,9 +111,11 @@ def _traversal_cost(out, prog, u, ker, pw):
 
 
 def _assemble_cost(A, gather, scatter, blocks, elems=None):
-    ne, bs, _ = blocks.shape
+    """Every element block formed and applied once, chunked or not."""
+    bs = block_size(blocks)
+    ne = gather.shape[0] // bs if elems is None else len(elems)
     return 2.0 * ne * bs * bs, (
-        blocks.nbytes + gather.data.nbytes + gather.indices.nbytes
+        8.0 * ne * bs * bs + gather.data.nbytes + gather.indices.nbytes
         + 12.0 * A.nnz
     )
 
@@ -168,10 +171,11 @@ def traversal_apply(prog, u: np.ndarray, ker: np.ndarray,
 
 
 def assemble(gather: sp.csr_matrix, scatter: sp.csr_matrix,
-             blocks: np.ndarray, elems: np.ndarray | None = None
-             ) -> sp.csr_matrix:
+             blocks, elems: np.ndarray | None = None) -> sp.csr_matrix:
     """Global sparse assembly ``Σ_e P_eᵀ K_e P_e`` over a gather/scatter
-    pair, over the elements ``elems`` only when given."""
+    pair, the blocks formed by ``blocks(e) -> (len(e), bs, bs)`` for
+    ascending element ids ``e``; over the elements ``elems`` only when
+    given."""
     if not TRACER.enabled:
         return _K.assemble(gather, scatter, blocks, elems)
     return _timed("assemble", _K.assemble, _assemble_cost,

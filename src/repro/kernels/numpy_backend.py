@@ -5,7 +5,7 @@ before the kernel layer existed, so routing through this backend
 changes no bits there: CSR gather/scatter are ``scipy.sparse``
 products, the batched elemental apply is one dense matmul plus a column
 scale, dot/axpy are the plain BLAS-backed numpy expressions, and
-assembly is the BSR triple product.
+assembly is the BSR triple product, walked in output-row chunks.
 
 ``traversal_matvec`` is the one production matrix-free apply — the
 whole mesh, a rank's elements, or the Dirichlet-constrained operator on
@@ -26,7 +26,12 @@ import scipy.sparse as sp
 
 from ..obs import span
 
-__all__ = ["NumpyKernels", "KERNELS"]
+__all__ = ["NumpyKernels", "KERNELS", "block_size"]
+
+#: bytes of element blocks one assembly chunk forms: the 18 224-element
+#: p = 1 sphere assembles in 5 chunks, any 3-D p = 1 mesh of at most
+#: 4 096 elements in one
+ASSEMBLY_CHUNK_BYTES = 2 << 20
 
 
 class NumpyKernels:
@@ -126,35 +131,114 @@ class NumpyKernels:
         self,
         gather: sp.csr_matrix,
         scatter: sp.csr_matrix,
-        blocks: np.ndarray,
+        blocks,
         elems: np.ndarray | None = None,
     ) -> sp.csr_matrix:
-        """``scatter · blockdiag(K_e) · gather`` via one BSR product: the
+        """``scatter · blockdiag(K_e) · gather`` in output-row chunks: the
         one place a global matrix is formed from element blocks.
 
         ``gather`` maps global vectors to ``bs`` slots per element (a
-        mesh's gather or a multi-field one), ``scatter`` is its CSR
-        transpose and ``blocks`` is ``(n, bs, bs)``.  With ``elems``
-        (ascending) the blocks are those elements' only, and the product
-        runs over their rows of the pair alone.
+        mesh's gather or a multi-field one) and ``scatter`` is its CSR
+        transpose.  ``blocks(e)`` returns the ``(len(e), bs, bs)`` blocks
+        of an ascending array of element ids.  With ``elems`` (ascending)
+        only those elements are assembled, over their rows of the pair.
 
-        The outer product is CSR × CSR: no CSC copy of the inner product
-        and no format conversion of the result.  The inner product is
-        made CSR before the outer one starts, so its BSR form is freed
-        first.  Every entry sums its slot terms in ascending slot order,
-        the order ``gather.T @ (B @ gather)`` sums them in, so the two are
-        the same to the bit.
+        Chunk ``k`` holds a run of elements, :data:`ASSEMBLY_CHUNK_BYTES`
+        of blocks, and the output rows whose last contributing element is
+        in that run.  It forms its blocks once and its slot rows of
+        ``blockdiag(K_e) · gather``; its rows are then one
+        ``scatter[rows] · inner`` over those slot rows and the ones
+        earlier chunks kept because a row of a later chunk reads them.
+        Work that fits one chunk is one product over all rows.  Every
+        entry sums its slot terms in the order ``scatter`` stores them,
+        chunked or not, so the chunking changes no bit of the result.
+
+        A CSR × CSR product stores no duplicates, so each chunk only
+        sorts its rows, and the result is marked canonical.  The rows
+        stay sorted because SpMV and slicing sum in stored order: every
+        pinned digest depends on it.
         """
-        n, bs, _ = blocks.shape
+        bs = block_size(blocks)
+        form = blocks
         if elems is not None:
             rows = (elems[:, None] * bs + np.arange(bs)).ravel()
             gather, scatter = gather[rows], scatter[:, rows]
-        B = sp.bsr_matrix(
-            (blocks, np.arange(n), np.arange(n + 1)), shape=(n * bs, n * bs)
-        )
-        A = scatter @ (B @ gather).tocsr()
-        A.sum_duplicates()
+
+            def form(e):
+                return blocks(elems[e])
+
+        n = gather.shape[0] // bs
+        per = max(1, ASSEMBLY_CHUNK_BYTES // (8 * bs * bs))
+        if n <= per:
+            return _sorted(scatter @ _inner(form, np.arange(n), gather))
+        width = per * bs  # slots per chunk
+        # each row's chunk: its last slot's; each slot's need: the last
+        # chunk whose rows read it, where that is a later chunk
+        ip, ix = scatter.indptr, scatter.indices
+        filled = np.diff(ip) > 0
+        owner = np.zeros(len(filled), np.int32)
+        owner[filled] = np.maximum.reduceat(ix, ip[:-1][filled]) // width
+        reader = np.repeat(owner, np.diff(ip))
+        later = ix // width < reader
+        need = np.full(gather.shape[0], -1, np.int32)
+        np.maximum.at(need, ix[later], reader[later])
+        del reader, later
+        order = np.argsort(owner, kind="stable")
+        chunks = np.split(order, np.searchsorted(owner[order], np.arange(1, -(-n // per))))
+        kept, pool = np.empty(0, np.intp), None  # slot rows later chunks read
+        pieces = []
+        for k, R in enumerate(chunks):
+            lo, hi = k * width, min(n * bs, (k + 1) * width)
+            inner = _inner(form, np.arange(lo // bs, hi // bs), _row_view(gather, lo, hi))
+            if len(kept):
+                inner = sp.vstack([pool, inner], format="csr")
+            if len(R):
+                # inner's rows are the kept slots, then lo:hi: numbered
+                # in order, so every row keeps its stored order
+                S = scatter[R]
+                local = S.indices - (lo - len(kept))
+                old = S.indices < lo
+                local[old] = np.searchsorted(kept, S.indices[old])
+                S = sp.csr_matrix((S.data, local, S.indptr), shape=(len(R), inner.shape[0]))
+                pieces.append(_sorted(S @ inner))
+            keep = np.flatnonzero(np.concatenate([need[kept], need[lo:hi]]) > k)
+            kept = np.concatenate([kept, np.arange(lo, hi)])[keep]
+            pool = inner[keep]
+            del inner
+        del need, pool
+        A = sp.vstack(pieces, format="csr")
+        del pieces
+        A = A[np.argsort(order)]
+        A.has_canonical_format = True
         return A
+
+
+def block_size(blocks) -> int:
+    """``bs`` of an element form ``blocks(e) -> (len(e), bs, bs)``,
+    read from its blocks of no element."""
+    return blocks(np.empty(0, np.intp)).shape[-1]
+
+
+def _row_view(A: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows ``lo:hi`` of a CSR matrix over views of its arrays."""
+    a, b = A.indptr[lo], A.indptr[hi]
+    return sp.csr_matrix((A.data[a:b], A.indices[a:b], A.indptr[lo:hi + 1] - a),
+                         shape=(hi - lo, A.shape[1]))
+
+
+def _inner(form, e, gather) -> sp.csr_matrix:
+    """``blockdiag(form(e)) · gather`` in CSR."""
+    K = form(e)
+    n, bs, _ = K.shape
+    B = sp.bsr_matrix((K, np.arange(n), np.arange(n + 1)), shape=(n * bs, n * bs))
+    return (B @ gather).tocsr()
+
+
+def _sorted(A: sp.csr_matrix) -> sp.csr_matrix:
+    """A product's rows sorted, marked canonical: it has no duplicates."""
+    A.sort_indices()
+    A.has_canonical_format = True
+    return A
 
 
 KERNELS = NumpyKernels()

@@ -17,9 +17,7 @@ from repro.core.plan import operator_context
 from repro.obs import span
 
 
-def assemble_traversal(
-    mesh: IncompleteMesh, kind="stiffness", blocks=None
-) -> sp.csr_matrix:
+def assemble_traversal(mesh: IncompleteMesh, kind="stiffness") -> sp.csr_matrix:
     """§3.6 traversal assembly emitting (row, col, val) triplets.
 
     Node *ids* are bucketed top-down exactly like nodal values in the
@@ -28,9 +26,9 @@ def assemble_traversal(
     combinations).  Verified in tests to equal :func:`assemble`.
     """
     with span("assembly.traversal") as osp:
-        if blocks is None:
-            blocks = elemental_blocks(mesh, kind)
-        plan = operator_context(mesh).traversal
+        ctx = operator_context(mesh)
+        blocks = elemental_blocks(ctx, kind, np.arange(mesh.n_elem))
+        plan = ctx.traversal
         n = mesh.n_nodes
         rows_l, cols_l, vals_l = [], [], []
         for e in range(mesh.n_elem):

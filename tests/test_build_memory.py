@@ -2,18 +2,22 @@
 matrix-free solve, and the per-slot donor check that the
 once-per-position donor search keeps.
 
-The gates are tracemalloc peaks on the 18 224-element carved sphere
-(r = 0.3, base 4, boundary 6, p = 1), per element.  Per-slot coordinate
-arrays in ``build_nodes`` read 3.6 kB, and a CSC outer product in
-assembly (elemental blocks included) 2.6 kB; the bounds sit between
-those and the current 0.98 / 1.87 kB, so either coming back fails its
-gate.  The first solve (now about 0.91 kB peak, 0.47 kB held) may use
+The build gates are tracemalloc peaks on the 18 224-element carved
+sphere (r = 0.3, base 4, boundary 6, p = 1), per element.  Per-slot
+coordinate arrays in ``build_nodes`` read 3.6 kB against the current
+0.98 kB.  The first solve (now about 0.91 kB peak, 0.47 kB held) may use
 no more than the masked whole-mesh solve did.
+
+An assembly may peak at no more than 3x the CSR it returns.  Forming
+every element block and the whole inner product at once read 6.6x for
+Poisson at p = 1 on that sphere, 3.7x at p = 2 on the 3 920-element
+sphere (base 3, boundary 5) and 12.6x for transport's ``A``, the form
+included; output-row chunks read 2.65x, 2.05x and 2.73x.
 
 One Navier–Stokes assembly is gated on the 1 544-element 3-D sphere of
 the drag example: building the dense old-state operator next to the
 element blocks read 41.5 kB per element, applying it element by element
-reads 29.0 kB.
+29.0 kB, and forming the blocks chunk by chunk reads 10.7 kB.
 """
 
 import tracemalloc
@@ -32,18 +36,21 @@ from repro.core.treesort import tree_sort
 from repro.fem.basis import local_node_offsets
 from repro.fem.navier_stokes import NavierStokesProblem
 from repro.fem.poisson import PoissonProblem
+from repro.fem.transport import SupgForm, element_velocity
 from repro.geometry import SphereCarve
+from repro.kernels import api as kernels
 
 #: bytes per element at the tracemalloc peak
 BUILD_NODES_BYTES_PER_ELEMENT = 1600
-ASSEMBLE_BYTES_PER_ELEMENT = 2000
+#: an assembly's peak over the bytes of the CSR it returns
+ASSEMBLY_PEAK_OVER_MATRIX = 3.0
 #: the first matrix-free solve, peak and held afterwards: what a solve
 #: through the masked whole-mesh program took (building the free-node
 #: program from that one read 1 327 / 1 072)
 FIRST_SOLVE_PEAK_BYTES_PER_ELEMENT = 1194
 FIRST_SOLVE_HELD_BYTES_PER_ELEMENT = 818
 #: one Navier–Stokes ``_assemble`` with an old state, 3-D, p = 1
-NS_ASSEMBLE_BYTES_PER_ELEMENT = 32_000
+NS_ASSEMBLE_BYTES_PER_ELEMENT = 14_000
 
 
 @pytest.fixture(scope="module")
@@ -71,10 +78,32 @@ def test_build_nodes_peak_per_element(sphere):
     assert peak <= BUILD_NODES_BYTES_PER_ELEMENT * sphere.n_elem, peak / sphere.n_elem
 
 
-def test_assemble_peak_per_element(sphere):
-    operator_context(sphere).scatter  # a per-mesh artifact, built once
-    peak, _ = _traced_bytes(lambda: assemble(sphere))
-    assert peak <= ASSEMBLE_BYTES_PER_ELEMENT * sphere.n_elem, peak / sphere.n_elem
+def _transport_lhs(mesh):
+    """Transport's ``A`` as ``TransportProblem`` assembles it, before its
+    Dirichlet rows: the element velocity, the form, the assembly."""
+    ctx = operator_context(mesh)
+    vel = np.stack([np.ones(mesh.n_nodes), np.linspace(-1.0, 1.0, mesh.n_nodes),
+                    np.zeros(mesh.n_nodes)], axis=1)
+    return lambda: kernels.assemble(ctx.gather, ctx.scatter, SupgForm(
+        ctx.ref(), element_velocity(mesh, vel), 1e-3, ctx.h, 0.05).lhs_blocks)
+
+
+@pytest.mark.parametrize("case", ["poisson-p1", "poisson-p2", "transport"])
+def test_assembly_peak_over_its_matrix(sphere, case):
+    """Assembly walks output-row chunks: no stage holds every element
+    block, nor the whole inner product, at once."""
+    if case == "poisson-p2":
+        mesh = build_mesh(Domain(SphereCarve([0.5, 0.5, 0.5], 0.3)), 3, 5, p=2)
+        assert mesh.n_elem == 3_920
+    else:
+        mesh = sphere
+    operator_context(mesh).scatter  # a per-mesh artifact, built once
+    build = _transport_lhs(mesh) if case == "transport" else lambda: assemble(mesh)
+    A = build()
+    matrix = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    del A
+    peak, _ = _traced_bytes(build)
+    assert peak <= ASSEMBLY_PEAK_OVER_MATRIX * matrix, peak / matrix
 
 
 def test_first_matrix_free_solve_per_element(sphere):

@@ -124,7 +124,7 @@ def _transport_reference(factor, steps):
     ctx = operator_context(mesh)
     g = ctx.gather
     blocks = SupgForm(ctx.ref(), element_velocity(mesh, prob.vel_nodes),
-                      prob.kappa, ctx.h, prob.dt).lhs_blocks()
+                      prob.kappa, ctx.h, prob.dt).lhs_blocks(np.arange(ne))
     B = sp.bsr_matrix((blocks, np.arange(ne), np.arange(ne + 1)),
                       shape=(ne * npe, ne * npe))
     A = _lil_rows((g.T @ (B @ g)).tocsr(), mesh.dirichlet_mask)

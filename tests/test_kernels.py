@@ -1,9 +1,9 @@
 """Tests for repro.kernels: one numpy kernel set behind a counted facade.
 
 Covers bit-stability of the kernels, production assembly against the
-paper's §3.6 traversal assembly, the refusal of anything that still
-tries to select a backend, and the measured roofline counters the
-facade publishes.
+paper's §3.6 traversal assembly, chunked assembly against one product,
+the refusal of anything that still tries to select a backend, and the
+measured roofline counters the facade publishes.
 """
 
 import json
@@ -15,8 +15,12 @@ from repro import Domain, build_mesh, obs
 from repro.analysis import measured_kernel_points
 from repro.core.assembly import assemble
 from repro.core.matvec import MapBasedMatVec, traversal_matvec
-from repro.geometry import BoxRetain, SphereCarve
-from repro.kernels import available_backends, use_backend
+from repro.core.plan import operator_context
+from repro.fem.navier_stokes import NavierStokesProblem
+from repro.fem.sbm import sbm_terms
+from repro.fem.transport import TransportProblem
+from repro.geometry import BoxRetain, SphereCarve, SphereRetain
+from repro.kernels import available_backends, numpy_backend, use_backend
 from repro.serve import SolveRequest
 
 from .oracles.assembly import assemble_traversal
@@ -94,6 +98,119 @@ def test_assembly_equivalence(sphere_mesh, channel_mesh, case, kind):
     A_ref = assemble_traversal(mesh, kind=kind)
     assert A.shape == A_ref.shape
     assert abs(A - A_ref).max() < 1e-12
+
+
+# -- row-chunked assembly --------------------------------------------------
+
+#: small enough that every case below assembles in >= 4 chunks
+SMALL_CHUNK_BYTES = 1 << 14
+
+
+def _sphere(dim, p, base, boundary):
+    return build_mesh(Domain(SphereCarve([0.5] * dim, 0.3)), base, boundary, p=p)
+
+
+def _poisson(dim, p, base, boundary):
+    mesh = _sphere(dim, p, base, boundary)
+    return [assemble(mesh, kind=kind) for kind in ("stiffness", "mass")]
+
+
+def _sbm(predicate):
+    mesh = build_mesh(Domain(predicate), 2, 4, p=1)
+    return [sbm_terms(mesh, lambda x: np.sin(3 * x[:, 0]) + x[:, 1])[0]]
+
+
+def _transport():
+    tp = TransportProblem(_sphere(3, 1, 2, 3),
+                          lambda x: np.stack([1 + 0 * x[:, 0], x[:, 2], -x[:, 1]], 1),
+                          kappa=1e-3, dt=0.05)
+    return [tp.A, tp.M_old]
+
+
+def _ns(dt):
+    mesh = build_mesh(Domain(SphereCarve([0.4, 0.5, 0.5], 0.15)), 2, 4, p=1)
+    ns = NavierStokesProblem(
+        mesh, nu=0.02, dt=dt,
+        velocity_bc=lambda x: (np.isclose(x, 0.0), np.isclose(x, 0.0) * 1.0))
+    rng = np.random.default_rng(1)
+    x_old = None if dt == np.inf else rng.standard_normal(4 * mesh.n_nodes)
+    A, b = ns._assemble(rng.standard_normal((mesh.n_nodes, 3)), x_old)
+    return [A, b]
+
+
+CHUNK_CASES = {
+    "poisson-2d-p1": lambda: _poisson(2, 1, 4, 6),
+    "poisson-2d-p2": lambda: _poisson(2, 2, 3, 5),
+    "poisson-3d-p1": lambda: _poisson(3, 1, 2, 3),
+    "poisson-3d-p2": lambda: _poisson(3, 2, 2, 3),
+    "sbm-retained-ball": lambda: _sbm(SphereRetain([0.5] * 3, 0.4)),
+    "sbm-carved-ball": lambda: _sbm(SphereCarve([0.5] * 3, 0.3)),
+    "transport": _transport,
+    "ns-steady": lambda: _ns(np.inf),
+    "ns-unsteady": lambda: _ns(0.1),
+}
+
+
+def _chunked(monkeypatch, budget, build):
+    """``build()`` under a chunk budget, and the chunk sizes of each
+    ``kernels.assemble`` call it made."""
+    monkeypatch.setattr(numpy_backend, "ASSEMBLY_CHUNK_BYTES", budget)
+    calls = []
+    real_assemble, real_inner = numpy_backend.KERNELS.assemble, numpy_backend._inner
+
+    def assemble_(*args):
+        calls.append([])
+        return real_assemble(*args)
+
+    def inner(form, e, gather):
+        calls[-1].append(len(e))
+        return real_inner(form, e, gather)
+
+    monkeypatch.setattr(numpy_backend.KERNELS, "assemble", assemble_)
+    monkeypatch.setattr(numpy_backend, "_inner", inner)
+    out = build()
+    monkeypatch.undo()
+    return out, calls
+
+
+def _bits(M):
+    if isinstance(M, np.ndarray):
+        return [M.tobytes()]
+    return [M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()]
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+def test_chunked_assembly_is_bit_identical(case, monkeypatch):
+    """Row-chunked assembly gives the one-chunk product to the bit: every
+    entry sums the same products in the order ``scatter`` stores them,
+    whichever chunk forms its element blocks."""
+    build = CHUNK_CASES[case]
+    whole, whole_calls = _chunked(monkeypatch, 1 << 62, build)
+    small, small_calls = _chunked(monkeypatch, SMALL_CHUNK_BYTES, build)
+    assert whole_calls and all(len(c) == 1 for c in whole_calls)
+    assert [sum(c) for c in small_calls] == [sum(c) for c in whole_calls]
+    assert all(len(c) >= 4 for c in small_calls), small_calls
+    for A, B in zip(whole, small):
+        assert _bits(A) == _bits(B)
+
+
+def test_chunked_assembly_is_one_counted_call(monkeypatch):
+    """One assembly is one ``kernels.assemble`` call however many chunks
+    it walks, with the modelled work of every block formed once."""
+    mesh = _sphere(3, 1, 2, 3)
+    monkeypatch.setattr(numpy_backend, "ASSEMBLY_CHUNK_BYTES", SMALL_CHUNK_BYTES)
+    obs.reset()
+    obs.enable()
+    try:
+        A = assemble(mesh)
+        (cell,) = [m for m in measured_kernel_points() if m.kernel == "assemble"]
+    finally:
+        obs.disable()
+    g, ne, bs = operator_context(mesh).gather, mesh.n_elem, mesh.npe
+    assert cell.calls == 1
+    assert cell.flops == 2.0 * ne * bs * bs
+    assert cell.bytes == (8.0 * ne * bs * bs + g.data.nbytes + g.indices.nbytes
+                          + 12.0 * A.nnz)
 
 
 # -- measured roofline counters -------------------------------------------
