@@ -108,9 +108,9 @@ def traversal_matvec(
     non-owned elements are skipped, so the parts of a partition sum to
     the full apply.
 
-    Without ``plan`` the mesh's cached plan is used, after the usual
-    fingerprint staleness check of :func:`operator_context`; an
-    explicit ``plan`` is trusted as is and nothing is re-hashed.
+    Without ``plan`` the mesh's cached plan is used, after the identity
+    staleness check of :func:`operator_context` (a few ``is`` tests,
+    no hash); an explicit ``plan`` is trusted as is.
 
     The top-down / leaf / bottom-up phase breakdown is published as
     merge spans under a ``matvec.traversal`` span when tracing is on.
@@ -118,10 +118,9 @@ def traversal_matvec(
     if plan is None:
         plan = operator_context(mesh).traversal
     ker, pw = plan.kernel(kind)
-    e_lo, e_hi = owned_range if owned_range is not None else (0, mesh.n_elem)
-    return kernels.traversal_apply(
-        plan.apply_tables(e_lo, e_hi), np.asarray(u, float), ker, pw
-    )
+    prog = (plan.apply_tables() if owned_range is None
+            else plan.apply_tables(*owned_range))
+    return kernels.traversal_apply(prog, np.asarray(u, float), ker, pw)
 
 
 class TraversalMatVec:

@@ -60,8 +60,10 @@ class OctantSet:
         ``(N,)`` uint8 tree levels.
 
     A set is **immutable** once built: every operation returns a new
-    set and nothing writes into ``anchors`` / ``levels`` afterwards.
-    That is what lets the SFC keys computed for a set
+    set, and ``anchors`` / ``levels`` are marked read-only, so a write
+    into either raises ``ValueError``.  (An array that already has the
+    stored dtype and layout is stored as is, so the caller's array is
+    frozen with it.)  That is what lets the SFC keys computed for a set
     (:func:`repro.core.sfc.cached_keys`) travel with its octants: an
     index or a concatenation hands the result the matching entries of
     every cached key array, so a sort → dedup pipeline interleaves
@@ -88,6 +90,8 @@ class OctantSet:
                 f"shape mismatch: anchors {self.anchors.shape}, "
                 f"levels {self.levels.shape}, dim {self.dim}"
             )
+        self.anchors.flags.writeable = False
+        self.levels.flags.writeable = False
 
     # -- basic container protocol -------------------------------------
     def __len__(self) -> int:

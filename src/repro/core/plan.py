@@ -9,11 +9,17 @@ per apply.  This module is the single mesh ↔ operator contract shared
 by every discretization in the stack:
 
 * :func:`operator_context` returns the mesh's :class:`OperatorContext`,
-  computing it on first request and caching it on the mesh behind a
-  **content fingerprint** (SFC octant keys + levels + p + curve).  Any
-  change of the leaf set — e.g. :mod:`repro.core.adapt` refinement or
-  coarsening producing a new mesh — yields a new fingerprint, so stale
-  plans are never reused.
+  computing it on first request and caching it on the mesh.  The
+  stored context is reused exactly while its inputs are the same:
+  the same mesh object, the same ``leaves`` and ``nodes`` objects, the
+  same ``p`` and ``curve``.  Octant sets are read-only
+  (:class:`repro.core.octant.OctantSet`), so an identity match is a
+  content match, and swapping in a refined or coarsened leaf set (or
+  another nodes object) rebuilds the context.  A lookup is a few
+  identity checks: an apply pays for its arithmetic, not for a hash.
+  The content fingerprint (:func:`mesh_fingerprint`) is computed once,
+  when a context is built, and kept as :attr:`OperatorContext.fingerprint`
+  for the serve cache keys, the fleet's L2 tier and checkpoints.
 * :class:`TraversalPlan` holds the flattened CSR-style traversal slot
   table (``slot_ptr`` / ``slot_idx`` / ``slot_gid`` / ``slot_w`` arrays
   instead of per-element Python lists), the ``identity_elem`` mask of
@@ -87,10 +93,6 @@ class IdentityBlock:
     #: index type on every read)
     gid: np.ndarray
 
-    def gather(self, u: np.ndarray) -> np.ndarray:
-        """Element-local values ``(n, npe)`` of the nodal vector ``u``."""
-        return u[self.gid]
-
 
 @dataclass(frozen=True)
 class HangingBlock:
@@ -99,9 +101,6 @@ class HangingBlock:
 
     elems: np.ndarray  #: (m,) element ids, ascending
     interp: sp.csr_matrix  #: (m * npe, n_nodes) slot rows, donors weighted
-
-    def gather(self, u: np.ndarray) -> np.ndarray:
-        return (self.interp @ u).reshape(len(self.elems), -1)
 
 
 def _local_ids(local: np.ndarray, ids: np.ndarray, pad: bool = False):
@@ -237,7 +236,7 @@ class TraversalPlan:
     def __init__(self, mesh: IncompleteMesh, ctx: OperatorContext | None = None):
         self.mesh = mesh
         #: the mesh's reference element, so an apply on an explicit
-        #: plan needs no operator-context lookup (and no re-hash)
+        #: plan needs no operator-context lookup
         self.ref = reference_element(mesh.p, mesh.dim)
         #: element-to-node interpolation, CSR
         self.gather = g = ctx.gather if ctx is not None else mesh.nodes.gather.tocsr()
@@ -296,12 +295,12 @@ class TraversalPlan:
         :class:`repro.parallel.ghost.ExchangePlan`.
         """
         n_elem = self.mesh.n_elem
-        e_lo, e_hi = max(e_lo, 0), n_elem if e_hi is None else min(e_hi, n_elem)
-        if e_lo > 0 or e_hi < n_elem:
-            return ApplyProgram(self, e_lo, e_hi)
-        if self._program is None:
-            self._program = ApplyProgram(self, 0, n_elem)
-        return self._program
+        if e_lo <= 0 and (e_hi is None or e_hi >= n_elem):
+            if self._program is None:
+                self._program = ApplyProgram(self, 0, n_elem)
+            return self._program
+        return ApplyProgram(
+            self, max(e_lo, 0), n_elem if e_hi is None else min(e_hi, n_elem))
 
 
 class ConstrainedStiffness:
@@ -335,7 +334,8 @@ class ConstrainedStiffness:
 
 
 class OperatorContext:
-    """Per-mesh bundle of operator artifacts, computed once per fingerprint.
+    """Per-mesh bundle of operator artifacts, built once per set of
+    inputs (see :func:`operator_context`).
 
     Eagerly holds the cheap, universally needed pieces (gather CSR,
     element sizes, levels); derives the rest lazily on first use
@@ -344,16 +344,15 @@ class OperatorContext:
     operator) and keeps them for the lifetime of the mesh.
     """
 
-    def __init__(self, mesh: IncompleteMesh, fingerprint: str | None = None):
+    def __init__(self, mesh: IncompleteMesh):
+        #: the inputs the context was derived from, checked by identity
+        #: (``p`` and ``curve`` by value) in :func:`operator_context`
         self.mesh = mesh
-        #: the exact MeshNodes the context was derived from — checked by
-        #: identity in :func:`operator_context` so an in-place swap of
-        #: ``mesh.nodes`` (same leaves, hence same fingerprint) rebuilds
-        #: instead of silently aliasing stale gather/scatter arrays
+        self.leaves = mesh.leaves
         self.nodes = mesh.nodes
-        self.fingerprint = (
-            fingerprint if fingerprint is not None else mesh_fingerprint(mesh)
-        )
+        self.p, self.curve = mesh.p, mesh.curve
+        #: :func:`mesh_fingerprint` of the mesh, hashed once here
+        self.fingerprint = mesh_fingerprint(mesh)
         #: element → local-node interpolation operator, CSR
         self.gather: sp.csr_matrix = mesh.nodes.gather.tocsr()
         #: physical element side lengths, (n_elem,)
@@ -461,22 +460,26 @@ class OperatorContext:
 def operator_context(mesh: IncompleteMesh) -> OperatorContext:
     """The mesh's cached :class:`OperatorContext`.
 
-    The context is stored on the mesh object; it is rebuilt whenever the
-    stored fingerprint no longer matches the mesh content (e.g. after
-    the leaf set was swapped by refinement/coarsening), so operator
-    consumers can never observe a stale plan.
+    The context is stored on the mesh object and returned while it was
+    built from this mesh object, ``mesh.leaves`` and ``mesh.nodes`` are
+    the objects it was built from, and ``p`` and ``curve`` are
+    unchanged.  Otherwise (e.g. a leaf set swapped in by refinement or
+    coarsening) it is rebuilt, so operator consumers never observe a
+    stale plan.  The leaf arrays are read-only, so the identity rule
+    misses no content change, and nothing is hashed on a hit.
     """
-    fp = mesh_fingerprint(mesh)
     ctx = getattr(mesh, "_operator_context", None)
     if (
         ctx is not None
-        and ctx.fingerprint == fp
         and ctx.mesh is mesh
+        and ctx.leaves is mesh.leaves
         and ctx.nodes is mesh.nodes
+        and ctx.p == mesh.p
+        and ctx.curve == mesh.curve
     ):
         return ctx
     with span("plan.context_build") as sp_:
-        ctx = OperatorContext(mesh, fingerprint=fp)
+        ctx = OperatorContext(mesh)
         sp_.add("elements", mesh.n_elem)
         sp_.add("nodes", mesh.n_nodes)
     mesh._operator_context = ctx

@@ -61,13 +61,11 @@ def _timed(kernel: str, fn, cost, *args):
 
 
 def _csr_cost(out, A: sp.csr_matrix, x: np.ndarray):
-    """One CSR product: 2 flops per stored weight and column; bytes of
+    """One CSR × vector product: 2 flops per stored weight; bytes of
     the matrix arrays plus both vectors."""
-    ncols = x.shape[1] if getattr(x, "ndim", 1) == 2 else 1
-    return 2.0 * A.nnz * ncols, (
+    return 2.0 * A.nnz, (
         A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-        + getattr(x, "nbytes", 8 * A.shape[1] * ncols)
-        + 8.0 * A.shape[0] * ncols
+        + x.nbytes + 8.0 * A.shape[0]
     )
 
 
@@ -123,15 +121,15 @@ def _assemble_cost(A, gather, scatter, blocks, elems=None):
 def gather(G: sp.csr_matrix, u: np.ndarray):
     """Hanging-aware element gather ``G @ u``."""
     if not TRACER.enabled:
-        return _K.gather(G, u)
-    return _timed("gather", _K.gather, _csr_cost, G, u)
+        return _K.csr_matvec(G, u)
+    return _timed("gather", _K.csr_matvec, _csr_cost, G, u)
 
 
 def scatter(S: sp.csr_matrix, w: np.ndarray):
     """Bottom-up accumulation ``S @ w``."""
     if not TRACER.enabled:
-        return _K.scatter(S, w)
-    return _timed("scatter", _K.scatter, _csr_cost, S, w)
+        return _K.csr_matvec(S, w)
+    return _timed("scatter", _K.csr_matvec, _csr_cost, S, w)
 
 
 def elem_apply(u_loc: np.ndarray, M: np.ndarray,

@@ -2,10 +2,14 @@
 
 The map-based ops are the exact expressions the call sites inlined
 before the kernel layer existed, so routing through this backend
-changes no bits there: CSR gather/scatter are ``scipy.sparse``
-products, the batched elemental apply is one dense matmul plus a column
-scale, dot/axpy are the plain BLAS-backed numpy expressions, and
-assembly is the BSR triple product, walked in output-row chunks.
+changes no bits there: every CSR × vector product (the facade's
+gather/scatter, the traversal's hanging interpolation and
+accumulation) is :meth:`NumpyKernels.csr_matvec`, the compiled loop
+``scipy.sparse``'s ``@`` runs, called without ``@``'s per-call
+dispatch; the batched elemental apply is one dense matmul plus a
+column scale, dot/axpy are the plain BLAS-backed numpy expressions, and
+assembly is the BSR triple product, walked in output-row chunks.  This
+is the only module that imports ``scipy.sparse._sparsetools``.
 
 ``traversal_matvec`` is the one production matrix-free apply — the
 whole mesh, a rank's elements, or the Dirichlet-constrained operator on
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from ..obs import span
 
@@ -39,15 +44,28 @@ class NumpyKernels:
 
     name = "numpy"
 
-    # -- sparse gather / scatter ----------------------------------------
+    # -- CSR × vector -------------------------------------------------------
 
-    def gather(self, G: sp.csr_matrix, u: np.ndarray) -> np.ndarray:
-        """Element-local slot vector ``G @ u`` (hanging-aware gather)."""
-        return G @ u
+    def csr_matvec(self, A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` for a CSR ``A`` and a vector ``x``, to the bit: the
+        compiled loop ``@`` runs (``_sparsetools.csr_matvec``, rows in
+        order, each row's terms in stored order) into a fresh zero
+        vector of the product's dtype, without ``@``'s per-call
+        dispatch, which on the small matrices of a rank's program costs
+        more than the loop.
 
-    def scatter(self, S: sp.csr_matrix, w: np.ndarray) -> np.ndarray:
-        """Bottom-up accumulation ``S @ w`` (S is gatherᵀ in CSR)."""
-        return S @ w
+        The loop reads ``x`` at every stored column index unchecked, so
+        anything but a CSR ``A`` and an ``x`` of shape ``(A.shape[1],)``
+        is a ``ValueError`` here.
+        """
+        M, N = A.shape
+        if A.format != "csr" or x.shape != (N,):
+            raise ValueError(
+                f"csr_matvec multiplies a CSR matrix by one vector: got a "
+                f"{A.format} {A.shape} matrix and x of shape {x.shape}")
+        y = np.zeros(M, np.promote_types(A.data.dtype, x.dtype))
+        _csr_matvec(M, N, A.indptr, A.indices, A.data, x, y)
+        return y
 
     # -- batched elemental apply ----------------------------------------
 
@@ -85,11 +103,11 @@ class NumpyKernels:
 
         The paper's three phases, each a merge span: slot gather of the
         identity block, then hanging interpolation of the hanging block
-        (``matvec.top_down``); the dense elemental apply of either
-        through :meth:`elem_apply` into one leaf array
-        (``matvec.leaf``); one accumulation of the duplicated node
-        instances, ``h**pw`` already in its weights
-        (``matvec.bottom_up``).
+        through :meth:`csr_matvec` (``matvec.top_down``); the dense
+        elemental apply of either through :meth:`elem_apply` into one
+        leaf array (``matvec.leaf``); one accumulation of the duplicated
+        node instances through :meth:`csr_matvec`, ``h**pw`` already in
+        its weights (``matvec.bottom_up``).  An empty block is skipped.
 
         ``u`` must hold one entry per program node: anything else is a
         ``ValueError`` naming the shape (a longer vector would otherwise
@@ -105,25 +123,32 @@ class NumpyKernels:
         if prog.pad:
             u = np.append(u, 0.0)
         w_loc = np.empty((prog.n_elem, prog.npe))
-        row = 0
-        for block in prog:
+        n_id = len(prog.identity.elems)
+        if n_id:
             with span("matvec.top_down", merge=True) as tsp:
-                u_loc = block.gather(u)
+                u_loc = u[prog.identity.gid]
                 tsp.add("bucketed_nodes", u_loc.size)
-            with span("matvec.leaf", merge=True) as lsp:
-                self.elem_apply(
-                    u_loc, ker, None, out=w_loc[row : row + len(u_loc)]
-                )
-                lsp.add("elements", len(u_loc))
-            row += len(u_loc)
+            self._leaf(u_loc, ker, w_loc[:n_id])
+        if n_id < prog.n_elem:
+            with span("matvec.top_down", merge=True) as tsp:
+                u_loc = self.csr_matvec(prog.hanging.interp, u)
+                tsp.add("bucketed_nodes", u_loc.size)
+            self._leaf(u_loc.reshape(-1, prog.npe), ker, w_loc[n_id:])
         # compiled on the first apply per exponent: that cost is this
         # phase's too
         with span("matvec.bottom_up", merge=True):
             scatter = prog.scatter(pw)
         with span("matvec.bottom_up", merge=True) as bsp:
-            out = scatter @ w_loc.ravel()
+            out = self.csr_matvec(scatter, w_loc.ravel())
             bsp.add("merged_nodes", scatter.nnz)
         return out
+
+    def _leaf(self, u_loc, ker, out) -> None:
+        """One block's leaf phase: its dense elemental apply into its
+        rows of the leaf array."""
+        with span("matvec.leaf", merge=True) as lsp:
+            self.elem_apply(u_loc, ker, None, out=out)
+            lsp.add("elements", len(u_loc))
 
     # -- global assembly ---------------------------------------------------
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.mesh import IncompleteMesh
-from ..core.plan import ApplyProgram, mesh_fingerprint, operator_context
+from ..core.plan import ApplyProgram, operator_context
 from ..obs import set_gauge, span
 
 __all__ = [
@@ -81,7 +81,8 @@ def _analyze_partition(mesh: IncompleteMesh, splits: np.ndarray) -> PartitionLay
     splits = np.asarray(splits, np.int64)
     nranks = len(splits) - 1
     npe = mesh.npe
-    g = mesh.nodes.gather.tocsr()
+    ctx = operator_context(mesh)
+    g = ctx.gather
     n_glob = mesh.n_nodes
 
     # first-touch owner: smallest element index referencing each node.
@@ -121,7 +122,7 @@ def _analyze_partition(mesh: IncompleteMesh, splits: np.ndarray) -> PartitionLay
         neighbor_ranks.append(np.unique(src))
 
     return PartitionLayout(
-        fingerprint=mesh_fingerprint(mesh),
+        fingerprint=ctx.fingerprint,
         splits=splits,
         node_owner=node_owner,
         owned_counts=owned_counts,
@@ -137,7 +138,7 @@ def _analyze_partition(mesh: IncompleteMesh, splits: np.ndarray) -> PartitionLay
 class ExchangePlan:
     """Persistent ghost-exchange + rank-local operator plan (§3.5).
 
-    Precomputes, once per (mesh fingerprint, layout):
+    Precomputes, once per (operator context, layout):
 
     * ``send_ids[(owner, user)]`` — global node ids whose values the
       owner rank ships to the user rank in the pre-exchange (and where
@@ -163,7 +164,6 @@ class ExchangePlan:
                 f"(fingerprint {layout.fingerprint[:12]}…, this mesh "
                 f"{ctx.fingerprint[:12]}…)"
             )
-        self.mesh = mesh
         self.layout = layout
         self.ctx = ctx
         self.fingerprint = ctx.fingerprint
@@ -208,16 +208,16 @@ class ExchangePlan:
 def exchange_plan(mesh: IncompleteMesh, layout: PartitionLayout) -> ExchangePlan:
     """The layout's cached :class:`ExchangePlan`.
 
-    Cached on the layout object behind the mesh content fingerprint, so
-    the rank programs are compiled once per (mesh, layout); a layout
-    handed another mesh raises instead of reusing stale index arrays.
+    Cached on the layout object and reused while ``plan.ctx is
+    operator_context(mesh)``: the plan's rank programs were compiled
+    from that context, and the context is rebuilt exactly when the
+    mesh's inputs change (:func:`repro.core.plan.operator_context`), so
+    the rank programs are compiled once per (mesh, layout) and a lookup
+    hashes nothing.  A layout handed another mesh raises instead of
+    reusing stale index arrays.
     """
     plan = getattr(layout, "_exchange_plan", None)
-    if (
-        plan is not None
-        and plan.mesh is mesh
-        and plan.fingerprint == mesh_fingerprint(mesh)
-    ):
+    if plan is not None and plan.ctx is operator_context(mesh):
         return plan
     with span("plan.exchange_build") as osp:
         plan = ExchangePlan(mesh, layout)

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..core.mesh import IncompleteMesh, mesh_from_leaves
 from ..core.octant import OctantSet
-from ..core.plan import mesh_fingerprint
+from ..core.plan import operator_context
 from ..obs import add as obs_add
 from ..obs import span
 
@@ -174,7 +174,7 @@ def save_checkpoint(
         "step": int(step),
         "time": float(t),
         "dt": None if dt is None else float(dt),
-        "fingerprint": mesh_fingerprint(mesh),
+        "fingerprint": operator_context(mesh).fingerprint,
         "mesh": {
             "dim": int(mesh.dim),
             "p": int(mesh.p),
@@ -355,7 +355,7 @@ class Checkpoint(_Sealed):
                                _decode_array(m["levels"]), int(m["dim"]))
             mesh = mesh_from_leaves(domain, leaves, p=int(m["p"]),
                                     curve=m["curve"], balance=False)
-            fp = mesh_fingerprint(mesh)
+            fp = operator_context(mesh).fingerprint
             if fp != self.fingerprint:
                 raise CheckpointCorruption(
                     f"{self.path}: restored mesh fingerprint {fp[:12]}… does "

@@ -398,8 +398,9 @@ def test_corrupt_cache_damages_the_first_array_the_lookup_reads(
     clean = _fleet(2, stealing=False)
     clean.run(workload())
     assert len(damaged) == 1
-    # a unit is read-only again once the flip is done
-    assert damaged[0].flags.writeable == (branch == "base")
+    # a sealed unit and a mesh's octant arrays alike are read-only
+    # again once the flip is done
+    assert not damaged[0].flags.writeable
     detects = [ev for ev in log.events if ev.kind == "corrupt_detect"]
     assert detects and detects[0].attrs["tier"] == "l1"
     assert detects[0].shard == due[0]

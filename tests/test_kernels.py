@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import Domain, build_mesh, obs
 from repro.analysis import measured_kernel_points
@@ -86,6 +87,51 @@ def test_numpy_backend_is_bit_stable(sphere_mesh):
     A1, A2 = assemble(mesh), assemble(mesh)
     assert A1.data.tobytes() == A2.data.tobytes()
     assert A1.indices.tobytes() == A2.indices.tobytes()
+
+
+def _csr_case(case, mesh):
+    """A CSR matrix and a vector for one ``csr_matvec`` case."""
+    rng = np.random.default_rng(3)
+    if case == "padded_program":  # both CSRs of a constrained program
+        prog = operator_context(mesh).constrained_stiffness().program
+        interp, scatter = prog.hanging.interp, prog.scatter(mesh.dim - 2)
+        return [(interp, np.append(rng.standard_normal(prog.n_nodes), 0.0)),
+                (scatter, rng.standard_normal(scatter.shape[1]))]
+    A = sp.random(40, 30, density=0.15, format="csr", random_state=4)
+    x = rng.standard_normal(30)
+    if case == "empty_rows":
+        dense = A.toarray()
+        dense[::3] = 0.0
+        A = sp.csr_matrix(dense)
+        assert (np.diff(A.indptr) == 0).sum() >= 14
+    elif case == "int64":
+        A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    elif case == "signed_zeros":
+        A.data[::4] = -0.0
+        x[::3] = -0.0
+    elif case == "strided_x":
+        x = rng.standard_normal(90)[::3]
+        assert not x.flags.c_contiguous
+    return [(A, x)]
+
+
+@pytest.mark.parametrize("case", ["empty_rows", "int32", "int64",
+                                  "padded_program", "signed_zeros",
+                                  "strided_x"])
+def test_csr_matvec_is_the_product_to_the_bit(case, sphere_mesh):
+    """``NumpyKernels.csr_matvec`` runs the loop ``A @ x`` runs: the same
+    dtype and bytes on every input the kernels hand it, and a refusal,
+    not a heap read, of a vector or matrix the loop cannot take."""
+    K = numpy_backend.KERNELS
+    for A, x in _csr_case(case, sphere_mesh):
+        assert A.indices.dtype == (np.int64 if case == "int64" else np.int32)
+        want, got = A @ x, K.csr_matvec(A, x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for bad in (x[:-1], np.append(x, 1.0), np.ones((len(x), 2))):
+            with pytest.raises(ValueError, match="one vector"):
+                K.csr_matvec(A, bad)
+        with pytest.raises(ValueError, match="csc"):
+            K.csr_matvec(A.tocsc(), x)
 
 
 @pytest.mark.parametrize("case", ["sphere", "channel"])

@@ -1,7 +1,8 @@
 """Tests for the unified operator-plan layer (repro.core.plan +
-repro.parallel.ghost.ExchangePlan): fingerprint caching, adaptivity
-invalidation, operator equivalence, persistent ghost-exchange plans and
-obs-span preservation."""
+repro.parallel.ghost.ExchangePlan): context caching by identity (one
+fingerprint per context), read-only leaf sets, adaptivity
+invalidation, operator equivalence, persistent ghost-exchange plans
+and obs-span preservation."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.core.assembly import assemble
 from repro.core.matvec import MapBasedMatVec, traversal_matvec
 from repro.core.mesh import mesh_from_leaves
 from repro.core.plan import TraversalPlan, mesh_fingerprint, operator_context
+from repro.fem.poisson import PoissonProblem
 from repro.geometry import BoxRetain, SphereCarve
 from repro.obs.report import collect
 from repro.parallel import (
@@ -115,6 +117,53 @@ def test_stale_context_detected_on_nodes_swap_same_fingerprint():
     assert ctx1.nodes is mesh.nodes
     u = np.linspace(0, 1, mesh.n_nodes)
     assert np.allclose(MapBasedMatVec(mesh)(u), assemble(mesh) @ u, atol=1e-12)
+
+
+def _apply_many(mesh, path):
+    """The repeated applies of one consumer of the operator context."""
+    u = np.linspace(0, 1, mesh.n_nodes)
+    if path == "traversal":
+        for _ in range(100):
+            traversal_matvec(mesh, u)
+    elif path == "matrix_free_solve":
+        for _ in range(10):
+            PoissonProblem(mesh, f=1.0, dirichlet=0.5).solve(
+                solver="matrix-free")
+    else:
+        layout = analyze_partition(mesh, partition_mesh(mesh, 3))
+        for _ in range(20):
+            distributed_matvec(mesh, layout, u, SimComm(3))
+
+
+@pytest.mark.parametrize("path", ["traversal", "matrix_free_solve",
+                                  "distributed"])
+def test_mesh_is_hashed_once_per_context(path, monkeypatch):
+    """A context is stale only when its inputs change: the fingerprint
+    is computed when the context is built and never again, however many
+    applies, solves or default-plan distributed applies follow."""
+    from repro.core import plan as plan_mod
+
+    mesh = build_mesh(Domain(SphereCarve([0.5, 0.5], 0.3)), 2, 4, p=1)
+    calls = []
+    real = plan_mod.mesh_fingerprint
+    monkeypatch.setattr(
+        plan_mod, "mesh_fingerprint", lambda m: calls.append(m) or real(m)
+    )
+    _apply_many(mesh, path)
+    assert calls == [mesh]
+    assert operator_context(mesh).fingerprint == real(mesh)
+
+
+@pytest.mark.parametrize("field", ["levels", "anchors"])
+def test_octant_arrays_refuse_in_place_edits(field):
+    """The identity rule of ``operator_context`` holds because a leaf set
+    cannot change under its context: its arrays are read-only."""
+    mesh = build_mesh(Domain(SphereCarve([0.5, 0.5], 0.3)), 2, 4, p=1)
+    ctx = operator_context(mesh)
+    arr = getattr(mesh.leaves, field)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[0] += 1
+    assert operator_context(mesh) is ctx
 
 
 @pytest.mark.parametrize("change", ["refine", "coarsen", "nodes_swap"])

@@ -74,6 +74,15 @@ def test_one_kernel_set():
         "kernels/__init__.py"}
 
 
+def test_sparsetools_is_imported_only_by_the_kernel_set():
+    """``scipy.sparse._sparsetools`` (the compiled loops behind ``A @ x``,
+    private to scipy and unchecked on indices) is named in
+    ``kernels/numpy_backend.py`` only: every call into it goes through
+    ``NumpyKernels.csr_matvec``'s shape check, and a scipy release that
+    moves it breaks one file."""
+    assert _files(_grep(r"\b_sparsetools\b")) == {"kernels/numpy_backend.py"}
+
+
 def test_one_dirichlet_elimination():
     """Strong Dirichlet data is eliminated in ``fem/dirichlet.py`` only:
     no other module slices a free/fixed block, builds a 0/1 diagonal
