@@ -30,7 +30,7 @@ def main() -> None:
 
     # Solve −Δu = 1 with u = 0 on all boundaries.
     problem = PoissonProblem(mesh, f=1.0, dirichlet=0.0, method="nodal")
-    sol = problem.solve(rtol=1e-8, solver="cg")
+    sol = problem.solve(rtol=1e-8)
     interior = ~mesh.dirichlet_mask
     print(f"Poisson solved: max u = {sol[interior].max():.4f}, "
           f"mean u = {sol[interior].mean():.4f}")

@@ -84,7 +84,6 @@ def amr_solve(
     theta: float = 0.5,
     marking: str = "dorfler",
     method: str = "nodal",
-    solver: str = "auto",
     rtol: float = 1e-10,
     target_dofs: int | None = None,
     exact: Callable | None = None,
@@ -119,7 +118,7 @@ def amr_solve(
                     mesh, f=f, dirichlet=dirichlet, method=method
                 )
                 with span("amr.solve_pde"):
-                    u = problem.solve(rtol=rtol, solver=solver, x0=u_prev)
+                    u = problem.solve(rtol=rtol, x0=u_prev)
                 with span("amr.estimate"):
                     eta2 = poisson_estimator(
                         mesh, u, f, method=method, dirichlet=dirichlet

@@ -87,8 +87,7 @@ def construct_uniform(
     domain: Domain, level: int, curve: "str | SFCOracle" = "morton"
 ) -> OctantSet:
     """Algorithm 1: level-``level`` leaves covering the subdomain."""
-    if not 0 <= level <= max_level(domain.dim):
-        raise ValueError(f"level out of range: {level}")
+    _check_level("level", level, domain.dim)
 
     def rule(frontier, labels):
         return frontier.levels < level
@@ -140,7 +139,11 @@ def construct_adaptive(
     ``boundary_level`` where they intercept the subdomain boundary.
     ``extra_refine(frontier, labels) -> desired level array`` can impose
     additional region-based refinement (e.g. the classroom's exit level).
+    Levels are integers with ``0 ≤ base_level ≤ boundary_level ≤
+    max_level(dim)``; anything else is a ``ValueError`` naming the field.
     """
+    _check_level("base_level", base_level, domain.dim)
+    _check_level("boundary_level", boundary_level, domain.dim)
     if boundary_level < base_level:
         raise ValueError("boundary_level must be >= base_level")
 
@@ -152,6 +155,15 @@ def construct_adaptive(
         return frontier.levels.astype(np.int64) < target
 
     return _construct_frontier(domain, rule, curve, keep_labels=return_labels)
+
+
+def _check_level(name: str, level, dim: int) -> None:
+    """A ``ValueError`` naming ``name`` unless ``level`` is an integer
+    in ``0..max_level(dim)``."""
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {level!r}")
+    if not 0 <= level <= max_level(dim):
+        raise ValueError(f"{name} out of range: {level} (0..{max_level(dim)})")
 
 
 def _block_span(oset: OctantSet, dim: int) -> np.ndarray:

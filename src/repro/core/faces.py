@@ -42,11 +42,6 @@ class BoundaryFaces:
     def __len__(self) -> int:
         return len(self.elem)
 
-    def outward_normals(self, dim: int) -> np.ndarray:
-        n = np.zeros((len(self.elem), dim))
-        n[np.arange(len(self.elem)), self.axis] = 2.0 * self.side - 1.0
-        return n
-
 
 def extract_boundary_faces(
     mesh: IncompleteMesh,

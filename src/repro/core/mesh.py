@@ -77,12 +77,6 @@ class IncompleteMesh:
         that are retained."""
         return self.nodes.carved_node | self.nodes.domain_boundary
 
-    def operator_context(self):
-        """The mesh's cached operator plan (see :mod:`repro.core.plan`)."""
-        from .plan import operator_context
-
-        return operator_context(self)
-
     def summary(self) -> str:
         lv = self.leaves.levels
         return (

@@ -90,7 +90,3 @@ class LagrangeBasis:
                 f = ders1d[ax] if ax == g_ax else vals1d[ax]
                 out[:, :, g_ax] *= f[:, self.offsets[:, ax]]
         return out
-
-    def node_reference_coords(self) -> np.ndarray:
-        """Reference coordinates of the local nodes, ``(npe, dim)``."""
-        return self.offsets / self.p

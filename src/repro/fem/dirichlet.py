@@ -6,13 +6,14 @@ arithmetic its callers had: sliced (``A_ff``, ``b_f − A_fc·u_c``,
 ``expand``), symmetric-masked (``keep·A·keep + I``) and row-replaced
 (``keep·A + I``).  Hostile data is a ``ValueError`` naming the field.
 
-Every Poisson solve, serial or distributed, iterates on the sliced
-form.  ``A_ff`` has two instances: the assembled one
-(:meth:`Dirichlet.A_ff`) and the compiled one,
-:class:`repro.core.plan.ConstrainedStiffness` — the traversal program
-over the free nodes, built once per mesh; a callable ``A`` lifts the
-data through one unconstrained apply.  The masked form is assembled
-only: Navier–Stokes and the multigrid fixtures use it.
+Every Poisson solve, serial or distributed, inverts the sliced form
+held by one :class:`repro.solvers.system.FreeSystem` (the elimination,
+the free-node operator and its inversion).  ``A_ff`` has two
+instances: the assembled one (:meth:`Dirichlet.A_ff`) and the compiled
+one, :class:`repro.core.plan.ConstrainedStiffness` — the traversal
+program over the free nodes, built once per mesh; a callable ``A``
+lifts the data through one unconstrained apply.  The masked form is
+assembled only: Navier–Stokes and the multigrid fixtures use it.
 """
 
 from __future__ import annotations

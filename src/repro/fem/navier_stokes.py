@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..kernels import api as kernels
 from ..obs import add as obs_add
 from ..obs import span
+from ..solvers.system import sparse_lu
 from .dirichlet import Dirichlet
 from .transport import SupgForm, element_velocity
 
@@ -202,7 +202,7 @@ class NavierStokesProblem:
             for it in range(1, max_iter + 1):
                 A, b = self._assemble(U, x_old)
                 with span("ns.linear_solve", merge=True):
-                    x = spla.splu(A).solve(b)
+                    x = sparse_lu(A).solve(b)
                 U_new, P = self.unpack(x)
                 res = np.linalg.norm(U_new - U) / max(np.linalg.norm(U_new), 1e-12)
                 U = U_new
@@ -280,16 +280,3 @@ class NavierStokesProblem:
             finally:
                 self.dt = dt0
         return out
-
-    def divergence_norm(self, U: np.ndarray) -> float:
-        """L2 norm of ∇·u (diagnostic for incompressibility)."""
-        mesh = self.mesh
-        ref, dim, npe = self.ref, self.dim, mesh.npe
-        g = self.ctx.gather
-        h = self.h
-        div_q = np.zeros((mesh.n_elem, ref.nq))
-        for k in range(dim):
-            u_loc = (g @ U[:, k]).reshape(mesh.n_elem, npe)
-            div_q += (u_loc @ ref.G[:, :, k].T) / h[:, None]
-        w = ref.qwts[None, :] * (h**dim)[:, None]
-        return float(np.sqrt(np.sum(w * div_q**2)))

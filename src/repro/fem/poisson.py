@@ -4,7 +4,8 @@ Supports both strong (nodal) Dirichlet conditions — the "naive"
 first-order treatment of the voxelated boundary — and the Shifted
 Boundary Method (:mod:`repro.fem.sbm`) that restores optimal
 convergence (Fig. 6 of the paper).  The strong part is always one
-:class:`repro.fem.dirichlet.Dirichlet` elimination.
+:class:`repro.fem.dirichlet.Dirichlet` elimination, and every solve
+inverts one :class:`repro.solvers.system.FreeSystem` on its free nodes.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from ..core.assembly import assemble
 from ..core.matvec import TraversalMatVec
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
-from ..solvers.krylov import cg
-from ..solvers.precond import jacobi
+from ..solvers.system import FreeSystem
 from .dirichlet import Dirichlet, finite
 from .sbm import sbm_terms
 
@@ -120,56 +120,56 @@ class PoissonProblem:
         solver: str = "auto",
         x0: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Solve the problem.
+        """Solve the problem through one :class:`FreeSystem`.
 
-        ``solver``: ``"auto"`` (direct for SBM, CG otherwise),
-        ``"direct"``, ``"cg"`` (assembled + Jacobi-CG), or
-        ``"matrix-free"`` — never assembles the global matrix: Jacobi-CG
-        runs on the free nodes through the mesh's compiled constrained
-        operator (:meth:`repro.core.plan.OperatorContext.constrained_stiffness`),
-        and non-zero boundary data is lifted by one unconstrained apply.
+        ``solver``: ``"auto"`` assembles the system and inverts it on the
+        free nodes by the method's rule (:meth:`assembled_system`:
+        Jacobi-CG for nodal, LU for SBM); ``"matrix-free"`` never
+        assembles the global matrix: Jacobi-CG runs on the free nodes
+        through the mesh's compiled constrained operator
+        (:meth:`free_system`), and non-zero boundary data is lifted by
+        one unconstrained apply.
 
         ``x0`` (length ``n_nodes``) warm-starts the CG iteration — the
         AMR loop passes the previous mesh's solution transferred to the
         current mesh, cutting iteration counts on later cycles.  Ignored
-        by the direct solver.  Non-finite ``f``, ``dirichlet`` or ``x0``
-        is a ``ValueError`` before any solve.
+        by the LU.  Non-finite ``f``, ``dirichlet`` or ``x0`` is a
+        ``ValueError`` before any solve.
         """
-        if solver not in ("auto", "direct", "cg", "matrix-free"):
+        if solver not in ("auto", "matrix-free"):
             raise ValueError(
-                f"unknown solver {solver!r}: expected auto, direct, cg or matrix-free"
-            )
-        mesh = self.mesh
+                f"unknown solver {solver!r}: expected auto or matrix-free")
         if x0 is not None:
-            x0 = finite("x0", x0, mesh.n_nodes)
+            x0 = finite("x0", x0, self.mesh.n_nodes)
         if solver == "matrix-free":
-            bc, op, b = self.free_system()
-            M = lambda r: r / op.diag  # noqa: E731
+            system, b = self.free_system()
         else:
-            A, b, fixed = self.system()
-            bc = Dirichlet(fixed, self._g_nodes())
-            if len(bc.free_idx) == 0:
-                return bc.expand(bc.free_idx)
-            op, b = bc.A_ff(A), bc.rhs(A, b)
-            if solver == "direct" or (solver == "auto" and self.method == "sbm"):
-                import scipy.sparse.linalg as spla
-
-                return bc.expand(spla.spsolve(op.tocsc(), b))
-            M = jacobi(op)
-        free = bc.free_idx
-        start = None if x0 is None else x0[free]
-        res = cg(op, b, x0=start, M=M, rtol=rtol, maxiter=20 * len(free))
+            system, A, b = self.assembled_system()
+            b = system.bc.rhs(A, b)
+        bc = system.bc
+        res = system.solve(b, x0=None if x0 is None else x0[bc.free_idx],
+                           rtol=rtol)
         if not res.converged:
             raise RuntimeError(f"CG failed to converge: residual {res.residual:.3e}")
         return bc.expand(res.x)
 
-    def free_system(self):
+    def assembled_system(self) -> tuple[FreeSystem, sp.csr_matrix, np.ndarray]:
+        """``(system, A, b)``: the assembled :meth:`system` before
+        elimination and its :class:`FreeSystem` on the sliced ``A_ff``,
+        inverted by the method's rule — Jacobi-CG for nodal, an LU built
+        here for SBM."""
+        A, b, fixed = self.system()
+        bc = Dirichlet(fixed, self._g_nodes())
+        return FreeSystem(bc, bc.A_ff(A), direct=self.method == "sbm"), A, b
+
+    def free_system(self) -> tuple[FreeSystem, np.ndarray]:
         """The nodal system on the free nodes without a matrix,
-        ``(bc, op, b)``: the :class:`Dirichlet`, the compiled constrained
-        stiffness (:meth:`repro.core.plan.OperatorContext.constrained_stiffness`,
-        its Jacobi diagonal ``op.diag``) and the free load, non-zero
-        boundary data lifted by one unconstrained apply.  What
-        ``solve(solver="matrix-free")`` iterates on, and what
+        ``(system, b)``: the :class:`FreeSystem` over the compiled
+        constrained stiffness
+        (:meth:`repro.core.plan.OperatorContext.constrained_stiffness`,
+        preconditioned by its Jacobi diagonal ``op.diag``) and the free
+        load, non-zero boundary data lifted by one unconstrained apply.
+        What ``solve(solver="matrix-free")`` iterates on, and what
         :func:`repro.resilience.recovery.resilient_poisson_solve`
         iterates on through its distributed apply."""
         if self.method != "nodal":
@@ -184,4 +184,4 @@ class PoissonProblem:
             b = finite("f", load_vector(mesh, self.f))[op.free_idx]
         if bc.u_fix.any():  # homogeneous data lifts to nothing
             b = b - bc.lift(TraversalMatVec(mesh, plan=ctx.traversal))
-        return bc, op, b
+        return FreeSystem(bc, op), b

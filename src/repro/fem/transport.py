@@ -20,12 +20,12 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from ..core.mesh import IncompleteMesh
 from ..core.plan import operator_context
 from ..fem.poisson import load_vector
 from ..kernels import api as kernels
+from ..solvers.system import sparse_lu
 from .dirichlet import Dirichlet, finite
 from .elemental import ReferenceElement
 
@@ -161,7 +161,7 @@ class TransportProblem:
         A = kernels.assemble(ctx.gather, ctx.scatter, form.lhs_blocks)
         self.M_old = kernels.assemble(ctx.gather, ctx.scatter, form.old_blocks)
         self.A = self.bc.replace_rows(A).tocsc()
-        self._lu = spla.splu(self.A)
+        self._lu = sparse_lu(self.A)
 
     def step(self, c: np.ndarray, source: "Callable | float" = 0.0) -> np.ndarray:
         """Advance one implicit-Euler step; ``source`` is s(x) this step."""

@@ -99,10 +99,3 @@ class HashRing:
                 if len(out) == len(self._ids):
                     break
         return out
-
-    def ownership(self, keys: list[str]) -> dict[str, int]:
-        """How many of ``keys`` each shard owns (diagnostics/tests)."""
-        out = {sid: 0 for sid in self._ids}
-        for k in keys:
-            out[self.route(k)] += 1
-        return out

@@ -53,8 +53,10 @@ class SphereCarve(SubdomainPredicate):
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
         self.dim = len(self.center)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not np.isfinite(self.center).all():
+            raise ValueError(f"center must be finite, got {self.center}")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     def classify_cells(self, lo, hi):
         near = _closest_in_cell(lo, hi, self.center)

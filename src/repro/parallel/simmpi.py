@@ -63,9 +63,6 @@ class TrafficCounters:
     def total_bytes(self) -> int:
         return int(self.bytes_sent.sum())
 
-    def max_bytes_per_rank(self) -> int:
-        return int(self.bytes_sent.max()) if len(self.bytes_sent) else 0
-
 
 def _nbytes(obj) -> int:
     """Payload size in bytes for any message the collectives accept:
@@ -102,9 +99,6 @@ class SimComm:
         #: ranks that have crashed; non-empty == communicator is broken
         self.failed_ranks: set[int] = set()
         self.fault_schedule = FaultSchedule()
-
-    def reset_counters(self) -> None:
-        self.counters = TrafficCounters.zeros(self.size)
 
     # -- fault injection ------------------------------------------------
 
@@ -193,76 +187,6 @@ class SimComm:
         obs_add("comm.collectives", 1)
 
     # -- collectives ----------------------------------------------------
-
-    def alltoallv(self, send: list[list]) -> list[list]:
-        """``send[src][dst]`` → returns ``recv[dst][src]``.
-
-        Entries may be numpy arrays or None (no message).  Buffers are
-        validated before any counter is touched: a reported negative
-        payload size or the *same* array object aliased into several
-        slots would corrupt the traffic counters (and hand mutable
-        aliases to several receivers), so both are rejected with a
-        clear error instead.
-        """
-        if len(send) != self.size or any(len(row) != self.size for row in send):
-            raise ValueError("send must be a size x size matrix of buffers")
-        seen: dict[int, tuple[int, int]] = {}
-        for src in range(self.size):
-            for dst in range(self.size):
-                buf = send[src][dst]
-                if buf is None or (isinstance(buf, np.ndarray) and buf.size == 0):
-                    continue
-                nb = _nbytes(buf)
-                if nb < 0:
-                    raise ValueError(
-                        f"alltoallv: buffer ({src}->{dst}) reports negative "
-                        f"size {nb}"
-                    )
-                if isinstance(buf, np.ndarray):
-                    prev = seen.setdefault(id(buf), (src, dst))
-                    if prev != (src, dst):
-                        raise ValueError(
-                            f"alltoallv: buffer ({src}->{dst}) aliases the "
-                            f"({prev[0]}->{prev[1]}) buffer — send distinct "
-                            "arrays per destination"
-                        )
-        idx = self._fault_gate("alltoallv")
-        filtering = self._has_message_faults(idx)
-        self._count_collective()
-        recv: list[list] = [[None] * self.size for _ in range(self.size)]
-        for src in range(self.size):
-            for dst in range(self.size):
-                buf = send[src][dst]
-                if buf is None or (isinstance(buf, np.ndarray) and buf.size == 0):
-                    continue
-                if filtering:
-                    deliver, buf = self._message_filter(
-                        idx, "alltoallv", src, dst, buf
-                    )
-                    if not deliver:
-                        continue
-                if src != dst:
-                    self._count_p2p(src, dst, _nbytes(buf))
-                recv[dst][src] = buf
-        return recv
-
-    def allgather(self, values: list) -> list[list]:
-        """Each rank contributes one value; all ranks get the list."""
-        if len(values) != self.size:
-            raise ValueError("one value per rank required")
-        self._fault_gate("allgather")
-        self._count_collective()
-        sizes = [_nbytes(v) for v in values]
-        total = sum(sizes)
-        for r in range(self.size):
-            nb = sizes[r]
-            self.counters.bytes_sent[r] += nb * (self.size - 1)
-            self.counters.messages_sent[r] += self.size - 1
-            self.counters.bytes_recv[r] += total - nb
-            obs_add("comm.bytes_sent", nb * (self.size - 1), rank=r)
-            obs_add("comm.bytes_recv", total - nb, rank=r)
-            obs_add("comm.messages_sent", self.size - 1, rank=r)
-        return [list(values) for _ in range(self.size)]
 
     def allreduce(self, values: list, op=np.add):
         """Elementwise reduction of per-rank arrays/scalars."""

@@ -199,15 +199,6 @@ class FaultSchedule:
     def crash_rank(self, rank: int, at_op: int) -> FaultSchedule:
         return self._add(Fault("crash_rank", int(at_op), int(rank)))
 
-    def drop_message(self, src: int, dst: int, at_op: int,
-                     silent: bool = False) -> FaultSchedule:
-        return self._add(Fault("drop", int(at_op), (int(src), int(dst)), silent=silent))
-
-    def corrupt_message(self, src: int, dst: int, at_op: int,
-                        silent: bool = False) -> FaultSchedule:
-        return self._add(Fault("corrupt", int(at_op), (int(src), int(dst)),
-                              silent=silent))
-
     def slow(self, shard: str, t0: int, t1: int,
              factor: int = 10) -> FaultSchedule:
         return self._add(Fault("slow", int(t0), shard, int(t1), int(factor)))

@@ -152,11 +152,11 @@ def resilient_poisson_solve(
     """``PoissonProblem.solve(solver="matrix-free")`` on the simulated
     communicator, with checkpoint/restart.
 
-    The same free-node system
+    The same :class:`~repro.solvers.system.FreeSystem`
     (:meth:`~repro.fem.poisson.PoissonProblem.free_system`: load,
-    Jacobi diagonal, lifted boundary data), the same CG recurrence
-    (:mod:`repro.solvers.krylov`) and the serial solve's ``atol`` and
-    ``maxiter = 20·n_free``; only the operator differs.  It applies a
+    Jacobi preconditioner, lifted boundary data, ``maxiter``), the same
+    CG recurrence (:mod:`repro.solvers.krylov`) and the serial solve's
+    ``atol``; only the operator differs.  It applies a
     free vector through :func:`distributed_matvec` in a zero-filled
     full-length array and reads the result back on the free rows, so
     one rank reproduces the serial solve bit for bit.
@@ -169,8 +169,8 @@ def resilient_poisson_solve(
     times.
     """
     mesh = problem.mesh
-    bc, op, b = problem.free_system()
-    free = bc.free_idx
+    system, b = problem.free_system()
+    free = system.bc.free_idx
 
     ckpt_dir = Path(ckpt_dir)
     layout = analyze_partition(mesh, partition_mesh(mesh, ranks, load_tol=0.1))
@@ -179,7 +179,7 @@ def resilient_poisson_solve(
     comm.install_faults(fault_schedule)
 
     if maxiter is None:
-        maxiter = 20 * len(free)
+        maxiter = system.maxiter
     tol = _tolerance(b, rtol, atol)
     recoveries: list[RecoveryEvent] = []
     ckpts_written = 0
@@ -202,7 +202,7 @@ def resilient_poisson_solve(
         ckpts_written += 1
 
     with span("resilience.solve", case=name) as osp:
-        s = _CGState(apply_free, lambda r: r / op.diag,
+        s = _CGState(apply_free, system.M,
                      np.zeros(len(free)), b.copy())  # r = b − A·0, no apply
         checkpoint()
         reason = None
@@ -226,7 +226,7 @@ def resilient_poisson_solve(
         osp.add("recoveries", len(recoveries))
 
     return ResilientSolveResult(
-        x=bc.expand(s.x), iterations=s.it, residual=s.rnorm,
+        x=system.bc.expand(s.x), iterations=s.it, residual=s.rnorm,
         converged=(reason == "converged"), reason=reason,
         recoveries=recoveries, checkpoints_written=ckpts_written,
         ranks_final=comm.size,

@@ -10,11 +10,13 @@ and ``u_g`` (f=0, g=1).  A *factor* is what a batch key caches — a
 system + its :class:`repro.fem.dirichlet.Dirichlet` elimination + how it
 is inverted, the unit right-hand sides, and ``units``: the nominal-
 tolerance unit responses it has been asked for so far.  Its one job is
-``unit(term, rtol)``:
+``unit(term, rtol)``.  There are three factor kinds:
 
-* ``poisson`` — ``PoissonProblem.system()``, sliced, Jacobi
-  :func:`repro.solvers.krylov.cg`: ``A_ff x = b_unit``, or ``−lift``.
-* ``sbm`` — the same with the SBM terms, LU-factorized once (``splu``).
+* Poisson, per pde ``poisson`` or ``sbm`` — the
+  :class:`repro.solvers.system.FreeSystem` of
+  ``PoissonProblem.assembled_system()`` (Jacobi-CG on ``A_ff`` for
+  nodal, its LU built once for SBM): ``A_ff x = b_unit``, or ``−lift``
+  (SBM: ``bs_unit − lift``, the unit boundary load lifted).
 * ``transport`` — a ``TransportProblem`` (row-replaced, LU-factorized
   once) steps the unit source ``steps`` times.
 * ``amr`` — the ``u_unit`` of the one estimator-driven refinement
@@ -46,17 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from ..core.plan import operator_context
-from ..fem.dirichlet import Dirichlet
 from ..fem.poisson import PoissonProblem
 from ..fem.transport import TransportProblem
 from ..obs import add as obs_add
 from ..obs import span
 from ..resilience.faults import SolverBreakdown
-from ..solvers.krylov import cg
-from ..solvers.precond import jacobi
 from .api import LINEAR_TERMS, SolveRequest, solution_digest
 from .cache import CacheEntry
 
@@ -118,59 +116,39 @@ class _Factor:
 
 
 class _PoissonFactor(_Factor):
-    """Nodal-Dirichlet Poisson: the system, sliced, inverted by Jacobi-CG."""
-
-    kind = "poisson"
-
-    def __init__(self, mesh, request: SolveRequest):
-        A, self.b_unit, fixed = PoissonProblem(mesh, f=1.0).system()
-        self.bc = Dirichlet(fixed, 1.0)  # the g unit's data; f's is zero
-        self.Aff = self.bc.A_ff(A)
-        self.M = jacobi(self.Aff)
-        self.lift = self.bc.lift(A)
-        self.n_nodes = mesh.n_nodes
-        self.nbytes = (_csr_nbytes(self.Aff) + self.b_unit.nbytes
-                       + self.lift.nbytes)
-
-    def unit(self, term: str, rtol: float) -> UnitResponse:
-        free, scale = self.bc.free_idx, float(term == "g")
-        if len(free) == 0:
-            return UnitResponse(self.bc.expand([], scale), 0, 0.0, "direct", 0)
-        b = self.b_unit[free] if term == "f" else -self.lift
-        res = cg(self.Aff, b, M=self.M, rtol=rtol, atol=1e-14,
-                 maxiter=20 * len(free))
-        return UnitResponse(self.bc.expand(res.x, scale), res.iterations,
-                            res.residual, res.reason, res.matvecs)
-
-
-class _SbmFactor(_Factor):
-    """Shifted-Boundary-Method Poisson: the system, sliced, LU once."""
-
-    kind = "sbm"
+    """Poisson, ``kind`` ``poisson`` (nodal Dirichlet, Jacobi-CG) or
+    ``sbm`` (Shifted Boundary Method, LU once): the assembled
+    :class:`~repro.solvers.system.FreeSystem` and the unit loads."""
 
     def __init__(self, mesh, request: SolveRequest):
-        # f = 0, g = 1: the system's load is the unit SBM boundary load
-        A, self.bs_unit, fixed = PoissonProblem(
-            mesh, dirichlet=1.0, method="sbm").system()
-        self.bc = Dirichlet(fixed, 1.0)
-        self.Aff = self.bc.A_ff(A)
-        self.lu = spla.splu(self.Aff.tocsc())
+        self.kind = request.pde
+        sbm = self.kind == "sbm"
+        # f = 0, g = 1: the g unit's data, and an SBM system's load is
+        # the unit boundary load
+        self.system, A, b = PoissonProblem(
+            mesh, dirichlet=1.0,
+            method="sbm" if sbm else "nodal").assembled_system()
         self.b_unit = operator_context(mesh).unit_load()
-        self.lift = self.bc.lift(A)
+        self.bs_unit = b if sbm else None
+        self.lift = self.system.bc.lift(A)
         self.n_nodes = mesh.n_nodes
-        self.nbytes = (
-            _csr_nbytes(self.Aff) + 16 * int(self.lu.nnz)
-            + self.b_unit.nbytes + self.bs_unit.nbytes + self.lift.nbytes
-        )
+        self.nbytes = (_csr_nbytes(self.system.op) + self.b_unit.nbytes
+                       + self.lift.nbytes)
+        if sbm:
+            self.nbytes += 16 * int(self.system.lu.nnz) + b.nbytes
 
     def unit(self, term: str, rtol: float) -> UnitResponse:
-        free = self.bc.free_idx
-        b = (self.b_unit[free] if term == "f"
-             else self.bs_unit[free] - self.lift)
-        x = self.lu.solve(b)
-        rnorm = float(np.linalg.norm(self.Aff @ x - b))
-        return UnitResponse(self.bc.expand(x, float(term == "g")), 0, rnorm,
-                            "direct", 1)
+        bc = self.system.bc
+        if term == "f":
+            b = self.b_unit[bc.free_idx]
+        elif self.bs_unit is None:
+            b = -self.lift
+        else:
+            b = self.bs_unit[bc.free_idx] - self.lift
+        res = self.system.solve(b, rtol=rtol, atol=1e-14)
+        return UnitResponse(bc.expand(res.x, float(term == "g")),
+                            res.iterations, res.residual, res.reason,
+                            res.matvecs)
 
 
 class _TransportFactor(_Factor):
@@ -241,8 +219,8 @@ class _AmrFactor(_Factor):
                             "converged", 0)
 
 
-_FACTORS = {f.kind: f for f in (_PoissonFactor, _SbmFactor,
-                                 _TransportFactor, _AmrFactor)}
+_FACTORS = {"poisson": _PoissonFactor, "sbm": _PoissonFactor,
+            "transport": _TransportFactor, "amr": _AmrFactor}
 
 
 def ensure_factor(entry: CacheEntry, request: SolveRequest):

@@ -28,9 +28,10 @@ class KrylovResult:
 
     ``reason`` is one of ``"converged"``, ``"maxiter"``,
     ``"breakdown"`` (a Krylov scalar vanished — the solver cannot
-    continue) or ``"nonfinite"`` (NaN/Inf entered the recurrence).
-    ``converged`` is True **only** for ``reason == "converged"``; a
-    breakdown or non-finite exit never reports success, even if the
+    continue), ``"nonfinite"`` (NaN/Inf entered the recurrence) or
+    ``"direct"`` (an LU solve, :class:`repro.solvers.system.FreeSystem`).
+    ``converged`` is True **only** for ``"converged"`` and ``"direct"``;
+    a breakdown or non-finite exit never reports success, even if the
     last residual norm happened to sit below the tolerance.
     """
 
@@ -161,4 +162,3 @@ def cg(
         osp.set("residual_history", residuals)
         osp.set("reason", reason)
     return KrylovResult(s.x, s.it, s.rnorm, reason == "converged", nmv, reason)
-

@@ -22,6 +22,7 @@ from repro.core.treesort import block_ends, tree_sort
 from repro.parallel.partition import partition_weights
 from repro.parallel.simmpi import SimComm
 
+from .collectives import allgather, alltoallv
 from .treesort import linearize
 
 
@@ -60,7 +61,7 @@ def dist_tree_sort(
     # splitter selection: allgather per-rank key ranges + counts, then
     # every rank computes identical global splitters
     keys_per_rank = [cached_keys(p, oracle) for p in parts]
-    counts = comm.allgather([np.int64(len(p)) for p in parts])[0]
+    counts = allgather(comm, [np.int64(len(p)) for p in parts])[0]
     all_keys = np.concatenate(keys_per_rank) if sum(counts) else np.zeros(0, np.uint64)
     all_levels = np.concatenate([p.levels for p in parts])
     order = np.lexsort((all_levels, all_keys))
@@ -79,7 +80,7 @@ def dist_tree_sort(
             sel = np.flatnonzero(dest == dst)
             if len(sel):
                 send[src][dst] = _pack(parts[src][sel])
-    recv = comm.alltoallv(send)
+    recv = alltoallv(comm, send)
     out = []
     for r in range(nranks):
         bufs = [b for b in recv[r] if b is not None]
@@ -119,7 +120,7 @@ def distributed_construct_constrained(
         cached_keys(t, oracle)[0] if len(t) else np.uint64(0xFFFFFFFFFFFFFFFF)
         for t in local
     ]
-    gathered = comm.allgather([np.uint64(f) for f in firsts])[0]
+    gathered = allgather(comm, [np.uint64(f) for f in firsts])[0]
     out = []
     for r in range(comm.size):
         t = local[r]

@@ -15,6 +15,7 @@ from repro.resilience.faults import FaultSchedule, SolverBreakdown
 from repro.serve import SolverService, SolveRequest, batcher
 from repro.serve.api import solution_digest
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
+from repro.solvers import system
 from repro.solvers.krylov import KrylovResult
 
 from .test_flightrec import demo_fleet
@@ -174,8 +175,8 @@ def test_only_the_member_with_boundary_data_sees_u_g(pde, monkeypatch):
     u_f = solve_batch(factor, [_req(pde, 1.0)])
     assert calls == ["f"]  # a batch without boundary data never solves u_g
     u_g = solve_batch(factor, [_req(pde, 0.0, 1.0)])
-    assert np.array_equal(u_g.solutions[factor.bc.fixed, 0],
-                          np.ones(factor.bc.fixed.sum()))
+    assert np.array_equal(u_g.solutions[factor.system.bc.fixed, 0],
+                          np.ones(factor.system.bc.fixed.sum()))
     reqs = [_req(pde, 2.0), _req(pde, 0.0), _req(pde, -1.0, 3.0),
             _req(pde, 0.5), _req(pde, 0.0, -2.0)]
     out = solve_batch(factor, reqs)
@@ -207,20 +208,20 @@ def test_mixed_request_meets_the_per_term_tolerance():
     fine = dict(base_level=3, boundary_level=5)
     first = _req("poisson", **fine)
     factor, _ = ensure_factor(build_entry(first), first)
-    free = factor.bc.free_idx
+    bc, Aff = factor.system.bc, factor.system.op
+    free = bc.free_idx
     u_f = solve_batch(factor, [first]).solutions[:, 0]
     f = 3.0
     g = -f * float(u_f[free].mean())  # u_g ≡ 1: cancels the mean
-    norm_a = abs(factor.Aff).sum(axis=1).max()
+    norm_a = abs(Aff).sum(axis=1).max()
     for req in (_req("poisson", f, g, **fine), _req("poisson", f, **fine),
                 _req("poisson", 0.0, g, **fine),
                 _req("poisson", f, g, tol=1e-6, **fine)):
         out = solve_batch(factor, [req])
         u = out.solutions[:, 0]
-        assert np.array_equal(u[factor.bc.fixed],
-                              np.full(factor.bc.fixed.sum(), req.g))
+        assert np.array_equal(u[bc.fixed], np.full(bc.fixed.sum(), req.g))
         rhs = req.f * factor.b_unit[free] - req.g * factor.lift
-        true = float(np.linalg.norm(factor.Aff @ u[free] - rhs))
+        true = float(np.linalg.norm(Aff @ u[free] - rhs))
         bound = req.tol * (abs(req.f) * np.linalg.norm(factor.b_unit[free])
                            + abs(req.g) * np.linalg.norm(factor.lift))
         # the bound is exact arithmetic's; forming f·u_f + g·u_g and
@@ -239,7 +240,7 @@ def test_mixed_request_meets_the_per_term_tolerance():
 
 def _break_u_g(monkeypatch, factor, times):
     """``cg`` reports a breakdown on u_g's solve, the first ``times`` times."""
-    real, solved, broken = batcher.cg, [], []
+    real, solved, broken = system.cg, [], []
 
     def cg(A, b, **kw):
         res = real(A, b, **kw)
@@ -249,7 +250,7 @@ def _break_u_g(monkeypatch, factor, times):
             return KrylovResult(res.x, 3, res.residual, False, 4, "breakdown")
         return res
 
-    monkeypatch.setattr(batcher, "cg", cg)
+    monkeypatch.setattr(system, "cg", cg)
     return solved, broken
 
 
@@ -321,7 +322,7 @@ def test_a_non_finite_unit_is_not_stored(pde, monkeypatch):
 def test_non_finite_unit_response_is_a_breakdown(pde, monkeypatch):
     req = _req(pde, 1.0)
     factor, _ = ensure_factor(build_entry(req), req)
-    holder = factor if pde == "sbm" else factor.problem
+    holder = factor.system if pde == "sbm" else factor.problem
     name = "lu" if pde == "sbm" else "_lu"
     lu = getattr(holder, name)
 

@@ -183,6 +183,6 @@ def test_scalar_dirichlet_needs_no_node_coordinates(monkeypatch):
         raise AssertionError("node coordinates built for a scalar g")
 
     monkeypatch.setattr(IncompleteMesh, "node_coords", refuse)
-    for solver in ("matrix-free", "cg"):
+    for solver in ("matrix-free", "auto"):
         u = PoissonProblem(mesh, f=1.0, dirichlet=0.25).solve(solver=solver)
         assert np.all(u[mesh.dirichlet_mask] == 0.25)

@@ -1,5 +1,7 @@
 """Tests for incomplete-octree construction (Algorithms 1-2)."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.core.construct import (
     construct_uniform,
 )
 from repro.core.domain import Domain
+from repro.core.mesh import build_mesh
 from repro.core.octant import OctantSet, max_level, octant_size
 from repro.geometry.predicate import RegionLabel
 from repro.geometry.primitives import BoxRetain, SphereCarve, SphereRetain
@@ -85,6 +88,52 @@ def test_adaptive_refines_boundary_only():
 def test_adaptive_rejects_inverted_levels():
     with pytest.raises(ValueError):
         construct_adaptive(Domain(dim=2), 5, 3)
+
+
+# -- inputs the construction cannot build: refused by name, before any work
+
+
+def _refused_fast(match, build):
+    """``build()`` raises a ``ValueError`` matching ``match`` within 1 s
+    (the unchecked inputs built wrong meshes, or ran for minutes)."""
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        build()
+    assert time.perf_counter() - t0 < 1.0
+
+
+_SPHERE = SphereCarve([0.5, 0.5, 0.5], 0.3)
+
+
+def test_negative_base_level_is_refused():
+    _refused_fast(r"^base_level out of range: -1",
+                  lambda: build_mesh(Domain(_SPHERE), -1, 3))
+
+
+def test_fractional_base_level_is_refused():
+    _refused_fast(r"^base_level must be an integer, got 2\.5",
+                  lambda: build_mesh(Domain(_SPHERE), 2.5, 3))
+
+
+def test_base_level_past_the_deepest_level_is_refused():
+    _refused_fast(rf"^base_level out of range: 30 \(0\.\.{max_level(3)}\)",
+                  lambda: build_mesh(Domain(_SPHERE), 30, 30))
+
+
+def test_boundary_level_past_the_deepest_level_is_refused():
+    _refused_fast(r"^boundary_level out of range: 22",
+                  lambda: construct_adaptive(Domain(_SPHERE), 2, 22))
+
+
+def test_nan_sphere_radius_is_refused():
+    _refused_fast(r"^radius must be positive and finite, got nan",
+                  lambda: SphereCarve([0.5, 0.5, 0.5], float("nan")))
+
+
+def test_non_finite_sphere_centre_is_refused():
+    for centre in ([0.5, float("nan"), 0.5], [float("inf"), 0.5]):
+        _refused_fast(r"^center must be finite",
+                      lambda: SphereCarve(centre, 0.3))
 
 
 def test_adaptive_return_labels():

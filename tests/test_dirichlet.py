@@ -31,6 +31,7 @@ from repro.fem.transport import SupgForm, element_velocity
 from repro.geometry import SphereCarve
 from repro.serve import SolveRequest
 from repro.serve.batcher import build_entry, ensure_factor, solve_batch
+from repro.solvers import system
 from repro.solvers.krylov import cg
 from repro.solvers.precond import jacobi
 
@@ -189,8 +190,7 @@ def carved():
     return build_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3, 5, p=1)
 
 
-@pytest.mark.parametrize("method,solver", [
-    ("nodal", "cg"), ("nodal", "direct"), ("sbm", "auto")])
+@pytest.mark.parametrize("method,solver", [("nodal", "auto"), ("sbm", "auto")])
 def test_assembled_solves_keep_their_bits(carved, method, solver):
     g = lambda pts: 1.0 + pts[:, 0] - 2.0 * pts[:, 1]  # noqa: E731
     prob = PoissonProblem(carved, f=2.5, dirichlet=g, method=method)
@@ -314,7 +314,7 @@ def test_matrix_free_solve_is_the_masked_solve(fixture, g, with_x0, request,
         iterations.append(res.iterations)
         return res
 
-    monkeypatch.setattr(poisson, "cg", counted_cg)
+    monkeypatch.setattr(system, "cg", counted_cg)
     for rtol in (1e-2, 1e-10):
         got = prob.solve(solver="matrix-free", rtol=rtol, x0=x0)
         want, its = _masked_solve(prob, rtol, x0)

@@ -25,6 +25,8 @@ from repro.obs.report import (
 from repro.obs.trace import _NULL
 from repro.parallel.simmpi import SimComm, _nbytes
 
+from .oracles.collectives import allgather
+
 
 def canonical_spans(doc: dict) -> list[dict]:
     """Timing-free canonical form of an artifact's span forest: names,
@@ -178,7 +180,7 @@ def test_simmpi_publishes_matching_obs_counters():
     msg = {(0, 1): np.zeros(4), (1, 2): np.zeros(2), (2, 2): np.zeros(8)}
     comm.exchange(msg)
     comm.allreduce([np.zeros(2)] * 3)
-    comm.allgather([np.zeros(1), np.zeros(2), np.zeros(3)])
+    allgather(comm, [np.zeros(1), np.zeros(2), np.zeros(3)])
     for r in range(3):
         assert obs.get_value("comm.bytes_sent", rank=r) == int(
             comm.counters.bytes_sent[r]

@@ -47,7 +47,6 @@ def test_context_cached_same_object(sphere_mesh):
     ctx1 = operator_context(sphere_mesh)
     ctx2 = operator_context(sphere_mesh)
     assert ctx1 is ctx2
-    assert sphere_mesh.operator_context() is ctx1
     # the lazily derived artifacts are also computed once
     assert ctx1.traversal is ctx2.traversal
     assert ctx1.scatter is ctx2.scatter

@@ -10,6 +10,13 @@ from repro.fem.sbm import face_quadrature, sbm_terms
 from repro.geometry import SphereCarve, SphereRetain
 
 
+def _outward_normals(faces, dim):
+    """Unit outward normal of each face, ``(len(faces), dim)``."""
+    n = np.zeros((len(faces), dim))
+    n[np.arange(len(faces)), faces.axis] = 2.0 * faces.side - 1.0
+    return n
+
+
 @pytest.fixture(scope="module")
 def disk_mesh():
     return build_uniform_mesh(Domain(SphereRetain([0.5, 0.5], 0.5)), 5, p=1)
@@ -95,7 +102,7 @@ def test_boundary_faces_carved_box():
     lo, hi = mesh.leaves.physical_bounds(1.0)
     h = mesh.element_sizes()
     ctr = 0.5 * (lo + hi)
-    n = sub.outward_normals(2)
+    n = _outward_normals(sub, 2)
     probe = ctr[sub.elem] + n * h[sub.elem][:, None]
     assert pred.carved_points(probe).all()
 
@@ -146,7 +153,7 @@ def test_matrix_free_solve_matches_assembled():
     mesh = build_mesh(dom, 3, 5, p=1)
     prob = PoissonProblem(mesh, f=1.0, dirichlet=0.0)
     u_mf = prob.solve(solver="matrix-free")
-    u_cg = prob.solve(solver="cg")
+    u_cg = prob.solve()
     assert np.abs(u_mf - u_cg).max() < 1e-10
 
 
@@ -166,7 +173,7 @@ def test_matrix_free_lifts_boundary_data(g):
     mesh = build_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3, 4, p=1)
     prob = PoissonProblem(mesh, f=2.5, dirichlet=g)
     u_mf = prob.solve(solver="matrix-free", rtol=1e-12)
-    u_cg = prob.solve(solver="cg", rtol=1e-12)
+    u_cg = prob.solve(rtol=1e-12)
     assert np.abs(u_mf - u_cg).max() < 1e-9
     fixed = mesh.dirichlet_mask
     assert np.array_equal(u_mf[fixed], prob._g_at(mesh.node_coords())[fixed])
@@ -176,18 +183,18 @@ def test_matrix_free_solve_honours_x0(monkeypatch):
     """``x0`` warm-starts the matrix-free CG as the docstring says
     (it used to be dropped): restarting from the solution costs no more
     than one iteration, and junk on the Dirichlet nodes is masked."""
-    from repro.fem import poisson as poisson_mod
+    from repro.solvers import system
 
     mesh = build_mesh(Domain(SphereCarve([0.5, 0.5], 0.25)), 3, 4, p=1)
     prob = PoissonProblem(mesh, f=1.0, dirichlet=0.5)
     results = []
-    real_cg = poisson_mod.cg
+    real_cg = system.cg
 
     def recording_cg(*args, **kwargs):
         results.append(real_cg(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(poisson_mod, "cg", recording_cg)
+    monkeypatch.setattr(system, "cg", recording_cg)
     u = prob.solve(solver="matrix-free", rtol=1e-10)
     start = u + 7.0 * mesh.dirichlet_mask  # wrong on the boundary nodes
     u_warm = prob.solve(solver="matrix-free", rtol=1e-8, x0=start)
@@ -197,31 +204,35 @@ def test_matrix_free_solve_honours_x0(monkeypatch):
 
 
 def test_unknown_solver_is_rejected():
+    """Two solvers: the method's rule on the assembled system, or the
+    compiled operator; the retired ``cg`` and ``direct`` are refused by
+    name."""
     mesh = build_uniform_mesh(Domain(dim=2), 2, p=1)
-    with pytest.raises(ValueError, match="matrix-free"):
-        PoissonProblem(mesh, f=1.0).solve(solver="matrixfree")
+    for solver in ("matrixfree", "cg", "direct"):
+        with pytest.raises(ValueError,
+                           match=rf"^unknown solver '{solver}': expected "
+                                 r"auto or matrix-free$"):
+            PoissonProblem(mesh, f=1.0).solve(solver=solver)
 
 
 # -- hostile data: a named ValueError before any factorisation ---------------
 
 
 @pytest.mark.parametrize("method,solver", [
-    ("nodal", "cg"), ("nodal", "direct"), ("nodal", "matrix-free"),
-    ("sbm", "auto")])
+    ("nodal", "auto"), ("nodal", "matrix-free"), ("sbm", "auto")])
 def test_non_finite_source_is_refused(method, solver, monkeypatch):
     import scipy.sparse.linalg as spla
 
     mesh = build_uniform_mesh(Domain(SphereRetain([0.5, 0.5], 0.5)), 3, p=1)
     # refused before any factorisation: reaching one is a TypeError
-    monkeypatch.setattr(spla, "spsolve", None)
+    monkeypatch.setattr(spla, "splu", None)
     for f in (np.nan, lambda pts: np.where(pts[:, 0] > 0.5, np.inf, 1.0)):
         with pytest.raises(ValueError, match="^f has non-finite"):
             PoissonProblem(mesh, f=f, method=method).solve(solver=solver)
 
 
 @pytest.mark.parametrize("method,solver", [
-    ("nodal", "cg"), ("nodal", "direct"), ("nodal", "matrix-free"),
-    ("sbm", "auto")])
+    ("nodal", "auto"), ("nodal", "matrix-free"), ("sbm", "auto")])
 def test_non_finite_boundary_data_is_refused(method, solver):
     mesh = build_uniform_mesh(Domain(SphereRetain([0.5, 0.5], 0.5)), 3, p=1)
     for g in (np.nan, lambda pts: np.full(len(pts), np.nan)):
@@ -230,7 +241,7 @@ def test_non_finite_boundary_data_is_refused(method, solver):
                 solver=solver)
 
 
-@pytest.mark.parametrize("solver", ["cg", "matrix-free", "direct"])
+@pytest.mark.parametrize("solver", ["auto", "matrix-free"])
 def test_bad_x0_is_refused(solver):
     mesh = build_uniform_mesh(Domain(dim=2), 3, p=1)
     prob = PoissonProblem(mesh, f=1.0)

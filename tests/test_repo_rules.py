@@ -172,6 +172,19 @@ def test_one_krylov_recurrence():
     assert _grep(r"\bcallback\b") == []
 
 
+def test_one_free_system():
+    """Every Poisson solve inverts one ``FreeSystem``
+    (``solvers/system.py``): ``cg`` is called there and nowhere else
+    (the resilient solve steps the same recurrence on its
+    preconditioner), a sparse LU is factored under ``solvers/`` only —
+    transport's and Navier–Stokes' steps call its ``sparse_lu`` — and
+    ``spsolve``, a second door to the same SuperLU, appears nowhere."""
+    assert _grep(r"\bspsolve\b") == []
+    splu = _grep(r"\bsplu\b")
+    assert splu and all(h.startswith("solvers/") for h in splu), splu
+    assert _files(_grep(r"\bcg\(")) == {"solvers/krylov.py", "solvers/system.py"}
+
+
 def test_one_sealed_document():
     """Both checkpoint schemas are sealed by one writer and verified by
     one reader: ``_digest`` is the only sha256 in ``resilience/``, and
@@ -229,7 +242,8 @@ def test_one_read_set():
         "fleet/service.py", "resilience/faults.py"}
 
 
-_DEF = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_METHOD = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEF = (*_METHOD, ast.ClassDef)
 
 #: a ``"module:Qual.name"`` string, as the e2e harness resolves them
 _QUALIFIED = re.compile(r"([\w.]+):(\w+)(?:\.[\w.]+)?")
@@ -297,9 +311,12 @@ class _Namespaces:
             return ("mod", f"{mod}.{name}")
         return None
 
-    def refs(self, mod: str, node: ast.AST, table=None) -> set[str]:
+    def refs(self, mod: str, node: ast.AST, table=None, attrs=None) -> set[str]:
         """The defs ``node`` refers to, read in module ``mod``'s
-        namespace (or in a root file's import ``table``)."""
+        namespace (or in a root file's import ``table``); the attribute
+        names it reads go into ``attrs``: every ``x.name``, every string
+        that is an identifier (``getattr(x, "name")``) and each part of
+        a ``"module:Qual.name"`` string."""
         def expr(e):
             if isinstance(e, ast.Name):
                 return self.resolve(mod, e.id, table)
@@ -314,39 +331,80 @@ class _Namespaces:
             hit = None
             if isinstance(n, (ast.Name, ast.Attribute)):
                 hit = expr(n)
+                if isinstance(n, ast.Attribute) and attrs is not None:
+                    attrs.add(n.attr)
             elif isinstance(n, ast.Constant) and isinstance(n.value, str):
                 m = _QUALIFIED.fullmatch(n.value)
                 hit = m and self.resolve(m[1], m[2])
+                if attrs is not None:
+                    if m:
+                        attrs.update(n.value.partition(":")[2].split("."))
+                    elif n.value.isidentifier():
+                        attrs.add(n.value)
             if hit and hit[0] == "def":
                 found.add(hit[1])
         return found
+
+    @staticmethod
+    def body(node: ast.AST) -> list[ast.AST]:
+        """What a live def runs or defines: a function whole, a class
+        without its methods (each of those lives on its own)."""
+        if not isinstance(node, ast.ClassDef):
+            return [node]
+        return [*node.bases, *node.keywords, *node.decorator_list,
+                *(s for s in node.body if not isinstance(s, _METHOD))]
 
     def unreached(self, package: str, root_files) -> list[str]:
         """The module-level defs under ``package`` (dunders aside) that
         nothing reaches, through the defs' bodies, from the statements
         of ``root_files`` (``(path, module name)`` pairs) or the
-        package's own top-level code (imports and ``__all__`` aside)."""
+        package's own top-level code (imports and ``__all__`` aside),
+        then the methods of the reached classes whose name no reached
+        code reads as an attribute (``"mod:Class.method"``)."""
         inside = [mod for mod in self.trees
                   if f"{mod}.".startswith(f"{package}.")]
-        live = set()
+        live, attrs, stack = set(), set(), []
+
+        def reach(mod, nodes, table=None):
+            for node in nodes:
+                for ref in self.refs(mod, node, table, attrs) - live:
+                    live.add(ref)
+                    stack.append(ref)
+
         for path, mod in root_files:
             tree = ast.parse(path.read_text())
-            live |= self.refs(mod, tree, self.import_table(mod, tree))
+            reach(mod, [tree], self.import_table(mod, tree))
         for mod in inside:
-            for top in self.trees[mod].body:
-                if not isinstance(top, (*_DEF, ast.Import, ast.ImportFrom)) and not (
-                        isinstance(top, ast.Assign) and any(
-                            getattr(t, "id", "") == "__all__" for t in top.targets)):
-                    live |= self.refs(mod, top)
-        stack = list(live)
-        while stack:
-            mod, name = stack.pop().split(":")
-            for ref in self.refs(mod, self.defs[mod][name]) - live:
-                live.add(ref)
-                stack.append(ref)
-        return sorted(f"{mod}:{name}" for mod in inside for name in self.defs[mod]
-                      if not (name.startswith("__") and name.endswith("__"))
-                      and f"{mod}:{name}" not in live)
+            reach(mod, [top for top in self.trees[mod].body
+                        if not isinstance(top, (*_DEF, ast.Import, ast.ImportFrom))
+                        and not (isinstance(top, ast.Assign) and any(
+                            getattr(t, "id", "") == "__all__" for t in top.targets))])
+        methods = {}  # "mod:Class.method" -> its def, for the reached classes
+        grown = True
+        while grown:
+            while stack:
+                key = stack.pop()
+                mod, name = key.split(":")
+                node = self.defs[mod][name]
+                reach(mod, self.body(node))
+                if isinstance(node, ast.ClassDef):
+                    methods.update({f"{key}.{m.name}": (mod, m) for m in node.body
+                                    if isinstance(m, _METHOD)})
+            grown = False
+            for key, (mod, m) in methods.items():
+                if key not in live and (m.name in attrs or _dunder(m.name)):
+                    live.add(key)
+                    reach(mod, [m])
+                    grown = True
+        dead = [f"{mod}:{name}" for mod in inside for name in self.defs[mod]
+                if not _dunder(name) and f"{mod}:{name}" not in live]
+        dead += [key for key in methods if key not in live
+                 and key.partition(":")[0] in inside]
+        return sorted(dead)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_public_def_has_a_caller():
@@ -357,8 +415,11 @@ def test_every_public_def_has_a_caller():
     ``cli.main``).  A name counts only where it resolves to the def —
     through the module's defs and imports, an attribute of a module, or
     a ``"module:Qual"`` string — so a method that shares a def's name
-    keeps nothing alive.  Oracles that only tests need live in
-    ``tests/oracles/``, and each of their defs is reached from a test."""
+    keeps nothing alive.  A method of a reached class is reached when
+    reached code reads its name as an attribute of anything (or it is a
+    dunder): a conservative rule, since any same-named attribute counts.
+    Oracles that only tests need live in ``tests/oracles/``, and each of
+    their defs and methods is reached from a test."""
     ns = _Namespaces()
     product = [(path, f"{tree_dir}.{path.stem}")
                for tree_dir in ("benchmarks", "examples")

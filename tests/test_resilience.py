@@ -13,7 +13,6 @@ import pytest
 
 from repro import Domain, build_mesh
 from repro.core.mesh import build_uniform_mesh
-from repro.fem import poisson
 from repro.fem.navier_stokes import NavierStokesProblem
 from repro.fem.poisson import PoissonProblem
 from repro.geometry import BoxRetain, SphereCarve
@@ -37,11 +36,24 @@ from repro.resilience.checkpoint import (
     save_checkpoint,
     save_state_checkpoint,
 )
-from repro.resilience.faults import KINDS
+from repro.resilience.faults import KINDS, Fault
 from repro.resilience.recovery import ResilientNSDriver, resilient_poisson_solve
-from repro.solvers import cg
+from repro.solvers import cg, system
+
+from .oracles.collectives import allgather, alltoallv
 
 pytestmark = pytest.mark.resilience
+
+
+def _drop(sched, src, dst, at_op, silent=False):
+    """``sched`` with a dropped ``src -> dst`` message at collective
+    ``at_op`` (no product path schedules a message fault)."""
+    return sched._add(Fault("drop", at_op, (src, dst), silent=silent))
+
+
+def _corrupt(sched, src, dst, at_op, silent=False):
+    """``sched`` with a corrupted ``src -> dst`` message at ``at_op``."""
+    return sched._add(Fault("corrupt", at_op, (src, dst), silent=silent))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +139,7 @@ def test_crash_fires_at_exact_op_and_poisons_comm():
     assert comm.failed_ranks == {1}
     # the communicator stays broken: every later collective raises too
     with pytest.raises(RankFailure):
-        comm.allgather([np.zeros(1)] * 3)
+        allgather(comm, [np.zeros(1)] * 3)
 
 
 def test_consumed_fault_does_not_refire():
@@ -144,7 +156,7 @@ def test_consumed_fault_does_not_refire():
 
 def test_detected_drop_raises_typed_error():
     comm = SimComm(2)
-    comm.install_faults(FaultSchedule(seed=0).drop_message(0, 1, at_op=0))
+    comm.install_faults(_drop(FaultSchedule(seed=0), 0, 1, at_op=0))
     with pytest.raises(MessageCorruption) as ei:
         comm.exchange({(0, 1): np.ones(4)})
     assert (ei.value.src, ei.value.dst, ei.value.mode) == (0, 1, "drop")
@@ -153,7 +165,7 @@ def test_detected_drop_raises_typed_error():
 def test_silent_drop_removes_message():
     comm = SimComm(2)
     comm.install_faults(
-        FaultSchedule(seed=0).drop_message(0, 1, at_op=0, silent=True)
+        _drop(FaultSchedule(seed=0), 0, 1, at_op=0, silent=True)
     )
     out = comm.exchange({(0, 1): np.ones(4), (1, 0): np.ones(2)})
     assert (0, 1) not in out and (1, 0) in out
@@ -165,7 +177,7 @@ def test_silent_corruption_flips_one_bit_deterministically():
     for _ in range(2):
         comm = SimComm(2)
         comm.install_faults(
-            FaultSchedule(seed=5).corrupt_message(0, 1, at_op=0, silent=True)
+            _corrupt(FaultSchedule(seed=5), 0, 1, at_op=0, silent=True)
         )
         outs.append(comm.exchange({(0, 1): payload.copy()})[(0, 1)])
     assert np.array_equal(outs[0], outs[1])  # same seed, same damage
@@ -177,9 +189,9 @@ def test_silent_corruption_flips_one_bit_deterministically():
 _ONE_OF_EACH = {
     "crash_rank": (lambda s: s.crash_rank(1, at_op=0),
                    "crash rank 1 @ op 0"),
-    "drop": (lambda s: s.drop_message(0, 1, at_op=0),
+    "drop": (lambda s: _drop(s, 0, 1, at_op=0),
              "drop msg 0->1 @ op 0"),
-    "corrupt": (lambda s: s.corrupt_message(0, 1, at_op=0, silent=True),
+    "corrupt": (lambda s: _corrupt(s, 0, 1, at_op=0, silent=True),
                 "corrupt msg 0->1 @ op 0 (silent)"),
     "slow": (lambda s: s.slow("shard0", 0, 10**7, 5),
              "slowdown shard0 x5 @ [0, 10000000)"),
@@ -243,7 +255,7 @@ def test_a_rank_fault_on_a_missing_rank_is_refused_at_install(
     with pytest.raises(ValueError, match="unknown rank 9"):
         SimComm(4).install_faults(FaultSchedule().crash_rank(9, at_op=0))
     with pytest.raises(ValueError, match="unknown rank 4"):
-        SimComm(4).install_faults(FaultSchedule().drop_message(0, 4, at_op=2))
+        SimComm(4).install_faults(_drop(FaultSchedule(), 0, 4, at_op=2))
     _, mesh = sphere_mesh
     with pytest.raises(ValueError, match="unknown rank 6"):
         resilient_poisson_solve(
@@ -298,7 +310,7 @@ def test_alltoallv_rejects_negative_size_buffers():
     send = [[None] * 2 for _ in range(2)]
     send[0][1] = np.zeros(2).view(_NegBytes)
     with pytest.raises(ValueError, match="negative"):
-        comm.alltoallv(send)
+        alltoallv(comm, send)
 
 
 def test_alltoallv_rejects_aliased_buffers():
@@ -308,7 +320,7 @@ def test_alltoallv_rejects_aliased_buffers():
     send[0][1] = buf
     send[0][2] = buf  # same object to two receivers
     with pytest.raises(ValueError, match="aliases"):
-        comm.alltoallv(send)
+        alltoallv(comm, send)
 
 
 # -- solver breakdown taxonomy (satellite) -----------------------------
@@ -580,7 +592,7 @@ def _matrix_free(mesh_case: str, g: str):
         return res
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poisson, "cg", counted_cg)
+        mp.setattr(system, "cg", counted_cg)
         x = prob.solve(solver="matrix-free", rtol=1e-12)
     return prob, x, iterations.pop()
 

@@ -251,6 +251,34 @@ def test_cache_hot_request_skips_all_build_work(traced):
     assert svc.cache.hits == 1 and svc.cache.misses == 1
 
 
+def _spans(spans, name, out=None):
+    """Every span called ``name`` in the forest, merged ones included."""
+    out = [] if out is None else out
+    for sp in spans:
+        if sp.name == name:
+            out.append(sp)
+        _spans(sp.children, name, out)
+        _spans(list(sp._merged.values()), name, out)
+    return out
+
+
+@pytest.mark.parametrize("pde", ["poisson", "sbm"])
+def test_one_poisson_factor_labels_its_work_by_pde(traced, pde):
+    """Nodal and SBM Poisson share one factor class; its solve spans and
+    unit-memo counters still carry the request's pde."""
+    req = _req(pde=pde, f=1.0, g=1.0)
+    factor, _ = ensure_factor(build_entry(req), req)
+    assert type(factor).__name__ == "_PoissonFactor" and factor.kind == pde
+    solve_batch(factor, [req])
+    solve_batch(factor, [req])
+    assert [sp.attrs for sp in _spans(obs.TRACER.roots, "serve.solve")] == [
+        {"pde": pde}] * 2
+    assert obs.get_value("serve.unit.misses", pde=pde) == 2  # u_f and u_g
+    assert obs.get_value("serve.unit.hits", pde=pde) == 2
+    other = {"poisson": "sbm", "sbm": "poisson"}[pde]
+    assert obs.get_value("serve.unit.misses", pde=other) is None
+
+
 def test_eviction_and_interleaving_determinism():
     # size the budget from a measured entry so exactly ~1 entry fits
     probe = build_entry(_req())

@@ -116,11 +116,22 @@ def test_ns_poiseuille_pressure_gradient():
     assert slope == pytest.approx(-8 * nu, rel=0.08)
 
 
+def _divergence_norm(ns, U):
+    """L2 norm of ∇·u over the mesh (the incompressibility diagnostic)."""
+    mesh, ref, dim, h = ns.mesh, ns.ref, ns.dim, ns.h
+    div_q = np.zeros((mesh.n_elem, ref.nq))
+    for k in range(dim):
+        u_loc = (ns.ctx.gather @ U[:, k]).reshape(mesh.n_elem, mesh.npe)
+        div_q += (u_loc @ ref.G[:, :, k].T) / h[:, None]
+    w = ref.qwts[None, :] * (h**dim)[:, None]
+    return float(np.sqrt(np.sum(w * div_q**2)))
+
+
 def test_ns_divergence_small():
     mesh, bc, outlet, pts = _poiseuille_setup(level=4)
     ns = NavierStokesProblem(mesh, nu=0.1, velocity_bc=bc, pressure_pin=outlet)
     res = ns.picard_solve(max_iter=15, tol=1e-9)
-    assert ns.divergence_norm(res.velocity) < 0.15
+    assert _divergence_norm(ns, res.velocity) < 0.15
 
 
 def test_ns_stokes_limit_linear():
